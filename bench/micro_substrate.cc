@@ -1,17 +1,19 @@
 // Google-benchmark microbenchmarks for the substrate data structures:
-// B-tree insert/search, hash-index probe, Rete token propagation, and Yao
-// estimation.  These measure real wall-clock time of the implementation
-// (not the simulated 1987 device costs) — useful for keeping the simulator
-// itself fast.
+// B-tree insert/search/bulk load, heap scan, hash-index probe, Rete token
+// propagation, and Yao estimation.  These measure real wall-clock time of
+// the implementation (not the simulated 1987 device costs) — useful for
+// keeping the simulator itself fast.
 #include <benchmark/benchmark.h>
 
 #include "cost/model.h"
 #include "ivm/tuple_store.h"
+#include "relational/tuple.h"
 #include "rete/network.h"
 #include "sim/simulator.h"
 #include "sim/workload.h"
 #include "storage/btree.h"
 #include "storage/hash_index.h"
+#include "storage/heap_file.h"
 #include "util/rng.h"
 #include "util/yao.h"
 
@@ -36,6 +38,53 @@ void BM_BTreeInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_BTreeInsert)->Arg(1000)->Arg(10000);
+
+void BM_BTreeBulkLoadSequential(benchmark::State& state) {
+  // Ascending keys into an un-metered disk: how BuildDatabase loads R1's
+  // clustered index (40 tuples per heap page), so every insert appends to
+  // the rightmost leaf and splits leave half-full leaves behind.
+  for (auto _ : state) {
+    state.PauseTiming();
+    CostMeter meter;
+    storage::SimulatedDisk disk(4000, &meter);
+    disk.set_metering_enabled(false);
+    storage::BTree tree(&disk, 20);
+    state.ResumeTiming();
+    for (int64_t i = 0; i < state.range(0); ++i) {
+      benchmark::DoNotOptimize(tree.Insert(
+          i, storage::RecordId{static_cast<uint32_t>(i / 40),
+                               static_cast<uint16_t>(i % 40)}));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BTreeBulkLoadSequential)->Arg(10000)->Arg(100000);
+
+void BM_HeapScan(benchmark::State& state) {
+  // A full scan of paper-width (S = 100 byte) tuples, decoding each record
+  // straight from its page.
+  CostMeter meter;
+  storage::SimulatedDisk disk(4000, &meter);
+  disk.set_metering_enabled(false);
+  storage::HeapFile heap(&disk);
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    const rel::Tuple tuple({rel::Value(i), rel::Value(i % 97),
+                            rel::Value(i * 31)});
+    (void)heap.Insert(tuple.Serialize(100));
+  }
+  for (auto _ : state) {
+    int64_t sum = 0;
+    Status scanned = heap.Scan([&](storage::RecordId, storage::ByteView bytes) {
+      Result<rel::Tuple> tuple = rel::Tuple::Deserialize(bytes);
+      sum += tuple.ValueOrDie().value(0).AsInt64();
+      return true;
+    });
+    benchmark::DoNotOptimize(scanned);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_HeapScan)->Arg(10000);
 
 void BM_BTreeSearch(benchmark::State& state) {
   CostMeter meter;

@@ -1,5 +1,6 @@
 #include "audit/validate.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -34,10 +35,10 @@ Status ValidatePage(const storage::Page& page) {
                               std::to_string(slot));
     }
     if (!page.IsLive(slot)) continue;
-    Result<std::vector<uint8_t>> original = page.Read(slot);
-    Result<std::vector<uint8_t>> reread = copy.Read(slot);
+    Result<storage::ByteView> original = page.View(slot);
+    Result<storage::ByteView> reread = copy.View(slot);
     if (!original.ok() || !reread.ok() ||
-        original.ValueOrDie() != reread.ValueOrDie()) {
+        !std::ranges::equal(original.ValueOrDie(), reread.ValueOrDie())) {
       return Status::Internal("page round trip changed payload of slot " +
                               std::to_string(slot));
     }

@@ -68,7 +68,7 @@ bool TupleStore::Contains(const Tuple& tuple) const {
 Result<std::vector<Tuple>> TupleStore::ReadAll() const {
   std::vector<Tuple> out;
   out.reserve(count_);
-  Status st = heap_->Scan([&](RecordId, const std::vector<uint8_t>& bytes) {
+  Status st = heap_->Scan([&](RecordId, storage::ByteView bytes) {
     Result<Tuple> tuple = Tuple::Deserialize(bytes);
     PROCSIM_CHECK(tuple.ok()) << tuple.status().ToString();
     out.push_back(tuple.TakeValueOrDie());
@@ -96,7 +96,7 @@ Result<std::vector<Tuple>> TupleStore::ProbeEqual(std::size_t column,
   std::vector<Tuple> out;
   auto [begin, end] = index_it->second.equal_range(key);
   for (auto it = begin; it != end; ++it) {
-    Result<std::vector<uint8_t>> bytes = heap_->Read(it->second);
+    Result<storage::ByteView> bytes = heap_->Read(it->second);
     if (!bytes.ok()) return bytes.status();
     Result<Tuple> tuple = Tuple::Deserialize(bytes.ValueOrDie());
     if (!tuple.ok()) return tuple.status();
@@ -149,7 +149,7 @@ Status TupleStore::CheckConsistency() const {
       return Status::Internal("tuple map key does not hash its tuple: " +
                               entry.tuple.ToString());
     }
-    Result<std::vector<uint8_t>> bytes = heap_->Read(entry.rid);
+    Result<storage::ByteView> bytes = heap_->Read(entry.rid);
     if (!bytes.ok()) {
       return Status::Internal("mapped record " + entry.rid.ToString() +
                               " unreadable: " + bytes.status().ToString());
@@ -170,7 +170,7 @@ Status TupleStore::CheckConsistency() const {
           std::to_string(count_) + " tuples");
     }
     for (const auto& [key, rid] : index) {
-      Result<std::vector<uint8_t>> bytes = heap_->Read(rid);
+      Result<storage::ByteView> bytes = heap_->Read(rid);
       if (!bytes.ok()) {
         return Status::Internal("probe index posting " + rid.ToString() +
                                 " unreadable: " + bytes.status().ToString());

@@ -107,15 +107,14 @@ Status Relation::UpdateInPlace(storage::RecordId rid, const Tuple& new_tuple) {
 }
 
 Result<Tuple> Relation::Read(storage::RecordId rid) const {
-  Result<std::vector<uint8_t>> bytes = heap_.Read(rid);
+  Result<storage::ByteView> bytes = heap_.Read(rid);
   if (!bytes.ok()) return bytes.status();
   return Tuple::Deserialize(bytes.ValueOrDie());
 }
 
 Status Relation::Scan(
     const std::function<bool(storage::RecordId, const Tuple&)>& fn) const {
-  return heap_.Scan([&](storage::RecordId rid,
-                        const std::vector<uint8_t>& bytes) {
+  return heap_.Scan([&](storage::RecordId rid, storage::ByteView bytes) {
     Result<Tuple> tuple = Tuple::Deserialize(bytes);
     PROCSIM_CHECK(tuple.ok()) << tuple.status().ToString();
     return fn(rid, tuple.ValueOrDie());

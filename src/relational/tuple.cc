@@ -74,7 +74,7 @@ std::vector<uint8_t> Tuple::Serialize(std::size_t pad_to_bytes) const {
   return out;
 }
 
-Result<Tuple> Tuple::Deserialize(const std::vector<uint8_t>& bytes) {
+Result<Tuple> Tuple::Deserialize(std::span<const uint8_t> bytes) {
   std::size_t cursor = 0;
   uint32_t arity = 0;
   if (bytes.size() < sizeof(arity)) {

@@ -2,6 +2,7 @@
 #define PROCSIM_RELATIONAL_TUPLE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,7 +63,7 @@ class Tuple {
   /// Serializes; if `pad_to_bytes` exceeds the natural size, the output is
   /// padded so the stored record occupies the paper's fixed tuple width S.
   std::vector<uint8_t> Serialize(std::size_t pad_to_bytes = 0) const;
-  static Result<Tuple> Deserialize(const std::vector<uint8_t>& bytes);
+  static Result<Tuple> Deserialize(std::span<const uint8_t> bytes);
 
   bool TypeChecks(const Schema& schema) const;
 

@@ -84,7 +84,7 @@ void AppendPod(std::vector<uint8_t>* out, T value) {
 }
 
 template <typename T>
-bool ReadPod(const std::vector<uint8_t>& in, std::size_t* cursor, T* value) {
+bool ReadPod(std::span<const uint8_t> in, std::size_t* cursor, T* value) {
   if (*cursor + sizeof(T) > in.size()) return false;
   std::memcpy(value, in.data() + *cursor, sizeof(T));
   *cursor += sizeof(T);
@@ -111,7 +111,7 @@ void Value::SerializeTo(std::vector<uint8_t>* out) const {
   }
 }
 
-Result<Value> Value::DeserializeFrom(const std::vector<uint8_t>& in,
+Result<Value> Value::DeserializeFrom(std::span<const uint8_t> in,
                                      std::size_t* cursor) {
   uint8_t tag = 0;
   if (!ReadPod(in, cursor, &tag)) {

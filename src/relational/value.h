@@ -2,6 +2,7 @@
 #define PROCSIM_RELATIONAL_VALUE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -51,7 +52,7 @@ class Value {
   std::string ToString() const;
 
   void SerializeTo(std::vector<uint8_t>* out) const;
-  static Result<Value> DeserializeFrom(const std::vector<uint8_t>& in,
+  static Result<Value> DeserializeFrom(std::span<const uint8_t> in,
                                        std::size_t* cursor);
 
   /// Stable hash (FNV-1a over the serialized form).

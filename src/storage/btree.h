@@ -21,6 +21,16 @@ namespace procsim::storage {
 /// d = 20 bytes per index record, giving the same tree height the analytic
 /// model assumes (H1).
 ///
+/// Nodes are read in place: descents, probes and scans binary-search the
+/// page bytes through Page::View, and an insert or delete writes one
+/// spliced image of the leaf.  Only a split decodes a node into vectors.
+/// The on-page layout is
+///
+///   leaf:     u8 is_leaf=1, u32 n, n x i64 key, n x (u32 page, u16 slot),
+///             u32 next_leaf
+///   internal: u8 is_leaf=0, u32 n, n x i64 key, u32 child_count,
+///             child_count x u32 child
+///
 /// Deletion is implemented without rebalancing (entries are removed and
 /// nodes may underflow), which is sufficient for the paper's workload of
 /// in-place modifications and keeps the structure simple; the tree never
@@ -28,7 +38,8 @@ namespace procsim::storage {
 class BTree {
  public:
   /// \param disk         backing store; must outlive the tree
-  /// \param entry_bytes  bytes charged per index entry (paper's d)
+  /// \param entry_bytes  bytes charged per index entry (paper's d); a full
+  ///                     leaf of the derived fanout must fit one page
   BTree(SimulatedDisk* disk, uint32_t entry_bytes);
 
   /// Inserts (key, rid).  Duplicates of the same (key, rid) pair are
@@ -42,7 +53,8 @@ class BTree {
   Result<std::vector<RecordId>> Search(int64_t key) const;
 
   /// Calls `fn(key, rid)` for each entry with lo <= key <= hi in key order;
-  /// stops early if `fn` returns false.
+  /// stops early if `fn` returns false.  `fn` reads the leaf in place, so it
+  /// must not modify this tree.
   Status RangeScan(int64_t lo, int64_t hi,
                    const std::function<bool(int64_t, RecordId)>& fn) const;
 
@@ -73,22 +85,14 @@ class BTree {
   Status CorruptLeafOrderForTesting();
 
  private:
-  struct Node {
-    bool is_leaf = true;
-    std::vector<int64_t> keys;
-    // Leaf: values[i] corresponds to keys[i].  Internal: children has
-    // keys.size() + 1 entries; keys[i] is the smallest key in children[i+1].
-    std::vector<RecordId> values;
-    std::vector<PageId> children;
-    PageId next_leaf = kInvalidPageId;
+  class NodeView;  // a node read in place from its page bytes
+  struct Node;     // a node decoded into vectors, for splits
 
-    std::vector<uint8_t> Serialize() const;
-    static Result<Node> Deserialize(const std::vector<uint8_t>& bytes);
-  };
-
-  Result<Node> LoadNode(PageId page_id) const;
-  Status StoreNode(PageId page_id, const Node& node);
-  PageId AllocateNode(const Node& node);
+  /// Reads the node in `page_id` (one ReadPage charge) without copying it.
+  Result<NodeView> ViewNode(PageId page_id) const;
+  /// Overwrites the node in `page_id` with `image` (ReadPage + MarkDirty).
+  Status StoreNode(PageId page_id, const std::vector<uint8_t>& image);
+  PageId AllocateNode(const std::vector<uint8_t>& image);
 
   /// Recursive insert; on child split returns the (separator key, new page)
   /// to be inserted into the parent.
@@ -98,13 +102,21 @@ class BTree {
   };
   Result<std::optional<SplitResult>> InsertRecursive(PageId page_id,
                                                      int64_t key, RecordId rid);
+  Result<std::optional<SplitResult>> InsertIntoLeaf(PageId page_id,
+                                                    const NodeView& leaf,
+                                                    int64_t key, RecordId rid);
 
   /// Descends to the leaf that would contain `key`.
   Result<PageId> FindLeaf(int64_t key) const;
 
-  /// True if the exact (key, rid) pair is present (walks the leaf chain
-  /// because duplicates of `key` can span leaves).
-  Result<bool> ContainsEntry(int64_t key, RecordId rid) const;
+  /// Where an exact (key, rid) pair sits.
+  struct EntryLocation;
+
+  /// Locates the exact (key, rid) pair, or nullopt if absent.  Walks the
+  /// leaf chain from FindLeaf(key) because duplicates of `key` can span
+  /// leaves.
+  Result<std::optional<EntryLocation>> FindEntry(int64_t key,
+                                                 RecordId rid) const;
 
   Status CheckNode(PageId page_id, std::optional<int64_t> lo,
                    std::optional<int64_t> hi, int depth,

@@ -20,6 +20,9 @@ namespace procsim::storage {
 ///
 /// The bucket count is chosen at construction from the expected number of
 /// entries so that chains stay short; the structure does not rehash.
+///
+/// A bucket page holds one record, read in place through Page::View:
+/// u32 n, n x (i64 key, u32 page, u16 slot), u32 overflow.
 class HashIndex {
  public:
   /// \param disk             backing store; must outlive the index
@@ -42,22 +45,14 @@ class HashIndex {
   std::size_t bucket_count() const { return buckets_.size(); }
 
  private:
-  struct Entry {
-    int64_t key;
-    RecordId rid;
-  };
-  struct Bucket {
-    std::vector<Entry> entries;
-    PageId overflow = kInvalidPageId;
-
-    std::vector<uint8_t> Serialize() const;
-    static Result<Bucket> Deserialize(const std::vector<uint8_t>& bytes);
-  };
+  class BucketView;  // a bucket read in place from its page bytes
 
   std::size_t BucketIndexFor(int64_t key) const;
-  Result<Bucket> LoadBucket(PageId page_id) const;
-  Status StoreBucket(PageId page_id, const Bucket& bucket);
-  PageId AllocateBucket(const Bucket& bucket);
+  /// Reads the bucket in `page_id` (one ReadPage charge) without copying it.
+  Result<BucketView> ViewBucket(PageId page_id) const;
+  /// Overwrites the bucket in `page_id` with `image` (ReadPage + MarkDirty).
+  Status StoreBucket(PageId page_id, const std::vector<uint8_t>& image);
+  PageId AllocateBucket(const std::vector<uint8_t>& image);
 
   SimulatedDisk* disk_;
   uint32_t capacity_per_page_;

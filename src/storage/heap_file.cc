@@ -62,10 +62,10 @@ Result<RecordId> HeapFile::Insert(const std::vector<uint8_t>& record) {
   return RecordId{fresh, slot.ValueOrDie()};
 }
 
-Result<std::vector<uint8_t>> HeapFile::Read(RecordId rid) const {
+Result<ByteView> HeapFile::Read(RecordId rid) const {
   Result<Page*> page = disk_->ReadPage(rid.page_id);
   if (!page.ok()) return page.status();
-  return page.ValueOrDie()->Read(rid.slot);
+  return page.ValueOrDie()->View(rid.slot);
 }
 
 Status HeapFile::Update(RecordId rid, const std::vector<uint8_t>& record) {
@@ -87,15 +87,14 @@ Status HeapFile::Delete(RecordId rid) {
 }
 
 Status HeapFile::Scan(
-    const std::function<bool(RecordId, const std::vector<uint8_t>&)>& fn)
-    const {
+    const std::function<bool(RecordId, ByteView)>& fn) const {
   for (PageId page_id : pages_) {
     Result<Page*> page = disk_->ReadPage(page_id);
     if (!page.ok()) return page.status();
     const Page* p = page.ValueOrDie();
     for (uint16_t slot = 0; slot < p->slot_count(); ++slot) {
       if (!p->IsLive(slot)) continue;
-      Result<std::vector<uint8_t>> bytes = p->Read(slot);
+      Result<ByteView> bytes = p->View(slot);
       if (!bytes.ok()) return bytes.status();
       if (!fn(RecordId{page_id, slot}, bytes.ValueOrDie())) {
         return Status::OK();

@@ -25,8 +25,9 @@ class HeapFile {
   /// Inserts a record, allocating a new page if needed.
   Result<RecordId> Insert(const std::vector<uint8_t>& record);
 
-  /// Reads the record at `rid`.
-  Result<std::vector<uint8_t>> Read(RecordId rid) const;
+  /// The bytes of the record at `rid`, read in place: valid until its page
+  /// is next written (see Page::View).
+  Result<ByteView> Read(RecordId rid) const;
 
   /// Overwrites the record at `rid` in place.  Fails if the new payload no
   /// longer fits on its page (fixed-width records never hit this).
@@ -36,11 +37,9 @@ class HeapFile {
   Status Delete(RecordId rid);
 
   /// Calls `fn(rid, bytes)` for every live record in page/slot order;
-  /// charges one read per page.  Iteration stops early if `fn` returns
-  /// false.
-  Status Scan(
-      const std::function<bool(RecordId, const std::vector<uint8_t>&)>& fn)
-      const;
+  /// charges one read per page.  `bytes` views the page and is valid only
+  /// during the call.  Iteration stops early if `fn` returns false.
+  Status Scan(const std::function<bool(RecordId, ByteView)>& fn) const;
 
   std::size_t record_count() const { return record_count_; }
   const std::vector<PageId>& pages() const { return pages_; }

@@ -77,13 +77,12 @@ bool Page::IsLive(uint16_t slot) const {
   return slot < slots_.size() && slots_[slot].live;
 }
 
-Result<std::vector<uint8_t>> Page::Read(uint16_t slot) const {
+Result<ByteView> Page::View(uint16_t slot) const {
   if (!IsLive(slot)) {
     return Status::NotFound("no live record in slot " + std::to_string(slot));
   }
   const Slot& s = slots_[slot];
-  return std::vector<uint8_t>(heap_.begin() + s.offset,
-                              heap_.begin() + s.offset + s.size);
+  return ByteView(heap_.data() + s.offset, s.size);
 }
 
 Status Page::Update(uint16_t slot, const uint8_t* data, uint32_t size) {

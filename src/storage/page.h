@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,9 @@ struct RecordId {
   }
   std::string ToString() const;
 };
+
+/// Read-only bytes of one record, borrowed from its page.
+using ByteView = std::span<const uint8_t>;
 
 /// \brief A slotted data page.
 ///
@@ -62,8 +66,11 @@ class Page {
   /// Inserts a record; returns its slot, or OutOfRange if it cannot fit.
   Result<uint16_t> Insert(const uint8_t* data, uint32_t size);
 
-  /// Reads the record in `slot`; NotFound if tombstoned or out of range.
-  Result<std::vector<uint8_t>> Read(uint16_t slot) const;
+  /// The bytes of the record in `slot`, without copying them; NotFound if
+  /// tombstoned or out of range.  The view stays valid until the page is
+  /// next written (Insert, Update or Delete of any slot): never hold one
+  /// across a write to the same page.
+  Result<ByteView> View(uint16_t slot) const;
 
   /// Overwrites the record in `slot`.  The new payload may have a different
   /// size; fails with OutOfRange if the page cannot hold it.

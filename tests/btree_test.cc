@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -138,6 +140,99 @@ TEST_F(BTreeTest, HeightMatchesAnalyticModelAtPaperScale) {
   }
   EXPECT_EQ(tree.Height(), 3);  // ceil(log_200 50000) = 3
   ASSERT_TRUE(tree.CheckInvariants().ok());
+}
+
+// One key whose run of duplicates spans at least three leaves.  Inserts land
+// in the leftmost candidate leaf, so with ascending rids the run is ordered
+// by rid only within each leaf; with descending rids every insert goes to
+// the front of the leftmost leaf.  Either way an in-leaf binary search must
+// still find every pair, which the leaf-chain walk guarantees.
+struct DuplicateRunCase {
+  uint32_t page_size;
+  bool descending;
+};
+
+void PrintTo(const DuplicateRunCase& c, std::ostream* out) {
+  *out << c.page_size << "-byte pages, "
+       << (c.descending ? "descending" : "ascending") << " rids";
+}
+
+class BTreeDuplicateRunTest
+    : public ::testing::TestWithParam<DuplicateRunCase> {};
+
+TEST_P(BTreeDuplicateRunTest, EveryPairIsFoundAcrossLeaves) {
+  CostMeter meter;
+  SimulatedDisk disk(GetParam().page_size, &meter);
+  disk.set_metering_enabled(false);
+  BTree tree(&disk, 20);
+  // More than two full leaves' worth of one key: at least three leaves.
+  const uint32_t count = 2 * tree.fanout() + tree.fanout() / 2;
+  constexpr int64_t kKey = 7;
+  std::vector<RecordId> rids;
+  for (uint32_t i = 0; i < count; ++i) {
+    rids.push_back(Rid(GetParam().descending ? count - 1 - i : i));
+  }
+  for (std::size_t i = 0; i < rids.size(); ++i) {
+    ASSERT_TRUE(tree.Insert(kKey, rids[i]).ok()) << "insert " << i;
+    ASSERT_EQ(tree.entry_count(), i + 1);
+    ASSERT_TRUE(tree.CheckInvariants().ok()) << "insert " << i;
+  }
+  ASSERT_GE(tree.Height(), 2);
+  EXPECT_EQ(tree.Search(kKey).ValueOrDie().size(), count);
+
+  for (const RecordId& rid : rids) {
+    EXPECT_EQ(tree.Insert(kKey, rid).code(), StatusCode::kAlreadyExists)
+        << rid.ToString();
+  }
+  EXPECT_EQ(tree.entry_count(), count);
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+
+  // Delete in a scrambled order so removals hit every leaf of the run.
+  Rng rng(GetParam().page_size);
+  for (std::size_t i = rids.size(); i > 1; --i) {
+    std::swap(rids[i - 1], rids[rng.Uniform(i)]);
+  }
+  for (std::size_t i = 0; i < rids.size(); ++i) {
+    ASSERT_TRUE(tree.Delete(kKey, rids[i]).ok()) << rids[i].ToString();
+    ASSERT_EQ(tree.entry_count(), count - i - 1);
+    ASSERT_TRUE(tree.CheckInvariants().ok()) << "delete " << i;
+    EXPECT_EQ(tree.Delete(kKey, rids[i]).code(), StatusCode::kNotFound);
+  }
+  EXPECT_TRUE(tree.Search(kKey).ValueOrDie().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PageSizesAndOrders, BTreeDuplicateRunTest,
+    ::testing::Values(DuplicateRunCase{1000, true},
+                      DuplicateRunCase{1000, false},
+                      DuplicateRunCase{4000, true},
+                      DuplicateRunCase{4000, false}),
+    [](const ::testing::TestParamInfo<DuplicateRunCase>& info) {
+      return "Page" + std::to_string(info.param.page_size) +
+             (info.param.descending ? "Descending" : "Ascending");
+    });
+
+TEST(BTreeNodeSizeTest, FullLeafOfFourteenByteEntriesFitsAPage) {
+  // A leaf entry takes 14 bytes on the page (8-byte key, 6-byte rid), so
+  // 14-byte index entries give the densest fanout a page can hold.
+  CostMeter meter;
+  SimulatedDisk disk(4000, &meter);
+  BTree tree(&disk, 14);
+  EXPECT_EQ(tree.fanout(), 285u);
+  for (int64_t i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(tree.Insert(i, Rid(static_cast<uint32_t>(i))).ok());
+  }
+  EXPECT_TRUE(tree.CheckInvariants().ok());
+}
+
+TEST(BTreeNodeSizeDeathTest, RejectsFanoutWhoseFullLeafOverflowsThePage) {
+  CostMeter meter;
+  SimulatedDisk disk(4000, &meter);
+  // 4000 / 10 = 400 entries would need 9 + 14 * 400 = 5609 bytes.
+  EXPECT_DEATH({ BTree tree(&disk, 10); }, "full btree leaf");
+  // The minimum fanout of 4 needs 65 bytes, more than a 50-byte page.
+  SimulatedDisk tiny(50, &meter);
+  EXPECT_DEATH({ BTree tree(&tiny, 20); }, "full btree leaf");
 }
 
 // Randomized property test against a reference multimap.

@@ -102,7 +102,8 @@ TEST(SimulatedDiskTest, PagePersistenceAcrossReads) {
   }
   Result<Page*> p = disk.ReadPage(page);
   ASSERT_TRUE(p.ok());
-  EXPECT_EQ(p.ValueOrDie()->Read(0).ValueOrDie(), record);
+  const ByteView stored = p.ValueOrDie()->View(0).ValueOrDie();
+  EXPECT_EQ(std::vector<uint8_t>(stored.begin(), stored.end()), record);
 }
 
 }  // namespace

@@ -13,13 +13,19 @@ std::vector<uint8_t> FixedRecord(uint8_t fill, std::size_t size = 100) {
   return std::vector<uint8_t>(size, fill);
 }
 
+// A record read through HeapFile::Read, copied out of its page view.
+std::vector<uint8_t> Copied(const Result<ByteView>& read) {
+  const ByteView view = read.ValueOrDie();
+  return std::vector<uint8_t>(view.begin(), view.end());
+}
+
 TEST(HeapFileTest, InsertReadRoundTrip) {
   CostMeter meter;
   SimulatedDisk disk(4000, &meter);
   HeapFile heap(&disk);
   Result<RecordId> rid = heap.Insert(FixedRecord(7));
   ASSERT_TRUE(rid.ok());
-  EXPECT_EQ(heap.Read(rid.ValueOrDie()).ValueOrDie(), FixedRecord(7));
+  EXPECT_EQ(Copied(heap.Read(rid.ValueOrDie())), FixedRecord(7));
   EXPECT_EQ(heap.record_count(), 1u);
 }
 
@@ -41,7 +47,7 @@ TEST(HeapFileTest, UpdatePreservesRecordId) {
   HeapFile heap(&disk);
   RecordId rid = heap.Insert(FixedRecord(1)).ValueOrDie();
   ASSERT_TRUE(heap.Update(rid, FixedRecord(2)).ok());
-  EXPECT_EQ(heap.Read(rid).ValueOrDie(), FixedRecord(2));
+  EXPECT_EQ(Copied(heap.Read(rid)), FixedRecord(2));
 }
 
 TEST(HeapFileTest, DeleteMakesRecordUnreachable) {
@@ -65,7 +71,7 @@ TEST(HeapFileTest, ScanVisitsAllLiveRecordsOnce) {
   ASSERT_TRUE(heap.Delete(rids[10]).ok());
   ASSERT_TRUE(heap.Delete(rids[50]).ok());
   std::set<uint8_t> seen;
-  ASSERT_TRUE(heap.Scan([&](RecordId, const std::vector<uint8_t>& bytes) {
+  ASSERT_TRUE(heap.Scan([&](RecordId, ByteView bytes) {
     seen.insert(bytes[0]);
     return true;
   }).ok());
@@ -82,9 +88,7 @@ TEST(HeapFileTest, ScanChargesOneReadPerPage) {
     ASSERT_TRUE(heap.Insert(FixedRecord(0)).ok());
   }
   meter.Reset();
-  ASSERT_TRUE(
-      heap.Scan([](RecordId, const std::vector<uint8_t>&) { return true; })
-          .ok());
+  ASSERT_TRUE(heap.Scan([](RecordId, ByteView) { return true; }).ok());
   EXPECT_EQ(meter.disk_reads(), 3u);  // 3 pages
   EXPECT_EQ(meter.disk_writes(), 0u);
 }
@@ -97,7 +101,7 @@ TEST(HeapFileTest, ScanStopsEarlyWhenCallbackReturnsFalse) {
     ASSERT_TRUE(heap.Insert(FixedRecord(static_cast<uint8_t>(i))).ok());
   }
   int visited = 0;
-  ASSERT_TRUE(heap.Scan([&](RecordId, const std::vector<uint8_t>&) {
+  ASSERT_TRUE(heap.Scan([&](RecordId, ByteView) {
     return ++visited < 4;
   }).ok());
   EXPECT_EQ(visited, 4);

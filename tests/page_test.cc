@@ -15,14 +15,19 @@ std::vector<uint8_t> Bytes(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
 }
 
+// The record in `slot`, copied out of the page's view for comparison.
+std::vector<uint8_t> Copied(const Page& page, uint16_t slot) {
+  const ByteView view = page.View(slot).ValueOrDie();
+  return std::vector<uint8_t>(view.begin(), view.end());
+}
+
 TEST(PageTest, InsertAndRead) {
   Page page(256);
   const auto record = Bytes("hello");
   Result<uint16_t> slot = page.Insert(record.data(), record.size());
   ASSERT_TRUE(slot.ok());
-  Result<std::vector<uint8_t>> read = page.Read(slot.ValueOrDie());
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read.ValueOrDie(), record);
+  ASSERT_TRUE(page.View(slot.ValueOrDie()).ok());
+  EXPECT_EQ(Copied(page, slot.ValueOrDie()), record);
   EXPECT_EQ(page.live_count(), 1);
 }
 
@@ -42,7 +47,7 @@ TEST(PageTest, CapacityCountsPayloadOnly) {
   // The 40th record (slot 39, payload at offset 0) must still be readable —
   // regression test for the offset-0 tombstone-sentinel bug.
   EXPECT_TRUE(page.IsLive(39));
-  EXPECT_TRUE(page.Read(39).ok());
+  EXPECT_TRUE(page.View(39).ok());
 }
 
 TEST(PageTest, DeleteTombstonesAndReusesSlot) {
@@ -55,12 +60,12 @@ TEST(PageTest, DeleteTombstonesAndReusesSlot) {
   EXPECT_FALSE(page.IsLive(slot_a));
   EXPECT_TRUE(page.IsLive(slot_b));
   EXPECT_EQ(page.live_count(), 1);
-  EXPECT_EQ(page.Read(slot_a).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(page.View(slot_a).status().code(), StatusCode::kNotFound);
   // Next insert reuses the tombstoned slot; slot_b is untouched.
   const auto c = Bytes("cccc");
   uint16_t slot_c = page.Insert(c.data(), c.size()).ValueOrDie();
   EXPECT_EQ(slot_c, slot_a);
-  EXPECT_EQ(page.Read(slot_b).ValueOrDie(), b);
+  EXPECT_EQ(Copied(page, slot_b), b);
 }
 
 TEST(PageTest, DoubleDeleteFails) {
@@ -77,7 +82,7 @@ TEST(PageTest, UpdateInPlaceSameSize) {
   const auto b = Bytes("bbbb");
   uint16_t slot = page.Insert(a.data(), a.size()).ValueOrDie();
   ASSERT_TRUE(page.Update(slot, b.data(), b.size()).ok());
-  EXPECT_EQ(page.Read(slot).ValueOrDie(), b);
+  EXPECT_EQ(Copied(page, slot), b);
 }
 
 TEST(PageTest, UpdateGrowingRecordCompacts) {
@@ -90,7 +95,7 @@ TEST(PageTest, UpdateGrowingRecordCompacts) {
   // Grow a to 48 bytes: requires compaction to make contiguous room.
   std::vector<uint8_t> big(48, 0xcd);
   ASSERT_TRUE(page.Update(slot_a, big.data(), big.size()).ok());
-  EXPECT_EQ(page.Read(slot_a).ValueOrDie(), big);
+  EXPECT_EQ(Copied(page, slot_a), big);
 }
 
 TEST(PageTest, UpdateThatCannotFitFails) {
@@ -101,7 +106,7 @@ TEST(PageTest, UpdateThatCannotFitFails) {
   Status st = page.Update(slot, big.data(), big.size());
   EXPECT_EQ(st.code(), StatusCode::kOutOfRange);
   // Original record is preserved on failure.
-  EXPECT_EQ(page.Read(slot).ValueOrDie(), a);
+  EXPECT_EQ(Copied(page, slot), a);
 }
 
 TEST(PageTest, FreeSpaceReclaimedAfterDeleteAndCompaction) {
@@ -135,9 +140,9 @@ TEST(PageTest, SerializeRoundTripPreservesSlotsAndTombstones) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   const Page& copy = restored.ValueOrDie();
   EXPECT_EQ(copy.live_count(), 2);
-  EXPECT_EQ(copy.Read(slot_a).ValueOrDie(), a);
+  EXPECT_EQ(Copied(copy, slot_a), a);
   EXPECT_FALSE(copy.IsLive(slot_b));
-  EXPECT_EQ(copy.Read(slot_c).ValueOrDie(), c);
+  EXPECT_EQ(Copied(copy, slot_c), c);
 }
 
 TEST(PageTest, DeserializeRejectsTruncatedInput) {
@@ -181,7 +186,7 @@ TEST(PagePropertyTest, MatchesReferenceModel) {
       EXPECT_EQ(page.live_count(), model.size());
       for (const auto& [slot, record] : model) {
         ASSERT_TRUE(page.IsLive(slot));
-        EXPECT_EQ(page.Read(slot).ValueOrDie(), record);
+        EXPECT_EQ(Copied(page, slot), record);
       }
     }
   }
