@@ -150,8 +150,10 @@ int main() {
         old_tuple = widgets->Read(widget_rids[pick]).ValueOrDie();
         (void)widgets->UpdateInPlace(widget_rids[pick], new_tuple);
       }
-      strategy->OnDelete("WIDGET", old_tuple);
-      strategy->OnInsert("WIDGET", new_tuple);
+      ivm::ChangeBatch changes;
+      changes.AddDelete(old_tuple);
+      changes.AddInsert(new_tuple);
+      strategy->OnBatch("WIDGET", changes);
       (void)strategy->OnTransactionEnd();
     }
     const double maintenance = meter.total_ms();

@@ -104,8 +104,10 @@ struct Shell {
     Result<storage::RecordId> rid = relation.ValueOrDie()->Insert(tuple);
     if (!rid.ok()) return rid.status();
     rids[name].push_back(rid.ValueOrDie());
+    ivm::ChangeBatch changes;
+    changes.AddInsert(tuple);
     for (auto& [pname, stored] : procedures) {
-      stored.strategy->OnInsert(name, tuple);
+      stored.strategy->OnBatch(name, changes);
       PROCSIM_RETURN_IF_ERROR(stored.strategy->OnTransactionEnd());
     }
     return Status::OK();
@@ -143,9 +145,11 @@ struct Shell {
     const rel::Tuple new_tuple{std::move(values)};
     PROCSIM_RETURN_IF_ERROR(
         relation.ValueOrDie()->UpdateInPlace(target, new_tuple));
+    ivm::ChangeBatch changes;
+    changes.AddDelete(old_tuple);
+    changes.AddInsert(new_tuple);
     for (auto& [pname, stored] : procedures) {
-      stored.strategy->OnDelete(name, old_tuple);
-      stored.strategy->OnInsert(name, new_tuple);
+      stored.strategy->OnBatch(name, changes);
       PROCSIM_RETURN_IF_ERROR(stored.strategy->OnTransactionEnd());
     }
     std::cout << "updated 1 row\n";

@@ -148,9 +148,15 @@ int main() {
       storage::MeteringGuard guard(&disk);
       (void)emp->UpdateInPlace(emp_rids[123], new_tuple);
     }
-    strategy->OnDelete("EMP", old_tuple);
-    strategy->OnInsert("EMP", new_tuple);
-    (void)strategy->OnTransactionEnd();
+    // One update transaction: delete the old value, insert the new one.
+    const auto notify_update = [&](const Tuple& before, const Tuple& after) {
+      ivm::ChangeBatch changes;
+      changes.AddDelete(before);
+      changes.AddInsert(after);
+      strategy->OnBatch("EMP", changes);
+      (void)strategy->OnTransactionEnd();
+    };
+    notify_update(old_tuple, new_tuple);
     (void)strategy->Access(0);
     const double update_cost = meter.total_ms();
 
@@ -159,9 +165,7 @@ int main() {
       storage::MeteringGuard guard(&disk);
       (void)emp->UpdateInPlace(emp_rids[123], old_tuple);
     }
-    strategy->OnDelete("EMP", new_tuple);
-    strategy->OnInsert("EMP", old_tuple);
-    (void)strategy->OnTransactionEnd();
+    notify_update(new_tuple, old_tuple);
 
     table.AddRow({strategy->name(), std::to_string(progs_rows),
                   std::to_string(clerks_rows),

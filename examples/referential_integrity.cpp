@@ -108,8 +108,10 @@ int main() {
       storage::MeteringGuard guard(&disk);
       (void)orders->UpdateInPlace(rid, fixed_row);
     }
-    monitor.OnDelete("ORDERS", row);
-    monitor.OnInsert("ORDERS", fixed_row);
+    ivm::ChangeBatch changes;
+    changes.AddDelete(row);
+    changes.AddInsert(fixed_row);
+    monitor.OnBatch("ORDERS", changes);
     (void)monitor.OnTransactionEnd();
     ++fixed;
   }
@@ -123,7 +125,9 @@ int main() {
       storage::MeteringGuard guard(&disk);
       (void)orders->Insert(bad_order);
     }
-    monitor.OnInsert("ORDERS", bad_order);
+    ivm::ChangeBatch changes;
+    changes.AddInsert(bad_order);
+    monitor.OnBatch("ORDERS", changes);
     (void)monitor.OnTransactionEnd();
   }
   report("after inserting a bad order");

@@ -8,8 +8,6 @@
 #include <vector>
 
 #include "audit/validate.h"
-#include "proc/cache_invalidate.h"
-#include "proc/update_cache_rvm.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -29,17 +27,8 @@ Status AtCrashPoint(std::size_t point, std::size_t total,
 
 /// All structure validators against one recovered engine.
 Status ValidateRecovered(txn::TxnEngine* engine) {
-  sim::Database* db = engine->database();
-  sim::StrategySet& strategies = engine->strategies();
-  PROCSIM_RETURN_IF_ERROR(ValidateCatalog(*db->catalog));
-  if (strategies.rvm->network() != nullptr) {
-    PROCSIM_RETURN_IF_ERROR(ValidateReteNetwork(*strategies.rvm->network()));
-  }
-  PROCSIM_RETURN_IF_ERROR(ValidateILockTable(
-      strategies.cache_invalidate->lock_table(), db->procedures.size()));
-  PROCSIM_RETURN_IF_ERROR(ValidateInvalidationLog(
-      strategies.cache_invalidate->validity_log()));
-  PROCSIM_RETURN_IF_ERROR(ValidateCacheBudget(*strategies.budget));
+  PROCSIM_RETURN_IF_ERROR(
+      ValidateStructures(*engine->database(), engine->strategies()));
   return engine->wal().CheckConsistency();
 }
 

@@ -7,10 +7,7 @@
 #include <vector>
 
 #include "audit/validate.h"
-#include "ivm/delta.h"
-#include "proc/cache_invalidate.h"
 #include "proc/strategy.h"
-#include "proc/update_cache_rvm.h"
 #include "sim/simulator.h"
 #include "sim/workload.h"
 #include "storage/disk.h"
@@ -123,45 +120,8 @@ Status CompareBatch(Harness* harness, const CrossCheckOptions& options,
     }
   }
   if (options.validate_structures) {
-    PROCSIM_RETURN_IF_ERROR(ValidateCatalog(*harness->db->catalog));
-    if (harness->strategies.rvm->network() != nullptr) {
-      PROCSIM_RETURN_IF_ERROR(
-          ValidateReteNetwork(*harness->strategies.rvm->network()));
-    }
-    PROCSIM_RETURN_IF_ERROR(ValidateILockTable(
-        harness->strategies.cache_invalidate->lock_table(), total));
-    PROCSIM_RETURN_IF_ERROR(ValidateInvalidationLog(
-        harness->strategies.cache_invalidate->validity_log()));
     PROCSIM_RETURN_IF_ERROR(
-        ValidateCacheBudget(*harness->strategies.budget));
-  }
-  return Status::OK();
-}
-
-/// Reports one base-table write to every strategy.
-void Notify(Harness* harness, bool is_insert, const Tuple& tuple) {
-  for (const std::unique_ptr<proc::Strategy>& strategy :
-       harness->strategies.all) {
-    if (is_insert) {
-      strategy->OnInsert("R1", tuple);
-    } else {
-      strategy->OnDelete("R1", tuple);
-    }
-  }
-}
-
-/// Reports a transaction's whole ordered change run to every strategy.
-void NotifyBatch(Harness* harness, const ivm::ChangeBatch& changes) {
-  for (const std::unique_ptr<proc::Strategy>& strategy :
-       harness->strategies.all) {
-    strategy->OnBatch("R1", changes);
-  }
-}
-
-Status EndTransaction(Harness* harness) {
-  for (const std::unique_ptr<proc::Strategy>& strategy :
-       harness->strategies.all) {
-    PROCSIM_RETURN_IF_ERROR(strategy->OnTransactionEnd());
+        ValidateStructures(*harness->db, harness->strategies));
   }
   return Status::OK();
 }
@@ -219,35 +179,23 @@ Result<CrossCheckReport> RunOpStream(
         break;
     }
   };
-  // Applies a batch of mutation ops atomically: every strategy notification,
-  // then one transaction end (the marker-pair semantics of sim::WorkloadOp;
-  // a bare mutation is a batch of one, preserving the historical behavior).
+  std::vector<proc::Strategy*> strategies;
+  for (const std::unique_ptr<proc::Strategy>& strategy :
+       harness.strategies.all) {
+    strategies.push_back(strategy.get());
+  }
+  // Applies a batch of mutation ops atomically (the marker-pair semantics
+  // of sim::WorkloadOp; a bare mutation is a batch of one).
   const auto apply_batch = [&](const std::vector<WorkloadOp>& batch,
                                bool* any_applied) -> Status {
-    bool any_notify = false;
-    ivm::ChangeBatch changes;
-    for (const WorkloadOp& op : batch) {
-      Result<sim::MutationResult> mutation =
-          sim::ApplyMutationOp(db, op, mix, &rng);
-      PROCSIM_RETURN_IF_ERROR(mutation.status());
-      const sim::MutationResult& applied = mutation.ValueOrDie();
-      if (!applied.applied) continue;  // e.g. delete against a minimum table
+    Result<sim::AppliedTransaction> txn =
+        sim::ApplyTransaction(db, batch, mix, &rng, strategies);
+    PROCSIM_RETURN_IF_ERROR(txn.status());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (!txn.ValueOrDie().applied[i]) continue;  // e.g. a minimum table
       *any_applied = true;
-      count_mutation(op.kind);
-      if (!applied.notify) continue;
-      for (const auto& [old_tuple, new_tuple] : applied.changes) {
-        if (options.notify_in_batches) {
-          if (old_tuple.has_value()) changes.AddDelete(*old_tuple);
-          if (new_tuple.has_value()) changes.AddInsert(*new_tuple);
-        } else {
-          if (old_tuple.has_value()) Notify(&harness, false, *old_tuple);
-          if (new_tuple.has_value()) Notify(&harness, true, *new_tuple);
-        }
-      }
-      any_notify = true;
+      count_mutation(batch[i].kind);
     }
-    if (!changes.empty()) NotifyBatch(&harness, changes);
-    if (any_notify) PROCSIM_RETURN_IF_ERROR(EndTransaction(&harness));
     return Status::OK();
   };
 

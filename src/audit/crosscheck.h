@@ -41,13 +41,6 @@ struct CrossCheckOptions {
   /// i-locks, invalidation log, cache budget) after every update batch.
   bool validate_structures = true;
 
-  /// Deliver each transaction's changes to the strategies as one ordered
-  /// ivm::ChangeBatch (Strategy::OnBatch — the vectorized maintenance path)
-  /// instead of per-change OnInsert/OnDelete calls.  Both paths must yield
-  /// byte-identical answers; the audit fuzzer runs one stream through each
-  /// and compares digests.
-  bool notify_in_batches = false;
-
   /// Shard count and cache budget the six strategies run under.  An
   /// adversarially tiny budget forces constant eviction; the oracle's
   /// byte-identity guarantee must hold regardless (eviction is not

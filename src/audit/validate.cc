@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "proc/cache_invalidate.h"
+#include "proc/update_cache_rvm.h"
 #include "storage/disk.h"
 #include "util/logging.h"
 
@@ -254,6 +256,19 @@ Status ValidateCatalog(const rel::Catalog& catalog) {
         ValidateRelation(*relation.ValueOrDie(), catalog.disk()));
   }
   return Status::OK();
+}
+
+Status ValidateStructures(const sim::Database& db,
+                          const sim::StrategySet& strategies) {
+  PROCSIM_RETURN_IF_ERROR(ValidateCatalog(*db.catalog));
+  if (strategies.rvm->network() != nullptr) {
+    PROCSIM_RETURN_IF_ERROR(ValidateReteNetwork(*strategies.rvm->network()));
+  }
+  PROCSIM_RETURN_IF_ERROR(ValidateILockTable(
+      strategies.cache_invalidate->lock_table(), db.procedures.size()));
+  PROCSIM_RETURN_IF_ERROR(
+      ValidateInvalidationLog(strategies.cache_invalidate->validity_log()));
+  return ValidateCacheBudget(*strategies.budget);
 }
 
 }  // namespace procsim::audit

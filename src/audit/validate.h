@@ -10,6 +10,7 @@
 #include "relational/catalog.h"
 #include "relational/relation.h"
 #include "rete/network.h"
+#include "sim/simulator.h"
 #include "storage/btree.h"
 #include "storage/buffer_cache.h"
 #include "storage/heap_file.h"
@@ -72,6 +73,12 @@ Status ValidateRelation(const rel::Relation& relation,
 
 /// Runs ValidateRelation over every relation in the catalog.
 Status ValidateCatalog(const rel::Catalog& catalog);
+
+/// The structure sweep every quiescent check runs over one database and its
+/// six strategies: the catalog, the RVM Rete network, CacheInvalidate's
+/// i-lock table and invalidation log, and the shared cache budget.
+Status ValidateStructures(const sim::Database& db,
+                          const sim::StrategySet& strategies);
 
 }  // namespace procsim::audit
 

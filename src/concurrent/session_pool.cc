@@ -1,12 +1,14 @@
 #include "concurrent/session_pool.h"
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <utility>
 
+#include "audit/validate.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -15,25 +17,64 @@ namespace {
 
 using sim::WorkloadOp;
 
+obs::Histogram* const g_access_cost = obs::GlobalMetrics().RegisterHistogram(
+    "concurrent.session.access_cost_ms", obs::DefaultCostBuckets());
+
 /// Derived seed for session `i`'s workload stream: distinct per session,
 /// reproducible from the pool seed.
 uint64_t SessionSeed(uint64_t pool_seed, std::size_t session) {
   return pool_seed * 6364136223846793005ull + (session + 1) * 1442695040888963407ull;
 }
 
+/// Runs `op` as one engine transaction — Begin, Access or Queue, Commit,
+/// with Abort when a step fails — and returns the access's canonical result
+/// bytes (empty for a mutation).
+Result<std::string> RunOp(txn::TxnEngine* engine, const WorkloadOp& op) {
+  const bool access = op.kind == WorkloadOp::Kind::kAccess;
+  obs::TraceSpan span(
+      access ? "concurrent.session.access" : "concurrent.session.mutate",
+      "concurrent");
+  const txn::TxnId txn = engine->Begin();
+  std::string digest;
+  Status status;
+  if (access) {
+    // Metered cost of this access summed over all six strategies.  The
+    // meter is shared, so concurrent sessions perturb each other's deltas
+    // by their own charges; the histogram is exact in deterministic mode.
+    const double before_ms = engine->database()->meter.total_ms();
+    Result<std::string> answer = engine->Access(txn, op.value);
+    status = answer.status();
+    if (answer.ok()) {
+      g_access_cost->Observe(engine->database()->meter.total_ms() - before_ms);
+      digest = answer.TakeValueOrDie();
+    }
+  } else {
+    status = engine->Queue(txn, op);
+  }
+  if (!status.ok()) {
+    PROCSIM_RETURN_IF_ERROR(engine->Abort(txn));
+    return status;
+  }
+  // Mutations apply at the group flush: inside this Commit with the default
+  // group_commit_size of 1, batched with later commits otherwise.
+  PROCSIM_RETURN_IF_ERROR(engine->Commit(txn));
+  return digest;
+}
+
 }  // namespace
 
 Result<SessionPool::RunResult> SessionPool::Run(const Options& options) {
   PROCSIM_CHECK_GT(options.sessions, 0u);
-  Result<std::unique_ptr<Engine>> built = Engine::Create(options.engine);
+  Result<std::unique_ptr<txn::TxnEngine>> built =
+      txn::TxnEngine::Create(options.engine);
   if (!built.ok()) return built.status();
-  std::unique_ptr<Engine> engine = built.TakeValueOrDie();
+  std::unique_ptr<txn::TxnEngine> engine = built.TakeValueOrDie();
   const std::size_t proc_count = engine->procedure_count();
 
   std::vector<std::vector<WorkloadOp>> streams;
   streams.reserve(options.sessions);
   for (std::size_t i = 0; i < options.sessions; ++i) {
-    sim::Workload workload(options.mix, std::max<std::size_t>(1, proc_count),
+    sim::Workload workload(options.engine.mix, proc_count,
                            SessionSeed(options.engine.seed, i));
     streams.push_back(workload.Take(options.ops_per_session));
   }
@@ -80,25 +121,17 @@ Result<SessionPool::RunResult> SessionPool::Run(const Options& options) {
         if (aborted || next_turn >= turn_order.size()) return;
         const WorkloadOp& op = streams[id][cursor[id]++];
         // Execute while holding the pool latch: deterministic mode is
-        // barrier-stepped by design, and kSessionPool < kDatabase keeps
-        // the engine latches rank-legal below it.
-        if (op.kind == WorkloadOp::Kind::kAccess) {
-          Result<std::string> digest = engine->Access(op.value);
-          if (!digest.ok()) {
-            session_errors[id] = digest.status();
-            aborted = true;
-          } else {
-            result.access_digests.push_back(digest.TakeValueOrDie());
-            accesses.fetch_add(1, std::memory_order_relaxed);
-          }
+        // barrier-stepped by design, and kSessionPool is below every
+        // engine latch, so they stay rank-legal under it.
+        Result<std::string> digest = RunOp(engine.get(), op);
+        if (!digest.ok()) {
+          session_errors[id] = digest.status();
+          aborted = true;
+        } else if (op.kind == WorkloadOp::Kind::kAccess) {
+          result.access_digests.push_back(digest.TakeValueOrDie());
+          accesses.fetch_add(1, std::memory_order_relaxed);
         } else {
-          Status status = engine->Mutate(op, options.mix);
-          if (!status.ok()) {
-            session_errors[id] = status;
-            aborted = true;
-          } else {
-            mutations.fetch_add(1, std::memory_order_relaxed);
-          }
+          mutations.fetch_add(1, std::memory_order_relaxed);
         }
         result.executed.push_back(op);
         ++next_turn;
@@ -115,21 +148,13 @@ Result<SessionPool::RunResult> SessionPool::Run(const Options& options) {
   } else {
     auto session_body = [&](std::size_t id) {
       for (const WorkloadOp& op : streams[id]) {
-        if (op.kind == WorkloadOp::Kind::kAccess) {
-          Result<std::string> digest = engine->Access(op.value);
-          if (!digest.ok()) {
-            session_errors[id] = digest.status();
-            return;
-          }
-          accesses.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          Status status = engine->Mutate(op, options.mix);
-          if (!status.ok()) {
-            session_errors[id] = status;
-            return;
-          }
-          mutations.fetch_add(1, std::memory_order_relaxed);
+        Result<std::string> digest = RunOp(engine.get(), op);
+        if (!digest.ok()) {
+          session_errors[id] = digest.status();
+          return;
         }
+        (op.kind == WorkloadOp::Kind::kAccess ? accesses : mutations)
+            .fetch_add(1, std::memory_order_relaxed);
       }
     };
 
@@ -148,12 +173,16 @@ Result<SessionPool::RunResult> SessionPool::Run(const Options& options) {
   for (const Status& status : session_errors) {
     PROCSIM_RETURN_IF_ERROR(status);
   }
-  PROCSIM_RETURN_IF_ERROR(engine->ValidateAtQuiesce());
+  PROCSIM_RETURN_IF_ERROR(engine->CompareAllAgainstOracle());
+  PROCSIM_RETURN_IF_ERROR(engine->wal().CheckConsistency());
+  PROCSIM_RETURN_IF_ERROR(
+      audit::ValidateStructures(*engine->database(), engine->strategies()));
   result.accesses = accesses.load();
   result.mutations = mutations.load();
   result.total_cost_ms = engine->database()->meter.total_ms();
-  result.budget_accounted_bytes = engine->cache_budget()->accounted_bytes();
-  result.budget_evictions = engine->cache_budget()->eviction_count();
+  const proc::CacheBudget& budget = *engine->strategies().budget;
+  result.budget_accounted_bytes = budget.accounted_bytes();
+  result.budget_evictions = budget.eviction_count();
   return result;
 }
 

@@ -6,14 +6,21 @@
 #include <string>
 #include <vector>
 
-#include "concurrent/engine.h"
 #include "sim/workload.h"
+#include "txn/engine.h"
 #include "util/status.h"
 
 namespace procsim::concurrent {
 
-/// \brief N client sessions driving one shared Engine, each replaying a
-/// seeded per-session workload stream of accesses and update transactions.
+/// \brief N client sessions driving one shared txn::TxnEngine, each replaying
+/// a seeded per-session workload stream of accesses and update transactions.
+///
+/// Every op runs as its own engine transaction: Begin, then Access (an R1
+/// shared lock; all six strategies answer and must agree byte-for-byte) or
+/// Queue (an R1 exclusive lock), then Commit — or Abort if a step fails.
+/// Different procedures are served in parallel under the engine's shared
+/// database latch; update transactions apply at their group flush under
+/// the exclusive one (DESIGN.md §7).
 ///
 /// Two execution modes:
 ///
@@ -27,20 +34,24 @@ namespace procsim::concurrent {
 ///    the equivalence proof between the concurrent engine and the paper's
 ///    single-user semantics.
 ///  - **Free-running** (`deterministic = false`): sessions run full speed
-///    with no coordination beyond the engine's latches.  Interleaving is
-///    whatever the scheduler gives; correctness is checked per access
-///    (all strategies agree) and by a full oracle sweep at quiesce.  This
-///    mode is what the TSan-gated stress test exercises.
+///    with no coordination beyond the engine's locks and latches.
+///    Interleaving is whatever the scheduler gives; correctness is checked
+///    per access (all strategies agree) and at quiesce.  This mode is what
+///    the TSan-gated stress tests exercise.
+///
+/// The quiesce check, after every session has joined, is
+/// TxnEngine::CompareAllAgainstOracle (which flushes the pending commit
+/// group first), the WAL's consistency check and the audit structure
+/// validators.
 class SessionPool {
  public:
   struct Options {
-    Engine::Options engine;
+    /// The shared engine; `engine.mix` is also each session's per-op mix.
+    txn::TxnEngine::Options engine;
     /// Number of worker sessions.
     std::size_t sessions = 4;
     /// Ops each session executes.
     std::size_t ops_per_session = 64;
-    /// Per-op mix for each session's workload stream.
-    sim::WorkloadMix mix;
     bool deterministic = false;
   };
 

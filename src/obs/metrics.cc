@@ -19,12 +19,10 @@ namespace procsim::obs {
     "cache.entries.reloaded",
     "cache.evictions.bytes",
     "cache.evictions.count",
-    "concurrent.engine.access_cost_ms",
-    "concurrent.engine.accesses",
-    "concurrent.engine.mutations",
     "concurrent.latch.acquisitions",
     "concurrent.latch.contended",
     "concurrent.latch.rank_near_miss",
+    "concurrent.session.access_cost_ms",
     "exec.batch.batches_submitted",
     "exec.batch.rows_selected",
     "exec.batch.rows_submitted",

@@ -155,14 +155,12 @@ void CacheInvalidateStrategy::HandleWrite(const std::string& relation,
   }
 }
 
-void CacheInvalidateStrategy::OnInsert(const std::string& relation,
-                                       const rel::Tuple& tuple) {
-  HandleWrite(relation, tuple);
-}
-
-void CacheInvalidateStrategy::OnDelete(const std::string& relation,
-                                       const rel::Tuple& tuple) {
-  HandleWrite(relation, tuple);
+void CacheInvalidateStrategy::OnBatch(const std::string& relation,
+                                      const ivm::ChangeBatch& changes) {
+  // An insert and a delete break the same i-locks.
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    HandleWrite(relation, changes.RowAt(i));
+  }
 }
 
 bool CacheInvalidateStrategy::IsValid(ProcId id) const {

@@ -44,8 +44,8 @@ class CacheInvalidateStrategy : public Strategy {
   Status Prepare() override;
   Result<std::vector<rel::Tuple>> Access(ProcId id) override;
 
-  void OnInsert(const std::string& relation, const rel::Tuple& tuple) override;
-  void OnDelete(const std::string& relation, const rel::Tuple& tuple) override;
+  void OnBatch(const std::string& relation,
+               const ivm::ChangeBatch& changes) override;
 
   /// Whether procedure `id`'s cached value is currently valid.
   bool IsValid(ProcId id) const;

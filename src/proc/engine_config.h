@@ -9,7 +9,7 @@ namespace procsim::proc {
 
 /// \brief Engine-wide sharding and memory-budget configuration.
 ///
-/// One value of this struct flows from the top (concurrent::Engine::Options,
+/// One value of this struct flows from the top (txn::TxnEngine::Options,
 /// audit::CrossCheckOptions, sim::Simulator::Options) down into every
 /// partitioned structure, so the i-lock stripes, the cache-budget shards and
 /// the engine's slot stripes all agree on the partitioning instead of each

@@ -63,16 +63,6 @@ Result<std::vector<rel::Tuple>> HybridStrategy::Access(ProcId id) {
   return SubStrategy(routes_[id].strategy)->Access(routes_[id].local_id);
 }
 
-void HybridStrategy::OnInsert(const std::string& relation,
-                              const rel::Tuple& tuple) {
-  for (auto& sub : subs_) sub->OnInsert(relation, tuple);
-}
-
-void HybridStrategy::OnDelete(const std::string& relation,
-                              const rel::Tuple& tuple) {
-  for (auto& sub : subs_) sub->OnDelete(relation, tuple);
-}
-
 void HybridStrategy::OnBatch(const std::string& relation,
                              const ivm::ChangeBatch& changes) {
   for (auto& sub : subs_) sub->OnBatch(relation, changes);

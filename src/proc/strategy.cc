@@ -28,19 +28,6 @@ Status Strategy::AddProcedure(const DatabaseProcedure& procedure) {
   return Status::OK();
 }
 
-void Strategy::OnInsert(const std::string&, const rel::Tuple&) {}
-void Strategy::OnDelete(const std::string&, const rel::Tuple&) {}
-
-void Strategy::OnBatch(const std::string& relation,
-                       const ivm::ChangeBatch& changes) {
-  for (std::size_t i = 0; i < changes.size(); ++i) {
-    const rel::Tuple row = changes.RowAt(i);
-    if (changes.is_insert(i)) {
-      OnInsert(relation, row);
-    } else {
-      OnDelete(relation, row);
-    }
-  }
-}
+void Strategy::OnBatch(const std::string&, const ivm::ChangeBatch&) {}
 
 }  // namespace procsim::proc

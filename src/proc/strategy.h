@@ -9,7 +9,6 @@
 #include "proc/procedure.h"
 #include "relational/catalog.h"
 #include "relational/executor.h"
-#include "relational/relation.h"
 #include "util/cost_meter.h"
 
 namespace procsim::proc {
@@ -24,16 +23,16 @@ class CacheBudget;
 ///   1. construct, AddProcedure() for every stored procedure;
 ///   2. Prepare() — static compilation: plans, caches, Rete networks,
 ///      initial materialization (run with metering disabled internally);
-///   3. workload: the driver reports every base-table write via
-///      OnInsert/OnDelete (an in-place modification is a delete of the old
-///      value + an insert of the new one) and calls OnTransactionEnd()
-///      after each update transaction; procedure reads go through Access().
+///   3. workload: the driver reports each update transaction's base-table
+///      writes as one ordered change batch via OnBatch (an in-place
+///      modification is a delete of the old value + an insert of the new
+///      one) and then calls OnTransactionEnd(); procedure reads go through
+///      Access().  sim::ApplyTransaction is that driver for every caller.
 ///
-/// Strategies implement rel::UpdateObserver so they can also be attached
-/// directly to relations; the simulator instead drives the notifications
-/// explicitly so the base-table write I/O itself (identical across
-/// strategies, excluded by the paper's analysis) is not charged.
-class Strategy : public rel::UpdateObserver {
+/// Notifications are explicit rather than fired by the relations, so the
+/// base-table write I/O itself (identical across strategies, excluded by the
+/// paper's analysis) is not charged to any strategy.
+class Strategy {
  public:
   /// `config` supplies the sharding dimensions (i-lock stripes, budget
   /// shards); `budget`, when non-null, accounts every cached result this
@@ -43,7 +42,9 @@ class Strategy : public rel::UpdateObserver {
   Strategy(rel::Catalog* catalog, rel::Executor* executor, CostMeter* meter,
            std::size_t result_tuple_bytes, EngineConfig config = {},
            CacheBudget* budget = nullptr);
-  ~Strategy() override = default;
+  virtual ~Strategy() = default;
+  Strategy(const Strategy&) = delete;
+  Strategy& operator=(const Strategy&) = delete;
 
   virtual std::string name() const = 0;
 
@@ -62,15 +63,10 @@ class Strategy : public rel::UpdateObserver {
   /// Called after each update transaction's writes have been reported.
   virtual Status OnTransactionEnd() { return Status::OK(); }
 
-  // rel::UpdateObserver (default: ignore).
-  void OnInsert(const std::string& relation, const rel::Tuple& tuple) override;
-  void OnDelete(const std::string& relation, const rel::Tuple& tuple) override;
-
-  /// Reports one transaction's ordered change run against `relation` in
-  /// bulk.  The default replays the run through OnInsert/OnDelete in order,
-  /// so every strategy is batch-correct by construction; strategies with a
-  /// vectorized maintenance path (RVM's Rete network) override it.  Errors
-  /// are deferred exactly as in the per-change observer methods.
+  /// Reports one transaction's ordered change run against `relation`: each
+  /// change is an insert or a delete, in write order.  A single-row change
+  /// is a batch of one.  Errors are deferred to OnTransactionEnd.  The
+  /// default ignores writes (Always Recompute keeps no derived state).
   virtual void OnBatch(const std::string& relation,
                        const ivm::ChangeBatch& changes);
 

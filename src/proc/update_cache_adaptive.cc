@@ -106,14 +106,11 @@ void UpdateCacheAdaptiveStrategy::HandleWrite(const std::string& relation,
   }
 }
 
-void UpdateCacheAdaptiveStrategy::OnInsert(const std::string& relation,
-                                           const rel::Tuple& tuple) {
-  HandleWrite(relation, tuple, /*is_insert=*/true);
-}
-
-void UpdateCacheAdaptiveStrategy::OnDelete(const std::string& relation,
-                                           const rel::Tuple& tuple) {
-  HandleWrite(relation, tuple, /*is_insert=*/false);
+void UpdateCacheAdaptiveStrategy::OnBatch(const std::string& relation,
+                                          const ivm::ChangeBatch& changes) {
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    HandleWrite(relation, changes.RowAt(i), changes.is_insert(i));
+  }
 }
 
 Status UpdateCacheAdaptiveStrategy::OnTransactionEnd() {

@@ -49,8 +49,8 @@ class UpdateCacheAdaptiveStrategy : public Strategy {
   Status Prepare() override;
   Result<std::vector<rel::Tuple>> Access(ProcId id) override;
 
-  void OnInsert(const std::string& relation, const rel::Tuple& tuple) override;
-  void OnDelete(const std::string& relation, const rel::Tuple& tuple) override;
+  void OnBatch(const std::string& relation,
+               const ivm::ChangeBatch& changes) override;
   Status OnTransactionEnd() override;
 
   std::size_t patch_count() const { return patch_count_; }

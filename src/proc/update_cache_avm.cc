@@ -98,14 +98,11 @@ void UpdateCacheAvmStrategy::HandleWrite(const std::string& relation,
   }
 }
 
-void UpdateCacheAvmStrategy::OnInsert(const std::string& relation,
-                                      const rel::Tuple& tuple) {
-  HandleWrite(relation, tuple, /*is_insert=*/true);
-}
-
-void UpdateCacheAvmStrategy::OnDelete(const std::string& relation,
-                                      const rel::Tuple& tuple) {
-  HandleWrite(relation, tuple, /*is_insert=*/false);
+void UpdateCacheAvmStrategy::OnBatch(const std::string& relation,
+                                     const ivm::ChangeBatch& changes) {
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    HandleWrite(relation, changes.RowAt(i), changes.is_insert(i));
+  }
 }
 
 Status UpdateCacheAvmStrategy::OnTransactionEnd() {

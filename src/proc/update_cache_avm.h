@@ -33,8 +33,8 @@ class UpdateCacheAvmStrategy : public Strategy {
   Status Prepare() override;
   Result<std::vector<rel::Tuple>> Access(ProcId id) override;
 
-  void OnInsert(const std::string& relation, const rel::Tuple& tuple) override;
-  void OnDelete(const std::string& relation, const rel::Tuple& tuple) override;
+  void OnBatch(const std::string& relation,
+               const ivm::ChangeBatch& changes) override;
   Status OnTransactionEnd() override;
 
   /// Current maintained value without charging (for tests).

@@ -82,20 +82,6 @@ Result<std::vector<rel::Tuple>> UpdateCacheRvmStrategy::Access(ProcId id) {
   return memory->ReadAll();
 }
 
-void UpdateCacheRvmStrategy::OnInsert(const std::string& relation,
-                                      const rel::Tuple& tuple) {
-  if (!deferred_error_.ok() || network_ == nullptr) return;
-  Status st = network_->OnInsert(relation, tuple);
-  if (!st.ok()) deferred_error_ = st;
-}
-
-void UpdateCacheRvmStrategy::OnDelete(const std::string& relation,
-                                      const rel::Tuple& tuple) {
-  if (!deferred_error_.ok() || network_ == nullptr) return;
-  Status st = network_->OnDelete(relation, tuple);
-  if (!st.ok()) deferred_error_ = st;
-}
-
 void UpdateCacheRvmStrategy::OnBatch(const std::string& relation,
                                      const ivm::ChangeBatch& changes) {
   if (!deferred_error_.ok() || network_ == nullptr) return;

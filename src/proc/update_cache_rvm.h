@@ -32,9 +32,6 @@ class UpdateCacheRvmStrategy : public Strategy {
   Status Prepare() override;
   Result<std::vector<rel::Tuple>> Access(ProcId id) override;
 
-  void OnInsert(const std::string& relation, const rel::Tuple& tuple) override;
-  void OnDelete(const std::string& relation, const rel::Tuple& tuple) override;
-
   /// Bulk Rete propagation: the whole ordered change run enters the network
   /// as one token batch (ReteNetwork::SubmitBatch) — one root-latch
   /// acquisition and one activation cascade instead of per-token walks.

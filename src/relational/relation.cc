@@ -1,7 +1,5 @@
 #include "relational/relation.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace procsim::rel {
@@ -51,9 +49,6 @@ Result<storage::RecordId> Relation::Insert(const Tuple& tuple) {
     PROCSIM_RETURN_IF_ERROR(hash_->Insert(
         IndexKey(tuple, *options_.hash_column), rid.ValueOrDie()));
   }
-  for (UpdateObserver* observer : observers_) {
-    observer->OnInsert(name_, tuple);
-  }
   return rid;
 }
 
@@ -68,9 +63,6 @@ Status Relation::Delete(storage::RecordId rid) {
   if (hash_ != nullptr) {
     PROCSIM_RETURN_IF_ERROR(hash_->Delete(
         IndexKey(old_tuple.ValueOrDie(), *options_.hash_column), rid));
-  }
-  for (UpdateObserver* observer : observers_) {
-    observer->OnDelete(name_, old_tuple.ValueOrDie());
   }
   return Status::OK();
 }
@@ -98,10 +90,6 @@ Status Relation::UpdateInPlace(storage::RecordId rid, const Tuple& new_tuple) {
       PROCSIM_RETURN_IF_ERROR(hash_->Delete(old_key, rid));
       PROCSIM_RETURN_IF_ERROR(hash_->Insert(new_key, rid));
     }
-  }
-  for (UpdateObserver* observer : observers_) {
-    observer->OnDelete(name_, old_tuple.ValueOrDie());
-    observer->OnInsert(name_, new_tuple);
   }
   return Status::OK();
 }
@@ -154,11 +142,6 @@ Result<std::vector<Tuple>> Relation::HashProbe(int64_t key) const {
     tuples.push_back(tuple.TakeValueOrDie());
   }
   return tuples;
-}
-
-void Relation::RemoveObserver(UpdateObserver* observer) {
-  observers_.erase(std::remove(observers_.begin(), observers_.end(), observer),
-                   observers_.end());
 }
 
 }  // namespace procsim::rel

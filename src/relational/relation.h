@@ -17,20 +17,6 @@
 
 namespace procsim::rel {
 
-/// \brief Observes mutations to a relation.
-///
-/// Update strategies (i-lock invalidation, AVM delta capture, Rete token
-/// generation) implement this to react to base-table changes.  In-place
-/// modifications are reported as a delete of the old tuple followed by an
-/// insert of the new one — exactly how the paper's view-maintenance
-/// algorithms treat them.
-class UpdateObserver {
- public:
-  virtual ~UpdateObserver() = default;
-  virtual void OnInsert(const std::string& relation, const Tuple& tuple) = 0;
-  virtual void OnDelete(const std::string& relation, const Tuple& tuple) = 0;
-};
-
 /// \brief A named relation: schema + heap file + optional B-tree and hash
 /// indexes on single int64 columns.
 ///
@@ -70,14 +56,13 @@ class Relation {
 
   // --- mutations -----------------------------------------------------------
 
-  /// Inserts a tuple, maintaining indexes and notifying observers.
+  /// Inserts a tuple, maintaining indexes.
   Result<storage::RecordId> Insert(const Tuple& tuple);
 
   /// Deletes the tuple at `rid`.
   Status Delete(storage::RecordId rid);
 
-  /// Replaces the tuple at `rid` in place (same page/slot).  Observers see
-  /// a delete of the old value and an insert of the new one.
+  /// Replaces the tuple at `rid` in place (same page/slot).
   Status UpdateInPlace(storage::RecordId rid, const Tuple& new_tuple);
 
   // --- reads ---------------------------------------------------------------
@@ -97,13 +82,6 @@ class Relation {
   /// Hash-index point retrieval on the hashed column.
   Result<std::vector<Tuple>> HashProbe(int64_t key) const;
 
-  // --- observers -----------------------------------------------------------
-
-  void AddObserver(UpdateObserver* observer) {
-    observers_.push_back(observer);
-  }
-  void RemoveObserver(UpdateObserver* observer);
-
  private:
   int64_t IndexKey(const Tuple& tuple, std::size_t column) const;
 
@@ -114,7 +92,6 @@ class Relation {
   storage::HeapFile heap_;
   std::unique_ptr<storage::BTree> btree_;
   std::unique_ptr<storage::HashIndex> hash_;
-  std::vector<UpdateObserver*> observers_;
 };
 
 }  // namespace procsim::rel

@@ -87,9 +87,6 @@ Result<MemoryNode*> ReteNetwork::WireJoin(MemoryNode* left, MemoryNode* right,
         right_column, left_tuple.value(left_column).AsInt64());
     if (!matches.ok()) return matches.status();
     for (const Tuple& right_tuple : matches.ValueOrDie()) {
-      // latch-lint: allow(kRete->kRete) because this Insert targets the
-      // β-memory's TupleStore, not a base Relation — no UpdateObserver fires,
-      // so Submit (and its kRete latch) is unreachable from here.
       PROCSIM_RETURN_IF_ERROR(beta->mutable_store()->Insert(
           Tuple::Concat(left_tuple, right_tuple)));
     }
@@ -137,9 +134,6 @@ Result<ReteNetwork::SelectionEntry*> ReteNetwork::GetOrCreateSelection(
   // callers disable metering for this static compilation phase).
   auto load = [&](storage::RecordId, const Tuple& tuple) {
     if (residual.Matches(tuple)) {
-      // latch-lint: allow(kRete->kRete) because this Insert targets the
-      // α-memory's TupleStore, not a base Relation — no UpdateObserver
-      // fires, so Submit (and its kRete latch) is unreachable from here.
       Status st = memory->mutable_store()->Insert(tuple);
       PROCSIM_CHECK(st.ok()) << st.ToString();
     }

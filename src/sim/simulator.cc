@@ -67,6 +67,10 @@ Result<StrategySet> MakeAllStrategies(Database* db,
                                       cost::ProcModel model,
                                       const proc::EngineConfig& config) {
   PROCSIM_CHECK(db != nullptr);
+  if (db->procedures.empty()) {
+    return Status::InvalidArgument(
+        "the database has no procedures (N1 + N2 = 0)");
+  }
   StrategySet set;
   set.budget = std::make_unique<proc::CacheBudget>(config.cache_budget_bytes,
                                                    config.shards);
@@ -97,6 +101,38 @@ Result<StrategySet> MakeAllStrategies(Database* db,
   return set;
 }
 
+Result<AppliedTransaction> ApplyTransaction(
+    Database* db, const std::vector<WorkloadOp>& ops, const WorkloadMix& mix,
+    Rng* inline_rng, std::span<proc::Strategy* const> strategies) {
+  AppliedTransaction result;
+  result.applied.reserve(ops.size());
+  ivm::ChangeBatch changes;
+  for (const WorkloadOp& op : ops) {
+    Result<MutationResult> mutation =
+        ApplyMutationOp(db, op, mix, inline_rng);
+    if (!mutation.ok()) return mutation.status();
+    const MutationResult& applied = mutation.ValueOrDie();
+    result.applied.push_back(applied.applied);
+    if (!applied.applied || !applied.notify) continue;
+    for (const auto& [old_tuple, new_tuple] : applied.changes) {
+      if (old_tuple.has_value()) changes.AddDelete(*old_tuple);
+      if (new_tuple.has_value()) changes.AddInsert(*new_tuple);
+    }
+    result.notified = true;
+  }
+  if (!changes.empty()) {
+    for (proc::Strategy* strategy : strategies) {
+      strategy->OnBatch("R1", changes);
+    }
+  }
+  if (result.notified) {
+    for (proc::Strategy* strategy : strategies) {
+      PROCSIM_RETURN_IF_ERROR(strategy->OnTransactionEnd());
+    }
+  }
+  return result;
+}
+
 Result<SimulationResult> Simulator::Run(Strategy strategy_kind,
                                         const Options& options) {
   // The budget outlives the factory-made strategy (RunWithFactory destroys
@@ -123,6 +159,7 @@ Result<SimulationResult> Simulator::RunWithFactory(
     PROCSIM_RETURN_IF_ERROR(strategy->AddProcedure(procedure));
   }
   PROCSIM_RETURN_IF_ERROR(strategy->Prepare());
+  proc::Strategy* const target = strategy.get();
 
   const auto k = static_cast<uint64_t>(options.params.k);
   const auto q = static_cast<uint64_t>(options.params.q);
@@ -153,18 +190,8 @@ Result<SimulationResult> Simulator::RunWithFactory(
     if (op.kind == WorkloadOp::Kind::kUpdate) {
       obs::TraceSpan span("sim.update", "sim");
       const double before_ms = db->meter.total_ms();
-      Result<MutationResult> mutation =
-          ApplyMutationOp(db.get(), op, mix, &rng);
-      if (!mutation.ok()) return mutation.status();
-      // The whole update transaction notifies as one ordered change batch
-      // (delete-old-then-insert-new per modified tuple, in op order).
-      ivm::ChangeBatch changes;
-      for (const auto& [old_tuple, new_tuple] : mutation.ValueOrDie().changes) {
-        if (old_tuple.has_value()) changes.AddDelete(*old_tuple);
-        if (new_tuple.has_value()) changes.AddInsert(*new_tuple);
-      }
-      if (!changes.empty()) strategy->OnBatch("R1", changes);
-      PROCSIM_RETURN_IF_ERROR(strategy->OnTransactionEnd());
+      PROCSIM_RETURN_IF_ERROR(
+          ApplyTransaction(db.get(), {op}, mix, &rng, {&target, 1}).status());
       ++result.update_transactions;
       g_update_cost->Observe(db->meter.total_ms() - before_ms);
     } else {

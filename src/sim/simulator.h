@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -96,11 +97,42 @@ struct StrategySet {
 /// Builds the full strategy set over `db`, registers every procedure with
 /// every strategy and calls Prepare().  Metering state is untouched.
 /// `config` sets the shard count and cache budget shared by all six
-/// strategies (default: 8 shards, unlimited budget).
+/// strategies (default: 8 shards, unlimited budget).  A database with no
+/// procedures is InvalidArgument: every driver maps an access id onto the
+/// procedure set, which must not be empty.
 Result<StrategySet> MakeAllStrategies(Database* db,
                                       const cost::Params& params,
                                       cost::ProcModel model,
                                       const proc::EngineConfig& config = {});
+
+/// What ApplyTransaction did.
+struct AppliedTransaction {
+  /// Per op, in order: whether it changed the base tables (a kDelete
+  /// against a minimum-size R1 does not).
+  std::vector<bool> applied;
+  /// Whether any applied op notified (kSilentUpdate never does); the
+  /// strategies then received OnTransactionEnd().
+  bool notified = false;
+};
+
+/// \brief The one apply-and-notify path for an update transaction.
+///
+/// Applies `ops` to `db` in order through ApplyMutationOp (`inline_rng`
+/// feeds ops whose value is 0), collects the changes of the applied,
+/// notifying ops into one ordered ivm::ChangeBatch — delete-old-then-
+/// insert-new per modified tuple — and, if it is non-empty, reports it to
+/// each of `strategies` with one OnBatch("R1", ...).  If any op notified,
+/// each strategy then gets OnTransactionEnd().  Strategies never read R1
+/// while being notified (i-locks, predicate screens and Rete memories are
+/// driven by the passed tuples alone), so notifying after the last op is
+/// equivalent to notifying after each.
+///
+/// The simulator, the differential oracle and the transactional engine
+/// (live commits and recovery redo) all apply through here, so every
+/// strategy sees the same change stream whichever driver runs it.
+Result<AppliedTransaction> ApplyTransaction(
+    Database* db, const std::vector<WorkloadOp>& ops, const WorkloadMix& mix,
+    Rng* inline_rng, std::span<proc::Strategy* const> strategies);
 
 }  // namespace procsim::sim
 

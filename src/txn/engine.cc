@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "ivm/delta.h"
 #include "proc/cache_invalidate.h"
 #include "storage/disk.h"
 #include "util/logging.h"
@@ -46,7 +45,10 @@ Result<std::unique_ptr<TxnEngine>> TxnEngine::Build(const Options& options)
   engine->strategies_ = strategies.TakeValueOrDie();
   engine->wal_ = std::make_unique<storage::WriteAheadLog>(
       &engine->db_->meter, options.config.wal_force_cost_ms);
-  engine->locks_ = std::make_unique<LockManager>(options.deadlock_policy);
+  // kBlock: every engine transaction locks exactly one granule (R1), so
+  // plain blocking cannot deadlock.
+  engine->locks_ =
+      std::make_unique<LockManager>(LockManager::DeadlockPolicy::kBlock);
   engine->txns_ = std::make_unique<TxnManager>(
       engine->wal_.get(), engine->locks_.get(), &engine->db_->meter,
       TxnManager::Options{options.config.group_commit_size});
@@ -91,8 +93,8 @@ Result<std::string> TxnEngine::Access(TxnId txn, uint64_t access_id) {
   util::RankedSharedLockGuard db_guard(db_latch_);
   const auto id =
       static_cast<proc::ProcId>(access_id % db_->procedures.size());
-  // The slot stripe serializes concurrent refreshes of one cache slot,
-  // exactly as in concurrent::Engine.
+  // The slot stripe serializes concurrent refreshes of one cache slot
+  // (e.g. two sessions both finding CacheInvalidate's entry invalid).
   util::RankedLockGuard slot_guard(slot_stripes_->For(id));
   std::string expected;
   bool first = true;
@@ -132,44 +134,18 @@ Status TxnEngine::ApplyCommitted(TxnId txn,
                                  bool skip_invalidation) {
   CurrentTxnScope scope(txn);
   util::RankedLockGuard db_guard(db_latch_);
-  // Coalesce the transaction's mutations into one ordered change run, then
-  // notify each strategy once with the whole batch.  WAL record order (= the
-  // op order here) is the serialization order, and the batch preserves it
-  // change for change, so strategies see exactly the per-change stream they
-  // used to — a modification stays delete-old-then-insert-new.  Strategies
-  // never read R1 while being notified (i-locks, predicate tests and Rete
-  // stores are all driven by the passed tuples alone), so notifying after
-  // all ops are applied is equivalent to interleaving.
-  bool notified = false;
-  ivm::ChangeBatch changes;
-  for (const sim::WorkloadOp& op : ops) {
-    Result<sim::MutationResult> mutation =
-        sim::ApplyMutationOp(db_.get(), op, options_.mix, /*inline_rng=*/
-                             nullptr);
-    PROCSIM_RETURN_IF_ERROR(mutation.status());
-    const sim::MutationResult& applied = mutation.ValueOrDie();
-    if (!applied.applied || !applied.notify) continue;
-    for (const auto& [old_tuple, new_tuple] : applied.changes) {
-      if (old_tuple.has_value()) changes.AddDelete(*old_tuple);
-      if (new_tuple.has_value()) changes.AddInsert(*new_tuple);
+  // WAL record order (= the op order here) is the serialization order, and
+  // ApplyTransaction keeps it change for change.
+  std::vector<proc::Strategy*> notified;
+  for (const std::unique_ptr<proc::Strategy>& strategy : strategies_.all) {
+    if (skip_invalidation && strategy.get() == strategies_.cache_invalidate) {
+      continue;  // the planted recovery bug: a lost invalidation
     }
-    notified = true;
+    notified.push_back(strategy.get());
   }
-  if (!changes.empty()) {
-    for (const std::unique_ptr<proc::Strategy>& strategy : strategies_.all) {
-      if (skip_invalidation &&
-          strategy.get() == strategies_.cache_invalidate) {
-        continue;  // the planted recovery bug: a lost invalidation
-      }
-      strategy->OnBatch(kMutatedRelation, changes);
-    }
-  }
-  if (notified) {
-    for (const std::unique_ptr<proc::Strategy>& strategy : strategies_.all) {
-      PROCSIM_RETURN_IF_ERROR(strategy->OnTransactionEnd());
-    }
-  }
-  return Status::OK();
+  return sim::ApplyTransaction(db_.get(), ops, options_.mix,
+                               /*inline_rng=*/nullptr, notified)
+      .status();
 }
 
 Status TxnEngine::TakeCheckpoint(bool truncate_validity_log)
@@ -281,9 +257,13 @@ std::string OracleStateDigest(sim::Database* db) {
 }
 
 Status TxnEngine::CompareAllAgainstOracle() NO_THREAD_SAFETY_ANALYSIS {
-  // The sweep runs inside one real (read-only) transaction so any cache
-  // refresh it triggers mirrors its validation records under a *committed*
-  // transaction — keeping the WAL recoverable after validation runs.
+  // Retire any pending commit group first, so the swept state is the fully
+  // committed one and no queued transaction is applied unchecked after it.
+  // The sweep then runs inside one real (read-only) transaction so any
+  // cache refresh it triggers mirrors its validation records under a
+  // *committed* transaction — keeping the WAL recoverable after validation
+  // runs.
+  PROCSIM_RETURN_IF_ERROR(txns_->Flush());
   const TxnId txn = Begin();
   {
     CurrentTxnScope scope(txn);

@@ -69,8 +69,6 @@ class TxnEngine {
     /// shards + cache budget + group_commit_size + wal_force_cost_ms.
     proc::EngineConfig config;
     sim::WorkloadMix mix;
-    LockManager::DeadlockPolicy deadlock_policy =
-        LockManager::DeadlockPolicy::kWoundWait;
   };
 
   /// Fault injection for the crash-fuzz harness: plantable recovery bugs.
@@ -143,9 +141,10 @@ class TxnEngine {
   /// iff the database states are.  Quiescent-only.
   Result<std::string> StateDigest() NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Quiescent sweep: every strategy's answer for every procedure must be
-  /// byte-identical to the from-scratch oracle.  (Structure validators live
-  /// a layer up, in audit; the crash harness runs both.)
+  /// Quiescent sweep: flushes the pending commit group, then every
+  /// strategy's answer for every procedure must be byte-identical to the
+  /// from-scratch oracle.  (Structure validators live a layer up, in audit;
+  /// the crash harness and the session pool run both.)
   Status CompareAllAgainstOracle();
 
   std::vector<storage::WalRecord> WalSnapshot() const {
@@ -159,8 +158,7 @@ class TxnEngine {
     return db_->procedures.size();
   }
 
-  /// Quiescent-only escape hatches (setup/validation, like
-  /// concurrent::Engine's).
+  /// Quiescent-only escape hatches (setup and validation).
   sim::Database* database() NO_THREAD_SAFETY_ANALYSIS { return db_.get(); }
   sim::StrategySet& strategies() NO_THREAD_SAFETY_ANALYSIS {
     return strategies_;

@@ -57,8 +57,10 @@ class AdaptiveTest : public ::testing::Test {
       old_tuple = table_->Read(rids_[index]).ValueOrDie();
       ASSERT_TRUE(table_->UpdateInPlace(rids_[index], new_tuple).ok());
     }
-    strategy->OnDelete("R1", old_tuple);
-    strategy->OnInsert("R1", new_tuple);
+    ivm::ChangeBatch changes;
+    changes.AddDelete(old_tuple);
+    changes.AddInsert(new_tuple);
+    strategy->OnBatch("R1", changes);
   }
 
   CostMeter meter_;

@@ -29,7 +29,8 @@ SessionPool::Options PoolOptions(uint64_t seed) {
   options.engine.seed = seed;
   options.sessions = 3;
   options.ops_per_session = 12;
-  options.mix.update_batch = static_cast<std::size_t>(options.engine.params.l);
+  options.engine.mix.update_batch =
+      static_cast<std::size_t>(options.engine.params.l);
   options.deterministic = true;
   return options;
 }
@@ -39,10 +40,10 @@ audit::CrossCheckOptions ReplayOptions(const SessionPool::Options& pool) {
   options.params = pool.engine.params;
   options.model = pool.engine.model;
   options.seed = pool.engine.seed;
-  options.update_weight = pool.mix.update_weight;
-  options.insert_weight = pool.mix.insert_weight;
-  options.delete_weight = pool.mix.delete_weight;
-  options.min_r1_tuples = pool.mix.min_r1_tuples;
+  options.update_weight = pool.engine.mix.update_weight;
+  options.insert_weight = pool.engine.mix.insert_weight;
+  options.delete_weight = pool.engine.mix.delete_weight;
+  options.min_r1_tuples = pool.engine.mix.min_r1_tuples;
   // Keep replay comparisons cheap: the digests are the property under
   // test; the full validator sweep already ran at the pool's quiesce.
   options.compare_sample = 1;

@@ -26,7 +26,8 @@ SessionPool::Options StressOptions(uint64_t seed) {
   options.engine.seed = seed;
   options.sessions = 4;
   options.ops_per_session = 40;
-  options.mix.update_batch = static_cast<std::size_t>(options.engine.params.l);
+  options.engine.mix.update_batch =
+      static_cast<std::size_t>(options.engine.params.l);
   options.deterministic = false;
   return options;
 }

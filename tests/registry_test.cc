@@ -79,8 +79,10 @@ TEST_F(RegistryTest, MembersAreMaintainedIndividually) {
     storage::MeteringGuard guard(&disk_);
     ASSERT_TRUE(table_->UpdateInPlace(rids_[5], new_tuple).ok());
   }
-  strategy_.OnDelete("T", old_tuple);
-  strategy_.OnInsert("T", new_tuple);
+  ivm::ChangeBatch changes;
+  changes.AddDelete(old_tuple);
+  changes.AddInsert(new_tuple);
+  strategy_.OnBatch("T", changes);
   ASSERT_TRUE(strategy_.OnTransactionEnd().ok());
   auto value = registry_.Access("p");
   ASSERT_TRUE(value.ok());

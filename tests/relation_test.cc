@@ -97,31 +97,6 @@ TEST_F(RelationTest, DeleteRemovesFromIndexes) {
   EXPECT_FALSE(t->Read(rid).ok());
 }
 
-class RecordingObserver : public UpdateObserver {
- public:
-  void OnInsert(const std::string& relation, const Tuple& tuple) override {
-    events.push_back("+" + relation + tuple.ToString());
-  }
-  void OnDelete(const std::string& relation, const Tuple& tuple) override {
-    events.push_back("-" + relation + tuple.ToString());
-  }
-  std::vector<std::string> events;
-};
-
-TEST_F(RelationTest, ObserversSeeUpdateAsDeleteThenInsert) {
-  Relation* t = MakeIndexed();
-  storage::RecordId rid = t->Insert(Row(1, 1)).ValueOrDie();
-  RecordingObserver observer;
-  t->AddObserver(&observer);
-  ASSERT_TRUE(t->UpdateInPlace(rid, Row(2, 2)).ok());
-  ASSERT_EQ(observer.events.size(), 2u);
-  EXPECT_EQ(observer.events[0][0], '-');
-  EXPECT_EQ(observer.events[1][0], '+');
-  t->RemoveObserver(&observer);
-  ASSERT_TRUE(t->UpdateInPlace(rid, Row(3, 3)).ok());
-  EXPECT_EQ(observer.events.size(), 2u);  // detached
-}
-
 TEST_F(RelationTest, ScanVisitsEverything) {
   Relation* t = MakeIndexed();
   for (int64_t i = 0; i < 25; ++i) {

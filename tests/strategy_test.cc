@@ -87,8 +87,10 @@ class StrategyTest : public ::testing::Test {
       old_tuple = base_->Read(rids_[index]).ValueOrDie();
       ASSERT_TRUE(base_->UpdateInPlace(rids_[index], new_tuple).ok());
     }
-    strategy->OnDelete("R1", old_tuple);
-    strategy->OnInsert("R1", new_tuple);
+    ivm::ChangeBatch changes;
+    changes.AddDelete(old_tuple);
+    changes.AddInsert(new_tuple);
+    strategy->OnBatch("R1", changes);
   }
 
   std::vector<Tuple> Recompute(const ProcedureQuery& query) {
@@ -284,10 +286,10 @@ TEST_F(StrategyTest, AllStrategiesAgreeAfterMixedWorkload) {
         {Value(static_cast<int64_t>((round * 7) % 40)),
          Value(static_cast<int64_t>(round % 4))});
     ASSERT_TRUE(base_->UpdateInPlace(rids_[index], new_tuple).ok());
-    for (auto& strategy : strategies) {
-      strategy->OnDelete("R1", old_tuple);
-      strategy->OnInsert("R1", new_tuple);
-    }
+    ivm::ChangeBatch changes;
+    changes.AddDelete(old_tuple);
+    changes.AddInsert(new_tuple);
+    for (auto& strategy : strategies) strategy->OnBatch("R1", changes);
     for (auto& strategy : strategies) {
       ASSERT_TRUE(strategy->OnTransactionEnd().ok());
     }

@@ -158,5 +158,46 @@ TEST(TxnEngineRunTest, ErrorInsideExplicitTransactionRollsItBack) {
   EXPECT_TRUE(engine.ValueOrDie()->wal().CheckConsistency().ok());
 }
 
+TEST(TxnEngineRunTest, OracleSweepFlushesThePendingGroupFirst) {
+  TxnEngine::Options options = TinyOptions(7);
+  options.config.group_commit_size = 3;
+  Result<std::unique_ptr<TxnEngine>> created = TxnEngine::Create(options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  TxnEngine& engine = *created.ValueOrDie();
+  const TxnId pending = engine.Begin();
+  ASSERT_TRUE(engine.Queue(pending, SeededUpdate(41)).ok());
+  ASSERT_TRUE(engine.Commit(pending).ok());
+  ASSERT_EQ(engine.manager().pending_commits(), 1u);
+
+  ASSERT_TRUE(engine.CompareAllAgainstOracle().ok());
+  // The swept state must already contain the pending transaction: its
+  // commit point precedes every record of the sweep's own transaction.
+  const std::vector<storage::WalRecord> wal = engine.WalSnapshot();
+  uint64_t pending_commit_lsn = 0;
+  for (const storage::WalRecord& record : wal) {
+    if (record.kind == storage::WalRecord::Kind::kCommit &&
+        record.txn == pending) {
+      pending_commit_lsn = record.lsn;
+    }
+  }
+  ASSERT_NE(pending_commit_lsn, 0u);
+  const TxnId sweep = pending + 1;
+  ASSERT_EQ(CountRecords(wal, storage::WalRecord::Kind::kCommit, sweep), 1u);
+  for (const storage::WalRecord& record : wal) {
+    if (record.txn == sweep) {
+      EXPECT_GT(record.lsn, pending_commit_lsn)
+          << storage::WalRecordKindName(record.kind);
+    }
+  }
+}
+
+TEST(TxnEngineRunTest, EngineWithoutProceduresIsRejected) {
+  TxnEngine::Options options = TinyOptions(8);
+  options.params.N1 = 0;
+  options.params.N2 = 0;
+  Result<std::unique_ptr<TxnEngine>> created = TxnEngine::Create(options);
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace procsim::txn
