@@ -74,7 +74,6 @@ namespace procsim::obs {
     "txn.lock.grants",
     "txn.lock.upgrades",
     "txn.lock.waits",
-    "txn.lock.wounds",
     "txn.manager.aborts",
     "txn.manager.begins",
     "txn.manager.commits",

@@ -17,10 +17,6 @@ namespace {
 /// Thread-local transaction tag read by the InvalidationLog→WAL mirror.
 thread_local TxnId g_current_txn = 0;
 
-/// The only relation transactions mutate (the paper's update model writes
-/// R1 in place); every transaction locks it as one granule.
-const char kMutatedRelation[] = "R1";
-
 }  // namespace
 
 TxnId CurrentTxn() { return g_current_txn; }
@@ -45,12 +41,8 @@ Result<std::unique_ptr<TxnEngine>> TxnEngine::Build(const Options& options)
   engine->strategies_ = strategies.TakeValueOrDie();
   engine->wal_ = std::make_unique<storage::WriteAheadLog>(
       &engine->db_->meter, options.config.wal_force_cost_ms);
-  // kBlock: every engine transaction locks exactly one granule (R1), so
-  // plain blocking cannot deadlock.
-  engine->locks_ =
-      std::make_unique<LockManager>(LockManager::DeadlockPolicy::kBlock);
   engine->txns_ = std::make_unique<TxnManager>(
-      engine->wal_.get(), engine->locks_.get(), &engine->db_->meter,
+      engine->wal_.get(), &engine->db_->meter,
       TxnManager::Options{options.config.group_commit_size});
   const std::size_t stripes = std::max<std::size_t>(
       1, std::min(options.config.shards, engine->db_->procedures.size()));
@@ -81,14 +73,11 @@ Result<std::unique_ptr<TxnEngine>> TxnEngine::Create(const Options& options) {
 TxnId TxnEngine::Begin() { return txns_->Begin(); }
 
 Status TxnEngine::Queue(TxnId txn, const sim::WorkloadOp& op) {
-  PROCSIM_RETURN_IF_ERROR(locks_->Acquire(
-      txn, Granule::Relation(kMutatedRelation), LockMode::kExclusive));
   return txns_->QueueOp(txn, op);
 }
 
 Result<std::string> TxnEngine::Access(TxnId txn, uint64_t access_id) {
-  PROCSIM_RETURN_IF_ERROR(locks_->Acquire(
-      txn, Granule::Relation(kMutatedRelation), LockMode::kShared));
+  PROCSIM_RETURN_IF_ERROR(txns_->LockShared(txn));
   CurrentTxnScope scope(txn);
   util::RankedSharedLockGuard db_guard(db_latch_);
   const auto id =

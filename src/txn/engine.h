@@ -11,7 +11,6 @@
 #include "sim/simulator.h"
 #include "sim/workload.h"
 #include "storage/wal.h"
-#include "txn/lock_manager.h"
 #include "txn/txn_manager.h"
 #include "util/latch.h"
 #include "util/status.h"
@@ -38,9 +37,14 @@ class CurrentTxnScope {
 };
 
 /// \brief The transactional engine: one Database + all six strategies
-/// behind Begin/Queue/Access/Commit/Abort, with a WriteAheadLog, a 2PL
-/// LockManager and a group-committing TxnManager — and a recovery path
-/// that rebuilds the whole stack from the log.
+/// behind Begin/Queue/Access/Commit/Abort, with a WriteAheadLog and a
+/// group-committing TxnManager that also owns the R1 S/X lock — and a
+/// recovery path that rebuilds the whole stack from the log.
+///
+/// Access() runs under R1 shared, Queue() takes R1 exclusively; the
+/// TxnManager acquires both for the engine and releases at commit-enqueue
+/// or abort.  A transaction that accesses and then queues upgrades S to X
+/// and may get Aborted (see LockManager); the caller then aborts it.
 ///
 /// Mutations are deferred-apply: Queue() buffers ops (under an X lock on
 /// R1); the group flush applies them in commit order, so the WAL's record
@@ -106,7 +110,8 @@ class TxnEngine {
   TxnId Begin();
 
   /// Buffers one mutation op for `txn`, first taking R1 exclusively.
-  /// Returns Aborted when `txn` has been wounded / victimized.
+  /// Returns Aborted when `txn`'s S→X upgrade would deadlock against
+  /// another parked upgrader; the caller must Abort `txn`.
   Status Queue(TxnId txn, const sim::WorkloadOp& op);
 
   /// Serves procedure `access_id % procedure_count` under an R1 shared
@@ -151,7 +156,6 @@ class TxnEngine {
     return wal_->Snapshot();
   }
   const storage::WriteAheadLog& wal() const { return *wal_; }
-  LockManager& locks() { return *locks_; }
   TxnManager& manager() { return *txns_; }
   const Options& options() const { return options_; }
   std::size_t procedure_count() const NO_THREAD_SAFETY_ANALYSIS {
@@ -189,8 +193,6 @@ class TxnEngine {
   sim::StrategySet strategies_ GUARDED_BY(db_latch_);
   // procsim-lint: allow(unguarded(wal_)) because the pointer is written once at Build; the WriteAheadLog serializes itself on its own kWal latch
   std::unique_ptr<storage::WriteAheadLog> wal_;
-  // procsim-lint: allow(unguarded(locks_)) because the pointer is written once at Build; the LockManager serializes itself on its own kTxnLock latch
-  std::unique_ptr<LockManager> locks_;
   // procsim-lint: allow(unguarded(txns_)) because the pointer is written once at Build; the TxnManager serializes itself on its own kTxnManager latch
   std::unique_ptr<TxnManager> txns_;
 };

@@ -1,7 +1,6 @@
 #include "txn/lock_manager.h"
 
-#include <tuple>
-#include <utility>
+#include <string>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -13,187 +12,71 @@ obs::Counter* const g_grants =
     obs::GlobalMetrics().RegisterCounter("txn.lock.grants");
 obs::Counter* const g_waits =
     obs::GlobalMetrics().RegisterCounter("txn.lock.waits");
-obs::Counter* const g_wounds =
-    obs::GlobalMetrics().RegisterCounter("txn.lock.wounds");
 obs::Counter* const g_upgrades =
     obs::GlobalMetrics().RegisterCounter("txn.lock.upgrades");
 obs::Counter* const g_deadlocks =
     obs::GlobalMetrics().RegisterCounter("txn.lock.deadlocks");
 
+bool Conflicts(LockMode a, LockMode b) {
+  return a == LockMode::kExclusive || b == LockMode::kExclusive;
+}
+
 }  // namespace
 
-const char* LockModeName(LockMode mode) {
-  return mode == LockMode::kShared ? "S" : "X";
-}
-
-Granule Granule::Relation(std::string name) {
-  Granule granule;
-  granule.relation = std::move(name);
-  return granule;
-}
-
-Granule Granule::Tuple(std::string name, std::uint64_t tuple) {
-  Granule granule;
-  granule.relation = std::move(name);
-  granule.whole_relation = false;
-  granule.tuple = tuple;
-  return granule;
-}
-
-bool Granule::operator<(const Granule& other) const {
-  return std::tie(relation, whole_relation, tuple) <
-         std::tie(other.relation, other.whole_relation, other.tuple);
-}
-
-bool Granule::operator==(const Granule& other) const {
-  return relation == other.relation &&
-         whole_relation == other.whole_relation && tuple == other.tuple;
-}
-
-std::string Granule::ToString() const {
-  return whole_relation ? relation
-                        : relation + "[" + std::to_string(tuple) + "]";
-}
-
-LockManager::LockManager(DeadlockPolicy policy) : policy_(policy) {}
-
-bool LockManager::Compatible(const GranuleState& state, TxnId txn,
-                             LockMode mode) {
-  for (const auto& [holder, held] : state.holders) {
-    if (holder == txn) continue;
-    if (mode == LockMode::kExclusive || held == LockMode::kExclusive) {
-      return false;
-    }
+bool LockManager::Compatible(TxnId txn, LockMode mode) const {
+  for (const auto& [holder, held] : holders_) {
+    if (holder != txn && Conflicts(mode, held)) return false;
   }
   return true;
 }
 
-bool LockManager::OlderWaiterConflicts(TxnId txn, const Granule& granule,
-                                       LockMode mode) const {
-  for (const auto& [other, waiter] : waiting_) {
-    if (other >= txn) break;  // waiting_ is TxnId-ordered: only older remain
-    if (!(waiter.granule == granule)) continue;
-    if (wounded_.count(other) != 0) continue;  // about to abort; don't defer
-    if (mode == LockMode::kExclusive || waiter.mode == LockMode::kExclusive) {
-      return true;
-    }
+bool LockManager::OlderWaiterConflicts(TxnId txn, LockMode mode) const {
+  for (const auto& [other, wanted] : waiting_) {
+    if (other >= txn) break;  // waiting_ is TxnId-ordered: only younger remain
+    if (Conflicts(mode, wanted)) return true;
   }
   return false;
 }
 
-std::vector<TxnId> LockManager::BlockersOf(TxnId txn) const {
-  std::vector<TxnId> blockers;
-  const auto wait = waiting_.find(txn);
-  if (wait == waiting_.end()) return blockers;
-  const Granule& granule = wait->second.granule;
-  const LockMode mode = wait->second.mode;
-  const auto state = table_.find(granule);
-  if (state != table_.end()) {
-    for (const auto& [holder, held] : state->second.holders) {
-      if (holder == txn) continue;
-      if (mode == LockMode::kExclusive || held == LockMode::kExclusive) {
-        blockers.push_back(holder);
-      }
-    }
-  }
-  for (const auto& [other, waiter] : waiting_) {
-    if (other >= txn) break;  // deferral edges only ever point young→old
-    if (!(waiter.granule == granule)) continue;
-    if (wounded_.count(other) != 0) continue;
-    if (mode == LockMode::kExclusive || waiter.mode == LockMode::kExclusive) {
-      blockers.push_back(other);
-    }
-  }
-  return blockers;
-}
-
-bool LockManager::CycleFrom(TxnId start) const {
-  // Depth-first walk of waits-for edges: a waiter points at every
-  // conflicting holder of the granule it is parked on, plus every older
-  // parked waiter the fairness rule defers to.  The graph is tiny (bounded
-  // by in-flight transactions), so recursion-free DFS with an explicit
-  // stack is plenty.
-  std::vector<TxnId> stack{start};
-  std::set<TxnId> visited;
-  while (!stack.empty()) {
-    const TxnId current = stack.back();
-    stack.pop_back();
-    for (const TxnId blocker : BlockersOf(current)) {
-      if (blocker == start) return true;
-      if (visited.insert(blocker).second) stack.push_back(blocker);
-    }
+bool LockManager::OtherUpgraderParked(TxnId txn) const {
+  // A holder only ever parks to upgrade: X never waits, and S under S is
+  // granted on the spot.
+  for (const auto& [other, wanted] : waiting_) {
+    (void)wanted;
+    if (other != txn && holders_.count(other) != 0) return true;
   }
   return false;
 }
 
-Status LockManager::Acquire(TxnId txn, const Granule& granule, LockMode mode) {
+Status LockManager::Acquire(TxnId txn, LockMode mode) {
   PROCSIM_CHECK_NE(txn, 0u) << "txn id 0 is reserved";
   util::RankedUniqueLock lock(latch_);
   bool counted_wait = false;
   while (true) {
-    if (wounded_.count(txn) != 0) {
-      waiting_.erase(txn);
-      return Status::Aborted("txn " + std::to_string(txn) +
-                             " wounded by an older transaction");
-    }
-    GranuleState& state = table_[granule];
-    const auto self = state.holders.find(txn);
-    if (self != state.holders.end() &&
+    const auto self = holders_.find(txn);
+    const bool holds = self != holders_.end();
+    if (holds &&
         (self->second == LockMode::kExclusive || mode == LockMode::kShared)) {
-      waiting_.erase(txn);
       return Status::OK();  // already held at a sufficient mode
     }
-    const bool already_holds = self != state.holders.end();
-    // The fairness rule only gates fresh acquisitions: an upgrade by a
-    // current holder is granted past parked waiters (they must outwait the
-    // hold regardless, and deferring the upgrade to them would deadlock).
-    if (Compatible(state, txn, mode) &&
-        (already_holds || !OlderWaiterConflicts(txn, granule, mode))) {
-      const bool upgrade = already_holds && mode == LockMode::kExclusive;
-      state.holders[txn] = mode;
+    // The fairness rule only gates fresh acquisitions (see the class
+    // comment for why upgrades are exempt).
+    if (Compatible(txn, mode) &&
+        (holds || !OlderWaiterConflicts(txn, mode))) {
+      holders_[txn] = mode;
       waiting_.erase(txn);
       g_grants->Add();
-      if (upgrade) g_upgrades->Add();
+      if (holds) g_upgrades->Add();
       return Status::OK();
     }
-    switch (policy_) {
-      case DeadlockPolicy::kWoundWait: {
-        // Older requester wounds every younger conflicting holder; the
-        // victims abort on their next lock request or commit attempt.  A
-        // younger requester simply waits (young→old waits cannot cycle).
-        bool wounded_someone = false;
-        for (const auto& [holder, held] : state.holders) {
-          if (holder == txn) continue;
-          const bool conflicts =
-              mode == LockMode::kExclusive || held == LockMode::kExclusive;
-          if (conflicts && holder > txn && wounded_.insert(holder).second) {
-            g_wounds->Add();
-            wounded_someone = true;
-          }
-        }
-        // A fresh victim may itself be parked on a granule this requester
-        // holds (the cross-lock case): wake everyone so it observes the
-        // wound and aborts, or both transactions park forever.
-        if (wounded_someone) cv_.notify_all();
-        break;
-      }
-      case DeadlockPolicy::kCycleDetect:
-        waiting_[txn] = Waiter{granule, mode};
-        if (CycleFrom(txn)) {
-          waiting_.erase(txn);
-          g_deadlocks->Add();
-          // Waiters deferring to this txn under the fairness rule must
-          // re-evaluate now that it is gone.
-          cv_.notify_all();
-          return Status::Aborted("txn " + std::to_string(txn) +
-                                 " aborted as deadlock victim on " +
-                                 granule.ToString());
-        }
-        break;
-      case DeadlockPolicy::kBlock:
-        break;
+    if (holds && OtherUpgraderParked(txn)) {
+      waiting_.erase(txn);
+      g_deadlocks->Add();
+      return Status::Aborted("txn " + std::to_string(txn) +
+                             " aborted: its S->X upgrade would deadlock "
+                             "against another parked upgrader");
     }
-    waiting_[txn] = Waiter{granule, mode};
+    waiting_[txn] = mode;
     if (!counted_wait) {
       g_waits->Add();
       counted_wait = true;
@@ -202,78 +85,20 @@ Status LockManager::Acquire(TxnId txn, const Granule& granule, LockMode mode) {
   }
 }
 
-void LockManager::ReleaseAll(TxnId txn) {
+void LockManager::Release(TxnId txn) {
   {
     util::RankedLockGuard guard(latch_);
-    for (auto it = table_.begin(); it != table_.end();) {
-      it->second.holders.erase(txn);
-      if (it->second.holders.empty()) {
-        it = table_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    wounded_.erase(txn);
+    holders_.erase(txn);
     waiting_.erase(txn);
   }
   cv_.notify_all();
 }
 
-bool LockManager::IsWounded(TxnId txn) const {
+std::optional<LockMode> LockManager::Held(TxnId txn) const {
   util::RankedLockGuard guard(latch_);
-  return wounded_.count(txn) != 0;
-}
-
-void LockManager::WoundForTesting(TxnId txn) {
-  {
-    util::RankedLockGuard guard(latch_);
-    if (wounded_.insert(txn).second) g_wounds->Add();
-  }
-  cv_.notify_all();
-}
-
-std::size_t LockManager::held_count(TxnId txn) const {
-  util::RankedLockGuard guard(latch_);
-  std::size_t count = 0;
-  for (const auto& [granule, state] : table_) {
-    (void)granule;
-    count += state.holders.count(txn);
-  }
-  return count;
-}
-
-bool LockManager::Holds(TxnId txn, const Granule& granule,
-                        LockMode mode) const {
-  util::RankedLockGuard guard(latch_);
-  const auto it = table_.find(granule);
-  if (it == table_.end()) return false;
-  const auto holder = it->second.holders.find(txn);
-  if (holder == it->second.holders.end()) return false;
-  return holder->second == mode;
-}
-
-std::vector<TxnId> LockManager::FindWaitsForCycle() const {
-  util::RankedLockGuard guard(latch_);
-  for (const auto& [waiter, parked] : waiting_) {
-    (void)parked;
-    if (!CycleFrom(waiter)) continue;
-    // Reconstruct one cycle path for the caller's diagnostics: walk
-    // greedily along waits-for edges until the start repeats.
-    std::vector<TxnId> cycle{waiter};
-    std::set<TxnId> on_path{waiter};
-    TxnId current = waiter;
-    while (true) {
-      TxnId next = 0;
-      for (const TxnId blocker : BlockersOf(current)) {
-        if (blocker == waiter) return cycle;
-        if (next == 0 && waiting_.count(blocker) != 0) next = blocker;
-      }
-      if (next == 0 || !on_path.insert(next).second) return cycle;
-      cycle.push_back(next);
-      current = next;
-    }
-  }
-  return {};
+  const auto it = holders_.find(txn);
+  if (it == holders_.end()) return std::nullopt;
+  return it->second;
 }
 
 }  // namespace procsim::txn

@@ -4,9 +4,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <set>
-#include <string>
-#include <vector>
+#include <optional>
 
 #include "util/latch.h"
 #include "util/status.h"
@@ -16,140 +14,73 @@ namespace procsim::txn {
 
 /// Transaction identifier.  Ids are assigned monotonically by the
 /// TxnManager, so a smaller id means an older transaction — the age order
-/// wound-wait arbitrates by.  Id 0 is reserved ("no transaction").
+/// the grant-fairness rule arbitrates by.  Id 0 is reserved ("no
+/// transaction").
 using TxnId = std::uint64_t;
 
 enum class LockMode : std::uint8_t { kShared, kExclusive };
 
-const char* LockModeName(LockMode mode);
-
-/// \brief A lockable granule: a whole relation or one tuple within it.
+/// \brief The S/X lock on R1, the one relation transactions mutate.
 ///
-/// The engine's serving paths take relation granules (procedure accesses
-/// share R1, update transactions lock it exclusively — the paper's
-/// maintenance fan-out is whole-engine work, like a table-level X lock).
-/// Tuple granules exist for finer-grained callers and are exercised by the
-/// 2PL conflict-table tests.
-struct Granule {
-  std::string relation;
-  bool whole_relation = true;
-  std::uint64_t tuple = 0;  ///< meaningful only when !whole_relation
-
-  static Granule Relation(std::string name);
-  static Granule Tuple(std::string name, std::uint64_t tuple);
-
-  bool operator<(const Granule& other) const;
-  bool operator==(const Granule& other) const;
-  std::string ToString() const;
-};
-
-/// \brief Two-phase-locking lock table over relation/tuple granules.
+/// The paper's update model writes R1 only, so every engine transaction
+/// locks the same single granule: S to access a procedure, X to queue a
+/// mutation (the maintenance fan-out is whole-engine work, like a
+/// table-level X lock).  S is compatible with S; everything else
+/// conflicts.  Re-acquiring a held mode (or S under X) is a no-op, and a
+/// sole S holder upgrades to X in place.  Locks are held until Release —
+/// the TxnManager releases at commit-enqueue and at abort.
 ///
-/// Conflict rules are the classic S/X table: S is compatible with S;
-/// everything else conflicts.  A transaction holding S may upgrade to X
-/// (granted immediately when it is the sole holder, otherwise arbitrated
-/// like any conflict).  Locks are held until ReleaseAll — strict 2PL up to
-/// the commit point; the TxnManager releases at commit-enqueue, the
-/// standard group-commit early-release trade (serialization order is the
-/// commit-queue order, and a crash simply truncates the queue's tail).
+/// Grant fairness: a fresh acquisition is denied while an *older* waiter
+/// is parked in a conflicting mode, so a steady stream of young readers
+/// cannot starve an older writer.  Upgrades by a current holder are exempt
+/// (the parked waiter must outwait the hold anyway, and deferring the
+/// upgrade to it would deadlock both).
 ///
-/// Deadlock handling is selectable:
-///  - kWoundWait: an older requester wounds every younger conflicting
-///    holder (the victim's next lock request or commit fails Aborted, and
-///    it must roll back); a younger requester waits.  Waits therefore only
-///    ever point young→old or at already-wounded transactions, so waits
-///    cannot cycle.
-///  - kCycleDetect: a conflicted requester records its waits-for edge and
-///    searches the graph; if its wait would close a cycle the requester
-///    itself aborts as the deadlock victim, otherwise it blocks.
-///  - kBlock: plain blocking, no victim selection.  For callers whose lock
-///    pattern is provably deadlock-free (the serving engine acquires at
-///    most one granule per transaction).
+/// Deadlock: with one granule, a wait can only cycle among S holders that
+/// all park asking for X.  So an S holder asking for X while another
+/// holder is already parked upgrading gets Aborted instead of parking (and
+/// counts in txn.lock.deadlocks); its caller must abort the transaction,
+/// whose Release then lets the parked upgrader through.
 ///
-/// Grant fairness: a fresh acquisition is denied while an *older* waiter is
-/// parked on the same granule in a conflicting mode, so a steady stream of
-/// young readers cannot starve an older writer.  The rule never applies to
-/// a transaction that already holds the granule (an upgrade cannot starve a
-/// waiter that must outwait the hold anyway — and deferring it would
-/// deadlock against that very waiter).  Deferral edges point young→old
-/// only, preserving the wound-wait no-cycle invariant, and they are part of
-/// the kCycleDetect waits-for graph.
-///
-/// Thread safety: one kTxnLock latch guards the table; waiters park on a
-/// condition variable, releasing the latch, so a blocked *transaction*
-/// never blocks a *latch* path.
+/// Thread safety: one kTxnLock latch guards the holder and waiter tables;
+/// waiters park on a condition variable, releasing the latch, so a blocked
+/// *transaction* never blocks a *latch* path.
 class LockManager {
  public:
-  enum class DeadlockPolicy : std::uint8_t { kWoundWait, kCycleDetect, kBlock };
-
-  explicit LockManager(DeadlockPolicy policy = DeadlockPolicy::kWoundWait);
+  LockManager() = default;
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
 
-  /// Acquires (or upgrades to) `mode` on `granule` for `txn`, blocking
-  /// until granted.  Returns Aborted when `txn` has been wounded or chosen
-  /// as a deadlock victim — the caller must abort the transaction (its
-  /// locks stay held until ReleaseAll, as an aborting transaction's writes
-  /// must stay protected while it rolls back).
-  Status Acquire(TxnId txn, const Granule& granule, LockMode mode);
+  /// Acquires (or upgrades to) `mode` for `txn`, blocking until granted.
+  /// Returns Aborted when the request is an upgrade that would deadlock
+  /// against an already parked upgrader; `txn` keeps its S lock until
+  /// Release.
+  Status Acquire(TxnId txn, LockMode mode);
 
-  /// Releases every lock `txn` holds, forgets its wounded mark and wakes
-  /// all waiters.
-  void ReleaseAll(TxnId txn);
+  /// Drops `txn`'s lock, if any, and wakes every waiter.
+  void Release(TxnId txn);
 
-  /// Whether `txn` has been wounded by an older transaction (it must abort;
-  /// its next Acquire would fail).
-  bool IsWounded(TxnId txn) const;
-
-  /// Marks `txn` wounded without a conflicting acquisition (tests, and the
-  /// manager's abort-stale-transaction path).
-  void WoundForTesting(TxnId txn);
-
-  std::size_t held_count(TxnId txn) const;
-  bool Holds(TxnId txn, const Granule& granule, LockMode mode) const;
-
-  /// One cycle in the current waits-for graph (empty when none) — the
-  /// kCycleDetect arbiter's view, exposed so tests can assert a planted
-  /// deadlock is visible before the victim aborts.
-  std::vector<TxnId> FindWaitsForCycle() const;
-
-  DeadlockPolicy policy() const { return policy_; }
+  /// The mode `txn` holds, or nullopt when it holds nothing.
+  std::optional<LockMode> Held(TxnId txn) const;
 
  private:
-  struct GranuleState {
-    std::map<TxnId, LockMode> holders;
-  };
-
-  struct Waiter {
-    Granule granule;
-    LockMode mode = LockMode::kShared;
-  };
-
-  /// True iff `txn` may hold/keep `mode` on `state` given the other
-  /// holders.
-  static bool Compatible(const GranuleState& state, TxnId txn, LockMode mode);
+  /// True iff no other holder conflicts with `txn` holding `mode`.
+  bool Compatible(TxnId txn, LockMode mode) const REQUIRES(latch_);
 
   /// True iff granting `mode` to `txn` would overtake an older parked
-  /// waiter on `granule` whose requested mode conflicts (the fairness
-  /// rule).  Wounded waiters are ignored: they are about to abort.
-  bool OlderWaiterConflicts(TxnId txn, const Granule& granule,
-                            LockMode mode) const REQUIRES(latch_);
+  /// waiter whose requested mode conflicts (the fairness rule).
+  bool OlderWaiterConflicts(TxnId txn, LockMode mode) const REQUIRES(latch_);
 
-  /// The transactions the parked `txn` waits for: every conflicting holder
-  /// of its granule plus every older conflicting waiter it defers to.
-  std::vector<TxnId> BlockersOf(TxnId txn) const REQUIRES(latch_);
+  /// True iff a holder other than `txn` is parked asking for X.
+  bool OtherUpgraderParked(TxnId txn) const REQUIRES(latch_);
 
-  bool CycleFrom(TxnId start) const REQUIRES(latch_);
-
-  const DeadlockPolicy policy_;
   mutable util::RankedMutex latch_{util::LatchRank::kTxnLock, "LockManager"};
   // procsim-lint: allow(unguarded(cv_)) because std::condition_variable_any is internally synchronized; every wait parks under latch_
   std::condition_variable_any cv_;
-  std::map<Granule, GranuleState> table_ GUARDED_BY(latch_);
-  std::set<TxnId> wounded_ GUARDED_BY(latch_);
-  /// txn -> the granule/mode it is currently parked on (waits-for edges are
-  /// derived against that granule's holders and older conflicting waiters).
-  std::map<TxnId, Waiter> waiting_ GUARDED_BY(latch_);
+  std::map<TxnId, LockMode> holders_ GUARDED_BY(latch_);
+  /// Parked requests, TxnId-ordered so the fairness scan stops at the
+  /// first younger waiter.
+  std::map<TxnId, LockMode> waiting_ GUARDED_BY(latch_);
 };
 
 }  // namespace procsim::txn

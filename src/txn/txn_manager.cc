@@ -25,11 +25,10 @@ obs::Histogram* const g_commit_latency =
 
 using Guard = util::RankedLockGuard;
 
-TxnManager::TxnManager(storage::WriteAheadLog* wal, LockManager* locks,
-                       CostMeter* meter, Options options)
-    : wal_(wal), locks_(locks), meter_(meter), options_(options) {
+TxnManager::TxnManager(storage::WriteAheadLog* wal, CostMeter* meter,
+                       Options options)
+    : wal_(wal), meter_(meter), options_(options) {
   PROCSIM_CHECK(wal_ != nullptr);
-  PROCSIM_CHECK(locks_ != nullptr);
   PROCSIM_CHECK_GT(options_.group_commit_size, 0u);
 }
 
@@ -44,6 +43,31 @@ TxnId TxnManager::Begin() {
   return txn;
 }
 
+Status TxnManager::CheckOpenLocked(TxnId txn) const {
+  const auto it = active_.find(txn);
+  if (it == active_.end()) {
+    return Status::InvalidArgument("txn " + std::to_string(txn) +
+                                   " is not active");
+  }
+  if (it->second.committing) {
+    return Status::InvalidArgument("txn " + std::to_string(txn) +
+                                   " is already committing");
+  }
+  return Status::OK();
+}
+
+Status TxnManager::Lock(TxnId txn, LockMode mode) {
+  {
+    Guard guard(latch_);
+    PROCSIM_RETURN_IF_ERROR(CheckOpenLocked(txn));
+  }
+  return lock_.Acquire(txn, mode);
+}
+
+Status TxnManager::LockShared(TxnId txn) {
+  return Lock(txn, LockMode::kShared);
+}
+
 Status TxnManager::QueueOp(TxnId txn, const sim::WorkloadOp& op) {
   if (!sim::IsMutationOp(op.kind)) {
     return Status::InvalidArgument(
@@ -55,36 +79,19 @@ Status TxnManager::QueueOp(TxnId txn, const sim::WorkloadOp& op) {
         "transactional mutations must be op-seeded (value != 0): a deferred "
         "apply has no inline RNG stream to draw from");
   }
+  PROCSIM_RETURN_IF_ERROR(Lock(txn, LockMode::kExclusive));
   Guard guard(latch_);
+  // Still open: nothing else may finish `txn` while this call runs.
   const auto it = active_.find(txn);
-  if (it == active_.end()) {
-    return Status::InvalidArgument("txn " + std::to_string(txn) +
-                                   " is not active");
-  }
-  if (it->second.committing) {
-    return Status::InvalidArgument("txn " + std::to_string(txn) +
-                                   " is already committing");
-  }
+  PROCSIM_CHECK(it != active_.end()) << "txn " << txn << " ended mid-QueueOp";
   it->second.ops.push_back(op);
   return Status::OK();
 }
 
 Status TxnManager::Commit(TxnId txn, ApplyFn apply) {
-  if (locks_->IsWounded(txn)) {
-    PROCSIM_RETURN_IF_ERROR(Abort(txn));
-    return Status::Aborted("txn " + std::to_string(txn) +
-                           " wounded; rolled back instead of committing");
-  }
   Guard guard(latch_);
+  PROCSIM_RETURN_IF_ERROR(CheckOpenLocked(txn));
   const auto it = active_.find(txn);
-  if (it == active_.end()) {
-    return Status::InvalidArgument("txn " + std::to_string(txn) +
-                                   " is not active");
-  }
-  if (it->second.committing) {
-    return Status::InvalidArgument("txn " + std::to_string(txn) +
-                                   " committed twice");
-  }
   it->second.committing = true;
   it->second.apply = std::move(apply);
   it->second.enqueue_ms = meter_ != nullptr ? meter_->total_ms() : 0.0;
@@ -93,7 +100,7 @@ Status TxnManager::Commit(TxnId txn, ApplyFn apply) {
   // holding locks until the force would only serialize batch-mates against
   // each other.  A crash before the force simply truncates the queue's
   // effects — recovery replays nothing without a kCommit record.
-  locks_->ReleaseAll(txn);
+  lock_.Release(txn);
   if (queue_.size() >= options_.group_commit_size) {
     return FlushLocked();
   }
@@ -103,20 +110,11 @@ Status TxnManager::Commit(TxnId txn, ApplyFn apply) {
 Status TxnManager::Abort(TxnId txn) {
   {
     Guard guard(latch_);
-    const auto it = active_.find(txn);
-    if (it == active_.end()) {
-      return Status::InvalidArgument("txn " + std::to_string(txn) +
-                                     " is not active");
-    }
-    if (it->second.committing) {
-      return Status::InvalidArgument("txn " + std::to_string(txn) +
-                                     " is already committing; too late to "
-                                     "abort");
-    }
-    active_.erase(it);
+    PROCSIM_RETURN_IF_ERROR(CheckOpenLocked(txn));
+    active_.erase(txn);
   }
   wal_->AppendAbort(txn);
-  locks_->ReleaseAll(txn);
+  lock_.Release(txn);
   g_aborts->Add();
   return Status::OK();
 }

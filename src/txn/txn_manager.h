@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "sim/workload.h"
@@ -17,14 +18,19 @@
 
 namespace procsim::txn {
 
-/// \brief Transaction table + group-commit pipeline over one WriteAheadLog.
+/// \brief Transaction table + R1 lock + group-commit pipeline over one
+/// WriteAheadLog.
 ///
 /// Protocol (deferred-apply redo logging):
 ///  - Begin() assigns the next TxnId and logs kBegin.
-///  - QueueOp() buffers the transaction's mutation ops — nothing touches
-///    the database until commit, so an abort is a pure forget.
+///  - LockShared() takes R1 shared for a procedure access; QueueOp() takes
+///    R1 exclusively and buffers the transaction's mutation op — nothing
+///    touches the database until commit, so an abort is a pure forget.
+///    Both reject a transaction that is not active, or already committing,
+///    before they touch the lock, so a finished transaction can never
+///    re-pin R1.
 ///  - Commit() moves the transaction onto the group-commit queue and
-///    releases its locks (serialization order is now fixed as the queue
+///    releases its lock (serialization order is now fixed as the queue
 ///    order — the standard group-commit early-release trade).  When the
 ///    queue reaches group_commit_size the group flushes.
 ///  - A flush walks the queue in order: for each transaction it appends
@@ -33,7 +39,7 @@ namespace procsim::txn {
 ///    with the transaction), appends kCommit — the commit point — then
 ///    forces the log once for the whole group.  One force amortized over
 ///    the batch is the paper's C_inval ≈ 0 argument applied to commits.
-///  - Abort() logs kAbort, drops the buffer and releases locks.
+///  - Abort() logs kAbort, drops the buffer and releases the lock.
 ///  - A mid-group apply failure retires the transactions that already
 ///    reached their commit point (forced, counted, never re-applied),
 ///    terminates the failing transaction with kAbort, and *poisons* the
@@ -49,7 +55,10 @@ namespace procsim::txn {
 ///
 /// Thread safety: one kTxnManager latch guards the table and queue; the
 /// apply hook runs under it (it acquires only higher-ranked latches — the
-/// database latch, strategy internals, the WAL).
+/// database latch, strategy internals, the WAL).  A lock request never
+/// parks under that latch: a parked waiter would stall the group flush of
+/// the very transaction it waits for.  One transaction's calls come from
+/// one thread at a time.
 class TxnManager {
  public:
   struct Options {
@@ -64,27 +73,30 @@ class TxnManager {
   using ApplyFn =
       std::function<Status(TxnId txn, const std::vector<sim::WorkloadOp>& ops)>;
 
-  /// `wal`, `locks` and `meter` must outlive the manager; `meter` may be
-  /// null (latency histogram then records zeros).
-  TxnManager(storage::WriteAheadLog* wal, LockManager* locks,
-             CostMeter* meter, Options options);
+  /// `wal` and `meter` must outlive the manager; `meter` may be null
+  /// (latency histogram then records zeros).
+  TxnManager(storage::WriteAheadLog* wal, CostMeter* meter, Options options);
   TxnManager(const TxnManager&) = delete;
   TxnManager& operator=(const TxnManager&) = delete;
 
   TxnId Begin();
 
-  /// Buffers one mutation op for `txn`.  The caller must already hold the
-  /// covering lock (the manager does not know granules).
+  /// Takes R1 shared for one of `txn`'s procedure accesses, blocking until
+  /// granted.
+  Status LockShared(TxnId txn);
+
+  /// Takes R1 exclusively for `txn`, then buffers one mutation op.  Returns
+  /// Aborted when `txn` holds R1 shared and another S holder is already
+  /// parked upgrading — the caller must Abort `txn`.
   Status QueueOp(TxnId txn, const sim::WorkloadOp& op);
 
   /// Enqueues `txn` for group commit with `apply` as its flush-time hook
-  /// (may be null for read-only transactions) and releases its locks.
-  /// Flushes the group if it is now full.  Returns Aborted if `txn` was
-  /// wounded — the transaction is rolled back instead (kAbort logged,
-  /// buffer dropped).
+  /// (may be null for read-only transactions) and releases its lock.
+  /// Flushes the group if it is now full.
   Status Commit(TxnId txn, ApplyFn apply);
 
-  /// Rolls `txn` back: logs kAbort, drops its buffered ops, releases locks.
+  /// Rolls `txn` back: logs kAbort, drops its buffered ops, releases its
+  /// lock.
   Status Abort(TxnId txn);
 
   /// Forces the pending (partial) group, if any.
@@ -97,6 +109,9 @@ class TxnManager {
 
   std::size_t group_commit_size() const { return options_.group_commit_size; }
   std::size_t pending_commits() const;
+
+  /// The R1 mode `txn` holds, or nullopt when it holds nothing.
+  std::optional<LockMode> HeldLock(TxnId txn) const { return lock_.Held(txn); }
 
   /// True once a mid-group apply failure has wedged the manager (see the
   /// class comment); every subsequent flush fails FailedPrecondition.
@@ -113,6 +128,13 @@ class TxnManager {
     bool committing = false;
   };
 
+  /// InvalidArgument unless `txn` is active and not yet committing.
+  Status CheckOpenLocked(TxnId txn) const REQUIRES(latch_);
+
+  /// Checks `txn` is open under the latch, then — latch dropped — takes
+  /// R1 in `mode`.
+  Status Lock(TxnId txn, LockMode mode) EXCLUDES(latch_);
+
   Status FlushLocked() REQUIRES(latch_);
 
   /// Retires the first `count` queued transactions as committed: observes
@@ -121,11 +143,12 @@ class TxnManager {
   void RetireCommittedLocked(std::size_t count) REQUIRES(latch_);
 
   storage::WriteAheadLog* const wal_;
-  LockManager* const locks_;
   CostMeter* const meter_;
   const Options options_;
   std::atomic<TxnId> next_txn_{1};
   std::atomic<std::uint64_t> commit_count_{0};
+  // procsim-lint: allow(unguarded(lock_)) because the LockManager serializes itself on its own kTxnLock latch
+  LockManager lock_;
   mutable util::RankedMutex latch_{util::LatchRank::kTxnManager, "TxnManager"};
   std::map<TxnId, Txn> active_ GUARDED_BY(latch_);
   std::vector<TxnId> queue_ GUARDED_BY(latch_);

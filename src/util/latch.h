@@ -26,10 +26,11 @@ namespace procsim::util {
 ///   kTxnManager       transaction-manager state (group-commit queue + txn
 ///                     table; a group flush applies mutations under it, so
 ///                     it sits above the scheduler and below the database)
-///   kTxnLock          LockManager table latch (2PL granule queues; waiters
-///                     park on a condition variable, releasing the latch,
-///                     so blocking on a *transaction lock* never holds a
-///                     latch — only the table walk itself is ranked)
+///   kTxnLock          the R1 S/X lock's holder/waiter latch (owned by
+///                     the TxnManager; waiters park on a condition
+///                     variable, releasing the latch, so blocking on the
+///                     *transaction lock* never holds a latch — only the
+///                     grant check itself is ranked)
 ///   kDatabase         the engine's coarse database latch — shared for
 ///                     procedure accesses, exclusive for update transactions
 ///   kStrategySlot     per-procedure strategy cache slot stripes (serializes

@@ -56,8 +56,8 @@ class Status {
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
-  /// The operation was rolled back by concurrency control (a wounded or
-  /// deadlock-victim transaction).  Distinct from kInternal: an Aborted
+  /// The operation was refused by concurrency control (an S→X upgrade
+  /// that would deadlock).  Distinct from kInternal: an Aborted
   /// transaction is the protocol working, not a bug — callers retry or
   /// drop the transaction.
   static Status Aborted(std::string msg) {

@@ -1,286 +1,155 @@
-// 2PL lock-table semantics: the S/X conflict table, S→X upgrades, and all
-// three deadlock policies — wound-wait victim selection, cycle detection,
-// and plain blocking with a planted (then broken) deadlock made visible
-// through the waits-for graph.
+// The R1 S/X lock: shared coexistence, idempotent re-acquire, in-place
+// sole-holder upgrade, grant fairness toward parked older waiters, and the
+// upgrade-abort rule that keeps two parked upgraders from deadlocking.
 #include "txn/lock_manager.h"
 
 #include <atomic>
 #include <chrono>
-#include <functional>
+#include <optional>
 #include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace procsim::txn {
 namespace {
 
-const Granule kR1 = Granule::Relation("R1");
+uint64_t CounterValue(const char* name) {
+  const obs::Counter* counter = obs::GlobalMetrics().FindCounter(name);
+  return counter != nullptr ? counter->value() : 0;
+}
 
-void SpinUntil(const std::function<bool()>& done) {
-  while (!done()) std::this_thread::yield();
+/// Spins until `parked` requests have parked since `waits_before` was read.
+/// A request bumps txn.lock.waits under the lock's latch just before it
+/// parks, so once this returns the waiter is queued for every later grant.
+void WaitUntilParked(uint64_t waits_before, uint64_t parked) {
+  while (CounterValue("txn.lock.waits") < waits_before + parked) {
+    std::this_thread::yield();
+  }
 }
 
 TEST(TxnLockManagerTest, SharedLocksCoexist) {
-  LockManager locks(LockManager::DeadlockPolicy::kWoundWait);
-  ASSERT_TRUE(locks.Acquire(1, kR1, LockMode::kShared).ok());
-  ASSERT_TRUE(locks.Acquire(2, kR1, LockMode::kShared).ok());
-  ASSERT_TRUE(locks.Acquire(3, kR1, LockMode::kShared).ok());
-  EXPECT_TRUE(locks.Holds(1, kR1, LockMode::kShared));
-  EXPECT_TRUE(locks.Holds(3, kR1, LockMode::kShared));
-  EXPECT_EQ(locks.held_count(2), 1u);
-  locks.ReleaseAll(1);
-  EXPECT_EQ(locks.held_count(1), 0u);
-  EXPECT_TRUE(locks.Holds(2, kR1, LockMode::kShared));
+  LockManager locks;
+  ASSERT_TRUE(locks.Acquire(1, LockMode::kShared).ok());
+  ASSERT_TRUE(locks.Acquire(2, LockMode::kShared).ok());
+  ASSERT_TRUE(locks.Acquire(3, LockMode::kShared).ok());
+  EXPECT_EQ(locks.Held(1), LockMode::kShared);
+  EXPECT_EQ(locks.Held(3), LockMode::kShared);
+  locks.Release(1);
+  EXPECT_EQ(locks.Held(1), std::nullopt);
+  EXPECT_EQ(locks.Held(2), LockMode::kShared);
 }
 
 TEST(TxnLockManagerTest, ReacquireAtHeldModeIsIdempotent) {
   LockManager locks;
-  ASSERT_TRUE(locks.Acquire(1, kR1, LockMode::kExclusive).ok());
-  // X covers both re-requests; S under X stays X.
-  ASSERT_TRUE(locks.Acquire(1, kR1, LockMode::kExclusive).ok());
-  ASSERT_TRUE(locks.Acquire(1, kR1, LockMode::kShared).ok());
-  EXPECT_TRUE(locks.Holds(1, kR1, LockMode::kExclusive));
-  EXPECT_EQ(locks.held_count(1), 1u);
-}
-
-TEST(TxnLockManagerTest, TupleGranulesAreIndependent) {
-  LockManager locks;
-  ASSERT_TRUE(locks.Acquire(1, Granule::Tuple("R1", 7), LockMode::kExclusive)
-                  .ok());
-  // A different tuple, and the same tuple id in a different relation,
-  // never conflict.
-  ASSERT_TRUE(locks.Acquire(2, Granule::Tuple("R1", 8), LockMode::kExclusive)
-                  .ok());
-  ASSERT_TRUE(locks.Acquire(3, Granule::Tuple("R2", 7), LockMode::kExclusive)
-                  .ok());
-  EXPECT_FALSE(Granule::Tuple("R1", 7) == Granule::Relation("R1"));
-  EXPECT_EQ(Granule::Tuple("R1", 7).ToString(), "R1[7]");
+  const uint64_t grants = CounterValue("txn.lock.grants");
+  ASSERT_TRUE(locks.Acquire(1, LockMode::kExclusive).ok());
+  // X covers both re-requests; S under X stays X.  Neither is a grant.
+  ASSERT_TRUE(locks.Acquire(1, LockMode::kExclusive).ok());
+  ASSERT_TRUE(locks.Acquire(1, LockMode::kShared).ok());
+  EXPECT_EQ(locks.Held(1), LockMode::kExclusive);
+  EXPECT_EQ(CounterValue("txn.lock.grants"), grants + 1);
 }
 
 TEST(TxnLockManagerTest, SoleHolderUpgradesInPlace) {
   LockManager locks;
-  ASSERT_TRUE(locks.Acquire(1, kR1, LockMode::kShared).ok());
-  ASSERT_TRUE(locks.Acquire(1, kR1, LockMode::kExclusive).ok());
-  EXPECT_TRUE(locks.Holds(1, kR1, LockMode::kExclusive));
-  EXPECT_EQ(locks.held_count(1), 1u);
+  const uint64_t grants = CounterValue("txn.lock.grants");
+  const uint64_t upgrades = CounterValue("txn.lock.upgrades");
+  ASSERT_TRUE(locks.Acquire(1, LockMode::kShared).ok());
+  ASSERT_TRUE(locks.Acquire(1, LockMode::kExclusive).ok());
+  EXPECT_EQ(locks.Held(1), LockMode::kExclusive);
+  EXPECT_EQ(CounterValue("txn.lock.grants"), grants + 2);
+  EXPECT_EQ(CounterValue("txn.lock.upgrades"), upgrades + 1);
 }
 
 TEST(TxnLockManagerTest, YoungerRequesterWaitsForOlderHolder) {
-  LockManager locks(LockManager::DeadlockPolicy::kWoundWait);
-  ASSERT_TRUE(locks.Acquire(1, kR1, LockMode::kExclusive).ok());
+  // A conflicting requester blocks until the holder releases.
+  LockManager locks;
+  ASSERT_TRUE(locks.Acquire(1, LockMode::kExclusive).ok());
+  const uint64_t waits = CounterValue("txn.lock.waits");
   std::atomic<bool> granted{false};
   std::thread younger([&] {
-    // Young→old waits block instead of wounding; granted after release.
-    ASSERT_TRUE(locks.Acquire(2, kR1, LockMode::kShared).ok());
+    ASSERT_TRUE(locks.Acquire(2, LockMode::kShared).ok());
     granted = true;
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  WaitUntilParked(waits, 1);
   EXPECT_FALSE(granted);
-  EXPECT_FALSE(locks.IsWounded(1));
-  locks.ReleaseAll(1);
+  locks.Release(1);
   younger.join();
   EXPECT_TRUE(granted);
-  EXPECT_TRUE(locks.Holds(2, kR1, LockMode::kShared));
-}
-
-TEST(TxnLockManagerTest, OlderRequesterWoundsYoungerHolder) {
-  LockManager locks(LockManager::DeadlockPolicy::kWoundWait);
-  ASSERT_TRUE(locks.Acquire(2, kR1, LockMode::kExclusive).ok());
-  std::thread older([&] {
-    // Txn 1 is older (smaller id): it wounds holder 2 and waits it out.
-    ASSERT_TRUE(locks.Acquire(1, kR1, LockMode::kExclusive).ok());
-  });
-  SpinUntil([&] { return locks.IsWounded(2); });
-  // The victim's next request fails Aborted; it must roll back.
-  const Status st = locks.Acquire(2, Granule::Relation("R2"),
-                                  LockMode::kShared);
-  EXPECT_EQ(st.code(), StatusCode::kAborted);
-  locks.ReleaseAll(2);
-  older.join();
-  EXPECT_TRUE(locks.Holds(1, kR1, LockMode::kExclusive));
-  EXPECT_FALSE(locks.IsWounded(2));  // ReleaseAll forgets the wound
-}
-
-TEST(TxnLockManagerTest, ContendedUpgradeWoundsTheOtherReader) {
-  LockManager locks(LockManager::DeadlockPolicy::kWoundWait);
-  ASSERT_TRUE(locks.Acquire(1, kR1, LockMode::kShared).ok());
-  ASSERT_TRUE(locks.Acquire(2, kR1, LockMode::kShared).ok());
-  std::thread upgrader([&] {
-    ASSERT_TRUE(locks.Acquire(1, kR1, LockMode::kExclusive).ok());
-  });
-  SpinUntil([&] { return locks.IsWounded(2); });
-  locks.ReleaseAll(2);
-  upgrader.join();
-  EXPECT_TRUE(locks.Holds(1, kR1, LockMode::kExclusive));
-}
-
-TEST(TxnLockManagerTest, WoundingAParkedVictimWakesIt) {
-  // The cross-lock case: old txn 1 holds B, young txn 2 holds A and parks
-  // on B.  When 1 then requests A it wounds 2 — and must wake it, or both
-  // sides stay parked forever (the deadlock wound-wait exists to prevent).
-  LockManager locks(LockManager::DeadlockPolicy::kWoundWait);
-  const Granule a = Granule::Relation("A");
-  const Granule b = Granule::Relation("B");
-  ASSERT_TRUE(locks.Acquire(1, b, LockMode::kExclusive).ok());
-  ASSERT_TRUE(locks.Acquire(2, a, LockMode::kExclusive).ok());
-  Status victim_status;
-  std::thread victim([&] {
-    victim_status = locks.Acquire(2, b, LockMode::kExclusive);
-    if (!victim_status.ok()) locks.ReleaseAll(2);
-  });
-  // Let the victim park on B before the wounder shows up.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  std::thread wounder([&] {
-    ASSERT_TRUE(locks.Acquire(1, a, LockMode::kExclusive).ok());
-  });
-  victim.join();
-  EXPECT_EQ(victim_status.code(), StatusCode::kAborted);
-  wounder.join();
-  EXPECT_TRUE(locks.Holds(1, a, LockMode::kExclusive));
-  EXPECT_TRUE(locks.Holds(1, b, LockMode::kExclusive));
+  EXPECT_EQ(locks.Held(2), LockMode::kShared);
 }
 
 TEST(TxnLockManagerTest, NewReadersDoNotOvertakeAParkedOlderWriter) {
-  // Fairness: once an older writer is parked, later shared requests on the
-  // same granule queue behind it instead of prolonging its wait.
-  LockManager locks(LockManager::DeadlockPolicy::kBlock);
-  ASSERT_TRUE(locks.Acquire(2, kR1, LockMode::kShared).ok());
+  // Fairness: once an older writer is parked, later shared requests queue
+  // behind it instead of prolonging its wait.
+  LockManager locks;
+  ASSERT_TRUE(locks.Acquire(2, LockMode::kShared).ok());
+  const uint64_t waits = CounterValue("txn.lock.waits");
   std::atomic<bool> writer_granted{false};
   std::atomic<bool> reader_granted{false};
   std::thread writer([&] {
-    ASSERT_TRUE(locks.Acquire(1, kR1, LockMode::kExclusive).ok());
+    ASSERT_TRUE(locks.Acquire(1, LockMode::kExclusive).ok());
     writer_granted = true;
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  WaitUntilParked(waits, 1);
   std::thread reader([&] {
-    ASSERT_TRUE(locks.Acquire(3, kR1, LockMode::kShared).ok());
+    ASSERT_TRUE(locks.Acquire(3, LockMode::kShared).ok());
     reader_granted = true;
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  WaitUntilParked(waits, 2);
   EXPECT_FALSE(writer_granted);
   EXPECT_FALSE(reader_granted);  // deferred to the older X waiter
-  locks.ReleaseAll(2);
+  locks.Release(2);
   writer.join();
   EXPECT_TRUE(writer_granted);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(reader_granted);  // now queued behind the writer's hold
-  locks.ReleaseAll(1);
+  locks.Release(1);
   reader.join();
-  EXPECT_TRUE(locks.Holds(3, kR1, LockMode::kShared));
+  EXPECT_EQ(locks.Held(3), LockMode::kShared);
 }
 
 TEST(TxnLockManagerTest, HolderUpgradeIsNotDeferredToAParkedWaiter) {
   // The fairness rule must exempt upgrades: the sole S holder upgrading to
   // X past a parked older X waiter cannot starve it (the waiter must
   // outwait the hold regardless) — deferring would deadlock both.
-  LockManager locks(LockManager::DeadlockPolicy::kBlock);
-  ASSERT_TRUE(locks.Acquire(2, kR1, LockMode::kShared).ok());
+  LockManager locks;
+  ASSERT_TRUE(locks.Acquire(2, LockMode::kShared).ok());
+  const uint64_t waits = CounterValue("txn.lock.waits");
   std::thread older([&] {
-    ASSERT_TRUE(locks.Acquire(1, kR1, LockMode::kExclusive).ok());
+    ASSERT_TRUE(locks.Acquire(1, LockMode::kExclusive).ok());
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_TRUE(locks.Acquire(2, kR1, LockMode::kExclusive).ok());
-  EXPECT_TRUE(locks.Holds(2, kR1, LockMode::kExclusive));
-  locks.ReleaseAll(2);
+  WaitUntilParked(waits, 1);
+  ASSERT_TRUE(locks.Acquire(2, LockMode::kExclusive).ok());
+  EXPECT_EQ(locks.Held(2), LockMode::kExclusive);
+  locks.Release(2);
   older.join();
-  EXPECT_TRUE(locks.Holds(1, kR1, LockMode::kExclusive));
+  EXPECT_EQ(locks.Held(1), LockMode::kExclusive);
 }
 
-TEST(TxnLockManagerTest, CycleDetectSeesDeferralEdges) {
-  // A deadlock threaded through a fairness deferral (T3 defers to parked
-  // T1) must still be caught by the cycle detector.  Plant: T3 holds G2;
-  // T2 holds G1 (S); T1 parks wanting X on G1; T2 parks wanting X on G2.
-  // T3 then requests S on G1: compatible with holder T2 but deferred to
-  // the older X waiter T1 — closing T3→T1→T2→T3, so T3 must abort.
-  LockManager locks(LockManager::DeadlockPolicy::kCycleDetect);
-  const Granule g1 = Granule::Relation("G1");
-  const Granule g2 = Granule::Relation("G2");
-  ASSERT_TRUE(locks.Acquire(3, g2, LockMode::kExclusive).ok());
-  ASSERT_TRUE(locks.Acquire(2, g1, LockMode::kShared).ok());
-  std::thread t1([&] {
-    const Status st = locks.Acquire(1, g1, LockMode::kExclusive);
-    if (!st.ok()) locks.ReleaseAll(1);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  std::thread t2([&] {
-    const Status st = locks.Acquire(2, g2, LockMode::kExclusive);
-    if (!st.ok()) locks.ReleaseAll(2);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  const Status st = locks.Acquire(3, g1, LockMode::kShared);
-  EXPECT_EQ(st.code(), StatusCode::kAborted);
-  EXPECT_NE(st.ToString().find("deadlock victim"), std::string::npos);
-  locks.ReleaseAll(3);
-  t2.join();  // granted X on G2 once the victim released it
-  locks.ReleaseAll(2);
-  t1.join();  // granted X on G1 once T2 released its S
-  locks.ReleaseAll(1);
-}
-
-TEST(TxnLockManagerTest, CycleDetectAbortsExactlyOneVictim) {
-  LockManager locks(LockManager::DeadlockPolicy::kCycleDetect);
-  const Granule a = Granule::Relation("A");
-  const Granule b = Granule::Relation("B");
-  ASSERT_TRUE(locks.Acquire(1, a, LockMode::kExclusive).ok());
-  ASSERT_TRUE(locks.Acquire(2, b, LockMode::kExclusive).ok());
-  // Cross requests: whichever side closes the cycle aborts itself; the
-  // other must then be granted once the victim releases.
-  Status first_status, second_status;
-  std::thread t1([&] {
-    first_status = locks.Acquire(1, b, LockMode::kExclusive);
-    if (!first_status.ok()) locks.ReleaseAll(1);
-  });
-  std::thread t2([&] {
-    second_status = locks.Acquire(2, a, LockMode::kExclusive);
-    if (!second_status.ok()) locks.ReleaseAll(2);
-  });
-  t1.join();
-  t2.join();
-  const bool first_aborted = !first_status.ok();
-  const bool second_aborted = !second_status.ok();
-  EXPECT_NE(first_aborted, second_aborted)
-      << "exactly one transaction must be the deadlock victim: "
-      << first_status.ToString() << " / " << second_status.ToString();
-  const Status& victim = first_aborted ? first_status : second_status;
-  EXPECT_EQ(victim.code(), StatusCode::kAborted);
-  EXPECT_NE(victim.ToString().find("deadlock victim"), std::string::npos);
-}
-
-TEST(TxnLockManagerTest, PlantedDeadlockIsVisibleInWaitsForGraph) {
-  // kBlock has no arbiter, so a genuine cross wait really deadlocks; the
-  // waits-for probe must see the cycle, and wounding one party breaks it.
-  LockManager locks(LockManager::DeadlockPolicy::kBlock);
-  const Granule a = Granule::Relation("A");
-  const Granule b = Granule::Relation("B");
-  ASSERT_TRUE(locks.Acquire(1, a, LockMode::kExclusive).ok());
-  ASSERT_TRUE(locks.Acquire(2, b, LockMode::kExclusive).ok());
-  Status blocked_status, victim_status;
-  std::thread blocked([&] {
-    blocked_status = locks.Acquire(1, b, LockMode::kExclusive);
-  });
-  std::thread victim([&] {
-    victim_status = locks.Acquire(2, a, LockMode::kExclusive);
-    if (!victim_status.ok()) locks.ReleaseAll(2);
-  });
-  std::vector<TxnId> cycle;
-  SpinUntil([&] {
-    cycle = locks.FindWaitsForCycle();
-    return !cycle.empty();
-  });
-  EXPECT_GE(cycle.size(), 1u);
-  for (const TxnId txn : cycle) {
-    EXPECT_TRUE(txn == 1 || txn == 2) << "unexpected txn " << txn;
-  }
-  locks.WoundForTesting(2);
-  victim.join();
-  EXPECT_EQ(victim_status.code(), StatusCode::kAborted);
-  blocked.join();
-  EXPECT_TRUE(blocked_status.ok());
-  EXPECT_TRUE(locks.Holds(1, b, LockMode::kExclusive));
-  EXPECT_TRUE(locks.FindWaitsForCycle().empty());
+TEST(TxnLockManagerTest, SecondUpgraderAbortsInsteadOfParking) {
+  // Two S holders both asking for X would each wait for the other forever:
+  // the later upgrader gets Aborted, keeps its S until Release, and its
+  // release lets the parked upgrader through.
+  LockManager locks;
+  ASSERT_TRUE(locks.Acquire(1, LockMode::kShared).ok());
+  ASSERT_TRUE(locks.Acquire(2, LockMode::kShared).ok());
+  const uint64_t waits = CounterValue("txn.lock.waits");
+  const uint64_t deadlocks = CounterValue("txn.lock.deadlocks");
+  Status first;
+  std::thread upgrader([&] { first = locks.Acquire(1, LockMode::kExclusive); });
+  WaitUntilParked(waits, 1);
+  const Status second = locks.Acquire(2, LockMode::kExclusive);
+  EXPECT_EQ(second.code(), StatusCode::kAborted) << second.ToString();
+  EXPECT_EQ(CounterValue("txn.lock.deadlocks"), deadlocks + 1);
+  EXPECT_EQ(locks.Held(2), LockMode::kShared);
+  locks.Release(2);
+  upgrader.join();
+  EXPECT_TRUE(first.ok()) << first.ToString();
+  EXPECT_EQ(locks.Held(1), LockMode::kExclusive);
 }
 
 }  // namespace

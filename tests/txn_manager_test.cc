@@ -1,11 +1,16 @@
 // TxnManager group-commit semantics around failure: a mid-group apply
 // failure must retire the already-committed prefix exactly once (no double
 // apply, no duplicate WAL records), terminate the failing transaction, and
-// poison the manager — plus TxnEngine::Run's guarantee that a failed op
-// never leaks an open transaction holding the R1 lock.
+// poison the manager — plus the engine's R1 lock lifecycle: a failed op
+// never leaks an open transaction holding the lock, a finished transaction
+// cannot re-take it, and two contending S→X upgraders abort one instead of
+// parking forever.
 #include "txn/txn_manager.h"
 
+#include <barrier>
 #include <map>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,7 +18,6 @@
 #include "sim/workload.h"
 #include "storage/wal.h"
 #include "txn/engine.h"
-#include "txn/lock_manager.h"
 #include "util/status.h"
 
 namespace procsim::txn {
@@ -34,8 +38,7 @@ std::size_t CountRecords(const std::vector<storage::WalRecord>& records,
 
 TEST(TxnManagerTest, FullGroupCommitsEveryTransaction) {
   storage::WriteAheadLog wal;
-  LockManager locks;
-  TxnManager manager(&wal, &locks, nullptr, TxnManager::Options{2});
+  TxnManager manager(&wal, nullptr, TxnManager::Options{2});
   std::map<TxnId, int> applies;
   const auto apply_ok = [&](TxnId txn,
                             const std::vector<sim::WorkloadOp>&) -> Status {
@@ -44,9 +47,11 @@ TEST(TxnManagerTest, FullGroupCommitsEveryTransaction) {
   };
   const TxnId a = manager.Begin();
   const TxnId b = manager.Begin();
+  // QueueOp takes R1 exclusively and commit-enqueue releases it, so each
+  // transaction queues in turn.
   ASSERT_TRUE(manager.QueueOp(a, SeededUpdate(7)).ok());
-  ASSERT_TRUE(manager.QueueOp(b, SeededUpdate(8)).ok());
   ASSERT_TRUE(manager.Commit(a, apply_ok).ok());
+  ASSERT_TRUE(manager.QueueOp(b, SeededUpdate(8)).ok());
   ASSERT_TRUE(manager.Commit(b, apply_ok).ok());  // fills the group: flush
   EXPECT_EQ(manager.commits(), 2u);
   EXPECT_EQ(manager.pending_commits(), 0u);
@@ -58,8 +63,7 @@ TEST(TxnManagerTest, FullGroupCommitsEveryTransaction) {
 
 TEST(TxnManagerTest, ApplyFailureRetiresPrefixOnceAndPoisons) {
   storage::WriteAheadLog wal;
-  LockManager locks;
-  TxnManager manager(&wal, &locks, nullptr, TxnManager::Options{3});
+  TxnManager manager(&wal, nullptr, TxnManager::Options{3});
   std::map<TxnId, int> applies;
   const auto apply_ok = [&](TxnId txn,
                             const std::vector<sim::WorkloadOp>&) -> Status {
@@ -75,10 +79,10 @@ TEST(TxnManagerTest, ApplyFailureRetiresPrefixOnceAndPoisons) {
   const TxnId b = manager.Begin();
   const TxnId c = manager.Begin();
   ASSERT_TRUE(manager.QueueOp(a, SeededUpdate(7)).ok());
-  ASSERT_TRUE(manager.QueueOp(b, SeededUpdate(8)).ok());
-  ASSERT_TRUE(manager.QueueOp(c, SeededUpdate(9)).ok());
   ASSERT_TRUE(manager.Commit(a, apply_ok).ok());
+  ASSERT_TRUE(manager.QueueOp(b, SeededUpdate(8)).ok());
   ASSERT_TRUE(manager.Commit(b, apply_fail).ok());
+  ASSERT_TRUE(manager.QueueOp(c, SeededUpdate(9)).ok());
   const Status flushed = manager.Commit(c, apply_ok);  // fills: flush fails
   EXPECT_EQ(flushed.code(), StatusCode::kInternal);
 
@@ -129,12 +133,12 @@ TxnEngine::Options TinyOptions(uint64_t seed) {
 TEST(TxnEngineRunTest, FailedAutoCommitOpDoesNotLeakItsTransaction) {
   Result<std::unique_ptr<TxnEngine>> engine = TxnEngine::Create(TinyOptions(5));
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  // An unseeded mutation is rejected by QueueOp AFTER the implicit
-  // transaction has taken R1 exclusively; the rollback must release it.
+  // An unseeded mutation is rejected by QueueOp inside the implicit
+  // transaction; the rollback must leave nothing open or held.
   const Status failed = engine.ValueOrDie()->Run(
       {sim::WorkloadOp{sim::WorkloadOp::Kind::kUpdate, 0}});
   EXPECT_EQ(failed.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.ValueOrDie()->locks().held_count(1), 0u);
+  EXPECT_EQ(engine.ValueOrDie()->manager().HeldLock(1), std::nullopt);
   // Without the rollback this access would park on R1 forever.
   EXPECT_TRUE(engine.ValueOrDie()
                   ->Run({sim::WorkloadOp{sim::WorkloadOp::Kind::kAccess, 1}})
@@ -146,11 +150,14 @@ TEST(TxnEngineRunTest, FailedAutoCommitOpDoesNotLeakItsTransaction) {
 TEST(TxnEngineRunTest, ErrorInsideExplicitTransactionRollsItBack) {
   Result<std::unique_ptr<TxnEngine>> engine = TxnEngine::Create(TinyOptions(6));
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  // The access takes R1 shared; the failed update must not leave it held.
   const Status failed = engine.ValueOrDie()->Run(
       {sim::WorkloadOp{sim::WorkloadOp::Kind::kBegin, 0},
+       sim::WorkloadOp{sim::WorkloadOp::Kind::kAccess, 1},
        sim::WorkloadOp{sim::WorkloadOp::Kind::kUpdate, 0}});
   EXPECT_EQ(failed.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.ValueOrDie()->locks().held_count(1), 0u);
+  EXPECT_EQ(engine.ValueOrDie()->manager().HeldLock(1), std::nullopt);
+  // Without the rollback this writer would park on R1 forever.
   EXPECT_TRUE(engine.ValueOrDie()
                   ->Run({sim::WorkloadOp{sim::WorkloadOp::Kind::kUpdate, 11}})
                   .ok());
@@ -189,6 +196,60 @@ TEST(TxnEngineRunTest, OracleSweepFlushesThePendingGroupFirst) {
           << storage::WalRecordKindName(record.kind);
     }
   }
+}
+
+TEST(TxnEngineRunTest, FinishedTransactionCannotRetakeTheLock) {
+  Result<std::unique_ptr<TxnEngine>> created = TxnEngine::Create(TinyOptions(9));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  TxnEngine& engine = *created.ValueOrDie();
+  const TxnId txn = engine.Begin();
+  ASSERT_TRUE(engine.Access(txn, 1).ok());
+  ASSERT_TRUE(engine.Commit(txn).ok());
+  // Both calls must be refused before they touch R1: a committed
+  // transaction has no Abort left to release a lock it re-took.
+  ASSERT_EQ(engine.Access(txn, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_EQ(engine.Queue(txn, SeededUpdate(10)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(
+      engine.Run({sim::WorkloadOp{sim::WorkloadOp::Kind::kUpdate, 11}}).ok());
+  EXPECT_EQ(engine.manager().HeldLock(txn), std::nullopt);
+}
+
+TEST(TxnEngineRunTest, ContendedUpgradersAbortOneAndCommitTheOther) {
+  // Two transactions each Access (R1 shared), then Queue (S→X upgrade).
+  // The barrier makes both hold S before either upgrades: the first
+  // upgrader parks, the second is Aborted, and its Abort lets the first
+  // through to commit.
+  Result<std::unique_ptr<TxnEngine>> created =
+      TxnEngine::Create(TinyOptions(10));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  TxnEngine& engine = *created.ValueOrDie();
+  std::barrier both_hold_shared(2);
+  Status outcome[2];
+  const auto session = [&](int i) {
+    const TxnId txn = engine.Begin();
+    Status status = engine.Access(txn, static_cast<uint64_t>(i)).status();
+    both_hold_shared.arrive_and_wait();
+    if (status.ok()) status = engine.Queue(txn, SeededUpdate(20 + i));
+    outcome[i] = status.ok() ? engine.Commit(txn) : status;
+    if (!status.ok()) {
+      EXPECT_TRUE(engine.Abort(txn).ok());
+    }
+  };
+  std::thread first(session, 0);
+  std::thread second(session, 1);
+  first.join();
+  second.join();
+  const int aborted = (outcome[0].code() == StatusCode::kAborted ? 1 : 0) +
+                      (outcome[1].code() == StatusCode::kAborted ? 1 : 0);
+  EXPECT_EQ(aborted, 1) << outcome[0].ToString() << " / "
+                        << outcome[1].ToString();
+  EXPECT_TRUE(outcome[0].ok() || outcome[1].ok())
+      << outcome[0].ToString() << " / " << outcome[1].ToString();
+  EXPECT_EQ(engine.manager().commits(), 1u);
+  EXPECT_TRUE(engine.CompareAllAgainstOracle().ok());
+  EXPECT_TRUE(engine.wal().CheckConsistency().ok());
 }
 
 TEST(TxnEngineRunTest, EngineWithoutProceduresIsRejected) {

@@ -8,9 +8,10 @@
 #      Audit hooks re-validate whole structures after every mutation, so the
 #      full suite under audit would be quadratic on bulk loads; the focused
 #      list exercises every validator without that blowup.
-#   4. ThreadSanitizer build + the concurrent-engine and observability
-#      tests (latch-rank checker, multi-session stress, metrics-registry
-#      hammering; zero reports allowed)
+#   4. ThreadSanitizer build + the concurrent-engine, observability and
+#      threaded lock tests (latch-rank checker, multi-session stress,
+#      metrics-registry hammering, parked R1 lock waiters; zero reports
+#      allowed)
 #   5. Crash-recovery gate: the crash-point fuzzing harness plus the
 #      recovery-idempotence suite (label `recovery` in the relwithdebinfo
 #      preset) — every WAL record boundary is a simulated crash, recovery
@@ -45,7 +46,7 @@ run_preset() {
 run_preset asan
 run_preset ubsan
 run_preset audit -R 'Audit|Validate|BTree|HeapFile|Page|BufferCache|Rete|TupleStore|ILock|Invalidation'
-run_preset tsan -R 'Concurrent|LatchRank|Obs'
+run_preset tsan -R 'Concurrent|LatchRank|Obs|TxnLock|TxnEngineRun'
 
 echo "=== ci.sh: crash-recovery gate (crash-point fuzz + idempotence) ==="
 cmake --preset relwithdebinfo >/dev/null
