@@ -30,41 +30,6 @@ void DeltaSet::Bump(const rel::Tuple& tuple, long delta) {
 
 bool DeltaSet::empty() const { return counts_.empty(); }
 
-std::vector<rel::Tuple> DeltaSet::NetInserts() const {
-  std::size_t total = 0;
-  for (const auto& [tuple, count] : counts_) {
-    if (count > 0) total += static_cast<std::size_t>(count);
-  }
-  std::vector<rel::Tuple> out;
-  out.reserve(total);
-  for (const auto& [tuple, count] : counts_) {
-    for (long i = 0; i < count; ++i) out.push_back(tuple);
-  }
-  return out;
-}
-
-std::vector<rel::Tuple> DeltaSet::NetDeletes() const {
-  std::size_t total = 0;
-  for (const auto& [tuple, count] : counts_) {
-    if (count < 0) total += static_cast<std::size_t>(-count);
-  }
-  std::vector<rel::Tuple> out;
-  out.reserve(total);
-  for (const auto& [tuple, count] : counts_) {
-    for (long i = 0; i > count; --i) out.push_back(tuple);
-  }
-  return out;
-}
-
-std::vector<DeltaSet::NetEntry> DeltaSet::NetEntries() const {
-  std::vector<NetEntry> out;
-  out.reserve(counts_.size());
-  for (const auto& [tuple, count] : counts_) {
-    out.push_back(NetEntry{&tuple, count});
-  }
-  return out;
-}
-
 void DeltaSet::NetBatches(rel::TupleBatch* inserts,
                           rel::TupleBatch* deletes) const {
   std::size_t insert_total = 0;
@@ -93,22 +58,6 @@ std::size_t DeltaSet::TotalNetSize() const {
     total += static_cast<std::size_t>(std::labs(count));
   }
   return total;
-}
-
-void ChangeBatch::Append(bool is_insert, const rel::Tuple& tuple) {
-  tags_.push_back(is_insert ? 1 : 0);
-  rows_.AppendRow(tuple);
-  if (is_insert) {
-    net_.AddInsert(tuple);
-  } else {
-    net_.AddDelete(tuple);
-  }
-}
-
-void ChangeBatch::Clear() {
-  tags_.clear();
-  rows_.Clear();
-  net_.Clear();
 }
 
 std::string DeltaSet::ToString() const {

@@ -1,7 +1,6 @@
 #ifndef PROCSIM_IVM_DELTA_H_
 #define PROCSIM_IVM_DELTA_H_
 
-#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -21,14 +20,6 @@ class DeltaSet {
  public:
   DeltaSet() = default;
 
-  /// A non-copying view of one net entry: `tuple` points into the set's own
-  /// storage (valid until the next mutation), `count` is the signed net
-  /// multiplicity (> 0 insert, < 0 delete; never 0).
-  struct NetEntry {
-    const rel::Tuple* tuple = nullptr;
-    long count = 0;
-  };
-
   /// Records an insertion (a "+" token).
   void AddInsert(const rel::Tuple& tuple) { Bump(tuple, +1); }
 
@@ -36,17 +27,6 @@ class DeltaSet {
   void AddDelete(const rel::Tuple& tuple) { Bump(tuple, -1); }
 
   bool empty() const;
-
-  /// Tuples with net-positive count (A_net), with multiplicity.
-  std::vector<rel::Tuple> NetInserts() const;
-
-  /// Tuples with net-negative count (D_net), with multiplicity.
-  std::vector<rel::Tuple> NetDeletes() const;
-
-  /// Every non-zero net entry as a pointer view — no tuple copies.  Entries
-  /// follow the set's internal order, the same order NetInserts/NetDeletes
-  /// and NetBatches materialize, so all four expose one serialization.
-  std::vector<NetEntry> NetEntries() const;
 
   /// Materializes A_net and D_net as columnar batches (with multiplicity),
   /// reserving exact capacity up front — the batch-at-a-time entry point
@@ -67,42 +47,39 @@ class DeltaSet {
   std::unordered_map<rel::Tuple, long, rel::TupleHash> counts_;
 };
 
-/// \brief One transaction's ordered change stream against one relation,
-/// with the net DeltaSet riding along.
+/// \brief One transaction's ordered change stream against one relation.
 ///
-/// The ordered view (`tags`/`rows`) preserves the exact insert/delete
-/// serialization the WAL recorded — an in-place modification stays a delete
-/// of the old value immediately followed by an insert of the new one — so
-/// replaying it row-at-a-time is byte- and cost-identical to the historical
-/// per-mutation notification.  The net view (`net`) is for consumers that
-/// want A_net/D_net semantics.  Rows are stored columnar (rel::TupleBatch)
-/// so batch consumers avoid re-pivoting.
+/// Preserves the exact insert/delete serialization the WAL recorded — an
+/// in-place modification stays a delete of the old value immediately
+/// followed by an insert of the new one — and every consumer replays it row
+/// by row in that order.
 class ChangeBatch {
  public:
   ChangeBatch() = default;
 
-  void AddInsert(const rel::Tuple& tuple) { Append(true, tuple); }
-  void AddDelete(const rel::Tuple& tuple) { Append(false, tuple); }
+  void AddInsert(const rel::Tuple& tuple) {
+    changes_.push_back({true, tuple});
+  }
+  void AddDelete(const rel::Tuple& tuple) {
+    changes_.push_back({false, tuple});
+  }
 
-  std::size_t size() const { return tags_.size(); }
-  bool empty() const { return tags_.empty(); }
+  std::size_t size() const { return changes_.size(); }
+  bool empty() const { return changes_.empty(); }
 
   /// Whether change `i` is an insert (false: delete).
-  bool is_insert(std::size_t i) const { return tags_[i] != 0; }
+  bool is_insert(std::size_t i) const { return changes_[i].is_insert; }
 
-  const rel::TupleBatch& rows() const { return rows_; }
-  rel::Tuple RowAt(std::size_t i) const { return rows_.RowAt(i); }
+  const rel::Tuple& RowAt(std::size_t i) const { return changes_[i].row; }
 
-  const DeltaSet& net() const { return net_; }
-
-  void Clear();
+  void Clear() { changes_.clear(); }
 
  private:
-  void Append(bool is_insert, const rel::Tuple& tuple);
-
-  std::vector<std::uint8_t> tags_;  ///< 1 = insert, 0 = delete, row-aligned
-  rel::TupleBatch rows_;
-  DeltaSet net_;
+  struct Change {
+    bool is_insert;
+    rel::Tuple row;
+  };
+  std::vector<Change> changes_;
 };
 
 }  // namespace procsim::ivm

@@ -23,10 +23,8 @@ namespace procsim::obs {
     "concurrent.latch.contended",
     "concurrent.latch.rank_near_miss",
     "concurrent.session.access_cost_ms",
-    "exec.batch.batches_submitted",
     "exec.batch.rows_selected",
     "exec.batch.rows_submitted",
-    "exec.batch.size_rows",
     "ivm.delta.annihilations",
     "ivm.delta.deletes",
     "ivm.delta.inserts",

@@ -32,9 +32,8 @@ class UpdateCacheRvmStrategy : public Strategy {
   Status Prepare() override;
   Result<std::vector<rel::Tuple>> Access(ProcId id) override;
 
-  /// Bulk Rete propagation: the whole ordered change run enters the network
-  /// as one token batch (ReteNetwork::SubmitBatch) — one root-latch
-  /// acquisition and one activation cascade instead of per-token walks.
+  /// Feeds the ordered change run to the network (ReteNetwork::OnChanges),
+  /// one token at a time under one root-latch acquisition.
   void OnBatch(const std::string& relation,
                const ivm::ChangeBatch& changes) override;
 

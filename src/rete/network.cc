@@ -24,14 +24,13 @@ std::size_t HashString(const std::string& s) {
 
 obs::Counter* const g_tokens_submitted =
     obs::GlobalMetrics().RegisterCounter("rete.network.tokens_submitted");
-obs::Counter* const g_batches_submitted =
-    obs::GlobalMetrics().RegisterCounter("exec.batch.batches_submitted");
-obs::Counter* const g_batch_rows_submitted =
+// Root dispatch: changes entering the root, and (change, selection entry)
+// admissions — an unconditional entry always admits, an interval entry when
+// its interval holds the key.  Their ratio is how selective the root is.
+obs::Counter* const g_rows_submitted =
     obs::GlobalMetrics().RegisterCounter("exec.batch.rows_submitted");
-obs::Counter* const g_batch_rows_selected =
+obs::Counter* const g_rows_selected =
     obs::GlobalMetrics().RegisterCounter("exec.batch.rows_selected");
-obs::Histogram* const g_batch_size = obs::GlobalMetrics().RegisterHistogram(
-    "exec.batch.size_rows", {1, 4, 16, 64, 256, 1024, 4096, 16384});
 
 std::size_t SelectionSignature(const std::string& relation, bool has_interval,
                                std::size_t key_column, int64_t lo, int64_t hi,
@@ -239,23 +238,9 @@ Result<MemoryNode*> ReteNetwork::BuildJoinTail(const ProcedureQuery& query,
 
 Result<MemoryNode*> ReteNetwork::AddProcedure(const ProcedureQuery& query) {
   // Compilation mutates the node/dispatch structures, so it takes the same
-  // latch Submit holds — a build racing a token would otherwise corrupt
+  // latch OnChanges holds — a build racing a token would otherwise corrupt
   // the root index even though builds are normally pre-concurrency.
   util::RankedLockGuard latch_guard(submit_latch_);
-  // A relation appearing twice in one procedure (self-join) makes both
-  // inputs of some and-node downstream of that relation's tokens, which
-  // batch submission cannot interleave faithfully — degrade to per-token.
-  {
-    std::vector<std::string> mentioned{query.base.relation};
-    for (const rel::JoinStage& stage : query.joins) {
-      mentioned.push_back(stage.relation);
-    }
-    std::sort(mentioned.begin(), mentioned.end());
-    if (std::adjacent_find(mentioned.begin(), mentioned.end()) !=
-        mentioned.end()) {
-      batchable_.store(false, std::memory_order_release);
-    }
-  }
   Result<rel::Relation*> base_rel = catalog_->GetRelation(query.base.relation);
   if (!base_rel.ok()) return base_rel.status();
   if (!base_rel.ValueOrDie()->btree_column().has_value()) {
@@ -373,18 +358,21 @@ std::string ReteNetwork::ToDot() const {
   return out.str();
 }
 
-Status ReteNetwork::Submit(const std::string& relation, const Token& token) {
+Status ReteNetwork::OnChanges(const std::string& relation,
+                              const ivm::ChangeBatch& changes) {
   util::RankedLockGuard guard(submit_latch_);
-  g_tokens_submitted->Add();
+  g_tokens_submitted->Add(changes.size());
+  g_rows_submitted->Add(changes.size());
   auto it = root_index_.find(relation);
-  if (it != root_index_.end()) {
-    for (SelectionEntry* entry : it->second) {
-      if (entry->has_interval) {
-        const int64_t key = token.tuple.value(entry->key_column).AsInt64();
-        if (key < entry->lo || key > entry->hi) continue;  // lock not broken
-      }
-      PROCSIM_RETURN_IF_ERROR(entry->node->Activate(token));
-    }
+  if (it == root_index_.end()) return Status::OK();
+  // One token object for the whole stream: copy-assigning each change
+  // reuses its tuple buffer.  Nodes copy what they keep, never the token.
+  Token token;
+  for (std::size_t i = 0; i < changes.size(); ++i) {
+    token.tag =
+        changes.is_insert(i) ? Token::Tag::kInsert : Token::Tag::kDelete;
+    token.tuple = changes.RowAt(i);
+    PROCSIM_RETURN_IF_ERROR(Submit(it->second, token));
   }
   // No ValidateState() here: mid-transaction the base relations already hold
   // mutations whose tokens have not all been submitted yet, so memories
@@ -393,63 +381,24 @@ Status ReteNetwork::Submit(const std::string& relation, const Token& token) {
   return Status::OK();
 }
 
-Status ReteNetwork::SubmitBatch(const std::string& relation,
-                                const TokenBatch& batch) {
-  if (batch.empty()) return Status::OK();
-  if (!batchable_.load(std::memory_order_acquire)) {
-    // A compiled self-join means one chain's probes read a memory this very
-    // batch feeds; only token-at-a-time reproduces that interleaving.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      PROCSIM_RETURN_IF_ERROR(Submit(relation, batch.TokenAt(i)));
+Status ReteNetwork::Submit(const std::vector<SelectionEntry*>& entries,
+                           const Token& token) {
+  // A relation's interval entries all key on its B-tree column, so the key
+  // is read once per column change rather than once per entry.
+  std::size_t key_column = std::numeric_limits<std::size_t>::max();
+  int64_t key = 0;
+  for (SelectionEntry* entry : entries) {
+    if (entry->has_interval) {
+      if (entry->key_column != key_column) {
+        key_column = entry->key_column;
+        key = token.tuple.value(key_column).AsInt64();
+      }
+      if (key < entry->lo || key > entry->hi) continue;  // lock not broken
     }
-    return Status::OK();
-  }
-  util::RankedLockGuard guard(submit_latch_);
-  g_tokens_submitted->Add(batch.size());
-  g_batches_submitted->Add();
-  g_batch_rows_submitted->Add(batch.size());
-  g_batch_size->Observe(static_cast<double>(batch.size()));
-  auto it = root_index_.find(relation);
-  if (it != root_index_.end()) {
-    for (SelectionEntry* entry : it->second) {
-      if (!entry->has_interval) {
-        g_batch_rows_selected->Add(batch.size());
-        PROCSIM_RETURN_IF_ERROR(entry->node->ActivateBatch(batch));
-        continue;
-      }
-      // Vectorized root discrimination: narrow the batch to the entry's key
-      // interval (an un-metered lock-table lookup, as in the row path).
-      const std::vector<rel::Value>& keys =
-          batch.tuples.column(entry->key_column);
-      rel::SelectionVector selection;
-      for (std::uint32_t row = 0; row < batch.size(); ++row) {
-        const int64_t key = keys[row].AsInt64();
-        if (key >= entry->lo && key <= entry->hi) selection.push_back(row);
-      }
-      if (selection.empty()) continue;  // no lock broken by this batch
-      g_batch_rows_selected->Add(selection.size());
-      if (selection.size() == batch.size()) {
-        PROCSIM_RETURN_IF_ERROR(entry->node->ActivateBatch(batch));
-      } else {
-        PROCSIM_RETURN_IF_ERROR(
-            entry->node->ActivateBatch(batch.Gather(selection)));
-      }
-    }
+    g_rows_selected->Add();
+    PROCSIM_RETURN_IF_ERROR(entry->node->Activate(token));
   }
   return Status::OK();
-}
-
-Status ReteNetwork::OnChanges(const std::string& relation,
-                              const ivm::ChangeBatch& changes) {
-  TokenBatch batch;
-  batch.tags.reserve(changes.size());
-  batch.tuples.Reserve(changes.size());
-  for (std::size_t i = 0; i < changes.size(); ++i) {
-    batch.Append(changes.is_insert(i) ? Token::Tag::kInsert
-                                      : Token::Tag::kDelete,
-                 changes.RowAt(i));
-  }
-  return SubmitBatch(relation, batch);
 }
 
 namespace {

@@ -1,7 +1,6 @@
 #ifndef PROCSIM_RETE_NETWORK_H_
 #define PROCSIM_RETE_NETWORK_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -33,10 +32,10 @@ namespace procsim::rete {
 /// analogue of rule indexing's lock table, not charged), and affected
 /// t-const chains screen, join and refresh the memories, charging the
 /// paper's C1/C2 costs.
-/// Thread safety: token submission takes a network-level kRete latch
-/// before walking the root index, so concurrent Submit calls serialize at
-/// the root; each memory then re-latches at kReteMemory (> kRete) during
-/// its own store mutation.  Network construction (AddProcedure) and the
+/// Thread safety: OnChanges takes a network-level kRete latch before
+/// walking the root index, so concurrent submissions serialize at the
+/// root; each memory then re-latches at kReteMemory (> kRete) during its
+/// own store mutation.  Network construction (AddProcedure) and the
 /// whole-network sweeps (ValidateState, ToDot) take the same latch, so the
 /// node/dispatch structures are GUARDED_BY(submit_latch_) throughout —
 /// though builds should still complete before going concurrent, since
@@ -84,25 +83,10 @@ class ReteNetwork {
   /// only if the disk's metering is enabled (callers normally disable it).
   Result<MemoryNode*> AddProcedure(const rel::ProcedureQuery& query);
 
-  /// Feeds one base-relation change into the root.
-  Status OnInsert(const std::string& relation, const rel::Tuple& tuple) {
-    return Submit(relation, Token{Token::Tag::kInsert, tuple});
-  }
-  Status OnDelete(const std::string& relation, const rel::Tuple& tuple) {
-    return Submit(relation, Token{Token::Tag::kDelete, tuple});
-  }
-
-  /// Feeds an ordered run of base-relation changes in bulk: one root-latch
-  /// acquisition, vectorized interval dispatch, and batch activation down
-  /// every affected chain.  Results and simulated costs are identical to
-  /// submitting each token individually (see the class comment of
-  /// TokenBatch); if any compiled procedure mentions one relation twice
-  /// (self-join), the network falls back to per-token submission, whose
-  /// interleaving the batch order cannot reproduce.
-  Status SubmitBatch(const std::string& relation, const TokenBatch& batch);
-
-  /// Bulk counterpart of OnInsert/OnDelete: converts a transaction's
-  /// ordered ChangeBatch into a token batch and submits it.
+  /// Feeds one transaction's ordered changes to `relation` into the root —
+  /// the network's only change entry point.  Takes the root latch once, then
+  /// dispatches the changes one token at a time in order; each token runs
+  /// to completion through every affected chain before the next enters.
   Status OnChanges(const std::string& relation,
                    const ivm::ChangeBatch& changes);
 
@@ -137,7 +121,11 @@ class ReteNetwork {
     std::size_t signature = 0;
   };
 
-  Status Submit(const std::string& relation, const Token& token);
+  /// Walks one relation's root-index entries for one token: every
+  /// unconditional entry, and every interval entry whose interval holds the
+  /// key, activates its t-const chain in registration order.
+  Status Submit(const std::vector<SelectionEntry*>& entries,
+                const Token& token) REQUIRES(submit_latch_);
 
   /// Returns (creating if needed) the selection chain for `relation` with
   /// the given interval/residual; the attached α-memory is populated from
@@ -203,11 +191,6 @@ class ReteNetwork {
   std::unordered_map<std::size_t, MemoryNode*> tails_by_signature_
       GUARDED_BY(submit_latch_);
   Stats stats_ GUARDED_BY(submit_latch_);
-  /// Cleared when a procedure mentions one relation twice: its and-nodes
-  /// could then read a memory fed by the batch's own relation mid-batch, so
-  /// SubmitBatch degrades to token-at-a-time.  Atomic because SubmitBatch
-  /// reads it before taking the latch.
-  std::atomic<bool> batchable_{true};
 };
 
 }  // namespace procsim::rete

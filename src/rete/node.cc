@@ -56,31 +56,6 @@ Status TConstNode::Activate(const Token& token) {
   return Propagate(token);
 }
 
-Status TConstNode::ActivateBatch(const TokenBatch& batch) {
-  const std::size_t n = batch.size();
-  if (n == 0) return Status::OK();
-  g_tconst_tokens->Add(n);
-  // Interval re-check, one screen per token (vectorized over the key
-  // column), narrowing the selection to in-range rows.
-  const std::vector<rel::Value>& keys = batch.tuples.column(key_column_);
-  rel::SelectionVector selection;
-  selection.reserve(n);
-  for (std::uint32_t row = 0; row < n; ++row) {
-    const int64_t key = keys[row].AsInt64();
-    if (key >= lo_ && key <= hi_) selection.push_back(row);
-  }
-  // Residual terms, one screen per term evaluation.  Row-path total per
-  // token was max(1, 1 + residual evals) = 1 + evals, so the batch total is
-  // n + sum(evals).
-  std::size_t screens = n;
-  residual_.EvalBatch(batch.tuples, &selection, &screens);
-  meter_->ChargeScreen(screens);
-  if (selection.empty()) return Status::OK();
-  g_tconst_passed->Add(selection.size());
-  if (selection.size() == n) return PropagateBatch(batch);
-  return PropagateBatch(batch.Gather(selection));
-}
-
 std::string TConstNode::Describe() const {
   std::ostringstream out;
   out << "t-const($" << key_column_ << " in [" << lo_ << "," << hi_ << "]";
@@ -115,21 +90,6 @@ Result<std::vector<Tuple>> MemoryNode::ProbeEqual(std::size_t column,
   return store_.ProbeEqual(column, key);
 }
 
-Result<std::vector<std::vector<Tuple>>> MemoryNode::ProbeEqualBatch(
-    std::size_t column, const std::vector<int64_t>& keys) const {
-  util::RankedLockGuard guard(latch_);
-  std::vector<std::vector<Tuple>> out;
-  out.reserve(keys.size());
-  // Deliberately one store probe per key, no shared access scope: the
-  // simulated I/O charged must equal per-key ProbeEqual calls exactly.
-  for (const int64_t key : keys) {
-    Result<std::vector<Tuple>> probed = store_.ProbeEqual(column, key);
-    if (!probed.ok()) return probed.status();
-    out.push_back(probed.TakeValueOrDie());
-  }
-  return out;
-}
-
 Status MemoryNode::ResetContents(const std::vector<Tuple>& tuples) {
   util::RankedLockGuard guard(latch_);
   return store_.Rebuild(tuples);
@@ -154,38 +114,6 @@ Status MemoryNode::Activate(const Token& token) {
     g_memory_size->Observe(static_cast<double>(store_.size()));
   }
   return Propagate(token);
-}
-
-Status MemoryNode::ApplyBatchLocked(const TokenBatch& batch) {
-  std::size_t inserts = 0;
-  std::size_t removes = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch.is_insert(i)) {
-      PROCSIM_RETURN_IF_ERROR(store_.Insert(batch.tuples.RowAt(i)));
-      ++inserts;
-    } else {
-      PROCSIM_RETURN_IF_ERROR(store_.Remove(batch.tuples.RowAt(i)));
-      ++removes;
-    }
-  }
-  g_memory_inserts->Add(inserts);
-  g_memory_removes->Add(removes);
-  g_memory_size->Observe(static_cast<double>(store_.size()));
-  return Status::OK();
-}
-
-Status MemoryNode::ActivateBatch(const TokenBatch& batch) {
-  if (batch.empty()) return Status::OK();
-  // One eviction poll for the whole batch (eviction only flips at
-  // transaction boundaries, when no batch is in flight).
-  if (evicted()) return Status::OK();
-  {
-    // One latch acquisition for the whole batch; drop before propagating so
-    // no two memory latches are ever held together (see class comment).
-    util::RankedLockGuard guard(latch_);
-    PROCSIM_RETURN_IF_ERROR(ApplyBatchLocked(batch));
-  }
-  return PropagateBatch(batch);
 }
 
 std::string MemoryNode::Describe() const {
@@ -245,57 +173,6 @@ Status AndNode::ActivateFromSide(bool from_left, const Token& token) {
         Propagate(token.Derive(Tuple::Concat(left_tuple, right_tuple))));
   }
   return Status::OK();
-}
-
-Status AndNode::ActivateFromSideBatch(bool from_left, const TokenBatch& batch) {
-  if (batch.empty()) return Status::OK();
-  if (op_ != rel::CompareOp::kEq) {
-    // Non-equi joins scan the opposite memory per probe; the scan's I/O is
-    // charged per token, so keep token-at-a-time to preserve those charges.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      PROCSIM_RETURN_IF_ERROR(ActivateFromSide(from_left, batch.TokenAt(i)));
-    }
-    return Status::OK();
-  }
-  g_and_probes->Add(batch.size());
-  MemoryNode* opposite = from_left ? right_ : left_;
-  const std::size_t own_column = from_left ? left_column_ : right_column_;
-  const std::size_t opp_column = from_left ? right_column_ : left_column_;
-  std::vector<int64_t> keys;
-  keys.reserve(batch.size());
-  const std::vector<rel::Value>& own_values = batch.tuples.column(own_column);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    keys.push_back(own_values[i].AsInt64());
-  }
-  Result<std::vector<std::vector<Tuple>>> probed =
-      opposite->ProbeEqualBatch(opp_column, keys);
-  if (!probed.ok()) return probed.status();
-  const std::vector<std::vector<Tuple>>& candidates = probed.ValueOrDie();
-
-  // Qualification screens: one per (token, candidate) pair, charged as one
-  // total — identical to the row path's per-pair ChargeScreen().
-  std::size_t pairs = 0;
-  for (const std::vector<Tuple>& matches : candidates) pairs += matches.size();
-  meter_->ChargeScreen(pairs);
-
-  // Derived tokens in (token, candidate) order — the row path's order.
-  TokenBatch derived;
-  derived.tuples.Reserve(pairs);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Tuple token_tuple = batch.tuples.RowAt(i);
-    for (const Tuple& match : candidates[i]) {
-      const Tuple& left_tuple = from_left ? token_tuple : match;
-      const Tuple& right_tuple = from_left ? match : token_tuple;
-      if (!rel::EvalCompare(left_tuple.value(left_column_), op_,
-                            right_tuple.value(right_column_))) {
-        continue;
-      }
-      derived.Append(batch.tags[i], Tuple::Concat(left_tuple, right_tuple));
-    }
-  }
-  if (derived.empty()) return Status::OK();
-  g_and_derived->Add(derived.size());
-  return PropagateBatch(derived);
 }
 
 std::string AndNode::Describe() const {

@@ -26,17 +26,6 @@ class ReteNode {
   /// Processes one token and propagates derived tokens to successors.
   virtual Status Activate(const Token& token) = 0;
 
-  /// Processes a whole token batch.  The default materializes each token and
-  /// calls Activate — node types without a vectorized form stay correct
-  /// automatically.  Overrides must preserve token order and produce the
-  /// exact per-token charges of the row path (see each override's comment).
-  virtual Status ActivateBatch(const TokenBatch& batch) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      PROCSIM_RETURN_IF_ERROR(Activate(batch.TokenAt(i)));
-    }
-    return Status::OK();
-  }
-
   void AddSuccessor(ReteNode* node) { successors_.push_back(node); }
   const std::vector<ReteNode*>& successors() const { return successors_; }
 
@@ -46,17 +35,6 @@ class ReteNode {
   Status Propagate(const Token& token) {
     for (ReteNode* node : successors_) {
       PROCSIM_RETURN_IF_ERROR(node->Activate(token));
-    }
-    return Status::OK();
-  }
-
-  /// Hands the whole batch to each successor in turn.  Successor-major order
-  /// (vs the row path's token-major) is safe because distinct successor
-  /// chains never read each other's state during one batch (and-node probes
-  /// only touch opposite-side memories, fed by other relations).
-  Status PropagateBatch(const TokenBatch& batch) {
-    for (ReteNode* node : successors_) {
-      PROCSIM_RETURN_IF_ERROR(node->ActivateBatch(batch));
     }
     return Status::OK();
   }
@@ -78,12 +56,6 @@ class TConstNode : public ReteNode {
              rel::Conjunction residual, CostMeter* meter);
 
   Status Activate(const Token& token) override;
-
-  /// Vectorized screening: one pass over the key column for the interval,
-  /// then Conjunction::EvalBatch for the residual.  Charges
-  /// batch-size + residual-evaluations screens — exactly the row path's
-  /// per-token max(1, 1 + evals) summed.
-  Status ActivateBatch(const TokenBatch& batch) override;
 
   std::string Describe() const override;
 
@@ -121,13 +93,6 @@ class MemoryNode : public ReteNode {
 
   Status Activate(const Token& token) override;
 
-  /// Applies the whole batch to the store under ONE latch acquisition and
-  /// one eviction-flag check, then propagates the batch.  Store mutations
-  /// happen in token order, so pages and contents match the row path; the
-  /// size histogram is observed once per batch instead of once per token
-  /// (metrics are excluded from golden comparison).
-  Status ActivateBatch(const TokenBatch& batch) override;
-
   std::string Describe() const override;
 
   bool is_beta() const { return is_beta_; }
@@ -151,12 +116,6 @@ class MemoryNode : public ReteNode {
   Result<std::vector<rel::Tuple>> ProbeEqual(std::size_t column,
                                              int64_t key) const;
 
-  /// Probes `column` for every key under ONE latch acquisition; result `i`
-  /// holds key `i`'s matches.  Each probe charges exactly what a standalone
-  /// ProbeEqual would (no access-scope coalescing across keys).
-  Result<std::vector<std::vector<rel::Tuple>>> ProbeEqualBatch(
-      std::size_t column, const std::vector<int64_t>& keys) const;
-
   /// Attaches a cache-budget liveness flag (proc::CacheBudget::LiveFlag).
   /// Only terminal memories (no successors) may be bound: an evicted memory
   /// drops incoming tokens, which would starve downstream joins.  Bound at
@@ -179,10 +138,6 @@ class MemoryNode : public ReteNode {
   Status ResetContents(const std::vector<rel::Tuple>& tuples);
 
  private:
-  /// Token-order store mutation for a whole batch; counters update once with
-  /// the batch totals and the size histogram observes the final size.
-  Status ApplyBatchLocked(const TokenBatch& batch) REQUIRES(latch_);
-
   mutable util::RankedMutex latch_{
       util::LatchRank::kReteMemory, "MemoryNode"};
   ivm::TupleStore store_ GUARDED_BY(latch_);
@@ -226,9 +181,6 @@ class AndNode : public ReteNode {
     Status Activate(const Token& token) override {
       return parent_->ActivateFromSide(is_left_, token);
     }
-    Status ActivateBatch(const TokenBatch& batch) override {
-      return parent_->ActivateFromSideBatch(is_left_, batch);
-    }
     std::string Describe() const override {
       return std::string(is_left_ ? "left" : "right") + "-input of " +
              parent_->Describe();
@@ -240,13 +192,6 @@ class AndNode : public ReteNode {
   };
 
   Status ActivateFromSide(bool from_left, const Token& token);
-
-  /// Equi-joins probe the opposite memory once per token under a single
-  /// latch (ProbeEqualBatch) and propagate all derived tokens as one batch,
-  /// ordered (token, candidate) exactly like the row path.  Non-equi joins
-  /// keep the per-token path: their opposite-memory scan charges I/O per
-  /// probe, which batching would coalesce.
-  Status ActivateFromSideBatch(bool from_left, const TokenBatch& batch);
 
   MemoryNode* left_;
   MemoryNode* right_;

@@ -1,12 +1,10 @@
 #ifndef PROCSIM_RETE_TOKEN_H_
 #define PROCSIM_RETE_TOKEN_H_
 
-#include <cstddef>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "relational/tuple.h"
-#include "relational/tuple_batch.h"
 
 namespace procsim::rete {
 
@@ -28,46 +26,6 @@ struct Token {
 
   std::string ToString() const {
     return std::string(is_insert() ? "[+ " : "[- ") + tuple.ToString() + "]";
-  }
-};
-
-/// \brief An ordered run of tokens propagated through the network together —
-/// the unit of bulk Rete maintenance.
-///
-/// Tags stay row-aligned with the columnar tuple batch.  Order is the
-/// serialization order of the underlying changes: processing a batch node by
-/// node in this order produces exactly the memory states and C1/C2 charges
-/// that submitting each token individually would, because a node's probes
-/// only ever read memories fed by *other* relations (see
-/// ReteNetwork::SubmitBatch), which do not change while the batch is in
-/// flight.
-struct TokenBatch {
-  std::vector<Token::Tag> tags;
-  rel::TupleBatch tuples;
-
-  std::size_t size() const { return tags.size(); }
-  bool empty() const { return tags.empty(); }
-
-  bool is_insert(std::size_t i) const { return tags[i] == Token::Tag::kInsert; }
-
-  void Append(Token::Tag tag, const rel::Tuple& tuple) {
-    tags.push_back(tag);
-    tuples.AppendRow(tuple);
-  }
-  void Append(const Token& token) { Append(token.tag, token.tuple); }
-
-  /// Materializes token `i` (the batch→token boundary).
-  Token TokenAt(std::size_t i) const {
-    return Token{tags[i], tuples.RowAt(i)};
-  }
-
-  /// The sub-batch holding exactly `selection`'s tokens, in selection order.
-  TokenBatch Gather(const rel::SelectionVector& selection) const {
-    TokenBatch out;
-    out.tags.reserve(selection.size());
-    for (std::uint32_t row : selection) out.tags.push_back(tags[row]);
-    out.tuples = tuples.Gather(selection);
-    return out;
   }
 };
 

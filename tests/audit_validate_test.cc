@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "ivm/delta.h"
 #include "relational/catalog.h"
 #include "relational/executor.h"
 #include "rete/network.h"
@@ -191,8 +192,10 @@ TEST_F(ValidateReteTest, CleanNetworkPasses) {
                   .ok());
   const Tuple new_tuple({old_tuple.value(0), Value(int64_t{4})});
   ASSERT_TRUE(r1_->UpdateInPlace(victim, new_tuple).ok());
-  ASSERT_TRUE(network.OnDelete("R1", old_tuple).ok());
-  ASSERT_TRUE(network.OnInsert("R1", new_tuple).ok());
+  ivm::ChangeBatch changes;
+  changes.AddDelete(old_tuple);
+  changes.AddInsert(new_tuple);
+  ASSERT_TRUE(network.OnChanges("R1", changes).ok());
   EXPECT_TRUE(ValidateReteNetwork(network).ok());
 }
 

@@ -1,20 +1,19 @@
 // Row-vs-batch equivalence: the vectorized hot paths (columnar predicate
-// evaluation, batch delta joins, bulk Rete submission, batched delta-set
-// views) must produce identical results AND identical simulated costs to
-// their row-at-a-time counterparts — batching is a wall-clock optimization,
-// never a semantic or cost-model change.  Everything here is seeded, so a
-// failure reproduces exactly.
+// evaluation, batch delta joins, batched delta-set views) must produce
+// identical results AND identical simulated costs to their row-at-a-time
+// counterparts — batching is a wall-clock optimization, never a semantic
+// or cost-model change.  Everything here is seeded, so a failure
+// reproduces exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "ivm/delta.h"
 #include "relational/predicate.h"
 #include "relational/tuple_batch.h"
-#include "rete/network.h"
-#include "rete/token.h"
 #include "sim/workload.h"
 #include "storage/disk.h"
 #include "util/cost_meter.h"
@@ -118,59 +117,59 @@ TEST(PredicateBatchTest, RandomConjunctionsEvalIdenticallyToRowPath) {
 }
 
 TEST(DeltaSetBatchTest, NetBatchesMatchNetInsertsAndDeletes) {
+  // NetBatches must hold exactly the stream's net inserts and net deletes,
+  // with multiplicity, against an independently kept reference count.
   Rng rng(17);
   ivm::DeltaSet delta;
+  std::map<std::string, long> reference;
   for (int i = 0; i < 200; ++i) {
     const Tuple tuple = MakeRow(static_cast<int64_t>(rng.Next() % 10),
                                 static_cast<int64_t>(rng.Next() % 10), 0);
     if (rng.Next() % 2 == 0) {
       delta.AddInsert(tuple);
+      ++reference[tuple.ToString()];
     } else {
       delta.AddDelete(tuple);
+      --reference[tuple.ToString()];
     }
   }
   TupleBatch inserts;
   TupleBatch deletes;
   delta.NetBatches(&inserts, &deletes);
-  EXPECT_EQ(inserts.ToRows(), delta.NetInserts());
-  EXPECT_EQ(deletes.ToRows(), delta.NetDeletes());
+  std::map<std::string, long> batched;
+  for (const Tuple& tuple : inserts.ToRows()) ++batched[tuple.ToString()];
+  for (const Tuple& tuple : deletes.ToRows()) --batched[tuple.ToString()];
+  std::erase_if(reference, [](const auto& entry) { return entry.second == 0; });
+  EXPECT_EQ(batched, reference);
+  EXPECT_EQ(inserts.num_rows() + deletes.num_rows(), delta.TotalNetSize());
 
-  // The pointer view exposes the same serialization, with multiplicity.
-  std::size_t net_insert_total = 0;
-  std::size_t net_delete_total = 0;
-  for (const ivm::DeltaSet::NetEntry& entry : delta.NetEntries()) {
-    ASSERT_NE(entry.tuple, nullptr);
-    ASSERT_NE(entry.count, 0);
-    if (entry.count > 0) {
-      net_insert_total += static_cast<std::size_t>(entry.count);
-    } else {
-      net_delete_total += static_cast<std::size_t>(-entry.count);
-    }
-  }
-  EXPECT_EQ(net_insert_total, inserts.num_rows());
-  EXPECT_EQ(net_delete_total, deletes.num_rows());
+  // Either side may be skipped.
+  TupleBatch inserts_only;
+  delta.NetBatches(&inserts_only, nullptr);
+  EXPECT_EQ(inserts_only.ToRows(), inserts.ToRows());
 }
 
-TEST(ChangeBatchTest, PreservesOrderAndAccumulatesNet) {
+TEST(ChangeBatchTest, PreservesOrder) {
   ivm::ChangeBatch changes;
   const Tuple old_row = MakeRow(1, 1, 1);
   const Tuple new_row = MakeRow(1, 2, 2);
   changes.AddDelete(old_row);
   changes.AddInsert(new_row);
-  changes.AddDelete(new_row);  // annihilates the insert in the net view
-  changes.AddInsert(old_row);  // annihilates the delete in the net view
+  changes.AddDelete(new_row);
+  changes.AddInsert(old_row);
 
   ASSERT_EQ(changes.size(), 4u);
   EXPECT_FALSE(changes.is_insert(0));
   EXPECT_TRUE(changes.is_insert(1));
+  EXPECT_FALSE(changes.is_insert(2));
+  EXPECT_TRUE(changes.is_insert(3));
   EXPECT_EQ(changes.RowAt(0), old_row);
   EXPECT_EQ(changes.RowAt(1), new_row);
+  EXPECT_EQ(changes.RowAt(2), new_row);
   EXPECT_EQ(changes.RowAt(3), old_row);
-  EXPECT_TRUE(changes.net().empty());
 
   changes.Clear();
   EXPECT_TRUE(changes.empty());
-  EXPECT_TRUE(changes.net().empty());
 }
 
 cost::Params SmallParams() {
@@ -241,97 +240,6 @@ TEST(DeltaJoinBatchTest, BatchedJoinDeltasMatchesRowVectorOverload) {
     EXPECT_EQ(db->meter.screens(), row_screens);
     EXPECT_EQ(db->meter.disk_reads(), row_reads);
   }
-}
-
-TEST(ReteBatchTest, SubmitBatchChargesAndStatesMatchTokenAtATime) {
-  // Two freshly compiled copies of the same network replay one ordered
-  // delete/insert token stream — one token at a time, one in ragged batches
-  // (size 7, so modification pairs straddle batch boundaries).  Charged
-  // costs must be identical and both final states must validate against the
-  // catalog (the stream is a net no-op).
-  Result<std::unique_ptr<sim::Database>> built =
-      sim::BuildDatabase(SmallParams(), cost::ProcModel::kModel1, /*seed=*/5);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  std::unique_ptr<sim::Database> db = built.TakeValueOrDie();
-  const std::vector<Tuple> r1 = ReadR1(db.get());
-  ASSERT_FALSE(r1.empty());
-
-  CostMeter row_meter;
-  CostMeter batch_meter;
-  rete::ReteNetwork row_network(db->catalog.get(), &row_meter, 100);
-  rete::ReteNetwork batch_network(db->catalog.get(), &batch_meter, 100);
-  {
-    storage::MeteringGuard guard(db->disk.get());
-    for (const proc::DatabaseProcedure& procedure : db->procedures) {
-      ASSERT_TRUE(row_network.AddProcedure(procedure.query).ok());
-      ASSERT_TRUE(batch_network.AddProcedure(procedure.query).ok());
-    }
-  }
-
-  rete::TokenBatch pending;
-  for (const Tuple& tuple : r1) {
-    ASSERT_TRUE(row_network.OnDelete("R1", tuple).ok());
-    ASSERT_TRUE(row_network.OnInsert("R1", tuple).ok());
-    pending.Append(rete::Token::Tag::kDelete, tuple);
-    pending.Append(rete::Token::Tag::kInsert, tuple);
-    if (pending.size() >= 7) {
-      ASSERT_TRUE(batch_network.SubmitBatch("R1", pending).ok());
-      pending = rete::TokenBatch();
-    }
-  }
-  if (!pending.empty()) {
-    ASSERT_TRUE(batch_network.SubmitBatch("R1", pending).ok());
-  }
-
-  EXPECT_EQ(batch_meter.total_ms(), row_meter.total_ms());
-  EXPECT_EQ(batch_meter.screens(), row_meter.screens());
-  EXPECT_EQ(batch_meter.disk_reads(), row_meter.disk_reads());
-  EXPECT_EQ(batch_meter.disk_writes(), row_meter.disk_writes());
-  EXPECT_GT(row_meter.total_ms(), 0.0);
-
-  storage::MeteringGuard guard(db->disk.get());
-  EXPECT_TRUE(row_network.ValidateState().ok());
-  EXPECT_TRUE(batch_network.ValidateState().ok());
-}
-
-TEST(ReteBatchTest, OnChangesMatchesPerChangeNotification) {
-  // The ChangeBatch entry point (what the transaction engines call) against
-  // the historical per-change OnDelete/OnInsert calls.
-  Result<std::unique_ptr<sim::Database>> built =
-      sim::BuildDatabase(SmallParams(), cost::ProcModel::kModel1, /*seed=*/11);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  std::unique_ptr<sim::Database> db = built.TakeValueOrDie();
-  const std::vector<Tuple> r1 = ReadR1(db.get());
-  ASSERT_GE(r1.size(), 4u);
-
-  CostMeter row_meter;
-  CostMeter batch_meter;
-  rete::ReteNetwork row_network(db->catalog.get(), &row_meter, 100);
-  rete::ReteNetwork batch_network(db->catalog.get(), &batch_meter, 100);
-  {
-    storage::MeteringGuard guard(db->disk.get());
-    for (const proc::DatabaseProcedure& procedure : db->procedures) {
-      ASSERT_TRUE(row_network.AddProcedure(procedure.query).ok());
-      ASSERT_TRUE(batch_network.AddProcedure(procedure.query).ok());
-    }
-  }
-
-  // One "transaction": modify the first four tuples in place (delete old,
-  // insert old again — net no-op so the final state stays catalog-equal).
-  ivm::ChangeBatch changes;
-  for (std::size_t i = 0; i < 4; ++i) {
-    changes.AddDelete(r1[i]);
-    changes.AddInsert(r1[i]);
-    ASSERT_TRUE(row_network.OnDelete("R1", r1[i]).ok());
-    ASSERT_TRUE(row_network.OnInsert("R1", r1[i]).ok());
-  }
-  ASSERT_TRUE(batch_network.OnChanges("R1", changes).ok());
-
-  EXPECT_EQ(batch_meter.total_ms(), row_meter.total_ms());
-  EXPECT_EQ(batch_meter.screens(), row_meter.screens());
-
-  storage::MeteringGuard guard(db->disk.get());
-  EXPECT_TRUE(batch_network.ValidateState().ok());
 }
 
 }  // namespace

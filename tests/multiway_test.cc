@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "ivm/delta.h"
 #include "relational/catalog.h"
 #include "relational/executor.h"
 #include "rete/network.h"
@@ -25,6 +26,16 @@ std::vector<std::string> Canon(const std::vector<Tuple>& tuples) {
   for (const Tuple& t : tuples) out.push_back(t.ToString());
   std::sort(out.begin(), out.end());
   return out;
+}
+
+// One modification (delete old, insert new) through the network's only
+// entry point.
+Status ReteUpdate(rete::ReteNetwork* network, const std::string& relation,
+                  const Tuple& old_tuple, const Tuple& new_tuple) {
+  ivm::ChangeBatch changes;
+  changes.AddDelete(old_tuple);
+  changes.AddInsert(new_tuple);
+  return network->OnChanges(relation, changes);
 }
 
 class MultiwayTest : public ::testing::Test {
@@ -125,8 +136,7 @@ TEST_F(MultiwayTest, ReteBuildsRightDeepFourWayAndMaintainsIt) {
     const Tuple new_tuple({Value(static_cast<int64_t>(rng.Uniform(40))),
                            Value(static_cast<int64_t>(rng.Uniform(8)))});
     ASSERT_TRUE(a_->UpdateInPlace(a_rids_[pick], new_tuple).ok());
-    ASSERT_TRUE(network.OnDelete("A", old_tuple).ok());
-    ASSERT_TRUE(network.OnInsert("A", new_tuple).ok());
+    ASSERT_TRUE(ReteUpdate(&network, "A", old_tuple, new_tuple).ok());
     if (step % 20 == 19) {
       ASSERT_EQ(Canon(memory.ValueOrDie()->store().SnapshotForTesting()),
                 Canon(executor_.Execute(FourWay(10, 29)).ValueOrDie()))

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
+#include "ivm/delta.h"
+#include "obs/metrics.h"
 #include "relational/catalog.h"
 #include "relational/executor.h"
+#include "sim/workload.h"
 #include "util/rng.h"
 
 namespace procsim::rete {
@@ -23,6 +27,20 @@ std::vector<std::string> Canon(const std::vector<Tuple>& tuples) {
   for (const Tuple& t : tuples) out.push_back(t.ToString());
   std::sort(out.begin(), out.end());
   return out;
+}
+
+// One-change notifications through the network's only entry point.
+Status InsertToken(ReteNetwork* network, const std::string& relation,
+                   const Tuple& tuple) {
+  ivm::ChangeBatch changes;
+  changes.AddInsert(tuple);
+  return network->OnChanges(relation, changes);
+}
+Status DeleteToken(ReteNetwork* network, const std::string& relation,
+                   const Tuple& tuple) {
+  ivm::ChangeBatch changes;
+  changes.AddDelete(tuple);
+  return network->OnChanges(relation, changes);
 }
 
 // The paper's running example (figure 1): EMP/DEPT with the PROGS1 and
@@ -104,8 +122,8 @@ class ReteTest : public ::testing::Test {
     const Tuple old_tuple = r1_->Read(rids_[index]).ValueOrDie();
     const Tuple new_tuple({Value(new_key), Value(new_a)});
     ASSERT_TRUE(r1_->UpdateInPlace(rids_[index], new_tuple).ok());
-    ASSERT_TRUE(network->OnDelete("R1", old_tuple).ok());
-    ASSERT_TRUE(network->OnInsert("R1", new_tuple).ok());
+    ASSERT_TRUE(DeleteToken(network, "R1", old_tuple).ok());
+    ASSERT_TRUE(InsertToken(network, "R1", new_tuple).ok());
   }
 
   CostMeter meter_;
@@ -215,9 +233,9 @@ TEST_F(ReteTest, TokensOutsideEveryIntervalAreFreeAndIgnored) {
   ReteNetwork network(&catalog_, &meter_, 100);
   ASSERT_TRUE(network.AddProcedure(P1(10, 19)).ok());
   meter_.Reset();
-  ASSERT_TRUE(
-      network.OnInsert("R1", Tuple({Value(int64_t{45}), Value(int64_t{0})}))
-          .ok());
+  ASSERT_TRUE(InsertToken(&network, "R1",
+                          Tuple({Value(int64_t{45}), Value(int64_t{0})}))
+                  .ok());
   // The root's discrimination index rejects it without charging anything.
   EXPECT_DOUBLE_EQ(meter_.total_ms(), 0.0);
 }
@@ -225,7 +243,7 @@ TEST_F(ReteTest, TokensOutsideEveryIntervalAreFreeAndIgnored) {
 TEST_F(ReteTest, UnknownRelationTokensIgnored) {
   ReteNetwork network(&catalog_, &meter_, 100);
   ASSERT_TRUE(network.AddProcedure(P1(0, 5)).ok());
-  EXPECT_TRUE(network.OnInsert("ZZZ", Tuple({Value(int64_t{1})})).ok());
+  EXPECT_TRUE(InsertToken(&network, "ZZZ", Tuple({Value(int64_t{1})})).ok());
 }
 
 TEST_F(ReteTest, RandomStreamKeepsAllMemoriesConsistent) {
@@ -275,12 +293,12 @@ TEST_F(ReteTest, LeftDeepShapeMaintainsCorrectlyButSharesNothing) {
   const Tuple probe_new({Value(int64_t{10}), Value(int64_t{1})});
   ASSERT_TRUE(r1_->UpdateInPlace(rids_[10], probe_new).ok());
   meter_.Reset();
-  ASSERT_TRUE(right.OnDelete("R1", probe_old).ok());
-  ASSERT_TRUE(right.OnInsert("R1", probe_new).ok());
+  ASSERT_TRUE(DeleteToken(&right, "R1", probe_old).ok());
+  ASSERT_TRUE(InsertToken(&right, "R1", probe_new).ok());
   const double right_cost = meter_.total_ms();
   meter_.Reset();
-  ASSERT_TRUE(left.OnDelete("R1", probe_old).ok());
-  ASSERT_TRUE(left.OnInsert("R1", probe_new).ok());
+  ASSERT_TRUE(DeleteToken(&left, "R1", probe_old).ok());
+  ASSERT_TRUE(InsertToken(&left, "R1", probe_new).ok());
   const double left_cost = meter_.total_ms();
   EXPECT_GE(left_cost, right_cost);
   EXPECT_EQ(Canon(l_mem.ValueOrDie()->store().SnapshotForTesting()),
@@ -325,16 +343,16 @@ TEST_F(ReteTest, TokensFromInnerRelationsPropagateThroughRightInputs) {
     if (row.value(0).AsInt64() != 1) continue;
     const Tuple flipped({row.value(0), row.value(1), Value(int64_t{0})});
     ASSERT_TRUE(r2_->UpdateInPlace(rid, flipped).ok());
-    ASSERT_TRUE(network.OnDelete("R2", row).ok());
-    ASSERT_TRUE(network.OnInsert("R2", flipped).ok());
+    ASSERT_TRUE(DeleteToken(&network, "R2", row).ok());
+    ASSERT_TRUE(InsertToken(&network, "R2", flipped).ok());
     EXPECT_EQ(Canon(m1.ValueOrDie()->store().SnapshotForTesting()),
               Canon(executor_.Execute(P2Model1(10, 19, 1)).ValueOrDie()));
     EXPECT_EQ(Canon(m2.ValueOrDie()->store().SnapshotForTesting()),
               Canon(executor_.Execute(P2Model2(10, 19, 1)).ValueOrDie()));
     // Flip back.
     ASSERT_TRUE(r2_->UpdateInPlace(rid, row).ok());
-    ASSERT_TRUE(network.OnDelete("R2", flipped).ok());
-    ASSERT_TRUE(network.OnInsert("R2", row).ok());
+    ASSERT_TRUE(DeleteToken(&network, "R2", flipped).ok());
+    ASSERT_TRUE(InsertToken(&network, "R2", row).ok());
     EXPECT_EQ(Canon(m2.ValueOrDie()->store().SnapshotForTesting()),
               Canon(executor_.Execute(P2Model2(10, 19, 1)).ValueOrDie()));
   }
@@ -348,7 +366,7 @@ TEST_F(ReteTest, TokensFromDeepestRelationPropagate) {
   ASSERT_TRUE(memory.ok());
   const Tuple extra({Value(int64_t{1}), Value(int64_t{999})});
   ASSERT_TRUE(r3_->Insert(extra).ok());
-  ASSERT_TRUE(network.OnInsert("R3", extra).ok());
+  ASSERT_TRUE(InsertToken(&network, "R3", extra).ok());
   EXPECT_EQ(Canon(memory.ValueOrDie()->store().SnapshotForTesting()),
             Canon(executor_.Execute(P2Model2(0, 49, 1)).ValueOrDie()));
   // And remove it again.
@@ -365,7 +383,7 @@ TEST_F(ReteTest, TokensFromDeepestRelationPropagate) {
   });
   ASSERT_TRUE(found);
   ASSERT_TRUE(r3_->Delete(rid).ok());
-  ASSERT_TRUE(network.OnDelete("R3", extra).ok());
+  ASSERT_TRUE(DeleteToken(&network, "R3", extra).ok());
   EXPECT_EQ(Canon(memory.ValueOrDie()->store().SnapshotForTesting()),
             Canon(executor_.Execute(P2Model2(0, 49, 1)).ValueOrDie()));
 }
@@ -392,12 +410,226 @@ TEST_F(ReteTest, MaintenanceChargesScreenAndRefreshCosts) {
   ReteNetwork network(&catalog_, &meter_, 100);
   ASSERT_TRUE(network.AddProcedure(P1(10, 19)).ok());
   meter_.Reset();
-  ASSERT_TRUE(
-      network.OnInsert("R1", Tuple({Value(int64_t{15}), Value(int64_t{1})}))
-          .ok());
+  ASSERT_TRUE(InsertToken(&network, "R1",
+                          Tuple({Value(int64_t{15}), Value(int64_t{1})}))
+                  .ok());
   // One screen (t-const), one page read + write (α-memory refresh).
   EXPECT_EQ(meter_.screens(), 1u);
   EXPECT_GE(meter_.disk_writes(), 1u);
+}
+
+TEST_F(ReteTest, RootDispatchCountsSubmittedAndSelectedRows) {
+  // exec.batch.rows_submitted counts every change entering the root;
+  // rows_selected counts (change, selection entry) admissions: every
+  // unconditional entry, and each interval entry whose interval holds the
+  // key — whether or not the t-const residual then passes the token.
+  ReteNetwork network(&catalog_, &meter_, 100);
+  ASSERT_TRUE(network.AddProcedure(P2Model1(10, 19, 1)).ok());
+  ASSERT_TRUE(network.AddProcedure(P1(0, 12)).ok());
+  const obs::Counter* submitted =
+      obs::GlobalMetrics().FindCounter("exec.batch.rows_submitted");
+  const obs::Counter* selected =
+      obs::GlobalMetrics().FindCounter("exec.batch.rows_selected");
+  ASSERT_NE(submitted, nullptr);
+  ASSERT_NE(selected, nullptr);
+  const uint64_t submitted_before = submitted->value();
+  const uint64_t selected_before = selected->value();
+
+  ivm::ChangeBatch r1_changes;
+  r1_changes.AddInsert(Tuple({Value(int64_t{15}), Value(int64_t{1})}));
+  r1_changes.AddInsert(Tuple({Value(int64_t{45}), Value(int64_t{0})}));
+  r1_changes.AddInsert(Tuple({Value(int64_t{11}), Value(int64_t{1})}));
+  ASSERT_TRUE(network.OnChanges("R1", r1_changes).ok());
+  // Key 15 hits [10,19] only, key 45 misses both intervals, key 11 hits
+  // [10,19] and [0,12].
+  EXPECT_EQ(submitted->value() - submitted_before, 3u);
+  EXPECT_EQ(selected->value() - selected_before, 3u);
+
+  // R2's selection is unconditional at the root: admitted even though its
+  // residual (sel2 = 1) rejects the token in the t-const node.
+  ASSERT_TRUE(InsertToken(&network, "R2",
+                          Tuple({Value(int64_t{7}), Value(int64_t{0}),
+                                 Value(int64_t{0})}))
+                  .ok());
+  EXPECT_EQ(submitted->value() - submitted_before, 4u);
+  EXPECT_EQ(selected->value() - selected_before, 4u);
+
+  // A relation no procedure mentions is submitted but never selected.
+  ASSERT_TRUE(InsertToken(&network, "ZZZ", Tuple({Value(int64_t{1})})).ok());
+  EXPECT_EQ(submitted->value() - submitted_before, 5u);
+  EXPECT_EQ(selected->value() - selected_before, 4u);
+}
+
+TEST_F(ReteTest, SelfJoinStaysConsistentUnderOneTokenPath) {
+  // S joins back onto itself: base S rows in a key interval, joined on
+  // `link` with every S row (each base row joins at least itself).  A token
+  // of S reaches both and-node inputs, so each token must finish its walk
+  // through one input before the next token enters: only then does a
+  // transaction's stream derive the same tokens, and charge the same
+  // screens, as its changes submitted one call at a time.
+  rel::Relation::Options options;
+  options.tuple_width_bytes = 100;
+  options.btree_column = 0;
+  options.hash_column = 1;
+  rel::Relation* s =
+      catalog_
+          .CreateRelation("S",
+                          rel::Schema({{"key", rel::ValueType::kInt64},
+                                       {"link", rel::ValueType::kInt64}}),
+                          options)
+          .ValueOrDie();
+  Rng rng(41);
+  std::vector<storage::RecordId> rids;
+  for (int64_t i = 0; i < 30; ++i) {
+    const Tuple row({Value(i), Value(static_cast<int64_t>(rng.Uniform(6)))});
+    rids.push_back(s->Insert(row).ValueOrDie());
+  }
+  ProcedureQuery query;
+  query.base = rel::BaseSelection{"S", 5, 20, Conjunction{}};
+  query.joins.push_back(JoinStage{"S", 1, Conjunction{}});
+
+  // `whole` takes each transaction in one OnChanges call, `split` one call
+  // per change; each charges screens to its own meter.
+  CostMeter whole_meter;
+  CostMeter split_meter;
+  ReteNetwork whole(&catalog_, &whole_meter, 100);
+  ReteNetwork split(&catalog_, &split_meter, 100);
+  auto memory = whole.AddProcedure(query);
+  ASSERT_TRUE(memory.ok()) << memory.status().ToString();
+  auto split_memory = split.AddProcedure(query);
+  ASSERT_TRUE(split_memory.ok()) << split_memory.status().ToString();
+  ASSERT_EQ(Canon(memory.ValueOrDie()->store().SnapshotForTesting()),
+            Canon(executor_.Execute(query).ValueOrDie()));
+
+  // Each transaction mixes modifications, inserts and deletes.
+  for (int txn = 0; txn < 40; ++txn) {
+    ivm::ChangeBatch changes;
+    const std::size_t ops = 1 + rng.Uniform(4);
+    for (std::size_t op = 0; op < ops; ++op) {
+      const Tuple fresh({Value(static_cast<int64_t>(rng.Uniform(30))),
+                         Value(static_cast<int64_t>(rng.Uniform(6)))});
+      const std::size_t kind = rng.Uniform(4);
+      if (kind == 0 || rids.empty()) {
+        rids.push_back(s->Insert(fresh).ValueOrDie());
+        changes.AddInsert(fresh);
+        continue;
+      }
+      const std::size_t pick = rng.Uniform(rids.size());
+      const Tuple old_tuple = s->Read(rids[pick]).ValueOrDie();
+      if (kind == 1) {
+        ASSERT_TRUE(s->Delete(rids[pick]).ok());
+        rids.erase(rids.begin() + static_cast<std::ptrdiff_t>(pick));
+        changes.AddDelete(old_tuple);
+      } else {
+        ASSERT_TRUE(s->UpdateInPlace(rids[pick], fresh).ok());
+        changes.AddDelete(old_tuple);
+        changes.AddInsert(fresh);
+      }
+    }
+    ASSERT_TRUE(whole.OnChanges("S", changes).ok());
+    for (std::size_t i = 0; i < changes.size(); ++i) {
+      ASSERT_TRUE((changes.is_insert(i) ? InsertToken : DeleteToken)(
+                      &split, "S", changes.RowAt(i))
+                      .ok());
+    }
+    for (const ReteNetwork* network : {&whole, &split}) {
+      ASSERT_TRUE(network->ValidateState().ok())
+          << "transaction " << txn << ": "
+          << network->ValidateState().ToString();
+    }
+    ASSERT_EQ(Canon(memory.ValueOrDie()->store().SnapshotForTesting()),
+              Canon(executor_.Execute(query).ValueOrDie()))
+        << "transaction " << txn;
+    ASSERT_EQ(whole_meter.screens(), split_meter.screens())
+        << "transaction " << txn;
+  }
+}
+
+cost::Params GroupingParams() {
+  cost::Params params;
+  params.N = 200;
+  params.f_R2 = 0.2;
+  params.f_R3 = 0.2;
+  params.l = 3;
+  params.N1 = 4;
+  params.N2 = 4;
+  params.SF = 0.5;
+  params.f = 0.1;
+  params.f2 = 0.3;
+  return params;
+}
+
+TEST(ReteOnChangesTest, GroupingDoesNotChangeChargesOrState) {
+  // Two identical databases, each with its own network charging its own
+  // meter, replay one ordered stream of R1 modifications: one OnChanges
+  // over the whole stream versus one OnChanges per change.  Grouping is
+  // only how many root-latch acquisitions the stream takes, so every
+  // charge must match and both networks must validate against the catalog.
+  for (const cost::ProcModel model :
+       {cost::ProcModel::kModel1, cost::ProcModel::kModel2}) {
+    std::unique_ptr<sim::Database> dbs[2];
+    std::unique_ptr<ReteNetwork> networks[2];
+    for (int i = 0; i < 2; ++i) {
+      auto built = sim::BuildDatabase(GroupingParams(), model, /*seed=*/5);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      dbs[i] = built.TakeValueOrDie();
+      networks[i] = std::make_unique<ReteNetwork>(
+          dbs[i]->catalog.get(), &dbs[i]->meter, 100);
+      storage::MeteringGuard guard(dbs[i]->disk.get());
+      for (const proc::DatabaseProcedure& procedure : dbs[i]->procedures) {
+        ASSERT_TRUE(networks[i]->AddProcedure(procedure.query).ok());
+      }
+    }
+
+    // The same seeded modifications, applied to both base relations.
+    ivm::ChangeBatch stream;
+    Rng rng(23);
+    for (int step = 0; step < 60; ++step) {
+      const std::size_t pick = rng.Uniform(dbs[0]->r1_rids.size());
+      const int64_t new_key =
+          static_cast<int64_t>(rng.Uniform(dbs[0]->r1_keys));
+      for (int i = 0; i < 2; ++i) {
+        rel::Relation* r1 = dbs[i]->catalog->GetRelation("R1").ValueOrDie();
+        storage::MeteringGuard guard(dbs[i]->disk.get());
+        const Tuple old_tuple = r1->Read(dbs[i]->r1_rids[pick]).ValueOrDie();
+        std::vector<Value> values = old_tuple.values();
+        values[sim::R1Columns::kKey] = Value(new_key);
+        const Tuple new_tuple(values);
+        ASSERT_TRUE(r1->UpdateInPlace(dbs[i]->r1_rids[pick], new_tuple).ok());
+        if (i == 0) {
+          stream.AddDelete(old_tuple);
+          stream.AddInsert(new_tuple);
+        }
+      }
+    }
+
+    dbs[0]->meter.Reset();
+    dbs[1]->meter.Reset();
+    ASSERT_TRUE(networks[0]->OnChanges("R1", stream).ok());
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      ivm::ChangeBatch one;
+      if (stream.is_insert(i)) {
+        one.AddInsert(stream.RowAt(i));
+      } else {
+        one.AddDelete(stream.RowAt(i));
+      }
+      ASSERT_TRUE(networks[1]->OnChanges("R1", one).ok());
+    }
+
+    const CostMeter& whole = dbs[0]->meter;
+    const CostMeter& split = dbs[1]->meter;
+    EXPECT_GT(whole.total_ms(), 0.0);
+    EXPECT_GT(whole.disk_writes(), 0u);
+    EXPECT_EQ(whole.total_ms(), split.total_ms());
+    EXPECT_EQ(whole.screens(), split.screens());
+    EXPECT_EQ(whole.disk_reads(), split.disk_reads());
+    EXPECT_EQ(whole.disk_writes(), split.disk_writes());
+    for (int i = 0; i < 2; ++i) {
+      storage::MeteringGuard guard(dbs[i]->disk.get());
+      EXPECT_TRUE(networks[i]->ValidateState().ok())
+          << networks[i]->ValidateState().ToString();
+    }
+  }
 }
 
 }  // namespace
