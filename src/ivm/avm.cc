@@ -24,12 +24,11 @@ Status AvmViewMaintainer::Initialize() {
 
 Status AvmViewMaintainer::ApplyBaseDelta(const DeltaSet& delta) {
   if (delta.empty()) return Status::OK();
-  // Materialize A_net and D_net columnar in one pass over the delta set —
-  // no per-tuple row vectors — and keep them columnar through the join
-  // pipeline below.
-  rel::TupleBatch net_inserts;
-  rel::TupleBatch net_deletes;
-  delta.NetBatches(&net_inserts, &net_deletes);
+  // A_net and D_net, in the delta set's order: the order the view-store
+  // patches below are applied in.
+  std::vector<rel::Tuple> net_inserts;
+  std::vector<rel::Tuple> net_deletes;
+  delta.NetRows(&net_inserts, &net_deletes);
   // V(a, B): join the inserted base tuples through the view's join chain.
   Result<std::vector<rel::Tuple>> view_inserts =
       executor_->JoinDeltas(query_, net_inserts);

@@ -30,8 +30,8 @@ void DeltaSet::Bump(const rel::Tuple& tuple, long delta) {
 
 bool DeltaSet::empty() const { return counts_.empty(); }
 
-void DeltaSet::NetBatches(rel::TupleBatch* inserts,
-                          rel::TupleBatch* deletes) const {
+void DeltaSet::NetRows(std::vector<rel::Tuple>* inserts,
+                       std::vector<rel::Tuple>* deletes) const {
   std::size_t insert_total = 0;
   std::size_t delete_total = 0;
   for (const auto& [tuple, count] : counts_) {
@@ -41,13 +41,13 @@ void DeltaSet::NetBatches(rel::TupleBatch* inserts,
       delete_total += static_cast<std::size_t>(-count);
     }
   }
-  if (inserts != nullptr) inserts->Reserve(insert_total);
-  if (deletes != nullptr) deletes->Reserve(delete_total);
+  if (inserts != nullptr) inserts->reserve(inserts->size() + insert_total);
+  if (deletes != nullptr) deletes->reserve(deletes->size() + delete_total);
   for (const auto& [tuple, count] : counts_) {
     if (count > 0 && inserts != nullptr) {
-      for (long i = 0; i < count; ++i) inserts->AppendRow(tuple);
+      for (long i = 0; i < count; ++i) inserts->push_back(tuple);
     } else if (count < 0 && deletes != nullptr) {
-      for (long i = 0; i > count; --i) deletes->AppendRow(tuple);
+      for (long i = 0; i > count; --i) deletes->push_back(tuple);
     }
   }
 }

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "relational/tuple.h"
-#include "relational/tuple_batch.h"
 
 namespace procsim::ivm {
 
@@ -28,10 +27,11 @@ class DeltaSet {
 
   bool empty() const;
 
-  /// Materializes A_net and D_net as columnar batches (with multiplicity),
-  /// reserving exact capacity up front — the batch-at-a-time entry point
-  /// for delta-join evaluation.  Either output may be null to skip it.
-  void NetBatches(rel::TupleBatch* inserts, rel::TupleBatch* deletes) const;
+  /// Appends A_net and D_net (with multiplicity) to `inserts` and `deletes`,
+  /// reserving exact capacity up front — the input of delta-join
+  /// evaluation.  Either output may be null to skip it.
+  void NetRows(std::vector<rel::Tuple>* inserts,
+               std::vector<rel::Tuple>* deletes) const;
 
   /// Total number of entries with non-zero net count (sum of |counts|) —
   /// the "size of the A and D data structures" the paper charges C3 for.

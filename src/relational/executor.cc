@@ -1,5 +1,7 @@
 #include "relational/executor.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace procsim::rel {
@@ -23,9 +25,9 @@ Result<bool> Executor::MatchesBase(const ProcedureQuery& query,
   return matched;
 }
 
-Result<TupleBatch> Executor::RunJoins(const ProcedureQuery& query,
-                                      TupleBatch current,
-                                      ExecutionTrace* trace) const {
+Result<std::vector<Tuple>> Executor::RunJoins(const ProcedureQuery& query,
+                                              std::vector<Tuple> current,
+                                              ExecutionTrace* trace) const {
   if (trace != nullptr) trace->probed_keys.resize(query.joins.size());
   for (std::size_t stage_index = 0; stage_index < query.joins.size();
        ++stage_index) {
@@ -36,41 +38,28 @@ Result<TupleBatch> Executor::RunJoins(const ProcedureQuery& query,
     if (!inner->has_hash_index()) {
       return Status::InvalidArgument(stage.relation + " has no hash index");
     }
-    if (current.num_rows() > 0) {
-      PROCSIM_CHECK_LT(stage.probe_column, current.arity());
+    if (!current.empty()) {
+      PROCSIM_CHECK_LT(stage.probe_column, current.front().arity());
     }
-    // Probe the pre-built hash index for the whole outer batch, gathering
-    // every candidate (columnar) with its outer row index.
-    const std::size_t inner_width = inner->schema().num_columns();
-    TupleBatch candidates(inner_width);
-    std::vector<std::uint32_t> candidate_outer;
-    for (std::size_t row = 0; row < current.num_rows(); ++row) {
-      const int64_t probe_key = current.at(row, stage.probe_column).AsInt64();
+    // Every candidate costs one screen per residual term evaluated, and at
+    // least one: with no residual the join verification itself is a screen.
+    std::vector<Tuple> next;
+    std::size_t screens = 0;
+    for (const Tuple& outer : current) {
+      const int64_t probe_key = outer.value(stage.probe_column).AsInt64();
       if (trace != nullptr) {
         trace->probed_keys[stage_index].push_back(probe_key);
       }
       Result<std::vector<Tuple>> matches = inner->HashProbe(probe_key);
       if (!matches.ok()) return matches.status();
       for (const Tuple& inner_tuple : matches.ValueOrDie()) {
-        candidates.AppendRow(inner_tuple);
-        candidate_outer.push_back(static_cast<std::uint32_t>(row));
+        std::size_t evaluated = 0;
+        const bool kept = stage.residual.Matches(inner_tuple, &evaluated);
+        screens += std::max<std::size_t>(1, evaluated);
+        if (kept) next.push_back(Tuple::Concat(outer, inner_tuple));
       }
     }
-    // One vectorized screen over all candidates.  The row loop charged
-    // max(1, terms evaluated) per candidate: with residual terms that is
-    // exactly the evaluation count EvalBatch accumulates (the first term is
-    // always evaluated), and with no residual it is one per candidate.
-    SelectionVector selection = AllRows(candidates.num_rows());
-    std::size_t screens = 0;
-    stage.residual.EvalBatch(candidates, &selection, &screens);
-    meter_->ChargeScreen(stage.residual.empty() ? candidates.num_rows()
-                                                : screens);
-    TupleBatch next(current.arity() + inner_width);
-    next.Reserve(selection.size());
-    for (std::uint32_t candidate : selection) {
-      next.AppendConcatRow(current, candidate_outer[candidate], candidates,
-                           candidate);
-    }
+    meter_->ChargeScreen(screens);
     current = std::move(next);
   }
   return current;
@@ -83,43 +72,30 @@ Result<std::vector<Tuple>> Executor::Execute(const ProcedureQuery& query,
   const Relation* relation = base_rel.ValueOrDie();
 
   storage::AccessScope scope(catalog_->disk());
-  // Gather the index range into a columnar batch (the row→batch boundary),
-  // then screen it in one vectorized pass.  One screen per fetched tuple
-  // for the indexed-range predicate (the analysis charges C1 per retrieved
-  // tuple), plus one per residual term evaluation — the same totals the
-  // per-tuple callback charged.
-  TupleBatch fetched;
+  // One screen per fetched tuple for the indexed-range predicate (the
+  // analysis charges C1 per retrieved tuple), plus one per residual term
+  // evaluated.
+  std::vector<Tuple> selected;
+  std::size_t fetched = 0;
+  std::size_t screens = 0;
   Status scan = relation->BTreeRange(
       query.base.lo, query.base.hi,
       [&](storage::RecordId, const Tuple& tuple) {
-        fetched.AppendRow(tuple);
+        ++fetched;
+        if (query.base.residual.Matches(tuple, &screens)) {
+          selected.push_back(tuple);
+        }
         return true;
       });
   PROCSIM_RETURN_IF_ERROR(scan);
-  meter_->ChargeScreen(fetched.num_rows());
-  SelectionVector selection = AllRows(fetched.num_rows());
-  std::size_t screens = 0;
-  query.base.residual.EvalBatch(fetched, &selection, &screens);
+  meter_->ChargeScreen(fetched);
   meter_->ChargeScreen(screens);
-
-  TupleBatch selected = selection.size() == fetched.num_rows()
-                            ? std::move(fetched)
-                            : fetched.Gather(selection);
-  Result<TupleBatch> joined = RunJoins(query, std::move(selected), trace);
-  if (!joined.ok()) return joined.status();
-  return joined.ValueOrDie().ToRows();
+  return RunJoins(query, std::move(selected), trace);
 }
 
 Result<std::vector<Tuple>> Executor::JoinDeltas(
     const ProcedureQuery& query, const std::vector<Tuple>& base_tuples) const {
-  return JoinDeltas(query, TupleBatch::FromRows(base_tuples));
-}
-
-Result<std::vector<Tuple>> Executor::JoinDeltas(
-    const ProcedureQuery& query, const TupleBatch& base_batch) const {
-  Result<TupleBatch> joined = RunJoins(query, base_batch);
-  if (!joined.ok()) return joined.status();
-  return joined.ValueOrDie().ToRows();
+  return RunJoins(query, base_tuples);
 }
 
 }  // namespace procsim::rel

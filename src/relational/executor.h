@@ -5,7 +5,6 @@
 
 #include "relational/catalog.h"
 #include "relational/query.h"
-#include "relational/tuple_batch.h"
 #include "util/cost_meter.h"
 
 namespace procsim::rel {
@@ -18,13 +17,12 @@ namespace procsim::rel {
 /// order is fixed by the query description (B-tree selection, then hash
 /// joins in order) and there is no run-time optimization step.
 ///
-/// Execution is vectorized: scans gather fetched rows into a columnar
-/// TupleBatch, predicates filter a selection vector term-at-a-time, and
-/// each join stage probes the (pre-built) hash index for a whole outer
-/// batch before screening all candidates at once.  The C1 charges are
-/// identical to the historical tuple-at-a-time pipeline — a row is screened
-/// against terms until the first rejection in either scheme — so simulated
-/// costs and results are byte-identical; only the wall-clock cycles differ.
+/// Execution is tuple-at-a-time on `std::vector<Tuple>`: the scan screens
+/// each fetched tuple inside the B-tree range callback and keeps only the
+/// survivors, and each join stage probes the (pre-built) hash index once per
+/// outer row and screens every candidate as it arrives.  A tuple is screened
+/// against the residual terms until the first one that rejects it, which is
+/// exactly what the paper charges C1 for.
 ///
 /// Side information collected during query execution, used by the
 /// Cache-and-Invalidate strategy to set i-locks on everything the query
@@ -53,12 +51,6 @@ class Executor {
   Result<std::vector<Tuple>> JoinDeltas(
       const ProcedureQuery& query, const std::vector<Tuple>& base_tuples) const;
 
-  /// Batch-native JoinDeltas: the delta tuples stay columnar through every
-  /// join stage; rows materialize only in the returned result (the
-  /// view-store boundary).
-  Result<std::vector<Tuple>> JoinDeltas(const ProcedureQuery& query,
-                                        const TupleBatch& base_batch) const;
-
   /// Evaluates whether `tuple` of the base relation satisfies the base
   /// selection (range + residual), charging one screen per term evaluated
   /// (at least one).  Used when screening broken-lock tuples.
@@ -66,12 +58,13 @@ class Executor {
                            const Tuple& tuple) const;
 
  private:
-  /// The vectorized join pipeline: for each stage, probe the inner hash
-  /// index once per outer row (batch-at-a-time), screen every candidate with
-  /// one EvalBatch, and gather survivors columnar.  Candidate order is
-  /// (outer row, probe match) — the same order the row loop produced.
-  Result<TupleBatch> RunJoins(const ProcedureQuery& query, TupleBatch current,
-                              ExecutionTrace* trace = nullptr) const;
+  /// The join pipeline: for each stage, probe the inner hash index once per
+  /// outer row and screen every candidate with the stage residual, keeping
+  /// survivors in (outer row, probe match) order.  Each stage charges one
+  /// screen per residual term evaluated on a candidate, at least one.
+  Result<std::vector<Tuple>> RunJoins(const ProcedureQuery& query,
+                                      std::vector<Tuple> current,
+                                      ExecutionTrace* trace = nullptr) const;
 
   Catalog* catalog_;
   CostMeter* meter_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <limits>
 #include <map>
 #include <optional>
@@ -51,7 +52,13 @@ Result<std::vector<LexToken>> Lex(const std::string& text) {
       }
       token.kind = TokenKind::kInteger;
       token.text = text.substr(i, j - i);
-      token.integer = std::stoll(token.text);
+      const std::from_chars_result parsed = std::from_chars(
+          token.text.data(), token.text.data() + token.text.size(),
+          token.integer);
+      if (parsed.ec != std::errc()) {
+        return Status::InvalidArgument(
+            "integer literal out of range at offset " + std::to_string(i));
+      }
       i = j;
     } else if (c == '"') {
       std::size_t j = i + 1;

@@ -68,28 +68,6 @@ bool Conjunction::Matches(const Tuple& tuple, std::size_t* screens) const {
   return true;
 }
 
-void PredicateTerm::EvalBatch(const TupleBatch& batch,
-                              SelectionVector* selection) const {
-  const std::vector<Value>& values = batch.column(column);
-  std::size_t kept = 0;
-  for (std::uint32_t row : *selection) {
-    if (EvalCompare(values[row], op, constant)) {
-      (*selection)[kept++] = row;
-    }
-  }
-  selection->resize(kept);
-}
-
-void Conjunction::EvalBatch(const TupleBatch& batch,
-                            SelectionVector* selection,
-                            std::size_t* screens) const {
-  for (const PredicateTerm& term : terms_) {
-    if (selection->empty()) break;
-    if (screens != nullptr) *screens += selection->size();
-    term.EvalBatch(batch, selection);
-  }
-}
-
 std::string Conjunction::ToString(const Schema* schema) const {
   if (terms_.empty()) return "true";
   std::ostringstream out;

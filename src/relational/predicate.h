@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "relational/tuple.h"
-#include "relational/tuple_batch.h"
 #include "relational/value.h"
 
 namespace procsim::rel {
@@ -30,11 +29,6 @@ struct PredicateTerm {
     return EvalCompare(tuple.value(column), op, constant);
   }
 
-  /// Vectorized Matches: keeps only `selection` rows of `batch` that satisfy
-  /// the term (order preserved).  One term evaluation per selected row —
-  /// exactly the evaluations the row-at-a-time loop would perform.
-  void EvalBatch(const TupleBatch& batch, SelectionVector* selection) const;
-
   bool operator==(const PredicateTerm&) const = default;
   std::string ToString(const Schema* schema = nullptr) const;
 
@@ -54,17 +48,11 @@ class Conjunction {
   bool empty() const { return terms_.empty(); }
   std::size_t size() const { return terms_.size(); }
 
-  /// True if every term matches.  `screens` (if non-null) is incremented by
-  /// the number of term evaluations performed, so callers can charge C1.
+  /// True if every term matches.  Terms are evaluated in order and the first
+  /// one that rejects the tuple stops the evaluation; `screens` (if non-null)
+  /// is incremented by the number of terms evaluated, so callers can charge
+  /// C1.
   bool Matches(const Tuple& tuple, std::size_t* screens = nullptr) const;
-
-  /// Vectorized Matches: filters `selection` term-at-a-time over a shrinking
-  /// selection vector.  A row is evaluated against terms until the first one
-  /// that rejects it — the same evaluations the short-circuiting row loop
-  /// performs, only column-major — so `screens` accumulates an identical C1
-  /// count and the surviving selection is identical (and in order).
-  void EvalBatch(const TupleBatch& batch, SelectionVector* selection,
-                 std::size_t* screens = nullptr) const;
 
   bool operator==(const Conjunction&) const = default;
   std::string ToString(const Schema* schema = nullptr) const;

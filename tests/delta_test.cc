@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace procsim::ivm {
 namespace {
@@ -12,16 +16,16 @@ using rel::Value;
 
 Tuple Row(int64_t v) { return Tuple({Value(v)}); }
 
-// A_net and D_net, with multiplicity, read through the columnar view.
+// A_net and D_net, with multiplicity.
 std::vector<Tuple> NetInserts(const DeltaSet& delta) {
-  rel::TupleBatch inserts;
-  delta.NetBatches(&inserts, nullptr);
-  return inserts.ToRows();
+  std::vector<Tuple> inserts;
+  delta.NetRows(&inserts, nullptr);
+  return inserts;
 }
 std::vector<Tuple> NetDeletes(const DeltaSet& delta) {
-  rel::TupleBatch deletes;
-  delta.NetBatches(nullptr, &deletes);
-  return deletes.ToRows();
+  std::vector<Tuple> deletes;
+  delta.NetRows(nullptr, &deletes);
+  return deletes;
 }
 
 TEST(DeltaSetTest, EmptyByDefault) {
@@ -72,6 +76,61 @@ TEST(DeltaSetTest, ClearResets) {
   delta.AddInsert(Row(1));
   delta.Clear();
   EXPECT_TRUE(delta.empty());
+}
+
+TEST(DeltaSetTest, NetRowsMatchReferenceCount) {
+  // NetRows must hold exactly the stream's net inserts and net deletes,
+  // with multiplicity, against an independently kept reference count.
+  Rng rng(17);
+  DeltaSet delta;
+  std::map<std::string, long> reference;
+  for (int i = 0; i < 200; ++i) {
+    const Tuple tuple({Value(static_cast<int64_t>(rng.Next() % 10)),
+                       Value(static_cast<int64_t>(rng.Next() % 10))});
+    if (rng.Next() % 2 == 0) {
+      delta.AddInsert(tuple);
+      ++reference[tuple.ToString()];
+    } else {
+      delta.AddDelete(tuple);
+      --reference[tuple.ToString()];
+    }
+  }
+  std::vector<Tuple> inserts;
+  std::vector<Tuple> deletes;
+  delta.NetRows(&inserts, &deletes);
+  std::map<std::string, long> net;
+  for (const Tuple& tuple : inserts) ++net[tuple.ToString()];
+  for (const Tuple& tuple : deletes) --net[tuple.ToString()];
+  std::erase_if(reference, [](const auto& entry) { return entry.second == 0; });
+  EXPECT_EQ(net, reference);
+  EXPECT_EQ(inserts.size() + deletes.size(), delta.TotalNetSize());
+
+  // Either side may be skipped, and the other comes out in the same order.
+  EXPECT_EQ(NetInserts(delta), inserts);
+  EXPECT_EQ(NetDeletes(delta), deletes);
+}
+
+TEST(ChangeBatchTest, PreservesOrder) {
+  ChangeBatch changes;
+  const Tuple old_row({Value(int64_t{1}), Value(int64_t{1})});
+  const Tuple new_row({Value(int64_t{1}), Value(int64_t{2})});
+  changes.AddDelete(old_row);
+  changes.AddInsert(new_row);
+  changes.AddDelete(new_row);
+  changes.AddInsert(old_row);
+
+  ASSERT_EQ(changes.size(), 4u);
+  EXPECT_FALSE(changes.is_insert(0));
+  EXPECT_TRUE(changes.is_insert(1));
+  EXPECT_FALSE(changes.is_insert(2));
+  EXPECT_TRUE(changes.is_insert(3));
+  EXPECT_EQ(changes.RowAt(0), old_row);
+  EXPECT_EQ(changes.RowAt(1), new_row);
+  EXPECT_EQ(changes.RowAt(2), new_row);
+  EXPECT_EQ(changes.RowAt(3), old_row);
+
+  changes.Clear();
+  EXPECT_TRUE(changes.empty());
 }
 
 }  // namespace

@@ -124,6 +124,70 @@ TEST_F(ExecutorTest, JoinChargesScreensPerProbeResult) {
   EXPECT_EQ(meter_.screens(), 20u);
 }
 
+TEST_F(ExecutorTest, ChargesOneScreenPerTermEvaluatedUpToFirstRejection) {
+  // EMP keys 0-9 carry depts 0,1,2,3,4,0,1,2,3,4; DEPT d is on floor d % 2.
+  // Base residual: dept >= 2 rejects depts 0 and 1 at its first term (4 rows,
+  // 1 evaluation each); dept != 3 rejects dept 3 at the second term, and
+  // depts 2 and 4 pass both (6 rows, 2 evaluations each).
+  ProcedureQuery base_query = SelectOnly(0, 9);
+  base_query.base.residual =
+      Conjunction({PredicateTerm{1, CompareOp::kGe, Value(int64_t{2})},
+                   PredicateTerm{1, CompareOp::kNe, Value(int64_t{3})}});
+  meter_.Reset();
+  auto selected = executor_.Execute(base_query);
+  ASSERT_TRUE(selected.ok());
+  std::vector<int64_t> keys;
+  for (const Tuple& row : selected.ValueOrDie()) {
+    keys.push_back(row.value(0).AsInt64());
+  }
+  EXPECT_EQ(keys, (std::vector<int64_t>{2, 4, 7, 9}));
+  EXPECT_EQ(meter_.screens(), 10u + 4u * 1u + 6u * 2u);
+
+  // A join stage without a residual charges one screen per candidate.
+  meter_.Reset();
+  ASSERT_TRUE(executor_.Execute(SelectJoin(0, 9)).ok());
+  EXPECT_EQ(meter_.screens(), 10u + 10u);
+
+  // Join residual: floor = 1 rejects depts 0, 2 and 4 at its first term (6
+  // candidates, 1 evaluation each); id != 3 rejects dept 3 at the second term
+  // and dept 1 passes both (4 candidates, 2 evaluations each).
+  const Conjunction join_residual(
+      {PredicateTerm{1, CompareOp::kEq, Value(int64_t{1})},
+       PredicateTerm{0, CompareOp::kNe, Value(int64_t{3})}});
+  meter_.Reset();
+  auto joined = executor_.Execute(SelectJoin(0, 9, join_residual));
+  ASSERT_TRUE(joined.ok());
+  ASSERT_EQ(joined.ValueOrDie().size(), 2u);
+  EXPECT_EQ(joined.ValueOrDie()[0],
+            Tuple({Value(int64_t{1}), Value(int64_t{1}), Value(int64_t{1}),
+                   Value(int64_t{1})}));
+  EXPECT_EQ(joined.ValueOrDie()[1].value(0).AsInt64(), 6);
+  EXPECT_EQ(meter_.screens(), 10u + 6u * 1u + 4u * 2u);
+
+  // JoinDeltas charges only the join stages, per delta tuple, duplicates
+  // included: the whole set costs what its tuples cost one at a time.
+  const std::vector<Tuple> deltas{Tuple({Value(int64_t{1}), Value(int64_t{1})}),
+                                  Tuple({Value(int64_t{3}), Value(int64_t{3})}),
+                                  Tuple({Value(int64_t{4}), Value(int64_t{4})}),
+                                  Tuple({Value(int64_t{1}), Value(int64_t{1})})};
+  meter_.Reset();
+  auto delta_rows = executor_.JoinDeltas(SelectJoin(0, 49, join_residual),
+                                         deltas);
+  ASSERT_TRUE(delta_rows.ok());
+  EXPECT_EQ(delta_rows.ValueOrDie().size(), 2u);
+  EXPECT_EQ(meter_.screens(), 2u + 2u + 1u + 2u);
+  const double set_ms = meter_.total_ms();
+  const std::uint64_t set_reads = meter_.disk_reads();
+  meter_.Reset();
+  for (const Tuple& delta : deltas) {
+    ASSERT_TRUE(
+        executor_.JoinDeltas(SelectJoin(0, 49, join_residual), {delta}).ok());
+  }
+  EXPECT_EQ(meter_.screens(), 7u);
+  EXPECT_EQ(meter_.disk_reads(), set_reads);
+  EXPECT_DOUBLE_EQ(meter_.total_ms(), set_ms);
+}
+
 TEST_F(ExecutorTest, TraceRecordsProbedKeys) {
   ExecutionTrace trace;
   ASSERT_TRUE(executor_.Execute(SelectJoin(0, 4), &trace).ok());

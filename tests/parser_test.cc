@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "relational/executor.h"
 
@@ -49,6 +51,25 @@ TEST(LexerTest, Errors) {
   EXPECT_FALSE(Lex("EMP.age @ 3").ok());
   EXPECT_FALSE(Lex("name = \"unterminated").ok());
   EXPECT_FALSE(Lex("a ! b").ok());
+}
+
+TEST(LexerTest, IntegerLiteralOutOfRangeIsAnError) {
+  auto max = Lex("9223372036854775807 -9223372036854775808");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max.ValueOrDie()[0].integer, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(max.ValueOrDie()[1].integer, std::numeric_limits<int64_t>::min());
+
+  auto positive = Lex("EMP.age = 99999999999999999999");
+  ASSERT_FALSE(positive.ok());
+  EXPECT_EQ(positive.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(positive.status().message().find("offset 10"), std::string::npos)
+      << positive.status().ToString();
+
+  auto negative = Lex("EMP.age > -9223372036854775809");
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(negative.status().message().find("offset 10"), std::string::npos)
+      << negative.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ GOLDEN_BENCHES=(
   abl_yao_exact
   fig20_memory_pressure
   fig21_group_commit
-  micro_batch_vs_row
+  micro_row_paths
 )
 
 if [[ ! -x "${DIFF_BIN}" && "${UPDATE}" -eq 0 ]]; then

@@ -45,7 +45,7 @@ run_preset() {
 
 run_preset asan
 run_preset ubsan
-run_preset audit -R 'Audit|Validate|BTree|HeapFile|Page|BufferCache|Rete|TupleStore|ILock|Invalidation'
+run_preset audit -R 'Audit|Validate|BTree|HeapFile|Page|BufferCache|Rete|TupleStore|ILock|Invalidation|Avm|DeltaSet|Executor'
 run_preset tsan -R 'Concurrent|LatchRank|Obs|TxnLock|TxnEngineRun'
 
 echo "=== ci.sh: crash-recovery gate (crash-point fuzz + idempotence) ==="
