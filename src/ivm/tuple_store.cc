@@ -131,6 +131,13 @@ std::vector<Tuple> TupleStore::SnapshotForTesting() const {
   return out;
 }
 
+void TupleStore::ForEach(
+    const std::function<bool(const Tuple&)>& fn) const {
+  for (const auto& [hash, entry] : by_tuple_) {
+    if (!fn(entry.tuple)) return;
+  }
+}
+
 Status TupleStore::CheckConsistency() const {
   storage::MeteringGuard guard(disk_);
   PROCSIM_RETURN_IF_ERROR(heap_->CheckConsistency());

@@ -2,6 +2,7 @@
 #define PROCSIM_IVM_TUPLE_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -65,6 +66,11 @@ class TupleStore {
 
   /// Contents without any I/O charge; for tests and invariant checks only.
   std::vector<rel::Tuple> SnapshotForTesting() const;
+
+  /// Visits every stored tuple in SnapshotForTesting's order, without
+  /// copying and without I/O (it walks the in-memory tuple map, not the
+  /// pages), until `fn` returns false.  `fn` must not mutate this store.
+  void ForEach(const std::function<bool(const rel::Tuple&)>& fn) const;
 
   /// Deep self-validation (un-metered): the heap, the tuple map and every
   /// probe index must describe the same bag — each mapped record is live on

@@ -27,13 +27,17 @@ Status UpdateCacheRvmStrategy::Prepare() {
   result_memories_.clear();
   budget_entries_.clear();
   budget_index_.clear();
-  result_memories_.reserve(procedures_.size());
+  // One AddProcedures call, so each relation is scanned once for the whole
+  // network's unconditional selections.
+  std::vector<rel::ProcedureQuery> queries;
+  queries.reserve(procedures_.size());
   for (const DatabaseProcedure& procedure : procedures_) {
-    Result<rete::MemoryNode*> memory =
-        network_->AddProcedure(procedure.query);
-    if (!memory.ok()) return memory.status();
-    result_memories_.push_back(memory.ValueOrDie());
+    queries.push_back(procedure.query);
   }
+  Result<std::vector<rete::MemoryNode*>> memories =
+      network_->AddProcedures(queries);
+  if (!memories.ok()) return memories.status();
+  result_memories_ = memories.TakeValueOrDie();
   if (budget_ != nullptr) {
     // Budget only *terminal* result memories, and only after the whole
     // network is built: a later procedure may have grafted a join on top of

@@ -1,5 +1,6 @@
 #include "relational/tuple.h"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -61,16 +62,16 @@ Tuple Tuple::Concat(const Tuple& left, const Tuple& right) {
 }
 
 std::vector<uint8_t> Tuple::Serialize(std::size_t pad_to_bytes) const {
-  std::vector<uint8_t> out;
   const auto arity = static_cast<uint32_t>(values_.size());
-  // resize + memcpy: GCC 12's -Wstringop-overflow misfires on
-  // insert-from-pointer into a growing vector.
-  out.resize(sizeof(arity));
+  std::size_t length = sizeof(arity);
+  for (const Value& value : values_) length += value.SerializedSize();
+  // One zeroed allocation of the padded length, so the stored record
+  // occupies the paper's fixed S bytes per tuple; the values are written in
+  // place and the tail stays zero.
+  std::vector<uint8_t> out(std::max(length, pad_to_bytes));
   std::memcpy(out.data(), &arity, sizeof(arity));
-  for (const Value& value : values_) value.SerializeTo(&out);
-  // Record the payload length, then pad to the declared width so the stored
-  // record occupies the paper's fixed S bytes per tuple.
-  if (out.size() < pad_to_bytes) out.resize(pad_to_bytes, 0);
+  uint8_t* cursor = out.data() + sizeof(arity);
+  for (const Value& value : values_) cursor = value.SerializeInto(cursor);
   return out;
 }
 

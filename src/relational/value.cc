@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -44,6 +45,9 @@ std::strong_ordering Value::Compare(const Value& other) const {
     case ValueType::kDouble: {
       const double a = std::get<double>(repr_);
       const double b = std::get<double>(other.repr_);
+      if (std::isnan(a) || std::isnan(b)) {
+        return std::isnan(a) <=> std::isnan(b);
+      }
       if (a < b) return std::strong_ordering::less;
       if (a > b) return std::strong_ordering::greater;
       return std::strong_ordering::equal;
@@ -73,14 +77,10 @@ std::string Value::ToString() const {
 
 namespace {
 
-// resize + memcpy rather than insert-from-pointer: GCC 12's
-// -Wstringop-overflow misfires on the latter when it inlines the vector
-// growth path.
 template <typename T>
-void AppendPod(std::vector<uint8_t>* out, T value) {
-  const std::size_t offset = out->size();
-  out->resize(offset + sizeof(T));
-  std::memcpy(out->data() + offset, &value, sizeof(T));
+uint8_t* WritePod(uint8_t* out, T value) {
+  std::memcpy(out, &value, sizeof(T));
+  return out + sizeof(T);
 }
 
 template <typename T>
@@ -93,22 +93,33 @@ bool ReadPod(std::span<const uint8_t> in, std::size_t* cursor, T* value) {
 
 }  // namespace
 
-void Value::SerializeTo(std::vector<uint8_t>* out) const {
-  AppendPod<uint8_t>(out, static_cast<uint8_t>(type()));
+std::size_t Value::SerializedSize() const {
   switch (type()) {
     case ValueType::kInt64:
-      AppendPod(out, std::get<int64_t>(repr_));
-      break;
+      return 1 + sizeof(int64_t);
     case ValueType::kDouble:
-      AppendPod(out, std::get<double>(repr_));
-      break;
+      return 1 + sizeof(double);
+    case ValueType::kString:
+      return 1 + sizeof(uint32_t) + std::get<std::string>(repr_).size();
+  }
+  return 1;
+}
+
+uint8_t* Value::SerializeInto(uint8_t* out) const {
+  out = WritePod<uint8_t>(out, static_cast<uint8_t>(type()));
+  switch (type()) {
+    case ValueType::kInt64:
+      return WritePod(out, std::get<int64_t>(repr_));
+    case ValueType::kDouble:
+      return WritePod(out, std::get<double>(repr_));
     case ValueType::kString: {
       const std::string& s = std::get<std::string>(repr_);
-      AppendPod<uint32_t>(out, static_cast<uint32_t>(s.size()));
-      out->insert(out->end(), s.begin(), s.end());
-      break;
+      out = WritePod<uint32_t>(out, static_cast<uint32_t>(s.size()));
+      std::memcpy(out, s.data(), s.size());
+      return out + s.size();
     }
   }
+  return out;
 }
 
 Result<Value> Value::DeserializeFrom(std::span<const uint8_t> in,
@@ -149,8 +160,15 @@ Result<Value> Value::DeserializeFrom(std::span<const uint8_t> in,
 }
 
 std::size_t Value::Hash() const {
-  std::vector<uint8_t> bytes;
-  SerializeTo(&bytes);
+  std::vector<uint8_t> bytes(SerializedSize());
+  SerializeInto(bytes.data());
+  if (type() == ValueType::kDouble) {
+    // Equal values must hash equally: -0.0 as +0.0, every NaN as one NaN.
+    double d = std::get<double>(repr_);
+    if (d == 0.0) d = 0.0;
+    if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
+    std::memcpy(bytes.data() + 1, &d, sizeof(d));
+  }
   std::size_t h = 1469598103934665603ULL;  // FNV-1a
   for (uint8_t b : bytes) {
     h ^= b;

@@ -39,7 +39,8 @@ class Value {
 
   /// Total order within a type; comparing different types orders by type
   /// tag (kept deterministic for container use, never hit by well-typed
-  /// queries).
+  /// queries).  Doubles: -0.0 equals +0.0, and NaN sorts after every number
+  /// and equals only NaN.
   std::strong_ordering Compare(const Value& other) const;
 
   bool operator==(const Value& other) const {
@@ -51,11 +52,19 @@ class Value {
 
   std::string ToString() const;
 
-  void SerializeTo(std::vector<uint8_t>* out) const;
+  /// Encoded form: a one-byte type tag, then the int64 or double bytes, or
+  /// a uint32 length and the string bytes.
+  std::size_t SerializedSize() const;
+  /// Writes the encoded form at `out` (SerializedSize() bytes); returns the
+  /// end of what it wrote.
+  uint8_t* SerializeInto(uint8_t* out) const;
   static Result<Value> DeserializeFrom(std::span<const uint8_t> in,
                                        std::size_t* cursor);
 
-  /// Stable hash (FNV-1a over the serialized form).
+  /// Stable hash: FNV-1a over the encoded form.  Equal values hash
+  /// equally: -0.0 hashes as +0.0 and every NaN as one canonical NaN.  The
+  /// values are part of the page-image contract (they order TupleStore's
+  /// map, hence Rete β-memory inserts).
   std::size_t Hash() const;
 
  private:

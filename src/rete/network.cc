@@ -48,6 +48,15 @@ std::size_t SelectionSignature(const std::string& relation, bool has_interval,
   return h;
 }
 
+/// Appends `base`'s tuples in heap-scan order.
+Status ScanRelation(const rel::Relation& base, std::vector<Tuple>* out) {
+  out->reserve(out->size() + base.tuple_count());
+  return base.Scan([&](storage::RecordId, const Tuple& tuple) {
+    out->push_back(tuple);
+    return true;
+  });
+}
+
 }  // namespace
 
 ReteNetwork::ReteNetwork(rel::Catalog* catalog, CostMeter* meter,
@@ -63,39 +72,49 @@ ReteNetwork::ReteNetwork(rel::Catalog* catalog, CostMeter* meter,
 Result<MemoryNode*> ReteNetwork::WireJoin(MemoryNode* left, MemoryNode* right,
                                           std::size_t left_column,
                                           std::size_t right_column) {
-  auto* and_node = MakeNode<AndNode>(left, right, left_column,
-                                     rel::CompareOp::kEq, right_column,
-                                     meter_);
-  auto* beta = MakeNode<MemoryNode>(catalog_->disk(), pad_to_bytes_,
-                                    /*is_beta=*/true);
-  left->AddSuccessor(and_node->LeftInput());
-  right->AddSuccessor(and_node->RightInput());
-  and_node->AddSuccessor(beta);
-  edges_.push_back(Edge{left, and_node, "L"});
-  edges_.push_back(Edge{right, and_node, "R"});
-  edges_.push_back(Edge{and_node, beta, ""});
-  ++stats_.and_nodes;
-  ++stats_.beta_memories;
-
+  auto beta = std::make_unique<MemoryNode>(catalog_->disk(), pad_to_bytes_,
+                                           /*is_beta=*/true);
   left->mutable_store()->EnsureProbeIndex(left_column);
   right->mutable_store()->EnsureProbeIndex(right_column);
 
-  // Populate from the current memory contents.
-  for (const Tuple& left_tuple : left->mutable_store()->SnapshotForTesting()) {
+  // Populate from the current memory contents, left side in tuple-map order,
+  // before registering anything.
+  Status populated = Status::OK();
+  left->store().ForEach([&](const Tuple& left_tuple) {
     Result<std::vector<Tuple>> matches = right->store().ProbeEqual(
         right_column, left_tuple.value(left_column).AsInt64());
-    if (!matches.ok()) return matches.status();
-    for (const Tuple& right_tuple : matches.ValueOrDie()) {
-      PROCSIM_RETURN_IF_ERROR(beta->mutable_store()->Insert(
-          Tuple::Concat(left_tuple, right_tuple)));
+    if (!matches.ok()) {
+      populated = matches.status();
+      return false;
     }
-  }
-  return beta;
+    for (const Tuple& right_tuple : matches.ValueOrDie()) {
+      populated = beta->mutable_store()->Insert(
+          Tuple::Concat(left_tuple, right_tuple));
+      if (!populated.ok()) return false;
+    }
+    return true;
+  });
+  PROCSIM_RETURN_IF_ERROR(populated);
+
+  auto* and_node = MakeNode<AndNode>(left, right, left_column,
+                                     rel::CompareOp::kEq, right_column,
+                                     meter_);
+  MemoryNode* beta_memory = Adopt(std::move(beta));
+  left->AddSuccessor(and_node->LeftInput());
+  right->AddSuccessor(and_node->RightInput());
+  and_node->AddSuccessor(beta_memory);
+  edges_.push_back(Edge{left, and_node, "L"});
+  edges_.push_back(Edge{right, and_node, "R"});
+  edges_.push_back(Edge{and_node, beta_memory, ""});
+  ++stats_.and_nodes;
+  ++stats_.beta_memories;
+  return beta_memory;
 }
 
 Result<ReteNetwork::SelectionEntry*> ReteNetwork::GetOrCreateSelection(
     const std::string& relation, bool has_interval, std::size_t key_column,
-    int64_t lo, int64_t hi, const Conjunction& residual) {
+    int64_t lo, int64_t hi, const Conjunction& residual,
+    RelationSnapshots* snapshots) {
   if (!has_interval) {
     // Unconditional selections (inner relations) accept every key; the
     // t-const node still re-checks the interval, so it must be the full
@@ -121,28 +140,46 @@ Result<ReteNetwork::SelectionEntry*> ReteNetwork::GetOrCreateSelection(
   if (!rel_result.ok()) return rel_result.status();
   rel::Relation* base = rel_result.ValueOrDie();
 
+  // Populate the α-memory from the relation's current contents (build-time;
+  // callers disable metering for this static compilation phase) before
+  // registering anything: an interval selection in key order through the
+  // B-tree, an unconditional one in heap-scan order from this build's
+  // snapshot of the relation.
+  auto memory = std::make_unique<MemoryNode>(catalog_->disk(), pad_to_bytes_,
+                                             /*is_beta=*/false);
+  ivm::TupleStore* store = memory->mutable_store();
+  if (has_interval) {
+    Status inserted = Status::OK();
+    const Status scanned =
+        base->BTreeRange(lo, hi, [&](storage::RecordId, const Tuple& tuple) {
+          if (residual.Matches(tuple)) inserted = store->Insert(tuple);
+          return inserted.ok();
+        });
+    PROCSIM_RETURN_IF_ERROR(scanned);
+    PROCSIM_RETURN_IF_ERROR(inserted);
+  } else {
+    auto [snapshot, first_use] = snapshots->try_emplace(relation);
+    if (first_use) {
+      storage::MeteringGuard unmetered(catalog_->disk());
+      Status scanned = ScanRelation(*base, &snapshot->second);
+      if (!scanned.ok()) {
+        snapshots->erase(snapshot);
+        return scanned;
+      }
+      ++stats_.relation_scans;
+    }
+    for (const Tuple& tuple : snapshot->second) {
+      if (!residual.Matches(tuple)) continue;
+      PROCSIM_RETURN_IF_ERROR(store->Insert(tuple));
+    }
+  }
+
   auto* tconst = MakeNode<TConstNode>(key_column, lo, hi, residual, meter_);
-  auto* memory = MakeNode<MemoryNode>(catalog_->disk(), pad_to_bytes_,
-                                      /*is_beta=*/false);
-  tconst->AddSuccessor(memory);
-  edges_.push_back(Edge{tconst, memory, ""});
+  MemoryNode* alpha = Adopt(std::move(memory));
+  tconst->AddSuccessor(alpha);
+  edges_.push_back(Edge{tconst, alpha, ""});
   ++stats_.tconst_nodes;
   ++stats_.alpha_memories;
-
-  // Populate the α-memory from the relation's current contents (build-time;
-  // callers disable metering for this static compilation phase).
-  auto load = [&](storage::RecordId, const Tuple& tuple) {
-    if (residual.Matches(tuple)) {
-      Status st = memory->mutable_store()->Insert(tuple);
-      PROCSIM_CHECK(st.ok()) << st.ToString();
-    }
-    return true;
-  };
-  if (has_interval) {
-    PROCSIM_RETURN_IF_ERROR(base->BTreeRange(lo, hi, load));
-  } else {
-    PROCSIM_RETURN_IF_ERROR(base->Scan(load));
-  }
 
   auto entry = std::make_unique<SelectionEntry>();
   entry->relation = relation;
@@ -151,7 +188,7 @@ Result<ReteNetwork::SelectionEntry*> ReteNetwork::GetOrCreateSelection(
   entry->lo = lo;
   entry->hi = hi;
   entry->node = tconst;
-  entry->memory = memory;
+  entry->memory = alpha;
   entry->signature = signature;
   SelectionEntry* raw = entry.get();
   selections_.push_back(std::move(entry));
@@ -174,7 +211,8 @@ Result<std::size_t> ReteNetwork::SegmentOffset(const ProcedureQuery& query,
 }
 
 Result<MemoryNode*> ReteNetwork::BuildJoinTail(const ProcedureQuery& query,
-                                               std::size_t from) {
+                                               std::size_t from,
+                                               RelationSnapshots* snapshots) {
   PROCSIM_CHECK_LT(from, query.joins.size());
   const rel::JoinStage& stage = query.joins[from];
 
@@ -193,8 +231,9 @@ Result<MemoryNode*> ReteNetwork::BuildJoinTail(const ProcedureQuery& query,
     return it->second;
   }
 
-  Result<SelectionEntry*> selection = GetOrCreateSelection(
-      stage.relation, /*has_interval=*/false, 0, 0, 0, stage.residual);
+  Result<SelectionEntry*> selection =
+      GetOrCreateSelection(stage.relation, /*has_interval=*/false, 0, 0, 0,
+                           stage.residual, snapshots);
   if (!selection.ok()) return selection.status();
   MemoryNode* head = selection.ValueOrDie()->memory;
 
@@ -202,7 +241,7 @@ Result<MemoryNode*> ReteNetwork::BuildJoinTail(const ProcedureQuery& query,
   if (from + 1 == query.joins.size()) {
     result = head;
   } else {
-    Result<MemoryNode*> tail = BuildJoinTail(query, from + 1);
+    Result<MemoryNode*> tail = BuildJoinTail(query, from + 1, snapshots);
     if (!tail.ok()) return tail.status();
 
     const rel::JoinStage& next = query.joins[from + 1];
@@ -236,11 +275,33 @@ Result<MemoryNode*> ReteNetwork::BuildJoinTail(const ProcedureQuery& query,
   return result;
 }
 
-Result<MemoryNode*> ReteNetwork::AddProcedure(const ProcedureQuery& query) {
+Result<std::vector<MemoryNode*>> ReteNetwork::AddProcedures(
+    std::span<const ProcedureQuery> queries) {
   // Compilation mutates the node/dispatch structures, so it takes the same
   // latch OnChanges holds — a build racing a token would otherwise corrupt
   // the root index even though builds are normally pre-concurrency.
   util::RankedLockGuard latch_guard(submit_latch_);
+  // Scoped to this call, so no snapshot outlives a mutation of its relation.
+  RelationSnapshots snapshots;
+  std::vector<MemoryNode*> memories;
+  memories.reserve(queries.size());
+  for (const ProcedureQuery& query : queries) {
+    Result<MemoryNode*> memory = AddOne(query, &snapshots);
+    if (!memory.ok()) return memory.status();
+    memories.push_back(memory.ValueOrDie());
+  }
+  return memories;
+}
+
+Result<MemoryNode*> ReteNetwork::AddProcedure(const ProcedureQuery& query) {
+  Result<std::vector<MemoryNode*>> memories =
+      AddProcedures(std::span<const ProcedureQuery>(&query, 1));
+  if (!memories.ok()) return memories.status();
+  return memories.ValueOrDie().front();
+}
+
+Result<MemoryNode*> ReteNetwork::AddOne(const ProcedureQuery& query,
+                                        RelationSnapshots* snapshots) {
   Result<rel::Relation*> base_rel = catalog_->GetRelation(query.base.relation);
   if (!base_rel.ok()) return base_rel.status();
   if (!base_rel.ValueOrDie()->btree_column().has_value()) {
@@ -251,7 +312,7 @@ Result<MemoryNode*> ReteNetwork::AddProcedure(const ProcedureQuery& query) {
 
   Result<SelectionEntry*> selection = GetOrCreateSelection(
       query.base.relation, /*has_interval=*/true, key_column, query.base.lo,
-      query.base.hi, query.base.residual);
+      query.base.hi, query.base.residual, snapshots);
   if (!selection.ok()) return selection.status();
   MemoryNode* base_memory = selection.ValueOrDie()->memory;
 
@@ -260,10 +321,10 @@ Result<MemoryNode*> ReteNetwork::AddProcedure(const ProcedureQuery& query) {
     return base_memory;
   }
   if (shape_ == JoinShape::kLeftDeep) {
-    return AddProcedureLeftDeep(query, base_memory);
+    return AddProcedureLeftDeep(query, base_memory, snapshots);
   }
 
-  Result<MemoryNode*> tail = BuildJoinTail(query, 0);
+  Result<MemoryNode*> tail = BuildJoinTail(query, 0, snapshots);
   if (!tail.ok()) return tail.status();
 
   const rel::JoinStage& first = query.joins[0];
@@ -284,7 +345,8 @@ Result<MemoryNode*> ReteNetwork::AddProcedure(const ProcedureQuery& query) {
 }
 
 Result<MemoryNode*> ReteNetwork::AddProcedureLeftDeep(
-    const ProcedureQuery& query, MemoryNode* base_memory) {
+    const ProcedureQuery& query, MemoryNode* base_memory,
+    RelationSnapshots* snapshots) {
   // ((base ⋈ R_0) ⋈ R_1) ⋈ ...: every stage's inner relation gets its own
   // α-memory (selection shared as usual), but the intermediate β-memories
   // are specific to this procedure's base, so the join work is never
@@ -292,8 +354,9 @@ Result<MemoryNode*> ReteNetwork::AddProcedureLeftDeep(
   MemoryNode* current = base_memory;
   for (std::size_t i = 0; i < query.joins.size(); ++i) {
     const rel::JoinStage& stage = query.joins[i];
-    Result<SelectionEntry*> selection = GetOrCreateSelection(
-        stage.relation, /*has_interval=*/false, 0, 0, 0, stage.residual);
+    Result<SelectionEntry*> selection =
+        GetOrCreateSelection(stage.relation, /*has_interval=*/false, 0, 0, 0,
+                             stage.residual, snapshots);
     if (!selection.ok()) return selection.status();
     Result<rel::Relation*> inner = catalog_->GetRelation(stage.relation);
     if (!inner.ok()) return inner.status();
@@ -403,11 +466,23 @@ Status ReteNetwork::Submit(const std::vector<SelectionEntry*>& entries,
 
 namespace {
 
-/// Sorted serialized form of a memory's contents for multiset comparison.
+/// Sorted serialized form of a bag of tuples for multiset comparison.
 std::vector<std::string> CanonicalBag(const std::vector<Tuple>& tuples) {
   std::vector<std::string> out;
   out.reserve(tuples.size());
   for (const Tuple& tuple : tuples) out.push_back(tuple.ToString());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// CanonicalBag of a memory's contents, read without copying the tuples.
+std::vector<std::string> CanonicalBag(const ivm::TupleStore& store) {
+  std::vector<std::string> out;
+  out.reserve(store.size());
+  store.ForEach([&](const Tuple& tuple) {
+    out.push_back(tuple.ToString());
+    return true;
+  });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -432,28 +507,31 @@ Status ReteNetwork::ValidateState() const {
   storage::MeteringGuard guard(catalog_->disk());
 
   // α-memories: each must equal a from-scratch recomputation of its
-  // selection against the base relation.
+  // selection against the base relation, read in one heap scan per relation.
+  RelationSnapshots relations;
   for (const auto& entry : selections_) {
     // A budget-evicted memory is allowed (required, even) to diverge: it is
     // terminal, so no join reads it, and the owner recomputes on access.
     if (entry->memory->evicted()) continue;
     PROCSIM_RETURN_IF_ERROR(entry->memory->store().CheckConsistency());
-    Result<rel::Relation*> base = catalog_->GetRelation(entry->relation);
-    if (!base.ok()) return base.status();
-    std::vector<Tuple> expected;
-    auto collect = [&](storage::RecordId, const Tuple& tuple) {
-      if (entry->node->residual().Matches(tuple)) expected.push_back(tuple);
-      return true;
-    };
-    if (entry->has_interval) {
+    auto [tuples, first_use] = relations.try_emplace(entry->relation);
+    if (first_use) {
+      Result<rel::Relation*> base = catalog_->GetRelation(entry->relation);
+      if (!base.ok()) return base.status();
       PROCSIM_RETURN_IF_ERROR(
-          base.ValueOrDie()->BTreeRange(entry->lo, entry->hi, collect));
-    } else {
-      PROCSIM_RETURN_IF_ERROR(base.ValueOrDie()->Scan(collect));
+          ScanRelation(*base.ValueOrDie(), &tuples->second));
+    }
+    std::vector<Tuple> expected;
+    for (const Tuple& tuple : tuples->second) {
+      if (entry->has_interval) {
+        const int64_t key = tuple.value(entry->key_column).AsInt64();
+        if (key < entry->lo || key > entry->hi) continue;
+      }
+      if (entry->node->residual().Matches(tuple)) expected.push_back(tuple);
     }
     const std::vector<std::string> want = CanonicalBag(expected);
     const std::vector<std::string> have =
-        CanonicalBag(entry->memory->store().SnapshotForTesting());
+        CanonicalBag(entry->memory->store());
     if (want != have) {
       return Status::Internal(
           "alpha-memory for " + entry->node->Describe() + " on " +
@@ -482,23 +560,32 @@ Status ReteNetwork::ValidateState() const {
     // Evicted β-memories (terminal only, like α above) skip validation.
     if (beta->evicted()) continue;
     PROCSIM_RETURN_IF_ERROR(beta->store().CheckConsistency());
+    // WireJoin builds equi-joins only; recompute by hashing the right side
+    // on its column (equal values hash equally).
+    if (and_node->op() != rel::CompareOp::kEq) {
+      return Status::Internal("and-node " + and_node->Describe() +
+                              " is not an equi-join");
+    }
+    const std::size_t left_column = and_node->left_column();
+    const std::size_t right_column = and_node->right_column();
+    std::unordered_multimap<std::size_t, const Tuple*> right_by_key;
+    and_node->right()->store().ForEach([&](const Tuple& tuple) {
+      right_by_key.emplace(tuple.value(right_column).Hash(), &tuple);
+      return true;
+    });
     std::vector<Tuple> expected;
-    const std::vector<Tuple> left =
-        and_node->left()->store().SnapshotForTesting();
-    const std::vector<Tuple> right =
-        and_node->right()->store().SnapshotForTesting();
-    for (const Tuple& left_tuple : left) {
-      for (const Tuple& right_tuple : right) {
-        if (rel::EvalCompare(left_tuple.value(and_node->left_column()),
-                             and_node->op(),
-                             right_tuple.value(and_node->right_column()))) {
-          expected.push_back(Tuple::Concat(left_tuple, right_tuple));
+    and_node->left()->store().ForEach([&](const Tuple& left_tuple) {
+      const rel::Value& key = left_tuple.value(left_column);
+      auto [begin, end] = right_by_key.equal_range(key.Hash());
+      for (auto it = begin; it != end; ++it) {
+        if (it->second->value(right_column) == key) {
+          expected.push_back(Tuple::Concat(left_tuple, *it->second));
         }
       }
-    }
+      return true;
+    });
     const std::vector<std::string> want = CanonicalBag(expected);
-    const std::vector<std::string> have =
-        CanonicalBag(beta->store().SnapshotForTesting());
+    const std::vector<std::string> have = CanonicalBag(beta->store());
     if (want != have) {
       return Status::Internal(
           "beta-memory of " + and_node->Describe() +

@@ -2,6 +2,7 @@
 #define PROCSIM_RETE_NETWORK_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -19,13 +20,15 @@ namespace procsim::rete {
 /// \brief A Rete discrimination network maintaining the materialized values
 /// of a set of procedure queries (§2 of the paper, figures 1, 3 and 16).
 ///
-/// Networks are built statically: AddProcedure compiles a query into a
-/// right-deep chain of t-const / memory / and nodes, reusing structurally
+/// Networks are built statically: AddProcedures compiles queries into
+/// right-deep chains of t-const / memory / and nodes, reusing structurally
 /// identical subexpressions (same relation, selection interval and residual
 /// predicate) already in the network — the sharing that distinguishes RVM
 /// from AVM.  Memory nodes are populated from the catalog at build time
 /// (metering should be disabled; the paper charges nothing for static
-/// compilation).
+/// compilation): an interval selection from a B-tree range scan, an
+/// unconditional one from a snapshot of its relation that the whole
+/// AddProcedures call shares.
 ///
 /// At run time, base-relation changes are submitted as ± tokens; the root
 /// discriminates by relation and key interval using an in-memory index (the
@@ -35,7 +38,7 @@ namespace procsim::rete {
 /// Thread safety: OnChanges takes a network-level kRete latch before
 /// walking the root index, so concurrent submissions serialize at the
 /// root; each memory then re-latches at kReteMemory (> kRete) during its
-/// own store mutation.  Network construction (AddProcedure) and the
+/// own store mutation.  Network construction (AddProcedures) and the
 /// whole-network sweeps (ValidateState, ToDot) take the same latch, so the
 /// node/dispatch structures are GUARDED_BY(submit_latch_) throughout —
 /// though builds should still complete before going concurrent, since
@@ -65,6 +68,9 @@ class ReteNetwork {
     /// Number of AddProcedure subexpression lookups satisfied by an
     /// existing node chain.
     std::size_t shared_subexpression_hits = 0;
+    /// Relation snapshots taken to populate unconditional selections: at
+    /// most one per relation per AddProcedures call.
+    std::size_t relation_scans = 0;
   };
 
   /// \param catalog       resolves relations for build-time population
@@ -78,9 +84,20 @@ class ReteNetwork {
   ReteNetwork(const ReteNetwork&) = delete;
   ReteNetwork& operator=(const ReteNetwork&) = delete;
 
-  /// Compiles `query` into the network and returns the memory node that
-  /// holds the procedure's maintained value.  Population I/O is charged
-  /// only if the disk's metering is enabled (callers normally disable it).
+  /// Compiles `queries` into the network in order and returns, in the same
+  /// order, the memory nodes that hold the procedures' maintained values.
+  /// Every unconditional selection created by the call is populated from
+  /// one un-metered snapshot of its relation, taken at the relation's first
+  /// such selection and dropped when the call returns; α-memories insert in
+  /// heap-scan (unconditional) or key (interval) order, so the pages match a
+  /// one-query-at-a-time build.  Other population I/O is charged only if the
+  /// disk's metering is enabled (callers normally disable it).  On an error
+  /// the network keeps what was built before it; a memory whose population
+  /// failed is never registered.
+  Result<std::vector<MemoryNode*>> AddProcedures(
+      std::span<const rel::ProcedureQuery> queries);
+
+  /// AddProcedures for one query.
   Result<MemoryNode*> AddProcedure(const rel::ProcedureQuery& query);
 
   /// Feeds one transaction's ordered changes to `relation` into the root —
@@ -121,35 +138,51 @@ class ReteNetwork {
     std::size_t signature = 0;
   };
 
+  /// Relation name -> its tuples in heap-scan order; lives for one
+  /// AddProcedures call.
+  using RelationSnapshots =
+      std::unordered_map<std::string, std::vector<rel::Tuple>>;
+
   /// Walks one relation's root-index entries for one token: every
   /// unconditional entry, and every interval entry whose interval holds the
   /// key, activates its t-const chain in registration order.
   Status Submit(const std::vector<SelectionEntry*>& entries,
                 const Token& token) REQUIRES(submit_latch_);
 
+  /// Compiles one query (the body of AddProcedures).
+  Result<MemoryNode*> AddOne(const rel::ProcedureQuery& query,
+                             RelationSnapshots* snapshots)
+      REQUIRES(submit_latch_);
+
   /// Returns (creating if needed) the selection chain for `relation` with
   /// the given interval/residual; the attached α-memory is populated from
-  /// the relation's current contents.
+  /// the relation's current contents (an unconditional one from
+  /// `snapshots`, which it fills on the relation's first use) before the
+  /// chain is registered, so a failed insert registers nothing.
   Result<SelectionEntry*> GetOrCreateSelection(
       const std::string& relation, bool has_interval, std::size_t key_column,
-      int64_t lo, int64_t hi, const rel::Conjunction& residual)
-      REQUIRES(submit_latch_);
+      int64_t lo, int64_t hi, const rel::Conjunction& residual,
+      RelationSnapshots* snapshots) REQUIRES(submit_latch_);
 
   /// Builds (with sharing) the right-deep join tail covering
   /// `query.joins[from..]`; the returned memory holds
   /// concat(R_from, ..., R_last) filtered by each stage's residual and
   /// joined on each inner stage's condition.
   Result<MemoryNode*> BuildJoinTail(const rel::ProcedureQuery& query,
-                                    std::size_t from)
+                                    std::size_t from,
+                                    RelationSnapshots* snapshots)
       REQUIRES(submit_latch_);
 
   /// Left-deep compilation of a whole procedure (JoinShape::kLeftDeep).
   Result<MemoryNode*> AddProcedureLeftDeep(const rel::ProcedureQuery& query,
-                                           MemoryNode* base_memory)
+                                           MemoryNode* base_memory,
+                                           RelationSnapshots* snapshots)
       REQUIRES(submit_latch_);
 
-  /// Wires `left ⋈ right` into a fresh β-memory, recording stats/edges and
-  /// populating the result from the current memory contents.
+  /// Wires `left ⋈ right` into a fresh β-memory populated from the current
+  /// memory contents, recording stats/edges.  The β-memory is populated
+  /// before anything is registered, so a failed insert leaves the network
+  /// as it was (apart from probe indexes on `left` and `right`).
   Result<MemoryNode*> WireJoin(MemoryNode* left, MemoryNode* right,
                                std::size_t left_column,
                                std::size_t right_column)
@@ -160,12 +193,17 @@ class ReteNetwork {
   Result<std::size_t> SegmentOffset(const rel::ProcedureQuery& query,
                                     std::size_t stage_index) const;
 
-  template <typename NodeType, typename... Args>
-  NodeType* MakeNode(Args&&... args) REQUIRES(submit_latch_) {
-    auto node = std::make_unique<NodeType>(std::forward<Args>(args)...);
+  /// Takes ownership of `node`, appending it to nodes_ (construction order).
+  template <typename NodeType>
+  NodeType* Adopt(std::unique_ptr<NodeType> node) REQUIRES(submit_latch_) {
     NodeType* raw = node.get();
     nodes_.push_back(std::move(node));
     return raw;
+  }
+
+  template <typename NodeType, typename... Args>
+  NodeType* MakeNode(Args&&... args) REQUIRES(submit_latch_) {
+    return Adopt(std::make_unique<NodeType>(std::forward<Args>(args)...));
   }
 
   /// One rendered edge of the network graph (adapters normalized away).

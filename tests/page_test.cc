@@ -184,10 +184,13 @@ TEST(PagePropertyTest, MatchesReferenceModel) {
     // Periodic full validation.
     if (step % 250 == 0) {
       EXPECT_EQ(page.live_count(), model.size());
+      uint32_t used = 0;
       for (const auto& [slot, record] : model) {
         ASSERT_TRUE(page.IsLive(slot));
         EXPECT_EQ(Copied(page, slot), record);
+        used += static_cast<uint32_t>(record.size());
       }
+      EXPECT_EQ(page.FreeSpace(), page.page_size() - used);
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 
 #include "ivm/delta.h"
 #include "obs/metrics.h"
@@ -545,6 +546,69 @@ TEST_F(ReteTest, SelfJoinStaysConsistentUnderOneTokenPath) {
   }
 }
 
+TEST_F(ReteTest, RelationSnapshotLivesForOneAddProceduresCall) {
+  ReteNetwork network(&catalog_, &meter_, 100);
+  const std::vector<ProcedureQuery> first = {P2Model1(0, 49, 1)};
+  ASSERT_TRUE(network.AddProcedures(first).ok());
+  EXPECT_EQ(network.stats().relation_scans, 1u);
+
+  // R2 changes after the first build; the network hears of it as a token.
+  const Tuple added({Value(int64_t{2}), Value(int64_t{0}), Value(int64_t{1})});
+  ASSERT_TRUE(r2_->Insert(added).ok());
+  ASSERT_TRUE(InsertToken(&network, "R2", added).ok());
+
+  // A new R2 selection (c = 0) in a second call reads R2 afresh, so its
+  // α-memory, and the join above it, hold the inserted row.
+  ProcedureQuery second = P2Model1(0, 49, 1);
+  second.joins[0].residual = Conjunction(
+      {PredicateTerm{1, rel::CompareOp::kEq, Value(int64_t{0})}});
+  const std::vector<ProcedureQuery> queries = {second};
+  auto memories = network.AddProcedures(queries);
+  ASSERT_TRUE(memories.ok()) << memories.status().ToString();
+  EXPECT_EQ(network.stats().relation_scans, 2u);
+  const std::vector<Tuple> expected = executor_.Execute(second).ValueOrDie();
+  ASSERT_TRUE(
+      std::any_of(expected.begin(), expected.end(), [&](const Tuple& row) {
+        return Tuple({row.value(2), row.value(3), row.value(4)}) == added;
+      }));
+  EXPECT_EQ(Canon(memories.ValueOrDie()[0]->store().SnapshotForTesting()),
+            Canon(expected));
+  EXPECT_TRUE(network.ValidateState().ok())
+      << network.ValidateState().ToString();
+}
+
+TEST_F(ReteTest, FailedPopulationInsertReturnsItsStatus) {
+  // A memory record wider than a page cannot be stored: population must
+  // report that rather than abort, on the B-tree path (the interval
+  // selection) and on the snapshot path (the unconditional R2 selection,
+  // reached through an interval that selects no R1 tuple).  A memory is
+  // populated before its chain is registered, so the failing selection
+  // leaves no node behind and the network still validates.
+  {
+    ReteNetwork network(&catalog_, &meter_, /*pad_to_bytes=*/5000);
+    const std::string empty_dot = network.ToDot();
+    EXPECT_EQ(network.AddProcedure(P1(10, 19)).status().code(),
+              StatusCode::kOutOfRange);
+    EXPECT_EQ(network.stats().tconst_nodes, 0u);
+    EXPECT_EQ(network.stats().alpha_memories, 0u);
+    EXPECT_EQ(network.ToDot(), empty_dot);
+    EXPECT_TRUE(network.ValidateState().ok());
+  }
+  {
+    // The empty R1 selection is complete and stays; the R2 one is not.
+    ReteNetwork network(&catalog_, &meter_, /*pad_to_bytes=*/5000);
+    EXPECT_EQ(network.AddProcedure(P2Model1(1000, 2000, 1)).status().code(),
+              StatusCode::kOutOfRange);
+    EXPECT_EQ(network.stats().tconst_nodes, 1u);
+    EXPECT_EQ(network.stats().alpha_memories, 1u);
+    EXPECT_EQ(network.stats().and_nodes, 0u);
+    EXPECT_EQ(network.stats().beta_memories, 0u);
+    EXPECT_EQ(network.stats().relation_scans, 1u);
+    EXPECT_TRUE(network.ValidateState().ok())
+        << network.ValidateState().ToString();
+  }
+}
+
 cost::Params GroupingParams() {
   cost::Params params;
   params.N = 200;
@@ -628,6 +692,81 @@ TEST(ReteOnChangesTest, GroupingDoesNotChangeChargesOrState) {
       storage::MeteringGuard guard(dbs[i]->disk.get());
       EXPECT_TRUE(networks[i]->ValidateState().ok())
           << networks[i]->ValidateState().ToString();
+    }
+  }
+}
+
+/// FNV-1a over every page's Page::Serialize() bytes, in page-id order.
+uint64_t PageImageHash(storage::SimulatedDisk* disk) {
+  uint64_t hash = 14695981039346656037ULL;
+  for (storage::PageId id = 0; id < disk->page_count(); ++id) {
+    const std::vector<uint8_t> bytes =
+        disk->ReadPage(id).ValueOrDie()->Serialize();
+    for (uint8_t byte : bytes) {
+      hash ^= byte;
+      hash *= 1099511628211ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(ReteBuildTest, OneCallBuildsWhatOneQueryAtATimeBuilds) {
+  // Two identical databases: one network compiles every procedure in one
+  // AddProcedures call (one snapshot per relation), the other one query at
+  // a time.  The structure, every page byte and the memory contents match.
+  for (const cost::ProcModel model :
+       {cost::ProcModel::kModel1, cost::ProcModel::kModel2}) {
+    for (const ReteNetwork::JoinShape shape :
+         {ReteNetwork::JoinShape::kRightDeep,
+          ReteNetwork::JoinShape::kLeftDeep}) {
+      std::unique_ptr<sim::Database> dbs[2];
+      std::unique_ptr<ReteNetwork> networks[2];
+      for (int i = 0; i < 2; ++i) {
+        auto built = sim::BuildDatabase(GroupingParams(), model, /*seed=*/9);
+        ASSERT_TRUE(built.ok()) << built.status().ToString();
+        dbs[i] = built.TakeValueOrDie();
+        networks[i] = std::make_unique<ReteNetwork>(
+            dbs[i]->catalog.get(), &dbs[i]->meter, 100, shape);
+      }
+      std::vector<ProcedureQuery> queries;
+      std::set<std::string> inner_relations;
+      for (const proc::DatabaseProcedure& procedure : dbs[0]->procedures) {
+        queries.push_back(procedure.query);
+        for (const JoinStage& stage : procedure.query.joins) {
+          inner_relations.insert(stage.relation);
+        }
+      }
+      ASSERT_FALSE(inner_relations.empty());
+      {
+        storage::MeteringGuard guard(dbs[0]->disk.get());
+        auto memories = networks[0]->AddProcedures(queries);
+        ASSERT_TRUE(memories.ok()) << memories.status().ToString();
+        EXPECT_EQ(memories.ValueOrDie().size(), queries.size());
+      }
+      {
+        storage::MeteringGuard guard(dbs[1]->disk.get());
+        for (const ProcedureQuery& query : queries) {
+          ASSERT_TRUE(networks[1]->AddProcedure(query).ok());
+        }
+      }
+      const ReteNetwork::Stats& whole = networks[0]->stats();
+      const ReteNetwork::Stats& split = networks[1]->stats();
+      EXPECT_EQ(whole.tconst_nodes, split.tconst_nodes);
+      EXPECT_EQ(whole.alpha_memories, split.alpha_memories);
+      EXPECT_EQ(whole.and_nodes, split.and_nodes);
+      EXPECT_EQ(whole.beta_memories, split.beta_memories);
+      EXPECT_EQ(whole.shared_subexpression_hits,
+                split.shared_subexpression_hits);
+      EXPECT_EQ(whole.relation_scans, inner_relations.size());
+      EXPECT_GT(split.relation_scans, whole.relation_scans);
+      EXPECT_EQ(dbs[0]->disk->page_count(), dbs[1]->disk->page_count());
+      EXPECT_EQ(PageImageHash(dbs[0]->disk.get()),
+                PageImageHash(dbs[1]->disk.get()));
+      for (int i = 0; i < 2; ++i) {
+        storage::MeteringGuard guard(dbs[i]->disk.get());
+        EXPECT_TRUE(networks[i]->ValidateState().ok())
+            << networks[i]->ValidateState().ToString();
+      }
     }
   }
 }

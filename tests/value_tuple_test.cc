@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "relational/tuple.h"
 #include "relational/value.h"
 
@@ -36,8 +38,8 @@ TEST(ValueTest, SerializeRoundTrip) {
   for (const Value& value :
        {Value(int64_t{-7}), Value(2.25), Value("päyload with ünicode"),
         Value(std::string())}) {
-    std::vector<uint8_t> bytes;
-    value.SerializeTo(&bytes);
+    std::vector<uint8_t> bytes(value.SerializedSize());
+    EXPECT_EQ(value.SerializeInto(bytes.data()), bytes.data() + bytes.size());
     std::size_t cursor = 0;
     Result<Value> restored = Value::DeserializeFrom(bytes, &cursor);
     ASSERT_TRUE(restored.ok());
@@ -59,6 +61,27 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value(int64_t{10}).Hash(), Value(int64_t{10}).Hash());
   EXPECT_NE(Value(int64_t{10}).Hash(), Value(int64_t{11}).Hash());
   EXPECT_EQ(Value("x").Hash(), Value("x").Hash());
+
+  // Signed zeros compare equal, so they must hash equally.
+  EXPECT_EQ(Value(0.0), Value(-0.0));
+  EXPECT_EQ(Value(0.0).Hash(), Value(-0.0).Hash());
+
+  // NaN equals only NaN (whatever its payload), sorts after every number,
+  // and every NaN hashes alike.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double other_nan = -std::numeric_limits<double>::signaling_NaN();
+  EXPECT_EQ(Value(nan), Value(nan));
+  EXPECT_EQ(Value(nan), Value(other_nan));
+  EXPECT_EQ(Value(nan).Hash(), Value(other_nan).Hash());
+  for (const double number :
+       {0.0, -1.5, 1e300, std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(Value(nan) == Value(number)) << number;
+    EXPECT_EQ(Value(number).Compare(Value(nan)), std::strong_ordering::less)
+        << number;
+    EXPECT_EQ(Value(nan).Compare(Value(number)), std::strong_ordering::greater)
+        << number;
+  }
 }
 
 TEST(SchemaTest, ColumnLookup) {
