@@ -1,5 +1,7 @@
 #include "ivm/tuple_store.h"
 
+#include <set>
+
 #include "util/logging.h"
 
 namespace procsim::ivm {
@@ -19,7 +21,7 @@ std::size_t TupleStore::page_count() const { return heap_->pages().size(); }
 Status TupleStore::InsertInternal(const Tuple& tuple) {
   Result<RecordId> rid = heap_->Insert(tuple.Serialize(pad_to_bytes_));
   if (!rid.ok()) return rid.status();
-  by_tuple_.emplace(tuple.Hash(), Entry{rid.ValueOrDie(), tuple});
+  by_tuple_.emplace(tuple.Hash(), rid.ValueOrDie());
   for (auto& [column, index] : probe_indexes_) {
     index.emplace(tuple.value(column).AsInt64(), rid.ValueOrDie());
   }
@@ -33,36 +35,51 @@ Status TupleStore::Insert(const Tuple& tuple) {
   return Status::OK();
 }
 
-Status TupleStore::Remove(const Tuple& tuple) {
+Result<Tuple> TupleStore::Decode(RecordId rid) const {
+  Result<storage::ByteView> bytes = heap_->Read(rid);
+  if (!bytes.ok()) return bytes.status();
+  return Tuple::Deserialize(bytes.ValueOrDie());
+}
+
+TupleStore::TupleMap::const_iterator TupleStore::Find(
+    const Tuple& tuple) const {
+  // Compare decoded tuples, not bytes: values equal under Value::Compare
+  // (+0.0 and -0.0, NaN payloads) may encode differently.
+  storage::MeteringGuard guard(disk_);
   auto [begin, end] = by_tuple_.equal_range(tuple.Hash());
   for (auto it = begin; it != end; ++it) {
-    if (!(it->second.tuple == tuple)) continue;
-    const RecordId rid = it->second.rid;
-    PROCSIM_RETURN_IF_ERROR(heap_->Delete(rid));
-    for (auto& [column, index] : probe_indexes_) {
-      const int64_t key = tuple.value(column).AsInt64();
-      auto [kbegin, kend] = index.equal_range(key);
-      for (auto kit = kbegin; kit != kend; ++kit) {
-        if (kit->second == rid) {
-          index.erase(kit);
-          break;
-        }
+    Result<Tuple> stored = Decode(it->second);
+    PROCSIM_CHECK(stored.ok()) << stored.status().ToString();
+    if (stored.ValueOrDie() == tuple) return it;
+  }
+  return by_tuple_.end();
+}
+
+Status TupleStore::Remove(const Tuple& tuple) {
+  const auto it = Find(tuple);
+  if (it == by_tuple_.end()) {
+    return Status::NotFound("tuple not in store: " + tuple.ToString());
+  }
+  const RecordId rid = it->second;
+  PROCSIM_RETURN_IF_ERROR(heap_->Delete(rid));
+  for (auto& [column, index] : probe_indexes_) {
+    const int64_t key = tuple.value(column).AsInt64();
+    auto [kbegin, kend] = index.equal_range(key);
+    for (auto kit = kbegin; kit != kend; ++kit) {
+      if (kit->second == rid) {
+        index.erase(kit);
+        break;
       }
     }
-    by_tuple_.erase(it);
-    --count_;
-    PROCSIM_AUDIT_OK(CheckConsistency());
-    return Status::OK();
   }
-  return Status::NotFound("tuple not in store: " + tuple.ToString());
+  by_tuple_.erase(it);
+  --count_;
+  PROCSIM_AUDIT_OK(CheckConsistency());
+  return Status::OK();
 }
 
 bool TupleStore::Contains(const Tuple& tuple) const {
-  auto [begin, end] = by_tuple_.equal_range(tuple.Hash());
-  for (auto it = begin; it != end; ++it) {
-    if (it->second.tuple == tuple) return true;
-  }
-  return false;
+  return Find(tuple) != by_tuple_.end();
 }
 
 Result<std::vector<Tuple>> TupleStore::ReadAll() const {
@@ -81,8 +98,14 @@ Result<std::vector<Tuple>> TupleStore::ReadAll() const {
 void TupleStore::EnsureProbeIndex(std::size_t column) {
   if (probe_indexes_.contains(column)) return;
   auto& index = probe_indexes_[column];
-  for (const auto& [hash, entry] : by_tuple_) {
-    index.emplace(entry.tuple.value(column).AsInt64(), entry.rid);
+  storage::MeteringGuard guard(disk_);
+  for (const auto& [hash, rid] : by_tuple_) {
+    Result<storage::ByteView> bytes = heap_->Read(rid);
+    PROCSIM_CHECK(bytes.ok()) << bytes.status().ToString();
+    Result<rel::Value> key =
+        Tuple::DeserializeValue(bytes.ValueOrDie(), column);
+    PROCSIM_CHECK(key.ok()) << key.status().ToString();
+    index.emplace(key.ValueOrDie().AsInt64(), rid);
   }
 }
 
@@ -127,14 +150,24 @@ Status TupleStore::Rebuild(const std::vector<Tuple>& tuples) {
 std::vector<Tuple> TupleStore::SnapshotForTesting() const {
   std::vector<Tuple> out;
   out.reserve(count_);
-  for (const auto& [hash, entry] : by_tuple_) out.push_back(entry.tuple);
+  storage::MeteringGuard guard(disk_);
+  for (const auto& [hash, rid] : by_tuple_) {
+    Result<Tuple> tuple = Decode(rid);
+    PROCSIM_CHECK(tuple.ok()) << tuple.status().ToString();
+    out.push_back(tuple.TakeValueOrDie());
+  }
   return out;
 }
 
 void TupleStore::ForEach(
     const std::function<bool(const Tuple&)>& fn) const {
-  for (const auto& [hash, entry] : by_tuple_) {
-    if (!fn(entry.tuple)) return;
+  for (const auto& [hash, rid] : by_tuple_) {
+    Result<Tuple> tuple = [&] {
+      storage::MeteringGuard guard(disk_);
+      return Decode(rid);
+    }();
+    PROCSIM_CHECK(tuple.ok()) << tuple.status().ToString();
+    if (!fn(tuple.ValueOrDie())) return;
   }
 }
 
@@ -151,22 +184,21 @@ Status TupleStore::CheckConsistency() const {
                             std::to_string(heap_->record_count()) +
                             " records but size() is " + std::to_string(count_));
   }
-  for (const auto& [hash, entry] : by_tuple_) {
-    if (hash != entry.tuple.Hash()) {
-      return Status::Internal("tuple map key does not hash its tuple: " +
-                              entry.tuple.ToString());
+  std::set<RecordId> mapped;
+  for (const auto& [hash, rid] : by_tuple_) {
+    if (!mapped.insert(rid).second) {
+      return Status::Internal("tuple map names record " + rid.ToString() +
+                              " twice");
     }
-    Result<storage::ByteView> bytes = heap_->Read(entry.rid);
-    if (!bytes.ok()) {
-      return Status::Internal("mapped record " + entry.rid.ToString() +
-                              " unreadable: " + bytes.status().ToString());
+    Result<Tuple> stored = Decode(rid);
+    if (!stored.ok()) {
+      return Status::Internal("mapped record " + rid.ToString() +
+                              " unreadable: " + stored.status().ToString());
     }
-    Result<Tuple> stored = Tuple::Deserialize(bytes.ValueOrDie());
-    if (!stored.ok()) return stored.status();
-    if (!(stored.ValueOrDie() == entry.tuple)) {
-      return Status::Internal("record " + entry.rid.ToString() +
-                              " stores " + stored.ValueOrDie().ToString() +
-                              " but the map expects " + entry.tuple.ToString());
+    if (hash != stored.ValueOrDie().Hash()) {
+      return Status::Internal("record " + rid.ToString() + " stores " +
+                              stored.ValueOrDie().ToString() +
+                              ", which does not hash to its tuple map key");
     }
   }
   for (const auto& [column, index] : probe_indexes_) {

@@ -20,10 +20,12 @@ namespace procsim::ivm {
 /// structures.
 ///
 /// Used for materialized procedure results, cached values, and Rete α/β
-/// memory nodes.  Tuple payloads live on SimulatedDisk pages, so every read
-/// of the contents and every incremental refresh charges the paper's I/O
-/// costs; the lookup maps (tuple → rid, key → rids) model the index part of
-/// the structure, whose traversal the paper does not charge.
+/// memory nodes.  The SimulatedDisk pages hold the only copy of each tuple,
+/// so every read of the contents and every incremental refresh charges the
+/// paper's I/O costs.  The lookup maps (tuple hash → rids, key → rids) hold
+/// record ids, not tuples: they model the index part of the structure, whose
+/// traversal the paper does not charge, and the records they name are
+/// decoded from their pages un-metered when a lookup must compare tuples.
 ///
 /// Duplicate tuples are supported (bag semantics).  Probe indexes on int64
 /// columns can be added on demand (EnsureProbeIndex) — a shared Rete memory
@@ -43,7 +45,8 @@ class TupleStore {
   Status Remove(const rel::Tuple& tuple);
 
   /// True if at least one instance of `tuple` is stored (no I/O charge —
-  /// answered from the in-memory map, like an index lookup).
+  /// answered like an index lookup: the hash map names the candidates and
+  /// each is decoded from its page un-metered).
   bool Contains(const rel::Tuple& tuple) const;
 
   /// Reads every tuple, charging one read per page.
@@ -67,34 +70,39 @@ class TupleStore {
   /// Contents without any I/O charge; for tests and invariant checks only.
   std::vector<rel::Tuple> SnapshotForTesting() const;
 
-  /// Visits every stored tuple in SnapshotForTesting's order, without
-  /// copying and without I/O (it walks the in-memory tuple map, not the
-  /// pages), until `fn` returns false.  `fn` must not mutate this store.
+  /// Visits every stored tuple in SnapshotForTesting's order until `fn`
+  /// returns false.  Each tuple is decoded from its page un-metered; `fn`
+  /// runs under the caller's metering.  `fn`'s argument is a temporary,
+  /// valid only during that call: copy what must outlive it.  `fn` must not
+  /// mutate this store.
   void ForEach(const std::function<bool(const rel::Tuple&)>& fn) const;
 
   /// Deep self-validation (un-metered): the heap, the tuple map and every
   /// probe index must describe the same bag — each mapped record is live on
-  /// its page and deserializes back to its tuple, counts agree everywhere,
-  /// and each probe-index posting points at a record whose column value is
-  /// the posting's key.
+  /// its page, named once, and decodes to a tuple whose hash is its map key;
+  /// counts agree everywhere, and each probe-index posting points at a
+  /// record whose column value is the posting's key.
   Status CheckConsistency() const;
 
   std::size_t size() const { return count_; }
   std::size_t page_count() const;
 
  private:
-  struct Entry {
-    storage::RecordId rid;
-    rel::Tuple tuple;
-  };
+  using TupleMap = std::unordered_multimap<std::size_t, storage::RecordId>;
 
   Status InsertInternal(const rel::Tuple& tuple);
+  /// The tuple stored at `rid`; the caller un-meters the read.
+  Result<rel::Tuple> Decode(storage::RecordId rid) const;
+  /// The first entry in map order whose record equals `tuple`, or end().
+  TupleMap::const_iterator Find(const rel::Tuple& tuple) const;
 
   storage::SimulatedDisk* disk_;
   std::size_t pad_to_bytes_;
   std::unique_ptr<storage::HeapFile> heap_;
-  // tuple-hash -> entries (collisions resolved by tuple equality).
-  std::unordered_multimap<std::size_t, Entry> by_tuple_;
+  // tuple-hash -> rids (collisions resolved by decoding and comparing).  Its
+  // iteration order is the order of every walk (ForEach, probe-index
+  // backfill), hence of Rete β inserts and page images.
+  TupleMap by_tuple_;
   // column -> (key -> rids).
   std::map<std::size_t,
            std::unordered_multimap<int64_t, storage::RecordId>>

@@ -39,6 +39,18 @@ std::vector<std::string> Fingerprint(const std::vector<rel::Tuple>& tuples) {
   return keys;
 }
 
+/// Fingerprint of a cache's contents, streamed from its pages un-metered.
+std::vector<std::string> Fingerprint(const ivm::TupleStore& cache) {
+  std::vector<std::string> keys;
+  keys.reserve(cache.size());
+  cache.ForEach([&](const rel::Tuple& tuple) {
+    keys.push_back(tuple.ToString());
+    return true;
+  });
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
 }  // namespace
 
 CacheInvalidateStrategy::CacheInvalidateStrategy(
@@ -130,8 +142,7 @@ Result<std::vector<rel::Tuple>> CacheInvalidateStrategy::Access(ProcId id) {
   // Classify the refresh: if the recomputed value matches the stale cache,
   // the invalidation was false (the i-lock interval over-approximated the
   // procedure's true read set).
-  std::vector<std::string> before =
-      Fingerprint(entries_[id].cache->SnapshotForTesting());
+  std::vector<std::string> before = Fingerprint(*entries_[id].cache);
   Result<std::vector<rel::Tuple>> value = Recompute(id);
   if (value.ok()) {
     if (Fingerprint(value.ValueOrDie()) == before) {

@@ -75,14 +75,28 @@ std::vector<uint8_t> Tuple::Serialize(std::size_t pad_to_bytes) const {
   return out;
 }
 
-Result<Tuple> Tuple::Deserialize(std::span<const uint8_t> bytes) {
-  std::size_t cursor = 0;
+namespace {
+
+/// Reads the arity header of a serialized tuple, leaving `*cursor` at the
+/// first value.
+Result<uint32_t> ReadArity(std::span<const uint8_t> bytes,
+                           std::size_t* cursor) {
   uint32_t arity = 0;
   if (bytes.size() < sizeof(arity)) {
     return Status::InvalidArgument("truncated tuple header");
   }
   std::memcpy(&arity, bytes.data(), sizeof(arity));
-  cursor += sizeof(arity);
+  *cursor = sizeof(arity);
+  return arity;
+}
+
+}  // namespace
+
+Result<Tuple> Tuple::Deserialize(std::span<const uint8_t> bytes) {
+  std::size_t cursor = 0;
+  Result<uint32_t> header = ReadArity(bytes, &cursor);
+  if (!header.ok()) return header.status();
+  const uint32_t arity = header.ValueOrDie();
   std::vector<Value> values;
   values.reserve(arity);
   for (uint32_t i = 0; i < arity; ++i) {
@@ -91,6 +105,23 @@ Result<Tuple> Tuple::Deserialize(std::span<const uint8_t> bytes) {
     values.push_back(value.TakeValueOrDie());
   }
   return Tuple(std::move(values));
+}
+
+Result<Value> Tuple::DeserializeValue(std::span<const uint8_t> bytes,
+                                      std::size_t column) {
+  std::size_t cursor = 0;
+  Result<uint32_t> arity = ReadArity(bytes, &cursor);
+  if (!arity.ok()) return arity.status();
+  if (column >= arity.ValueOrDie()) {
+    return Status::InvalidArgument("column " + std::to_string(column) +
+                                   " beyond tuple arity " +
+                                   std::to_string(arity.ValueOrDie()));
+  }
+  for (std::size_t i = 0; i < column; ++i) {
+    Result<Value> skipped = Value::DeserializeFrom(bytes, &cursor);
+    if (!skipped.ok()) return skipped.status();
+  }
+  return Value::DeserializeFrom(bytes, &cursor);
 }
 
 bool Tuple::TypeChecks(const Schema& schema) const {

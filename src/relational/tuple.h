@@ -64,6 +64,10 @@ class Tuple {
   /// padded so the stored record occupies the paper's fixed tuple width S.
   std::vector<uint8_t> Serialize(std::size_t pad_to_bytes = 0) const;
   static Result<Tuple> Deserialize(std::span<const uint8_t> bytes);
+  /// Decodes only value `column` of a serialized tuple, stepping over the
+  /// values before it without building a Tuple.
+  static Result<Value> DeserializeValue(std::span<const uint8_t> bytes,
+                                        std::size_t column);
 
   bool TypeChecks(const Schema& schema) const;
 

@@ -568,11 +568,13 @@ Status ReteNetwork::ValidateState() const {
     }
     const std::size_t left_column = and_node->left_column();
     const std::size_t right_column = and_node->right_column();
+    // ForEach's tuples live only for one call, so the hashed side is a copy.
+    const std::vector<Tuple> right =
+        and_node->right()->store().SnapshotForTesting();
     std::unordered_multimap<std::size_t, const Tuple*> right_by_key;
-    and_node->right()->store().ForEach([&](const Tuple& tuple) {
+    for (const Tuple& tuple : right) {
       right_by_key.emplace(tuple.value(right_column).Hash(), &tuple);
-      return true;
-    });
+    }
     std::vector<Tuple> expected;
     and_node->left()->store().ForEach([&](const Tuple& left_tuple) {
       const rel::Value& key = left_tuple.value(left_column);

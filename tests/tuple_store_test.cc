@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 namespace procsim::ivm {
 namespace {
@@ -123,6 +124,88 @@ TEST_F(TupleStoreTest, SnapshotIsUnmetered) {
   auto snapshot = store.SnapshotForTesting();
   EXPECT_EQ(snapshot.size(), 1u);
   EXPECT_DOUBLE_EQ(meter_.total_ms(), 0.0);
+}
+
+TEST_F(TupleStoreTest, LookupsReadPagesUnmetered) {
+  TupleStore store(&disk_, 100);
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(store.Insert(Row(i, i)).ok());
+  }
+  meter_.Reset();
+  {
+    storage::AccessScope scope(&disk_);
+    ASSERT_TRUE(store.ReadAll().ok());
+  }
+  const uint64_t read_all_alone = meter_.disk_reads();
+  ASSERT_EQ(read_all_alone, 3u);
+
+  // Contains decodes a record from the last page without a charge, and
+  // that read must not enter the scope's dedup set either: ReadAll still
+  // pays for every page.
+  meter_.Reset();
+  {
+    storage::AccessScope scope(&disk_);
+    EXPECT_TRUE(store.Contains(Row(90, 90)));
+    EXPECT_FALSE(store.Contains(Row(90, 91)));
+    EXPECT_DOUBLE_EQ(meter_.total_ms(), 0.0);
+    ASSERT_TRUE(store.ReadAll().ok());
+  }
+  EXPECT_EQ(meter_.disk_reads(), read_all_alone);
+
+  // Remove pays for the record's page (read, write) and nothing for the
+  // lookup that found it.
+  meter_.Reset();
+  ASSERT_TRUE(store.Remove(Row(90, 90)).ok());
+  EXPECT_EQ(meter_.disk_reads(), 1u);
+  EXPECT_EQ(meter_.disk_writes(), 1u);
+}
+
+TEST_F(TupleStoreTest, LookupsCompareValuesNotBytes) {
+  TupleStore store(&disk_, 100);
+  const Tuple plus_zero({Value(0.0)});
+  const Tuple minus_zero({Value(-0.0)});
+  ASSERT_NE(plus_zero.Serialize(), minus_zero.Serialize());
+  ASSERT_TRUE(store.Insert(plus_zero).ok());
+  EXPECT_TRUE(store.Contains(minus_zero));
+  Result<std::vector<Tuple>> before = store.ReadAll();
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before.ValueOrDie().size(), 1u);
+  EXPECT_FALSE(std::signbit(before.ValueOrDie()[0].value(0).AsDouble()));
+  ASSERT_TRUE(store.Remove(minus_zero).ok());
+  EXPECT_EQ(store.size(), 0u);
+
+  const Tuple nan_one({Value(std::nan("1"))});
+  const Tuple nan_two({Value(std::nan("2"))});
+  ASSERT_NE(nan_one.Serialize(), nan_two.Serialize());
+  ASSERT_TRUE(store.Insert(nan_one).ok());
+  EXPECT_TRUE(store.Contains(nan_two));
+  ASSERT_TRUE(store.Remove(nan_two).ok());
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_TRUE(store.CheckConsistency().ok());
+}
+
+TEST_F(TupleStoreTest, PageHoldsTheOnlyCopy) {
+  TupleStore store(&disk_, 100);
+  ASSERT_TRUE(store.Insert(Row(1, 2)).ok());
+  ASSERT_EQ(disk_.page_count(), 1u);
+
+  // Overwrite the record in place with a different tuple of the same size.
+  const std::vector<uint8_t> bytes = Row(7, 8).Serialize(100);
+  Result<storage::Page*> page = disk_.ReadPage(0);
+  ASSERT_TRUE(page.ok());
+  ASSERT_TRUE(page.ValueOrDie()
+                  ->Update(0, bytes.data(), static_cast<uint32_t>(bytes.size()))
+                  .ok());
+
+  const std::vector<Tuple> snapshot = store.SnapshotForTesting();
+  ASSERT_EQ(snapshot.size(), 1u);
+  EXPECT_EQ(snapshot[0], Row(7, 8));
+  EXPECT_FALSE(store.Contains(Row(1, 2)));
+  const Status consistency = store.CheckConsistency();
+  EXPECT_EQ(consistency.code(), StatusCode::kInternal);
+  EXPECT_NE(consistency.ToString().find("does not hash to its tuple map key"),
+            std::string::npos)
+      << consistency.ToString();
 }
 
 }  // namespace

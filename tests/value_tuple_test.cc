@@ -118,6 +118,14 @@ TEST(TupleTest, SerializeRoundTripWithPadding) {
   Result<Tuple> from_padded = Tuple::Deserialize(padded);
   ASSERT_TRUE(from_padded.ok());
   EXPECT_TRUE(from_padded.ValueOrDie() == tuple);
+  // One column alone, stepping over a string before it.
+  for (std::size_t column = 0; column < tuple.arity(); ++column) {
+    Result<Value> value = Tuple::DeserializeValue(padded, column);
+    ASSERT_TRUE(value.ok());
+    EXPECT_TRUE(value.ValueOrDie() == tuple.value(column));
+  }
+  EXPECT_EQ(Tuple::DeserializeValue(padded, 3).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(TupleTest, ConcatPreservesOrder) {
