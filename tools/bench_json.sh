@@ -10,11 +10,14 @@
 #   tools/bench_json.sh [build-dir]                  # gate (default: build)
 #   tools/bench_json.sh [build-dir] --update-goldens # re-baseline
 #
-# Only the analytic benches are gated: they are pure closed-form cost-model
-# evaluations, so their figures are bit-stable across runs and platforms.
-# The measured simulator benches (sim_vs_analytic, abl_hybrid, ...) carry
-# their own internal assertions and run as `bench-smoke` ctest cases
-# instead.
+# Two kinds of bench are gated, both bit-stable across runs:
+#   - the analytic benches, pure closed-form cost-model evaluations;
+#   - measured benches whose figures are simulated costs or counts from a
+#     fixed seed (fig20_memory_pressure, fig21_group_commit,
+#     micro_row_paths, abl_adaptive, abl_hybrid).  Their wall-clock numbers,
+#     where any, sit under keys tools/bench_diff ignores.
+# The other measured benches (sim_vs_analytic, abl_buffer_cache, ...) carry
+# their own internal assertions and run only as `bench-smoke` ctest cases.
 set -eu -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,8 +35,8 @@ GOLDEN_DIR="bench/goldens"
 BENCH_DIR="${BUILD_DIR}/bench"
 DIFF_BIN="${BUILD_DIR}/tools/bench_diff"
 
-# The golden set: every closed-form bench.  Keep in sync with
-# bench/CMakeLists.txt and bench/goldens/.
+# The golden set.  Keep in sync with bench/CMakeLists.txt and
+# bench/goldens/.
 GOLDEN_BENCHES=(
   fig04_inval_high
   fig05_default
@@ -59,6 +62,8 @@ GOLDEN_BENCHES=(
   fig20_memory_pressure
   fig21_group_commit
   micro_row_paths
+  abl_adaptive
+  abl_hybrid
 )
 
 if [[ ! -x "${DIFF_BIN}" && "${UPDATE}" -eq 0 ]]; then
