@@ -1,5 +1,5 @@
-// Ablation AB5: the adaptive patch-vs-invalidate rule
-// (UpdateCacheAdaptiveStrategy) across the update-probability sweep,
+// Ablation AB5: the adaptive patch-vs-invalidate rule (UpdateCacheAvmStrategy
+// with finite patch thresholds) across the update-probability sweep,
 // measured on the real system.  Pure AVM degrades severely at high P
 // (paper §8); pure CI forfeits incremental maintenance at low P; the
 // adaptive rule should approximate the lower envelope with a single
@@ -8,7 +8,7 @@
 #include <memory>
 
 #include "bench/bench_common.h"
-#include "proc/update_cache_adaptive.h"
+#include "proc/update_cache_avm.h"
 #include "sim/simulator.h"
 
 int main(int argc, char** argv) {
@@ -62,9 +62,10 @@ int main(int argc, char** argv) {
     for (double fraction : {0.1, 0.5, 2.0}) {
       Result<sim::SimulationResult> run = sim::Simulator::RunWithFactory(
           [&](sim::Database* db) {
-            return std::make_unique<proc::UpdateCacheAdaptiveStrategy>(
+            return std::make_unique<proc::UpdateCacheAvmStrategy>(
                 db->catalog.get(), db->executor.get(), &db->meter,
-                static_cast<std::size_t>(point.S), fraction);
+                static_cast<std::size_t>(point.S), fraction,
+                /*max_unread_patches=*/4);
           },
           options);
       if (!run.ok()) {

@@ -1,10 +1,11 @@
 #include "proc/cache_invalidate.h"
 
-#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "relational/tuple.h"
 #include "util/logging.h"
 
 namespace procsim::proc {
@@ -26,30 +27,6 @@ obs::Counter* const g_false_invalidations =
         "proc.cache_invalidate.false_invalidations");
 obs::Counter* const g_cache_reloads =
     obs::GlobalMetrics().RegisterCounter("cache.entries.reloaded");
-
-/// Order-insensitive fingerprint of a result multiset, for classifying a
-/// refresh as a true invalidation (result changed) or a false one (the
-/// i-lock fired but the procedure's value is unchanged — the paper's
-/// over-locking cost).
-std::vector<std::string> Fingerprint(const std::vector<rel::Tuple>& tuples) {
-  std::vector<std::string> keys;
-  keys.reserve(tuples.size());
-  for (const rel::Tuple& tuple : tuples) keys.push_back(tuple.ToString());
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-/// Fingerprint of a cache's contents, streamed from its pages un-metered.
-std::vector<std::string> Fingerprint(const ivm::TupleStore& cache) {
-  std::vector<std::string> keys;
-  keys.reserve(cache.size());
-  cache.ForEach([&](const rel::Tuple& tuple) {
-    keys.push_back(tuple.ToString());
-    return true;
-  });
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
 
 }  // namespace
 
@@ -139,13 +116,19 @@ Result<std::vector<rel::Tuple>> CacheInvalidateStrategy::Access(ProcId id) {
   }
   invalid_access_count_.fetch_add(1, std::memory_order_relaxed);
   g_invalid_accesses->Add();
-  // Classify the refresh: if the recomputed value matches the stale cache,
-  // the invalidation was false (the i-lock interval over-approximated the
-  // procedure's true read set).
-  std::vector<std::string> before = Fingerprint(*entries_[id].cache);
+  // Classify the refresh: if the recomputed value matches the stale cache
+  // byte for byte, the invalidation was false (the i-lock interval
+  // over-approximated the procedure's true read set).  The stale cache is
+  // streamed from its pages un-metered.
+  rel::CanonicalBag stale(entries_[id].cache->size());
+  entries_[id].cache->ForEach([&](const rel::Tuple& tuple) {
+    stale.Add(tuple);
+    return true;
+  });
+  const std::string before = std::move(stale).Finish();
   Result<std::vector<rel::Tuple>> value = Recompute(id);
   if (value.ok()) {
-    if (Fingerprint(value.ValueOrDie()) == before) {
+    if (rel::CanonicalResultBytes(value.ValueOrDie()) == before) {
       g_false_invalidations->Add();
     } else {
       g_true_invalidations->Add();

@@ -26,7 +26,9 @@ HybridStrategy::HybridStrategy(rel::Catalog* catalog, rel::Executor* executor,
       catalog, executor, meter, result_tuple_bytes, params.C_inval, config,
       budget));
   subs_.push_back(std::make_unique<UpdateCacheAvmStrategy>(
-      catalog, executor, meter, result_tuple_bytes, config, budget));
+      catalog, executor, meter, result_tuple_bytes,
+      UpdateCacheAvmStrategy::kAlwaysPatch,
+      UpdateCacheAvmStrategy::kNoStalenessLimit, config, budget));
   subs_.push_back(std::make_unique<UpdateCacheRvmStrategy>(
       catalog, executor, meter, result_tuple_bytes,
       rete::ReteNetwork::JoinShape::kRightDeep, config, budget));

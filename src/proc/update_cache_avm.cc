@@ -1,11 +1,14 @@
 #include "proc/update_cache_avm.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "util/logging.h"
 
 namespace procsim::proc {
 namespace {
 
+// The proc.update_cache_avm.* counters count pure-AVM instances only.
 obs::Counter* const g_accesses =
     obs::GlobalMetrics().RegisterCounter("proc.update_cache_avm.accesses");
 obs::Counter* const g_delta_tuples = obs::GlobalMetrics().RegisterCounter(
@@ -16,6 +19,19 @@ obs::Counter* const g_cache_reloads =
     obs::GlobalMetrics().RegisterCounter("cache.entries.reloaded");
 
 }  // namespace
+
+UpdateCacheAvmStrategy::UpdateCacheAvmStrategy(
+    rel::Catalog* catalog, rel::Executor* executor, CostMeter* meter,
+    std::size_t result_tuple_bytes, double patch_fraction,
+    std::size_t max_unread_patches, EngineConfig config, CacheBudget* budget)
+    : Strategy(catalog, executor, meter, result_tuple_bytes, config, budget),
+      patch_fraction_(patch_fraction),
+      max_unread_patches_(max_unread_patches),
+      never_invalidates_(patch_fraction == kAlwaysPatch &&
+                         max_unread_patches == kNoStalenessLimit) {
+  PROCSIM_CHECK_GE(patch_fraction, 0.0);
+  PROCSIM_CHECK_GE(max_unread_patches, 1u);
+}
 
 Status UpdateCacheAvmStrategy::Prepare() {
   storage::MeteringGuard guard(catalog_->disk());
@@ -45,26 +61,30 @@ Status UpdateCacheAvmStrategy::Prepare() {
 }
 
 Result<std::vector<rel::Tuple>> UpdateCacheAvmStrategy::Access(ProcId id) {
-  if (!deferred_error_.ok()) return deferred_error_;
+  PROCSIM_RETURN_IF_ERROR(deferred_error_);
   if (id >= entries_.size()) {
     return Status::NotFound("no procedure with id " + std::to_string(id));
   }
-  g_accesses->Add();
+  if (never_invalidates_) g_accesses->Add();
   Entry& entry = entries_[id];
-  if (EntryLive(entry)) {
+  if (entry.valid && EntryLive(entry)) {
     if (budget_ != nullptr) budget_->OnAccess(entry.budget_id);
+    entry.unread_patches = 0;
     return entry.maintainer->Read();
   }
-  // Evicted by the budget: the maintained copy is gone, so recompute from
-  // the base tables (AR-like degradation), re-seed the maintainer, and
-  // re-admit the fresh value.  Deltas accumulated for the dead copy are
-  // stale — the recomputation already reflects them.
-  g_cache_reloads->Add();
+  // Invalidated, or evicted by the budget (the stored pages are gone):
+  // recompute from the base tables, re-seed the maintainer, and re-admit
+  // the fresh value.  Deltas accumulated for the dead copy are stale — the
+  // recomputation already reflects them.  An eviction of a still-valid copy
+  // counts as a reload, not an invalidation.
+  if (entry.valid) g_cache_reloads->Add();
   Result<std::vector<rel::Tuple>> value =
       executor_->Execute(entry.maintainer->query());
   if (!value.ok()) return value.status();
   PROCSIM_RETURN_IF_ERROR(entry.maintainer->ResetContents(value.ValueOrDie()));
+  entry.valid = true;
   entry.pending.Clear();
+  entry.unread_patches = 0;
   if (budget_ != nullptr) {
     budget_->Admit(entry.budget_id,
                    value.ValueOrDie().size() * result_tuple_bytes_);
@@ -77,9 +97,9 @@ void UpdateCacheAvmStrategy::HandleWrite(const std::string& relation,
                                          bool is_insert) {
   for (ProcId id : locks_.FindBroken(relation, tuple)) {
     Entry& entry = entries_[id];
-    // An evicted copy cannot be patched; the next access recomputes it, so
-    // tracking deltas for it would only waste C3 work.
-    if (!EntryLive(entry)) continue;
+    // An invalid or evicted copy cannot be patched; the next access
+    // recomputes it, so tracking deltas for it would only waste C3 work.
+    if (!entry.valid || !EntryLive(entry)) continue;
     // Screen the written tuple against the full procedure predicate (C1 per
     // term, at least one) and track it in the A_net/D_net structures (C3).
     Result<bool> matches =
@@ -114,17 +134,33 @@ Status UpdateCacheAvmStrategy::OnTransactionEnd() {
       entry.pending.Clear();
       continue;
     }
-    if (entry.pending.empty()) continue;
-    g_delta_tuples->Add(entry.pending.TotalNetSize());
-    PROCSIM_RETURN_IF_ERROR(entry.maintainer->ApplyBaseDelta(entry.pending));
-    entry.pending.Clear();
-    g_refreshes->Add();
-    if (budget_ != nullptr) {
-      budget_->Resize(entry.budget_id, entry.maintainer->store().size() *
-                                           result_tuple_bytes_);
+    if (!entry.valid || entry.pending.empty()) continue;
+    const std::size_t delta_size = entry.pending.TotalNetSize();
+    const double view_size =
+        std::max(1.0, static_cast<double>(entry.maintainer->store().size()));
+    if (static_cast<double>(delta_size) <= patch_fraction_ * view_size &&
+        entry.unread_patches < max_unread_patches_) {
+      if (never_invalidates_) g_delta_tuples->Add(delta_size);
+      PROCSIM_RETURN_IF_ERROR(entry.maintainer->ApplyBaseDelta(entry.pending));
+      ++patch_count_;
+      ++entry.unread_patches;
+      if (never_invalidates_) g_refreshes->Add();
+      if (budget_ != nullptr) {
+        budget_->Resize(entry.budget_id, entry.maintainer->store().size() *
+                                             result_tuple_bytes_);
+      }
+    } else {
+      entry.valid = false;
+      ++invalidate_count_;
     }
+    entry.pending.Clear();
   }
   return Status::OK();
+}
+
+bool UpdateCacheAvmStrategy::IsValid(ProcId id) const {
+  PROCSIM_CHECK_LT(id, entries_.size());
+  return entries_[id].valid;
 }
 
 std::vector<rel::Tuple> UpdateCacheAvmStrategy::SnapshotForTesting(

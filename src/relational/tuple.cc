@@ -152,4 +152,27 @@ std::size_t Tuple::Hash() const {
   return h;
 }
 
+void CanonicalBag::Add(const Tuple& tuple) {
+  std::vector<uint8_t> bytes = tuple.Serialize();
+  images_.emplace_back(bytes.begin(), bytes.end());
+}
+
+std::string CanonicalBag::Finish() && {
+  std::sort(images_.begin(), images_.end());
+  std::string digest;
+  for (const std::string& image : images_) {
+    // Length prefix so tuple boundaries cannot alias across images.
+    uint32_t length = static_cast<uint32_t>(image.size());
+    digest.append(reinterpret_cast<const char*>(&length), sizeof(length));
+    digest.append(image);
+  }
+  return digest;
+}
+
+std::string CanonicalResultBytes(const std::vector<Tuple>& tuples) {
+  CanonicalBag bag(tuples.size());
+  for (const Tuple& tuple : tuples) bag.Add(tuple);
+  return std::move(bag).Finish();
+}
+
 }  // namespace procsim::rel

@@ -84,6 +84,28 @@ struct TupleHash {
   std::size_t operator()(const Tuple& tuple) const { return tuple.Hash(); }
 };
 
+/// \brief Byte-exact, order-insensitive canonical form of a bag of tuples,
+/// built one tuple at a time: each tuple's unpadded serialized image,
+/// sorted, then length-prefix concatenated.  Two bags are equal iff their
+/// forms are.  Doubles compare bit for bit, where ToString() would round
+/// them to six decimals.
+class CanonicalBag {
+ public:
+  /// `expected_tuples` only presizes the image list.
+  explicit CanonicalBag(std::size_t expected_tuples = 0) {
+    images_.reserve(expected_tuples);
+  }
+
+  void Add(const Tuple& tuple);
+  std::string Finish() &&;
+
+ private:
+  std::vector<std::string> images_;
+};
+
+/// The CanonicalBag form of `tuples`.
+std::string CanonicalResultBytes(const std::vector<Tuple>& tuples);
+
 }  // namespace procsim::rel
 
 #endif  // PROCSIM_RELATIONAL_TUPLE_H_

@@ -8,7 +8,6 @@
 #include "proc/always_recompute.h"
 #include "proc/cache_invalidate.h"
 #include "proc/hybrid.h"
-#include "proc/update_cache_adaptive.h"
 #include "proc/update_cache_avm.h"
 #include "proc/update_cache_rvm.h"
 #include "util/logging.h"
@@ -27,15 +26,6 @@ obs::Histogram* const g_update_cost = obs::GlobalMetrics().RegisterHistogram(
 
 using cost::Strategy;
 
-std::vector<std::string> CanonicalizeResult(
-    const std::vector<rel::Tuple>& tuples) {
-  std::vector<std::string> canon;
-  canon.reserve(tuples.size());
-  for (const rel::Tuple& tuple : tuples) canon.push_back(tuple.ToString());
-  std::sort(canon.begin(), canon.end());
-  return canon;
-}
-
 std::unique_ptr<proc::Strategy> Simulator::MakeStrategy(
     Strategy strategy_kind, Database* db, const cost::Params& params,
     const proc::EngineConfig& config, proc::CacheBudget* budget) {
@@ -52,7 +42,8 @@ std::unique_ptr<proc::Strategy> Simulator::MakeStrategy(
     case Strategy::kUpdateCacheAvm:
       return std::make_unique<proc::UpdateCacheAvmStrategy>(
           db->catalog.get(), db->executor.get(), &db->meter, tuple_bytes,
-          config, budget);
+          proc::UpdateCacheAvmStrategy::kAlwaysPatch,
+          proc::UpdateCacheAvmStrategy::kNoStalenessLimit, config, budget);
     case Strategy::kUpdateCacheRvm:
       return std::make_unique<proc::UpdateCacheRvmStrategy>(
           db->catalog.get(), db->executor.get(), &db->meter, tuple_bytes,
@@ -87,7 +78,7 @@ Result<StrategySet> MakeAllStrategies(Database* db,
   set.all.push_back(std::make_unique<proc::HybridStrategy>(
       db->catalog.get(), db->executor.get(), &db->meter, tuple_bytes, params,
       model, /*safety_margin=*/1.25, config, set.budget.get()));
-  set.all.push_back(std::make_unique<proc::UpdateCacheAdaptiveStrategy>(
+  set.all.push_back(std::make_unique<proc::UpdateCacheAvmStrategy>(
       db->catalog.get(), db->executor.get(), &db->meter, tuple_bytes,
       /*patch_fraction=*/0.25, /*max_unread_patches=*/4, config,
       set.budget.get()));
@@ -207,8 +198,8 @@ Result<SimulationResult> Simulator::RunWithFactory(
         Result<std::vector<rel::Tuple>> expected =
             db->executor->Execute(db->procedures[proc_id].query);
         if (!expected.ok()) return expected.status();
-        if (CanonicalizeResult(value.ValueOrDie()) !=
-            CanonicalizeResult(expected.ValueOrDie())) {
+        if (CanonicalResultBytes(value.ValueOrDie()) !=
+            CanonicalResultBytes(expected.ValueOrDie())) {
           ++result.verification_failures;
         }
       }

@@ -76,10 +76,6 @@ class Simulator {
       proc::CacheBudget* budget = nullptr);
 };
 
-/// Sorted, serialized form of a result set for order-insensitive equality.
-std::vector<std::string> CanonicalizeResult(
-    const std::vector<rel::Tuple>& tuples);
-
 /// \brief All six strategies attached to one database, with typed views
 /// into the two whose internal structures the validators inspect.  Built in
 /// a fixed order (AR, CI, AVM, RVM, Hybrid, Adaptive) shared by the

@@ -380,22 +380,4 @@ Result<MutationResult> ApplyMutationOp(Database* db, const WorkloadOp& op,
   return result;
 }
 
-std::string CanonicalResultBytes(const std::vector<rel::Tuple>& tuples) {
-  std::vector<std::string> images;
-  images.reserve(tuples.size());
-  for (const Tuple& tuple : tuples) {
-    std::vector<uint8_t> bytes = tuple.Serialize();
-    images.emplace_back(bytes.begin(), bytes.end());
-  }
-  std::sort(images.begin(), images.end());
-  std::string digest;
-  for (const std::string& image : images) {
-    // Length prefix so tuple boundaries cannot alias across images.
-    uint32_t length = static_cast<uint32_t>(image.size());
-    digest.append(reinterpret_cast<const char*>(&length), sizeof(length));
-    digest.append(image);
-  }
-  return digest;
-}
-
 }  // namespace procsim::sim

@@ -12,6 +12,7 @@
 #include "proc/procedure.h"
 #include "relational/catalog.h"
 #include "relational/executor.h"
+#include "relational/tuple.h"
 #include "storage/disk.h"
 #include "util/cost_meter.h"
 #include "util/rng.h"
@@ -198,12 +199,9 @@ Result<MutationResult> ApplyMutationOp(Database* db, const WorkloadOp& op,
                                        const WorkloadMix& mix,
                                        Rng* inline_rng);
 
-/// \brief Byte-exact canonical form of a result bag: each tuple serialized,
-/// images sorted, then length-prefix concatenated into one string.  Two
-/// result bags are equal iff their canonical forms are; used as the digest
-/// the deterministic concurrent engine compares against the single-threaded
-/// oracle.
-std::string CanonicalResultBytes(const std::vector<rel::Tuple>& tuples);
+/// \brief Byte-exact canonical form of a result bag (rel::CanonicalBag):
+/// the digest every answer is compared against the oracle by.
+using rel::CanonicalResultBytes;
 
 }  // namespace procsim::sim
 

@@ -1,4 +1,4 @@
-#include "proc/update_cache_adaptive.h"
+#include "proc/update_cache_avm.h"
 
 #include <gtest/gtest.h>
 
@@ -49,7 +49,9 @@ class AdaptiveTest : public ::testing::Test {
     return procedure;
   }
 
-  void UpdateTuple(Strategy* strategy, std::size_t index, int64_t new_key) {
+  // Applies one in-place update and notifies every strategy in `strategies`.
+  void UpdateTuple(const std::vector<Strategy*>& strategies, std::size_t index,
+                   int64_t new_key) {
     const Tuple new_tuple({Value(new_key), Value(int64_t{0})});
     Tuple old_tuple;
     {
@@ -60,7 +62,11 @@ class AdaptiveTest : public ::testing::Test {
     ivm::ChangeBatch changes;
     changes.AddDelete(old_tuple);
     changes.AddInsert(new_tuple);
-    strategy->OnBatch("R1", changes);
+    for (Strategy* strategy : strategies) strategy->OnBatch("R1", changes);
+  }
+
+  void UpdateTuple(Strategy* strategy, std::size_t index, int64_t new_key) {
+    UpdateTuple(std::vector<Strategy*>{strategy}, index, new_key);
   }
 
   CostMeter meter_;
@@ -72,8 +78,9 @@ class AdaptiveTest : public ::testing::Test {
 };
 
 TEST_F(AdaptiveTest, SmallDeltaIsPatched) {
-  UpdateCacheAdaptiveStrategy strategy(&catalog_, &executor_, &meter_, 100,
-                                       /*patch_fraction=*/0.25);
+  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100,
+                                  /*patch_fraction=*/0.25,
+                                  /*max_unread_patches=*/4);
   ASSERT_TRUE(strategy.AddProcedure(Proc(0, 0, 39)).ok());  // 40-tuple view
   ASSERT_TRUE(strategy.Prepare().ok());
   UpdateTuple(&strategy, 5, 100);  // 1 delta tuple vs 40 -> patch
@@ -85,8 +92,9 @@ TEST_F(AdaptiveTest, SmallDeltaIsPatched) {
 }
 
 TEST_F(AdaptiveTest, LargeDeltaInvalidates) {
-  UpdateCacheAdaptiveStrategy strategy(&catalog_, &executor_, &meter_, 100,
-                                       /*patch_fraction=*/0.25);
+  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100,
+                                  /*patch_fraction=*/0.25,
+                                  /*max_unread_patches=*/4);
   ASSERT_TRUE(strategy.AddProcedure(Proc(0, 0, 19)).ok());  // 20-tuple view
   ASSERT_TRUE(strategy.Prepare().ok());
   // One transaction rewrites 8 in-range tuples: 8 deletes + ~inserts > 25%.
@@ -102,8 +110,9 @@ TEST_F(AdaptiveTest, LargeDeltaInvalidates) {
 }
 
 TEST_F(AdaptiveTest, ZeroFractionDegeneratesToCacheInvalidate) {
-  UpdateCacheAdaptiveStrategy strategy(&catalog_, &executor_, &meter_, 100,
-                                       /*patch_fraction=*/0.0);
+  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100,
+                                  /*patch_fraction=*/0.0,
+                                  /*max_unread_patches=*/4);
   ASSERT_TRUE(strategy.AddProcedure(Proc(0, 0, 39)).ok());
   ASSERT_TRUE(strategy.Prepare().ok());
   UpdateTuple(&strategy, 3, 100);
@@ -113,8 +122,9 @@ TEST_F(AdaptiveTest, ZeroFractionDegeneratesToCacheInvalidate) {
 }
 
 TEST_F(AdaptiveTest, UpdatesWhileInvalidAreAbsorbedByRecompute) {
-  UpdateCacheAdaptiveStrategy strategy(&catalog_, &executor_, &meter_, 100,
-                                       /*patch_fraction=*/0.0);
+  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100,
+                                  /*patch_fraction=*/0.0,
+                                  /*max_unread_patches=*/4);
   ASSERT_TRUE(strategy.AddProcedure(Proc(0, 0, 39)).ok());
   ASSERT_TRUE(strategy.Prepare().ok());
   UpdateTuple(&strategy, 3, 100);
@@ -129,6 +139,43 @@ TEST_F(AdaptiveTest, UpdatesWhileInvalidAreAbsorbedByRecompute) {
   EXPECT_EQ(Canon(strategy.Access(0).ValueOrDie()),
             Canon(executor_.Execute(strategy.procedures()[0].query)
                       .ValueOrDie()));
+}
+
+TEST_F(AdaptiveTest, DefaultThresholdsPatchEveryDelta) {
+  UpdateCacheAvmStrategy avm(&catalog_, &executor_, &meter_, 100);
+  UpdateCacheAvmStrategy adaptive(&catalog_, &executor_, &meter_, 100,
+                                  /*patch_fraction=*/0.25,
+                                  /*max_unread_patches=*/4);
+  EXPECT_EQ(avm.name(), "UpdateCache/AVM");
+  EXPECT_EQ(adaptive.name(), "UpdateCache/Adaptive");
+  for (UpdateCacheAvmStrategy* strategy : {&avm, &adaptive}) {
+    ASSERT_TRUE(strategy->AddProcedure(Proc(0, 0, 4)).ok());  // 5-tuple view
+    ASSERT_TRUE(strategy->Prepare().ok());
+  }
+  // One transaction moves the whole view out and four other tuples in:
+  // 5 deletes + 4 inserts, a delta larger than the view itself.
+  const std::vector<Strategy*> both{&avm, &adaptive};
+  for (std::size_t i = 0; i < 5; ++i) {
+    UpdateTuple(both, i, 200 + static_cast<int64_t>(i));
+  }
+  for (std::size_t i = 1; i < 5; ++i) {
+    UpdateTuple(both, 40 + i, static_cast<int64_t>(i));
+  }
+  ASSERT_TRUE(avm.OnTransactionEnd().ok());
+  ASSERT_TRUE(adaptive.OnTransactionEnd().ok());
+  EXPECT_EQ(adaptive.invalidate_count(), 1u);
+  EXPECT_FALSE(adaptive.IsValid(0));
+  EXPECT_EQ(avm.patch_count(), 1u);
+  EXPECT_EQ(avm.invalidate_count(), 0u);
+  EXPECT_TRUE(avm.IsValid(0));
+  std::vector<Tuple> expected;
+  {
+    storage::MeteringGuard guard(&disk_);
+    expected = executor_.Execute(avm.procedures()[0].query).ValueOrDie();
+  }
+  EXPECT_EQ(expected.size(), 4u);
+  EXPECT_EQ(Canon(avm.SnapshotForTesting(0)), Canon(expected));
+  EXPECT_EQ(Canon(avm.Access(0).ValueOrDie()), Canon(expected));
 }
 
 // Full-workload equivalence via the simulator.
@@ -146,12 +193,19 @@ TEST_P(AdaptiveSimTest, MatchesRecomputationUnderWorkload) {
   options.params.f2 = 0.2;
   options.seed = 17;
   options.verify_results = true;
+  // An infinite fraction is the never-invalidate limit: pure AVM, which
+  // also lifts the staleness cutoff.
   const double fraction = GetParam();
+  const bool pure_avm = fraction == UpdateCacheAvmStrategy::kAlwaysPatch;
   Result<sim::SimulationResult> result = sim::Simulator::RunWithFactory(
       [&](sim::Database* db) {
-        return std::make_unique<UpdateCacheAdaptiveStrategy>(
+        auto strategy = std::make_unique<UpdateCacheAvmStrategy>(
             db->catalog.get(), db->executor.get(), &db->meter,
-            static_cast<std::size_t>(options.params.S), fraction);
+            static_cast<std::size_t>(options.params.S), fraction,
+            pure_avm ? UpdateCacheAvmStrategy::kNoStalenessLimit : 4);
+        EXPECT_EQ(strategy->name(), pure_avm ? "UpdateCache/AVM"
+                                             : "UpdateCache/Adaptive");
+        return strategy;
       },
       options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -159,7 +213,8 @@ TEST_P(AdaptiveSimTest, MatchesRecomputationUnderWorkload) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PatchFractions, AdaptiveSimTest,
-                         ::testing::Values(0.0, 0.1, 0.5, 1.0, 100.0));
+                         ::testing::Values(0.0, 0.1, 0.5, 1.0, 100.0,
+                                           UpdateCacheAvmStrategy::kAlwaysPatch));
 
 }  // namespace
 }  // namespace procsim::proc

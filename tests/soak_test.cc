@@ -8,7 +8,7 @@
 #include <memory>
 
 #include "proc/hybrid.h"
-#include "proc/update_cache_adaptive.h"
+#include "proc/update_cache_avm.h"
 #include "proc/update_cache_rvm.h"
 #include "sim/simulator.h"
 
@@ -69,7 +69,7 @@ TEST_P(SoakTest, ExtensionStrategiesNeverServeStaleResults) {
           const auto bytes = static_cast<std::size_t>(options.params.S);
           switch (variant) {
             case 0:
-              return std::make_unique<proc::UpdateCacheAdaptiveStrategy>(
+              return std::make_unique<proc::UpdateCacheAvmStrategy>(
                   db->catalog.get(), db->executor.get(), &db->meter, bytes,
                   0.3, 3);
             case 1:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/metrics.h"
 #include "proc/always_recompute.h"
 #include "proc/cache_invalidate.h"
 #include "proc/update_cache_avm.h"
@@ -181,6 +182,65 @@ TEST_F(StrategyTest, CacheInvalidateFalseInvalidation) {
   UpdateTuple(&strategy, 12, 13, 2);  // in interval; result stays empty
   EXPECT_FALSE(strategy.IsValid(0));  // invalidated anyway
   EXPECT_TRUE(strategy.Access(0).ValueOrDie().empty());
+}
+
+// A double that moves by 1e-9 changes the procedure's value: the refresh
+// must count as a true invalidation even though the two values print alike
+// to six decimals.
+TEST(CacheInvalidateDoubleTest, TinyDoubleChangeIsATrueInvalidation) {
+  CostMeter meter;
+  storage::SimulatedDisk disk(4000, &meter);
+  rel::Catalog catalog(&disk);
+  rel::Executor executor(&catalog, &meter);
+  rel::Relation::Options options;
+  options.tuple_width_bytes = 100;
+  options.btree_column = 0;
+  rel::Relation* table =
+      catalog
+          .CreateRelation("R1",
+                          rel::Schema({{"key", rel::ValueType::kInt64},
+                                       {"d", rel::ValueType::kDouble}}),
+                          options)
+          .ValueOrDie();
+  std::vector<storage::RecordId> rids;
+  for (int64_t i = 0; i < 10; ++i) {
+    rids.push_back(table->Insert(Tuple({Value(i), Value(1e-9)})).ValueOrDie());
+  }
+  CacheInvalidateStrategy strategy(&catalog, &executor, &meter, 100, 0.0);
+  DatabaseProcedure procedure;
+  procedure.id = 0;
+  procedure.name = "P";
+  procedure.query.base = rel::BaseSelection{"R1", 0, 9, Conjunction{}};
+  ASSERT_TRUE(strategy.AddProcedure(procedure).ok());
+  ASSERT_TRUE(strategy.Prepare().ok());
+
+  const Tuple new_tuple({Value(int64_t{3}), Value(2e-9)});
+  // Precondition: the old and new rows print alike; only their bytes differ.
+  ASSERT_EQ(new_tuple.ToString(),
+            Tuple({Value(int64_t{3}), Value(1e-9)}).ToString());
+  Tuple old_tuple;
+  {
+    storage::MeteringGuard guard(&disk);
+    old_tuple = table->Read(rids[3]).ValueOrDie();
+    ASSERT_TRUE(table->UpdateInPlace(rids[3], new_tuple).ok());
+  }
+  ivm::ChangeBatch changes;
+  changes.AddDelete(old_tuple);
+  changes.AddInsert(new_tuple);
+  strategy.OnBatch("R1", changes);
+  ASSERT_FALSE(strategy.IsValid(0));
+
+  const obs::Counter* true_invalidations = obs::GlobalMetrics().FindCounter(
+      "proc.cache_invalidate.true_invalidations");
+  const obs::Counter* false_invalidations = obs::GlobalMetrics().FindCounter(
+      "proc.cache_invalidate.false_invalidations");
+  ASSERT_NE(true_invalidations, nullptr);
+  ASSERT_NE(false_invalidations, nullptr);
+  const uint64_t true_before = true_invalidations->value();
+  const uint64_t false_before = false_invalidations->value();
+  ASSERT_EQ(strategy.Access(0).ValueOrDie().size(), 10u);
+  EXPECT_EQ(true_invalidations->value() - true_before, 1u);
+  EXPECT_EQ(false_invalidations->value() - false_before, 0u);
 }
 
 TEST_F(StrategyTest, AvmMaintainsJoinProcedureThroughUpdates) {
