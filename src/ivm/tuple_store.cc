@@ -12,14 +12,19 @@ using storage::RecordId;
 TupleStore::TupleStore(storage::SimulatedDisk* disk, std::size_t pad_to_bytes)
     : disk_(disk),
       pad_to_bytes_(pad_to_bytes),
-      heap_(std::make_unique<storage::HeapFile>(disk)) {
+      heap_(disk) {
   PROCSIM_CHECK(disk != nullptr);
 }
 
-std::size_t TupleStore::page_count() const { return heap_->pages().size(); }
+TupleStore::~TupleStore() {
+  const Status freed = heap_.FreePages();
+  PROCSIM_CHECK(freed.ok()) << freed.ToString();
+}
+
+std::size_t TupleStore::page_count() const { return heap_.pages().size(); }
 
 Status TupleStore::InsertInternal(const Tuple& tuple) {
-  Result<RecordId> rid = heap_->Insert(tuple.Serialize(pad_to_bytes_));
+  Result<RecordId> rid = heap_.Insert(tuple.Serialize(pad_to_bytes_));
   if (!rid.ok()) return rid.status();
   by_tuple_.emplace(tuple.Hash(), rid.ValueOrDie());
   for (auto& [column, index] : probe_indexes_) {
@@ -36,7 +41,7 @@ Status TupleStore::Insert(const Tuple& tuple) {
 }
 
 Result<Tuple> TupleStore::Decode(RecordId rid) const {
-  Result<storage::ByteView> bytes = heap_->Read(rid);
+  Result<storage::ByteView> bytes = heap_.Read(rid);
   if (!bytes.ok()) return bytes.status();
   return Tuple::Deserialize(bytes.ValueOrDie());
 }
@@ -61,7 +66,7 @@ Status TupleStore::Remove(const Tuple& tuple) {
     return Status::NotFound("tuple not in store: " + tuple.ToString());
   }
   const RecordId rid = it->second;
-  PROCSIM_RETURN_IF_ERROR(heap_->Delete(rid));
+  PROCSIM_RETURN_IF_ERROR(heap_.Delete(rid));
   for (auto& [column, index] : probe_indexes_) {
     const int64_t key = tuple.value(column).AsInt64();
     auto [kbegin, kend] = index.equal_range(key);
@@ -85,7 +90,7 @@ bool TupleStore::Contains(const Tuple& tuple) const {
 Result<std::vector<Tuple>> TupleStore::ReadAll() const {
   std::vector<Tuple> out;
   out.reserve(count_);
-  Status st = heap_->Scan([&](RecordId, storage::ByteView bytes) {
+  Status st = heap_.Scan([&](RecordId, storage::ByteView bytes) {
     Result<Tuple> tuple = Tuple::Deserialize(bytes);
     PROCSIM_CHECK(tuple.ok()) << tuple.status().ToString();
     out.push_back(tuple.TakeValueOrDie());
@@ -100,7 +105,7 @@ void TupleStore::EnsureProbeIndex(std::size_t column) {
   auto& index = probe_indexes_[column];
   storage::MeteringGuard guard(disk_);
   for (const auto& [hash, rid] : by_tuple_) {
-    Result<storage::ByteView> bytes = heap_->Read(rid);
+    Result<storage::ByteView> bytes = heap_.Read(rid);
     PROCSIM_CHECK(bytes.ok()) << bytes.status().ToString();
     Result<rel::Value> key =
         Tuple::DeserializeValue(bytes.ValueOrDie(), column);
@@ -119,7 +124,7 @@ Result<std::vector<Tuple>> TupleStore::ProbeEqual(std::size_t column,
   std::vector<Tuple> out;
   auto [begin, end] = index_it->second.equal_range(key);
   for (auto it = begin; it != end; ++it) {
-    Result<storage::ByteView> bytes = heap_->Read(it->second);
+    Result<storage::ByteView> bytes = heap_.Read(it->second);
     if (!bytes.ok()) return bytes.status();
     Result<Tuple> tuple = Tuple::Deserialize(bytes.ValueOrDie());
     if (!tuple.ok()) return tuple.status();
@@ -132,7 +137,7 @@ Status TupleStore::Rebuild(const std::vector<Tuple>& tuples) {
   // Refreshing a cache is a read-modify-write of its pages: charge a read
   // for each page being replaced; Insert below charges the new writes.
   const std::size_t old_pages = page_count();
-  heap_ = std::make_unique<storage::HeapFile>(disk_);
+  PROCSIM_RETURN_IF_ERROR(heap_.FreePages());
   by_tuple_.clear();
   for (auto& [column, index] : probe_indexes_) index.clear();
   count_ = 0;
@@ -173,15 +178,15 @@ void TupleStore::ForEach(
 
 Status TupleStore::CheckConsistency() const {
   storage::MeteringGuard guard(disk_);
-  PROCSIM_RETURN_IF_ERROR(heap_->CheckConsistency());
+  PROCSIM_RETURN_IF_ERROR(heap_.CheckConsistency());
   if (by_tuple_.size() != count_) {
     return Status::Internal("tuple map holds " +
                             std::to_string(by_tuple_.size()) +
                             " entries but size() is " + std::to_string(count_));
   }
-  if (heap_->record_count() != count_) {
+  if (heap_.record_count() != count_) {
     return Status::Internal("heap holds " +
-                            std::to_string(heap_->record_count()) +
+                            std::to_string(heap_.record_count()) +
                             " records but size() is " + std::to_string(count_));
   }
   std::set<RecordId> mapped;
@@ -209,7 +214,7 @@ Status TupleStore::CheckConsistency() const {
           std::to_string(count_) + " tuples");
     }
     for (const auto& [key, rid] : index) {
-      Result<storage::ByteView> bytes = heap_->Read(rid);
+      Result<storage::ByteView> bytes = heap_.Read(rid);
       if (!bytes.ok()) {
         return Status::Internal("probe index posting " + rid.ToString() +
                                 " unreadable: " + bytes.status().ToString());

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -36,6 +35,12 @@ class TupleStore {
   /// \param pad_to_bytes  fixed record width (the paper's S); 0 = natural
   explicit TupleStore(storage::SimulatedDisk* disk,
                       std::size_t pad_to_bytes = 0);
+  /// Frees the store's pages, so `disk` must still be alive: every owner
+  /// destroys its stores before the disk they live on.
+  ~TupleStore();
+
+  TupleStore(const TupleStore&) = delete;
+  TupleStore& operator=(const TupleStore&) = delete;
 
   /// Adds one tuple (charges the page write, and a read if appending to a
   /// partially filled page).
@@ -64,7 +69,8 @@ class TupleStore {
   /// Replaces the whole contents (used to refresh a cache after recompute).
   /// Charges a read per old page and a write per new page — the paper's
   /// "read the pages currently in the cache, change their value, and write
-  /// them back" (2 * C2 * ProcSize).
+  /// them back" (2 * C2 * ProcSize).  The old pages are freed, not kept
+  /// (SimulatedDisk::FreePage); the new contents go on fresh page ids.
   Status Rebuild(const std::vector<rel::Tuple>& tuples);
 
   /// Contents without any I/O charge; for tests and invariant checks only.
@@ -98,7 +104,7 @@ class TupleStore {
 
   storage::SimulatedDisk* disk_;
   std::size_t pad_to_bytes_;
-  std::unique_ptr<storage::HeapFile> heap_;
+  storage::HeapFile heap_;
   // tuple-hash -> rids (collisions resolved by decoding and comparing).  Its
   // iteration order is the order of every walk (ForEach, probe-index
   // backfill), hence of Rete β inserts and page images.

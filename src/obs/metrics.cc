@@ -65,6 +65,7 @@ namespace procsim::obs {
     "storage.buffer_cache.hits",
     "storage.buffer_cache.misses",
     "storage.disk.pages_allocated",
+    "storage.disk.pages_freed",
     "storage.disk.reads",
     "storage.disk.writes",
     "txn.commit.latency_ms",

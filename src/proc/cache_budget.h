@@ -30,8 +30,9 @@ namespace procsim::proc {
 /// releases its bytes; it never calls back into the owning strategy and
 /// never frees the stored pages itself.  The owner polls the flag (directly,
 /// or through the pointer obtained from LiveFlag) on its next access and
-/// recomputes from scratch — eviction is not invalidation, so a recompute
-/// always restores the exact oracle value.  This keeps the latch story
+/// recomputes from scratch, and that reload's TupleStore::Rebuild frees the
+/// old pages — eviction is not invalidation, so a recompute always restores
+/// the exact oracle value.  This keeps the latch story
 /// trivial: eviction holds exactly one kCacheBudget shard latch and touches
 /// nothing below it.
 ///

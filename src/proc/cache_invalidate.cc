@@ -108,8 +108,10 @@ Result<std::vector<rel::Tuple>> CacheInvalidateStrategy::Access(ProcId id) {
       if (budget_ != nullptr) budget_->OnAccess(entry.budget_id);
       return entry.cache->ReadAll();
     }
-    // Valid but evicted by the budget: the cached pages are gone, so this
-    // access degrades to Always-Recompute and re-admits the fresh value.
+    // Valid but evicted by the budget: the entry may not serve its pages, so
+    // this access degrades to Always-Recompute and re-admits the fresh
+    // value.  The pages stay on the disk until Recompute's Rebuild frees
+    // them (and charges their read, as for any refresh).
     eviction_reload_count_.fetch_add(1, std::memory_order_relaxed);
     g_cache_reloads->Add();
     return Recompute(id);

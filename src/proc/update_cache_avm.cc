@@ -72,9 +72,10 @@ Result<std::vector<rel::Tuple>> UpdateCacheAvmStrategy::Access(ProcId id) {
     entry.unread_patches = 0;
     return entry.maintainer->Read();
   }
-  // Invalidated, or evicted by the budget (the stored pages are gone):
-  // recompute from the base tables, re-seed the maintainer, and re-admit
-  // the fresh value.  Deltas accumulated for the dead copy are stale — the
+  // Invalidated, or evicted by the budget (its pages are kept but no longer
+  // served or patched): recompute from the base tables, re-seed the
+  // maintainer, whose Rebuild frees the old pages, and re-admit the fresh
+  // value.  Deltas accumulated for the dead copy are stale — the
   // recomputation already reflects them.  An eviction of a still-valid copy
   // counts as a reload, not an invalidation.
   if (entry.valid) g_cache_reloads->Add();

@@ -70,8 +70,9 @@ Result<std::vector<rel::Tuple>> UpdateCacheRvmStrategy::Access(ProcId id) {
   const auto budgeted = budget_index_.find(memory);
   if (budgeted != budget_index_.end()) {
     if (memory->evicted()) {
-      // The memory dropped its pages (and any tokens since): recompute from
-      // the base tables, reseed the node, and re-admit.
+      // The memory kept its pages but dropped every token since eviction:
+      // recompute from the base tables, reseed the node (its Rebuild frees
+      // the stale pages), and re-admit.
       g_cache_reloads->Add();
       Result<std::vector<rel::Tuple>> value =
           executor_->Execute(procedures_[id].query);

@@ -1,6 +1,6 @@
 #include "rete/network.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
@@ -466,38 +466,41 @@ Status ReteNetwork::Submit(const std::vector<SelectionEntry*>& entries,
 
 namespace {
 
-/// Sorted serialized form of a bag of tuples for multiset comparison.
-std::vector<std::string> CanonicalBag(const std::vector<Tuple>& tuples) {
-  std::vector<std::string> out;
-  out.reserve(tuples.size());
-  for (const Tuple& tuple : tuples) out.push_back(tuple.ToString());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// CanonicalBag of a memory's contents, read without copying the tuples.
-std::vector<std::string> CanonicalBag(const ivm::TupleStore& store) {
-  std::vector<std::string> out;
-  out.reserve(store.size());
+/// rel::CanonicalBag bytes of a memory's contents, read without copying
+/// the tuples.
+std::string CanonicalBytes(const ivm::TupleStore& store) {
+  rel::CanonicalBag bag(store.size());
   store.ForEach([&](const Tuple& tuple) {
-    out.push_back(tuple.ToString());
+    bag.Add(tuple);
     return true;
   });
-  std::sort(out.begin(), out.end());
-  return out;
+  return std::move(bag).Finish();
 }
 
-std::string FirstDifference(const std::vector<std::string>& expected,
-                            const std::vector<std::string>& actual) {
-  std::vector<std::string> missing;
-  std::set_difference(expected.begin(), expected.end(), actual.begin(),
-                      actual.end(), std::back_inserter(missing));
-  if (!missing.empty()) return "missing " + missing.front();
-  std::vector<std::string> extra;
-  std::set_difference(actual.begin(), actual.end(), expected.begin(),
-                      expected.end(), std::back_inserter(extra));
-  if (!extra.empty()) return "spurious " + extra.front();
-  return "multiplicity mismatch";
+/// Names one tuple whose serialized image occurs more often on one side
+/// than on the other.  Only builds failure messages: equality itself is
+/// decided on CanonicalBytes, which ToString would round.
+std::string FirstDifference(const std::vector<Tuple>& expected,
+                            const std::vector<Tuple>& actual) {
+  // image -> (expected count - actual count, a tuple with that image)
+  std::map<std::vector<uint8_t>, std::pair<int64_t, const Tuple*>> balance;
+  for (const Tuple& tuple : expected) {
+    auto& entry = balance[tuple.Serialize()];
+    ++entry.first;
+    entry.second = &tuple;
+  }
+  for (const Tuple& tuple : actual) {
+    auto& entry = balance[tuple.Serialize()];
+    --entry.first;
+    entry.second = &tuple;
+  }
+  for (const auto& [image, entry] : balance) {
+    if (entry.first > 0) return "missing " + entry.second->ToString();
+  }
+  for (const auto& [image, entry] : balance) {
+    if (entry.first < 0) return "spurious " + entry.second->ToString();
+  }
+  return "no differing tuple";
 }
 
 }  // namespace
@@ -529,15 +532,14 @@ Status ReteNetwork::ValidateState() const {
       }
       if (entry->node->residual().Matches(tuple)) expected.push_back(tuple);
     }
-    const std::vector<std::string> want = CanonicalBag(expected);
-    const std::vector<std::string> have =
-        CanonicalBag(entry->memory->store());
-    if (want != have) {
+    const ivm::TupleStore& store = entry->memory->store();
+    if (rel::CanonicalResultBytes(expected) != CanonicalBytes(store)) {
       return Status::Internal(
           "alpha-memory for " + entry->node->Describe() + " on " +
           entry->relation + " diverged from recomputation (|memory| = " +
-          std::to_string(have.size()) + ", |recomputed| = " +
-          std::to_string(want.size()) + "): " + FirstDifference(want, have));
+          std::to_string(store.size()) + ", |recomputed| = " +
+          std::to_string(expected.size()) + "): " +
+          FirstDifference(expected, store.SnapshotForTesting()));
     }
   }
 
@@ -586,14 +588,14 @@ Status ReteNetwork::ValidateState() const {
       }
       return true;
     });
-    const std::vector<std::string> want = CanonicalBag(expected);
-    const std::vector<std::string> have = CanonicalBag(beta->store());
-    if (want != have) {
+    const ivm::TupleStore& store = beta->store();
+    if (rel::CanonicalResultBytes(expected) != CanonicalBytes(store)) {
       return Status::Internal(
           "beta-memory of " + and_node->Describe() +
           " diverged from the join of its inputs (|memory| = " +
-          std::to_string(have.size()) + ", |join| = " +
-          std::to_string(want.size()) + "): " + FirstDifference(want, have));
+          std::to_string(store.size()) + ", |join| = " +
+          std::to_string(expected.size()) + "): " +
+          FirstDifference(expected, store.SnapshotForTesting()));
     }
   }
   return Status::OK();

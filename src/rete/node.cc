@@ -96,9 +96,10 @@ Status MemoryNode::ResetContents(const std::vector<Tuple>& tuples) {
 }
 
 Status MemoryNode::Activate(const Token& token) {
-  // An evicted memory holds no pages to maintain: drop the token.  Only
-  // terminal memories can be evicted, so nothing downstream misses it; the
-  // owner recomputes from base tables on the next access.
+  // An evicted memory keeps its (now stale) pages until the owner's reload
+  // rebuilds it, but maintains nothing: drop the token.  Only terminal
+  // memories can be evicted, so nothing downstream misses it; the owner
+  // recomputes from base tables on the next access.
   if (evicted()) return Status::OK();
   {
     // Latch only the store mutation; drop before propagating so no two

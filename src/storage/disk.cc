@@ -1,6 +1,7 @@
 #include "storage/disk.h"
 
 #include <mutex>
+#include <string>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -14,6 +15,13 @@ obs::Counter* const g_writes =
     obs::GlobalMetrics().RegisterCounter("storage.disk.writes");
 obs::Counter* const g_pages_allocated =
     obs::GlobalMetrics().RegisterCounter("storage.disk.pages_allocated");
+obs::Counter* const g_pages_freed =
+    obs::GlobalMetrics().RegisterCounter("storage.disk.pages_freed");
+
+Status NoSuchPage(PageId page_id) {
+  return Status::NotFound("page " + std::to_string(page_id) +
+                          " does not exist or was freed");
+}
 
 /// Per-(thread, disk) accounting state: the open access scope's dedup sets
 /// and the MeteringGuard disable depth.  Keyed by disk so a thread juggling
@@ -66,6 +74,16 @@ std::size_t SimulatedDisk::page_count() const {
   return pages_.size();
 }
 
+std::size_t SimulatedDisk::live_page_count() const {
+  util::RankedLockGuard guard(page_table_latch_);
+  return live_pages_;
+}
+
+bool SimulatedDisk::IsLive(PageId page_id) const {
+  util::RankedLockGuard guard(page_table_latch_);
+  return page_id < pages_.size() && pages_[page_id] != nullptr;
+}
+
 bool SimulatedDisk::metering_enabled() const {
   if (!metering_enabled_) return false;
   const ThreadDiskState& state = StateFor(this);
@@ -78,6 +96,7 @@ PageId SimulatedDisk::AllocatePage() {
     util::RankedLockGuard guard(page_table_latch_);
     pages_.push_back(std::make_unique<Page>(page_size_));
     page_id = static_cast<PageId>(pages_.size() - 1);
+    ++live_pages_;
   }
   g_pages_allocated->Add();
   ChargeWrite(page_id);
@@ -90,23 +109,28 @@ Result<Page*> SimulatedDisk::ReadPage(PageId page_id) {
     util::RankedLockGuard guard(page_table_latch_);
     if (page_id < pages_.size()) page = pages_[page_id].get();
   }
-  if (page == nullptr) {
-    return Status::NotFound("page " + std::to_string(page_id) +
-                            " does not exist");
-  }
+  if (page == nullptr) return NoSuchPage(page_id);
   ChargeRead(page_id);
   return page;
 }
 
 Status SimulatedDisk::MarkDirty(PageId page_id) {
+  if (!IsLive(page_id)) return NoSuchPage(page_id);
+  ChargeWrite(page_id);
+  return Status::OK();
+}
+
+Status SimulatedDisk::FreePage(PageId page_id) {
+  std::unique_ptr<Page> freed;  // destroyed after the latch is dropped
   {
     util::RankedLockGuard guard(page_table_latch_);
-    if (page_id >= pages_.size()) {
-      return Status::NotFound("page " + std::to_string(page_id) +
-                              " does not exist");
+    if (page_id >= pages_.size() || pages_[page_id] == nullptr) {
+      return NoSuchPage(page_id);
     }
+    freed = std::move(pages_[page_id]);
+    --live_pages_;
   }
-  ChargeWrite(page_id);
+  g_pages_freed->Add();
   return Status::OK();
 }
 

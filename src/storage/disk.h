@@ -29,8 +29,9 @@ namespace procsim::storage {
 /// Concurrency: access scopes and metering disablement are *per thread*
 /// (each concurrent session dedups and un-meters only its own operation),
 /// the page directory is guarded by a kPageTable latch so sessions can
-/// allocate pages while others look pages up, and page *contents* are
-/// protected by the engine's coarse database latch (writers run exclusive).
+/// allocate and free pages while others look pages up, and page *contents*
+/// are protected by the engine's coarse database latch (writers run
+/// exclusive).
 class SimulatedDisk {
  public:
   /// \param page_size  bytes per page (the paper's B)
@@ -43,7 +44,12 @@ class SimulatedDisk {
   SimulatedDisk& operator=(const SimulatedDisk&) = delete;
 
   uint32_t page_size() const { return page_size_; }
+  /// Page ids handed out so far, live or freed: ids run 0..page_count()-1.
   std::size_t page_count() const;
+  /// Pages allocated and not yet freed.
+  std::size_t live_page_count() const;
+  /// True if `page_id` was allocated and has not been freed.
+  bool IsLive(PageId page_id) const;
 
   /// Enables/disables cost charging globally.  Bulk-loading the database
   /// before an experiment is free, as in the paper.  Only call while the
@@ -63,6 +69,15 @@ class SimulatedDisk {
 
   /// Charges one page write for a previously read (and modified) page.
   Status MarkDirty(PageId page_id);
+
+  /// Destroys a page and retires its id for good: the id is never handed
+  /// out again, and ReadPage/MarkDirty on it return NotFound.  Charges
+  /// nothing.  A freed id stays in an open access scope's dedup sets and in
+  /// the buffer cache's LRU; since no fresh page can take the id, neither
+  /// ever skips a charge a fresh page owes.  The caller must hold the owning
+  /// structure exclusively: ReadPage hands out a Page* that outlives the
+  /// page-table latch.  NotFound if the page is not live.
+  Status FreePage(PageId page_id);
 
   // --- deduplicated accounting scopes -------------------------------------
 
@@ -102,8 +117,10 @@ class SimulatedDisk {
   mutable util::RankedMutex page_table_latch_{
       util::LatchRank::kPageTable, "SimulatedDisk::page_table"};
   // The directory (which pages exist) is latched; page *contents* are
-  // ordered by the engine's database latch (see class comment).
+  // ordered by the engine's database latch (see class comment).  Indexed by
+  // page id; a freed page leaves a null slot behind.
   std::vector<std::unique_ptr<Page>> pages_ GUARDED_BY(page_table_latch_);
+  std::size_t live_pages_ GUARDED_BY(page_table_latch_) = 0;
   // procsim-lint: allow(unguarded(cache_)) because the optional is engaged/reset only while quiescent; the BufferCache inside has its own latch
   std::optional<BufferCache> cache_;
 };

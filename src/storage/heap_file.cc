@@ -86,6 +86,15 @@ Status HeapFile::Delete(RecordId rid) {
   return Status::OK();
 }
 
+Status HeapFile::FreePages() {
+  for (PageId page_id : pages_) {
+    PROCSIM_RETURN_IF_ERROR(disk_->FreePage(page_id));
+  }
+  pages_.clear();
+  record_count_ = 0;
+  return Status::OK();
+}
+
 Status HeapFile::Scan(
     const std::function<bool(RecordId, ByteView)>& fn) const {
   for (PageId page_id : pages_) {

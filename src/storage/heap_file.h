@@ -41,6 +41,11 @@ class HeapFile {
   /// during the call.  Iteration stops early if `fn` returns false.
   Status Scan(const std::function<bool(RecordId, ByteView)>& fn) const;
 
+  /// Frees every page of the file on its disk (SimulatedDisk::FreePage)
+  /// and leaves the file empty and reusable.  Charges nothing; every
+  /// RecordId into the file goes stale.
+  Status FreePages();
+
   std::size_t record_count() const { return record_count_; }
   const std::vector<PageId>& pages() const { return pages_; }
 

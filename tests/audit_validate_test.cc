@@ -228,6 +228,38 @@ TEST_F(ValidateReteTest, DetectsDesynchronizedBetaMemory) {
       << status.ToString();
 }
 
+TEST_F(ValidateReteTest, DetectsDoubleDivergenceBelowPrintPrecision) {
+  rel::Relation::Options options;
+  options.tuple_width_bytes = 100;
+  options.btree_column = 0;
+  rel::Relation* r3 =
+      catalog_
+          .CreateRelation("R3",
+                          rel::Schema({{"key", rel::ValueType::kInt64},
+                                       {"d", rel::ValueType::kDouble}}),
+                          options)
+          .ValueOrDie();
+  for (int64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(r3->Insert(Tuple({Value(i), Value(1e-9)})).ok());
+  }
+  rete::ReteNetwork network(&catalog_, &meter_, 100);
+  rel::ProcedureQuery query;
+  query.base = rel::BaseSelection{"R3", 0, 9, Conjunction{}};
+  rete::MemoryNode* alpha = network.AddProcedure(query).ValueOrDie();
+  ASSERT_TRUE(ValidateReteNetwork(network).ok());
+  // Swap one stored tuple for one that prints alike: ToString rounds both
+  // doubles to 0.000000, but their bytes differ.
+  const Tuple stored({Value(int64_t{3}), Value(1e-9)});
+  const Tuple planted({Value(int64_t{3}), Value(2e-9)});
+  ASSERT_EQ(stored.ToString(), planted.ToString());
+  ASSERT_TRUE(alpha->mutable_store()->Remove(stored).ok());
+  ASSERT_TRUE(alpha->mutable_store()->Insert(planted).ok());
+  const Status status = ValidateReteNetwork(network);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("missing"), std::string::npos)
+      << status.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // I-locks and the invalidation log.
 

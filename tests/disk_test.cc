@@ -106,5 +106,56 @@ TEST(SimulatedDiskTest, PagePersistenceAcrossReads) {
   EXPECT_EQ(std::vector<uint8_t>(stored.begin(), stored.end()), record);
 }
 
+TEST(SimulatedDiskTest, FreedIdsAreRetiredNotReused) {
+  CostMeter meter;
+  SimulatedDisk disk(4000, &meter);
+  const PageId a = disk.AllocatePage();
+  const PageId b = disk.AllocatePage();
+  ASSERT_TRUE(disk.FreePage(a).ok());
+  EXPECT_FALSE(disk.IsLive(a));
+  EXPECT_TRUE(disk.IsLive(b));
+  EXPECT_EQ(disk.live_page_count(), 1u);
+  EXPECT_EQ(disk.page_count(), 2u);
+  const PageId c = disk.AllocatePage();
+  EXPECT_NE(c, a);
+  EXPECT_NE(c, b);
+  EXPECT_EQ(disk.live_page_count(), 2u);
+  EXPECT_EQ(disk.page_count(), 3u);
+  EXPECT_EQ(disk.FreePage(a).code(), StatusCode::kNotFound);  // twice
+  EXPECT_EQ(disk.FreePage(99).code(), StatusCode::kNotFound);  // never
+}
+
+TEST(SimulatedDiskTest, FreedPageIsNotFound) {
+  CostMeter meter;
+  SimulatedDisk disk(4000, &meter);
+  const PageId page = disk.AllocatePage();
+  ASSERT_TRUE(disk.FreePage(page).ok());
+  meter.Reset();
+  EXPECT_EQ(disk.ReadPage(page).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(disk.MarkDirty(page).code(), StatusCode::kNotFound);
+  EXPECT_DOUBLE_EQ(meter.total_ms(), 0.0);  // a failed access charges nothing
+}
+
+TEST(SimulatedDiskTest, FreshPageAfterFreeIsChargedInOpenScope) {
+  // An access scope charges each page id once.  A page freed inside the
+  // scope leaves its id in the scope's sets; the fresh page allocated next
+  // has a new id, so it still costs one write and one read.
+  CostMeter meter;
+  SimulatedDisk disk(4000, &meter);
+  const PageId old_page = disk.AllocatePage();
+  meter.Reset();
+  AccessScope scope(&disk);
+  ASSERT_TRUE(disk.ReadPage(old_page).ok());
+  ASSERT_TRUE(disk.MarkDirty(old_page).ok());
+  ASSERT_TRUE(disk.FreePage(old_page).ok());
+  EXPECT_EQ(meter.disk_reads(), 1u);
+  EXPECT_EQ(meter.disk_writes(), 1u);
+  const PageId fresh = disk.AllocatePage();
+  ASSERT_TRUE(disk.ReadPage(fresh).ok());
+  ASSERT_TRUE(disk.MarkDirty(fresh).ok());
+  EXPECT_EQ(meter.disk_reads(), 2u);
+  EXPECT_EQ(meter.disk_writes(), 2u);
+}
+
 }  // namespace
 }  // namespace procsim::storage

@@ -696,10 +696,12 @@ TEST(ReteOnChangesTest, GroupingDoesNotChangeChargesOrState) {
   }
 }
 
-/// FNV-1a over every page's Page::Serialize() bytes, in page-id order.
+/// FNV-1a over every live page's Page::Serialize() bytes, in page-id
+/// order; freed ids are skipped.
 uint64_t PageImageHash(storage::SimulatedDisk* disk) {
   uint64_t hash = 14695981039346656037ULL;
   for (storage::PageId id = 0; id < disk->page_count(); ++id) {
+    if (!disk->IsLive(id)) continue;
     const std::vector<uint8_t> bytes =
         disk->ReadPage(id).ValueOrDie()->Serialize();
     for (uint8_t byte : bytes) {

@@ -117,6 +117,25 @@ TEST_F(TupleStoreTest, RebuildReplacesContents) {
   EXPECT_EQ(store.ProbeEqual(0, 3).ValueOrDie().size(), 1u);
 }
 
+TEST_F(TupleStoreTest, RebuildFreesThePagesItReplaces) {
+  const std::size_t before = disk_.live_page_count();
+  {
+    TupleStore store(&disk_, 100);
+    for (int64_t round = 0; round < 100; ++round) {
+      std::vector<Tuple> tuples;
+      for (int64_t i = 0; i < 40 + round % 50; ++i) {
+        tuples.push_back(Row(round, i));
+      }
+      ASSERT_TRUE(store.Rebuild(tuples).ok());
+    }
+    ASSERT_GT(store.page_count(), 1u);
+    EXPECT_EQ(disk_.live_page_count(), before + store.page_count());
+    EXPECT_GT(disk_.page_count(), disk_.live_page_count());  // ids retired
+    EXPECT_TRUE(store.CheckConsistency().ok());
+  }
+  EXPECT_EQ(disk_.live_page_count(), before);  // the destructor frees too
+}
+
 TEST_F(TupleStoreTest, SnapshotIsUnmetered) {
   TupleStore store(&disk_, 100);
   ASSERT_TRUE(store.Insert(Row(1, 1)).ok());
