@@ -70,7 +70,7 @@ void BM_HeapScan(benchmark::State& state) {
   for (int64_t i = 0; i < state.range(0); ++i) {
     const rel::Tuple tuple({rel::Value(i), rel::Value(i % 97),
                             rel::Value(i * 31)});
-    (void)heap.Insert(tuple.Serialize(100));
+    (void)heap.Insert(tuple.Serialize(), 100);
   }
   for (auto _ : state) {
     int64_t sum = 0;

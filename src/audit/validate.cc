@@ -19,7 +19,8 @@ Status ValidateBTree(const storage::BTree& tree) {
 Status ValidatePage(const storage::Page& page) {
   PROCSIM_RETURN_IF_ERROR(page.CheckConsistency());
   // Round-trip the on-disk image: the deserialized page must hold the same
-  // live records in the same slots.
+  // live records in the same slots.  Compare logical images, not views: the
+  // reloaded page stores the zero padding its original only accounts.
   Result<storage::Page> reloaded = storage::Page::Deserialize(page.Serialize());
   if (!reloaded.ok()) {
     return Status::Internal("page does not survive serialization: " +
@@ -28,7 +29,8 @@ Status ValidatePage(const storage::Page& page) {
   const storage::Page& copy = reloaded.ValueOrDie();
   PROCSIM_RETURN_IF_ERROR(copy.CheckConsistency());
   if (copy.live_count() != page.live_count() ||
-      copy.slot_count() != page.slot_count()) {
+      copy.slot_count() != page.slot_count() ||
+      copy.FreeSpace() != page.FreeSpace()) {
     return Status::Internal("page round trip changed slot accounting");
   }
   for (uint16_t slot = 0; slot < page.slot_count(); ++slot) {
@@ -37,10 +39,20 @@ Status ValidatePage(const storage::Page& page) {
                               std::to_string(slot));
     }
     if (!page.IsLive(slot)) continue;
+    // The copy stores the whole logical record: the original's stored
+    // bytes, then zeros.
     Result<storage::ByteView> original = page.View(slot);
     Result<storage::ByteView> reread = copy.View(slot);
-    if (!original.ok() || !reread.ok() ||
-        !std::ranges::equal(original.ValueOrDie(), reread.ValueOrDie())) {
+    if (!original.ok() || !reread.ok()) {
+      return Status::Internal("page round trip lost the record in slot " +
+                              std::to_string(slot));
+    }
+    const storage::ByteView stored = original.ValueOrDie();
+    const storage::ByteView logical = reread.ValueOrDie();
+    if (logical.size() < stored.size() ||
+        !std::ranges::equal(stored, logical.first(stored.size())) ||
+        !std::ranges::all_of(logical.subspan(stored.size()),
+                             [](uint8_t byte) { return byte == 0; })) {
       return Status::Internal("page round trip changed payload of slot " +
                               std::to_string(slot));
     }

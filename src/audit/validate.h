@@ -32,7 +32,8 @@ namespace procsim::audit {
 Status ValidateBTree(const storage::BTree& tree);
 
 /// Slotted page: slot directory vs free-space accounting, plus a
-/// serialize/deserialize round trip that must reproduce every live record.
+/// serialize/deserialize round trip that must reproduce every live record's
+/// logical image (its stored bytes, then the zeros it only accounts).
 Status ValidatePage(const storage::Page& page);
 
 /// Heap file: page list and per-page live counts vs record_count().

@@ -24,7 +24,7 @@ TupleStore::~TupleStore() {
 std::size_t TupleStore::page_count() const { return heap_.pages().size(); }
 
 Status TupleStore::InsertInternal(const Tuple& tuple) {
-  Result<RecordId> rid = heap_.Insert(tuple.Serialize(pad_to_bytes_));
+  Result<RecordId> rid = heap_.Insert(tuple.Serialize(), pad_to_bytes_);
   if (!rid.ok()) return rid.status();
   by_tuple_.emplace(tuple.Hash(), rid.ValueOrDie());
   for (auto& [column, index] : probe_indexes_) {

@@ -32,7 +32,8 @@ namespace procsim::ivm {
 class TupleStore {
  public:
   /// \param disk          backing store
-  /// \param pad_to_bytes  fixed record width (the paper's S); 0 = natural
+  /// \param pad_to_bytes  logical record width (the paper's S) its pages
+  ///                      account, padding not stored; 0 = natural
   explicit TupleStore(storage::SimulatedDisk* disk,
                       std::size_t pad_to_bytes = 0);
   /// Frees the store's pages, so `disk` must still be alive: every owner

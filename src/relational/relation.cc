@@ -39,7 +39,7 @@ Result<storage::RecordId> Relation::Insert(const Tuple& tuple) {
       << name_ << ": tuple " << tuple.ToString() << " does not match schema "
       << schema_.ToString();
   Result<storage::RecordId> rid =
-      heap_.Insert(tuple.Serialize(options_.tuple_width_bytes));
+      heap_.Insert(tuple.Serialize(), options_.tuple_width_bytes);
   if (!rid.ok()) return rid.status();
   if (btree_ != nullptr) {
     PROCSIM_RETURN_IF_ERROR(btree_->Insert(
@@ -72,7 +72,7 @@ Status Relation::UpdateInPlace(storage::RecordId rid, const Tuple& new_tuple) {
   Result<Tuple> old_tuple = Read(rid);
   if (!old_tuple.ok()) return old_tuple.status();
   PROCSIM_RETURN_IF_ERROR(
-      heap_.Update(rid, new_tuple.Serialize(options_.tuple_width_bytes)));
+      heap_.Update(rid, new_tuple.Serialize(), options_.tuple_width_bytes));
   if (btree_ != nullptr) {
     const int64_t old_key =
         IndexKey(old_tuple.ValueOrDie(), *options_.btree_column);

@@ -26,7 +26,9 @@ namespace procsim::rel {
 class Relation {
  public:
   struct Options {
-    /// Pad serialized tuples to this many bytes (the paper's S); 0 = none.
+    /// Logical width of a stored tuple (the paper's S): pages account each
+    /// tuple at no less than this many bytes but keep only its natural
+    /// bytes (see storage::Page); 0 = natural width.
     std::size_t tuple_width_bytes = 0;
     /// Column with a B-tree index (int64), if any.
     std::optional<std::size_t> btree_column;

@@ -61,14 +61,12 @@ Tuple Tuple::Concat(const Tuple& left, const Tuple& right) {
   return Tuple(std::move(values));
 }
 
-std::vector<uint8_t> Tuple::Serialize(std::size_t pad_to_bytes) const {
+std::vector<uint8_t> Tuple::Serialize() const {
   const auto arity = static_cast<uint32_t>(values_.size());
   std::size_t length = sizeof(arity);
   for (const Value& value : values_) length += value.SerializedSize();
-  // One zeroed allocation of the padded length, so the stored record
-  // occupies the paper's fixed S bytes per tuple; the values are written in
-  // place and the tail stays zero.
-  std::vector<uint8_t> out(std::max(length, pad_to_bytes));
+  // One allocation of the exact length; the values are written in place.
+  std::vector<uint8_t> out(length);
   std::memcpy(out.data(), &arity, sizeof(arity));
   uint8_t* cursor = out.data() + sizeof(arity);
   for (const Value& value : values_) cursor = value.SerializeInto(cursor);

@@ -60,9 +60,12 @@ class Tuple {
   /// Concatenation of two tuples (join output).
   static Tuple Concat(const Tuple& left, const Tuple& right);
 
-  /// Serializes; if `pad_to_bytes` exceeds the natural size, the output is
-  /// padded so the stored record occupies the paper's fixed tuple width S.
-  std::vector<uint8_t> Serialize(std::size_t pad_to_bytes = 0) const;
+  /// Serializes to the tuple's natural bytes.  Pages account a stored
+  /// tuple at the paper's fixed width S without keeping the padding (see
+  /// storage::Page).
+  std::vector<uint8_t> Serialize() const;
+  /// Decodes a serialized tuple; bytes past its last value are ignored, so
+  /// a zero-padded image (as Page::Deserialize stores) decodes too.
   static Result<Tuple> Deserialize(std::span<const uint8_t> bytes);
   /// Decodes only value `column` of a serialized tuple, stepping over the
   /// values before it without building a Tuple.

@@ -79,6 +79,15 @@ std::size_t SimulatedDisk::live_page_count() const {
   return live_pages_;
 }
 
+std::size_t SimulatedDisk::resident_bytes() const {
+  util::RankedLockGuard guard(page_table_latch_);
+  std::size_t bytes = 0;
+  for (const std::unique_ptr<Page>& page : pages_) {
+    if (page != nullptr) bytes += page->resident_bytes();
+  }
+  return bytes;
+}
+
 bool SimulatedDisk::IsLive(PageId page_id) const {
   util::RankedLockGuard guard(page_table_latch_);
   return page_id < pages_.size() && pages_[page_id] != nullptr;

@@ -48,6 +48,10 @@ class SimulatedDisk {
   std::size_t page_count() const;
   /// Pages allocated and not yet freed.
   std::size_t live_page_count() const;
+  /// Bytes of memory the live pages hold for record payloads (the sum of
+  /// Page::resident_bytes).  Reads page contents, which the page-table latch
+  /// does not guard: call only while the disk is quiescent.
+  std::size_t resident_bytes() const;
   /// True if `page_id` was allocated and has not been freed.
   bool IsLive(PageId page_id) const;
 

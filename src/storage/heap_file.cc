@@ -1,5 +1,6 @@
 #include "storage/heap_file.h"
 
+#include <algorithm>
 #include <string>
 #include <unordered_set>
 
@@ -33,15 +34,33 @@ Status HeapFile::CheckConsistency() const {
   return Status::OK();
 }
 
-Result<RecordId> HeapFile::Insert(const std::vector<uint8_t>& record) {
+namespace {
+
+// A record's stored bytes and its logical size, which is never less.
+struct RecordSizes {
+  uint32_t stored;
+  uint32_t size;
+};
+
+RecordSizes SizesOf(const std::vector<uint8_t>& record,
+                    std::size_t logical_size) {
+  return {static_cast<uint32_t>(record.size()),
+          static_cast<uint32_t>(std::max(record.size(), logical_size))};
+}
+
+}  // namespace
+
+Result<RecordId> HeapFile::Insert(const std::vector<uint8_t>& record,
+                                  std::size_t logical_size) {
   PROCSIM_CHECK(!record.empty());
+  const auto [stored, size] = SizesOf(record, logical_size);
   if (!pages_.empty()) {
     const PageId last = pages_.back();
     Result<Page*> page = disk_->ReadPage(last);
     if (!page.ok()) return page.status();
-    if (page.ValueOrDie()->Fits(static_cast<uint32_t>(record.size()))) {
-      Result<uint16_t> slot = page.ValueOrDie()->Insert(
-          record.data(), static_cast<uint32_t>(record.size()));
+    if (page.ValueOrDie()->Fits(size)) {
+      Result<uint16_t> slot =
+          page.ValueOrDie()->Insert(record.data(), stored, size);
       if (!slot.ok()) return slot.status();
       PROCSIM_RETURN_IF_ERROR(disk_->MarkDirty(last));
       ++record_count_;
@@ -53,8 +72,8 @@ Result<RecordId> HeapFile::Insert(const std::vector<uint8_t>& record) {
   pages_.push_back(fresh);
   Result<Page*> page = disk_->ReadPage(fresh);
   if (!page.ok()) return page.status();
-  Result<uint16_t> slot = page.ValueOrDie()->Insert(
-      record.data(), static_cast<uint32_t>(record.size()));
+  Result<uint16_t> slot =
+      page.ValueOrDie()->Insert(record.data(), stored, size);
   if (!slot.ok()) return slot.status();
   PROCSIM_RETURN_IF_ERROR(disk_->MarkDirty(fresh));
   ++record_count_;
@@ -68,11 +87,13 @@ Result<ByteView> HeapFile::Read(RecordId rid) const {
   return page.ValueOrDie()->View(rid.slot);
 }
 
-Status HeapFile::Update(RecordId rid, const std::vector<uint8_t>& record) {
+Status HeapFile::Update(RecordId rid, const std::vector<uint8_t>& record,
+                        std::size_t logical_size) {
+  const auto [stored, size] = SizesOf(record, logical_size);
   Result<Page*> page = disk_->ReadPage(rid.page_id);
   if (!page.ok()) return page.status();
-  PROCSIM_RETURN_IF_ERROR(page.ValueOrDie()->Update(
-      rid.slot, record.data(), static_cast<uint32_t>(record.size())));
+  PROCSIM_RETURN_IF_ERROR(
+      page.ValueOrDie()->Update(rid.slot, record.data(), stored, size));
   return disk_->MarkDirty(rid.page_id);
 }
 

@@ -22,16 +22,22 @@ class HeapFile {
  public:
   explicit HeapFile(SimulatedDisk* disk);
 
-  /// Inserts a record, allocating a new page if needed.
-  Result<RecordId> Insert(const std::vector<uint8_t>& record);
+  /// Inserts a record, allocating a new page if needed.  The record's
+  /// logical size, which its page accounts for, is the larger of
+  /// `record.size()` and `logical_size` (the paper's S for fixed-width
+  /// tuples); the page stores only `record` (see Page::Insert).
+  Result<RecordId> Insert(const std::vector<uint8_t>& record,
+                          std::size_t logical_size = 0);
 
   /// The bytes of the record at `rid`, read in place: valid until its page
   /// is next written (see Page::View).
   Result<ByteView> Read(RecordId rid) const;
 
-  /// Overwrites the record at `rid` in place.  Fails if the new payload no
-  /// longer fits on its page (fixed-width records never hit this).
-  Status Update(RecordId rid, const std::vector<uint8_t>& record);
+  /// Overwrites the record at `rid` in place, with its logical size taken as
+  /// in Insert.  Fails if the new record no longer fits on its page
+  /// (fixed-width records never hit this).
+  Status Update(RecordId rid, const std::vector<uint8_t>& record,
+                std::size_t logical_size = 0);
 
   /// Deletes the record at `rid`.
   Status Delete(RecordId rid);

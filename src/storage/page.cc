@@ -15,8 +15,6 @@ std::string RecordId::ToString() const {
 
 Page::Page(uint32_t page_size) : page_size_(page_size) {
   PROCSIM_CHECK_GT(page_size, 0u);
-  heap_.resize(page_size_, 0);
-  free_end_ = page_size_;
 }
 
 uint32_t Page::BytesUsed() const {
@@ -31,30 +29,53 @@ uint32_t Page::FreeSpace() const { return page_size_ - BytesUsed(); }
 
 bool Page::Fits(uint32_t size) const { return size <= FreeSpace(); }
 
-void Page::Compact() {
-  // Rewrite live payloads contiguously at the back of the arena.
-  std::vector<uint8_t> new_heap(page_size_, 0);
-  uint32_t cursor = page_size_;
-  for (Slot& slot : slots_) {
-    if (!slot.live) continue;
-    cursor -= slot.size;
-    std::memcpy(new_heap.data() + cursor, heap_.data() + slot.offset,
-                slot.size);
-    slot.offset = cursor;
+uint32_t Page::Append(const uint8_t* data, uint32_t stored, uint32_t size) {
+  if (arena_.capacity() == 0) {
+    // Size the arena for a page full of records shaped like the first one.
+    arena_.reserve(uint64_t{page_size_} * stored / size);
+  } else if (garbage_ > 0 && arena_.size() + stored > arena_.capacity()) {
+    Compact();  // reclaim garbage rather than grow the arena
   }
-  heap_ = std::move(new_heap);
-  free_end_ = cursor;
+  // resize + memcpy rather than insert-from-pointer: GCC 12's
+  // -Wstringop-overflow misfires on the latter (see AppendPod below).
+  const auto offset = static_cast<uint32_t>(arena_.size());
+  arena_.resize(offset + stored);
+  std::memcpy(arena_.data() + offset, data, stored);
+  return offset;
 }
 
-Result<uint16_t> Page::Insert(const uint8_t* data, uint32_t size) {
-  PROCSIM_CHECK_GT(size, 0u);
+void Page::MaybeCompact() {
+  if (garbage_ > 0 && 2 * uint64_t{garbage_} >= arena_.size()) Compact();
+}
+
+void Page::Compact() {
+  // Slide live stored bytes to the front in arena order; each move goes
+  // down, so it never overwrites bytes still to be moved.
+  std::vector<Slot*> live;
+  live.reserve(live_count_);
+  for (Slot& slot : slots_) {
+    if (slot.live) live.push_back(&slot);
+  }
+  std::sort(live.begin(), live.end(),
+            [](const Slot* a, const Slot* b) { return a->offset < b->offset; });
+  uint32_t cursor = 0;
+  for (Slot* slot : live) {
+    std::memmove(arena_.data() + cursor, arena_.data() + slot->offset,
+                 slot->stored);
+    slot->offset = cursor;
+    cursor += slot->stored;
+  }
+  arena_.resize(cursor);
+  garbage_ = 0;
+}
+
+Result<uint16_t> Page::Insert(const uint8_t* data, uint32_t stored,
+                              uint32_t size) {
+  PROCSIM_CHECK_GT(stored, 0u);
+  PROCSIM_CHECK_LE(stored, size);
   if (!Fits(size)) {
     return Status::OutOfRange("record does not fit in page");
   }
-  if (free_end_ < size) Compact();
-  PROCSIM_CHECK_GE(free_end_, size);
-  free_end_ -= size;
-  std::memcpy(heap_.data() + free_end_, data, size);
   // Reuse a tombstoned slot if available; otherwise append.
   uint16_t slot_index = slot_count();
   for (uint16_t i = 0; i < slot_count(); ++i) {
@@ -63,10 +84,11 @@ Result<uint16_t> Page::Insert(const uint8_t* data, uint32_t size) {
       break;
     }
   }
+  const Slot slot{Append(data, stored, size), stored, size, /*live=*/true};
   if (slot_index == slot_count()) {
-    slots_.push_back(Slot{free_end_, size, /*live=*/true});
+    slots_.push_back(slot);
   } else {
-    slots_[slot_index] = Slot{free_end_, size, /*live=*/true};
+    slots_[slot_index] = slot;
   }
   ++live_count_;
   PROCSIM_AUDIT_OK(CheckConsistency());
@@ -82,30 +104,34 @@ Result<ByteView> Page::View(uint16_t slot) const {
     return Status::NotFound("no live record in slot " + std::to_string(slot));
   }
   const Slot& s = slots_[slot];
-  return ByteView(heap_.data() + s.offset, s.size);
+  return ByteView(arena_.data() + s.offset, s.stored);
 }
 
-Status Page::Update(uint16_t slot, const uint8_t* data, uint32_t size) {
+Status Page::Update(uint16_t slot, const uint8_t* data, uint32_t stored,
+                    uint32_t size) {
+  PROCSIM_CHECK_GT(stored, 0u);
+  PROCSIM_CHECK_LE(stored, size);
   if (!IsLive(slot)) {
     return Status::NotFound("no live record in slot " + std::to_string(slot));
   }
   Slot& s = slots_[slot];
-  if (size <= s.size) {
-    // Shrink (or equal) in place.
-    std::memcpy(heap_.data() + s.offset, data, size);
-    s.size = size;
-    PROCSIM_AUDIT_OK(CheckConsistency());
-    return Status::OK();
-  }
-  // Grows: check capacity excluding the old copy, then reinsert.
+  // A record may always shrink; it may grow only into free space.
   if (size > FreeSpace() + s.size) {
     return Status::OutOfRange("updated record does not fit in page");
   }
-  s.live = false;  // release old extent before compaction
-  if (free_end_ < size) Compact();
-  free_end_ -= size;
-  std::memcpy(heap_.data() + free_end_, data, size);
-  s = Slot{free_end_, size, /*live=*/true};
+  if (stored <= s.stored) {
+    std::memcpy(arena_.data() + s.offset, data, stored);
+    garbage_ += s.stored - stored;
+  } else {
+    // Release the old extent first so an append that compacts drops it.
+    garbage_ += s.stored;
+    s.live = false;
+    s.offset = Append(data, stored, size);
+    s.live = true;
+  }
+  s.stored = stored;
+  s.size = size;
+  MaybeCompact();
   PROCSIM_AUDIT_OK(CheckConsistency());
   return Status::OK();
 }
@@ -114,40 +140,39 @@ Status Page::Delete(uint16_t slot) {
   if (!IsLive(slot)) {
     return Status::NotFound("no live record in slot " + std::to_string(slot));
   }
-  slots_[slot].live = false;
-  slots_[slot].size = 0;
+  garbage_ += slots_[slot].stored;
+  slots_[slot] = Slot{};
   --live_count_;
+  MaybeCompact();
   PROCSIM_AUDIT_OK(CheckConsistency());
   return Status::OK();
 }
 
 Status Page::CheckConsistency() const {
-  if (heap_.size() != page_size_) {
-    return Status::Internal("page arena size " + std::to_string(heap_.size()) +
-                            " != page size " + std::to_string(page_size_));
-  }
   uint16_t live = 0;
   uint64_t used = 0;
-  std::vector<std::pair<uint32_t, uint32_t>> extents;  // (offset, size)
+  uint64_t stored = 0;
+  std::vector<std::pair<uint32_t, uint32_t>> extents;  // (offset, stored)
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const Slot& slot = slots_[i];
     if (!slot.live) continue;
     ++live;
     used += slot.size;
-    if (slot.size == 0) {
-      return Status::Internal("live slot " + std::to_string(i) +
-                              " has zero size");
+    stored += slot.stored;
+    if (slot.stored == 0 || slot.stored > slot.size) {
+      return Status::Internal("live slot " + std::to_string(i) + " stores " +
+                              std::to_string(slot.stored) +
+                              " bytes of a record of logical size " +
+                              std::to_string(slot.size));
     }
-    if (slot.offset < free_end_ ||
-        static_cast<uint64_t>(slot.offset) + slot.size > page_size_) {
+    if (static_cast<uint64_t>(slot.offset) + slot.stored > arena_.size()) {
       return Status::Internal(
           "slot " + std::to_string(i) + " extent [" +
           std::to_string(slot.offset) + ", " +
-          std::to_string(slot.offset + slot.size) +
-          ") escapes the payload arena [" + std::to_string(free_end_) + ", " +
-          std::to_string(page_size_) + ")");
+          std::to_string(slot.offset + slot.stored) +
+          ") escapes the " + std::to_string(arena_.size()) + "-byte arena");
     }
-    extents.emplace_back(slot.offset, slot.size);
+    extents.emplace_back(slot.offset, slot.stored);
   }
   if (live != live_count_) {
     return Status::Internal("live slot directory count " +
@@ -157,6 +182,12 @@ Status Page::CheckConsistency() const {
   if (used > page_size_) {
     return Status::Internal("live payload bytes " + std::to_string(used) +
                             " exceed page size " + std::to_string(page_size_));
+  }
+  if (stored + garbage_ != arena_.size()) {
+    return Status::Internal(
+        "arena holds " + std::to_string(arena_.size()) + " bytes but " +
+        std::to_string(stored) + " are live and " + std::to_string(garbage_) +
+        " are garbage");
   }
   std::sort(extents.begin(), extents.end());
   for (std::size_t i = 1; i < extents.size(); ++i) {
@@ -200,8 +231,9 @@ std::vector<uint8_t> Page::Serialize() const {
   }
   for (const Slot& slot : slots_) {
     if (!slot.live) continue;
-    out.insert(out.end(), heap_.begin() + slot.offset,
-               heap_.begin() + slot.offset + slot.size);
+    const std::size_t offset = out.size();
+    out.resize(offset + slot.size, 0);  // the zero tail past the stored bytes
+    std::memcpy(out.data() + offset, arena_.data() + slot.offset, slot.stored);
   }
   return out;
 }
@@ -229,24 +261,32 @@ Result<Page> Page::Deserialize(const std::vector<uint8_t>& bytes) {
     entry.live = live != 0;
   }
   // Rebuild the slot directory directly (Insert would renumber slots by
-  // reusing tombstones, breaking RecordId stability).
+  // reusing tombstones, breaking RecordId stability).  Every logical byte
+  // is stored: the image does not say which trailing zeros were padding.
+  uint64_t used = 0;
   for (const auto& entry : entries) {
-    if (entry.live) {
-      if (cursor + entry.size > bytes.size()) {
-        return Status::InvalidArgument("truncated payload");
-      }
-      if (page.free_end_ < entry.size) {
-        return Status::InvalidArgument("page payload overflow");
-      }
-      page.free_end_ -= entry.size;
-      std::memcpy(page.heap_.data() + page.free_end_, bytes.data() + cursor,
-                  entry.size);
-      page.slots_.push_back(Slot{page.free_end_, entry.size, /*live=*/true});
-      ++page.live_count_;
-      cursor += entry.size;
-    } else {
-      page.slots_.push_back(Slot{0, 0, /*live=*/false});
+    if (entry.live) used += entry.size;
+  }
+  if (used > page_size) {
+    return Status::InvalidArgument("page payload overflow");
+  }
+  if (used > bytes.size() - cursor) {
+    return Status::InvalidArgument("truncated payload");
+  }
+  page.arena_.reserve(used);
+  for (const auto& entry : entries) {
+    if (!entry.live) {
+      page.slots_.push_back(Slot{});
+      continue;
     }
+    if (entry.size == 0) {
+      return Status::InvalidArgument("empty live record");
+    }
+    page.slots_.push_back(
+        Slot{page.Append(bytes.data() + cursor, entry.size, entry.size),
+             entry.size, entry.size, /*live=*/true});
+    ++page.live_count_;
+    cursor += entry.size;
   }
   return page;
 }

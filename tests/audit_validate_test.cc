@@ -117,6 +117,26 @@ TEST(ValidatePageTest, RoundTripsLiveRecords) {
   EXPECT_TRUE(ValidatePage(page).ok());
 }
 
+TEST(ValidatePageTest, RoundTripsPaddedTuples) {
+  // Paper-width records: each tuple stores its natural bytes and accounts
+  // S = 100.  The reloaded page stores the zero tails too, which is the
+  // same logical record, not a changed payload.
+  storage::Page page(4000);
+  std::vector<uint16_t> slots;
+  for (int64_t i = 0; i < 40; ++i) {
+    const std::vector<uint8_t> bytes =
+        Tuple({Value(i), Value("name"), Value(i * 0.5)}).Serialize();
+    ASSERT_LT(bytes.size(), 100u);
+    slots.push_back(
+        page.Insert(bytes.data(), static_cast<uint32_t>(bytes.size()), 100)
+            .ValueOrDie());
+  }
+  EXPECT_FALSE(page.Fits(100));
+  ASSERT_TRUE(page.Delete(slots[3]).ok());
+  const Status status = ValidatePage(page);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Rete: a desynchronized memory (α or β) must be caught by ValidateState.
 

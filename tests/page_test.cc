@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -192,6 +195,231 @@ TEST(PagePropertyTest, MatchesReferenceModel) {
       }
       EXPECT_EQ(page.FreeSpace(), page.page_size() - used);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: a page that stores only each record's stored bytes must
+// be indistinguishable, through its whole public surface, from a page that
+// stores every logical byte with the padding written out as zeros.
+
+// The reference: each slot keeps its full logical record, padding included.
+class PaddedPageModel {
+ public:
+  explicit PaddedPageModel(uint32_t page_size) : page_size_(page_size) {}
+
+  uint16_t slot_count() const { return static_cast<uint16_t>(slots_.size()); }
+  uint16_t live_count() const {
+    return static_cast<uint16_t>(std::count_if(
+        slots_.begin(), slots_.end(), [](const Record& r) { return r.live; }));
+  }
+  bool IsLive(uint16_t slot) const {
+    return slot < slots_.size() && slots_[slot].live;
+  }
+  uint32_t size(uint16_t slot) const {
+    return static_cast<uint32_t>(slots_[slot].bytes.size());
+  }
+  uint32_t FreeSpace() const {
+    uint32_t used = 0;
+    for (const Record& r : slots_) {
+      if (r.live) used += static_cast<uint32_t>(r.bytes.size());
+    }
+    return page_size_ - used;
+  }
+  bool Fits(uint32_t size) const { return size <= FreeSpace(); }
+
+  std::optional<uint16_t> Insert(const std::vector<uint8_t>& stored,
+                                 uint32_t size) {
+    if (!Fits(size)) return std::nullopt;
+    uint16_t slot = slot_count();
+    for (uint16_t i = 0; i < slot_count(); ++i) {
+      if (!slots_[i].live) {
+        slot = i;
+        break;
+      }
+    }
+    if (slot == slot_count()) slots_.emplace_back();
+    slots_[slot] = Record{true, stored, Padded(stored, size)};
+    return slot;
+  }
+
+  bool Update(uint16_t slot, const std::vector<uint8_t>& stored,
+              uint32_t size) {
+    // Shrinking always fits; growing needs the free space.
+    if (size > FreeSpace() + this->size(slot)) return false;
+    slots_[slot] = Record{true, stored, Padded(stored, size)};
+    return true;
+  }
+
+  void Delete(uint16_t slot) { slots_[slot] = Record{}; }
+
+  const std::vector<uint8_t>& stored(uint16_t slot) const {
+    return slots_[slot].stored;
+  }
+
+  // Header, then (size, live) per slot, then live payloads in slot order.
+  std::vector<uint8_t> Serialize() const {
+    std::vector<uint8_t> out;
+    Append(&out, page_size_);
+    Append(&out, slot_count());
+    for (const Record& r : slots_) {
+      Append(&out, static_cast<uint32_t>(r.bytes.size()));
+      Append(&out, static_cast<uint8_t>(r.live ? 1 : 0));
+    }
+    for (const Record& r : slots_) {
+      if (r.live) out.insert(out.end(), r.bytes.begin(), r.bytes.end());
+    }
+    return out;
+  }
+
+ private:
+  struct Record {
+    bool live = false;
+    std::vector<uint8_t> stored;
+    std::vector<uint8_t> bytes;  // logical record: stored bytes, then zeros
+  };
+
+  static std::vector<uint8_t> Padded(std::vector<uint8_t> stored,
+                                     uint32_t size) {
+    stored.resize(size, 0);
+    return stored;
+  }
+
+  template <typename T>
+  static void Append(std::vector<uint8_t>* out, T value) {
+    const std::size_t offset = out->size();
+    out->resize(offset + sizeof(T));
+    std::memcpy(out->data() + offset, &value, sizeof(T));
+  }
+
+  uint32_t page_size_;
+  std::vector<Record> slots_;
+};
+
+// Records of 1..stored bytes, none of them zero, so a lost or shifted byte
+// cannot pass for padding.
+std::vector<uint8_t> RandomBytes(Rng* rng, uint32_t stored) {
+  std::vector<uint8_t> bytes(stored);
+  for (auto& byte : bytes) byte = static_cast<uint8_t>(1 + rng->Uniform(255));
+  return bytes;
+}
+
+// Half the records store all their bytes (index nodes); the rest store a
+// random prefix and account the remainder as padding (paper-width tuples).
+uint32_t StoredFor(Rng* rng, uint32_t size) {
+  return rng->Bernoulli(0.5) ? size
+                             : 1 + static_cast<uint32_t>(rng->Uniform(size));
+}
+
+void ExpectSamePage(const Page& page, const PaddedPageModel& model) {
+  ASSERT_TRUE(page.CheckConsistency().ok())
+      << page.CheckConsistency().ToString();
+  ASSERT_EQ(page.FreeSpace(), model.FreeSpace());
+  ASSERT_EQ(page.slot_count(), model.slot_count());
+  ASSERT_EQ(page.live_count(), model.live_count());
+  for (uint32_t size : {1u, page.FreeSpace(), page.FreeSpace() + 1}) {
+    ASSERT_EQ(page.Fits(size), model.Fits(size)) << "size " << size;
+  }
+  for (uint16_t slot = 0; slot <= page.slot_count(); ++slot) {
+    ASSERT_EQ(page.IsLive(slot), model.IsLive(slot)) << "slot " << slot;
+    if (!model.IsLive(slot)) {
+      ASSERT_EQ(page.View(slot).status().code(), StatusCode::kNotFound);
+      continue;
+    }
+    ASSERT_EQ(Copied(page, slot), model.stored(slot)) << "slot " << slot;
+  }
+  ASSERT_EQ(page.Serialize(), model.Serialize());
+}
+
+TEST(PageDifferentialTest, MatchesPaddedStorageModel) {
+  constexpr uint32_t kPageSize = 1000;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Page page(kPageSize);
+    PaddedPageModel model(kPageSize);
+    std::size_t updates_out_of_range = 0;
+    std::size_t tombstones_reused = 0;
+    for (int step = 0; step < 3000; ++step) {
+      std::vector<uint16_t> live;
+      for (uint16_t slot = 0; slot < model.slot_count(); ++slot) {
+        if (model.IsLive(slot)) live.push_back(slot);
+      }
+      const uint64_t op = rng.Uniform(10);
+      if (op < 4 || live.empty()) {
+        // Insert, now and then one too big for the free space.
+        const uint32_t size =
+            rng.Bernoulli(0.1)
+                ? model.FreeSpace() + 1 + static_cast<uint32_t>(rng.Uniform(50))
+                : 1 + static_cast<uint32_t>(rng.Uniform(120));
+        const std::vector<uint8_t> stored =
+            RandomBytes(&rng, StoredFor(&rng, std::min(size, 200u)));
+        const uint32_t logical =
+            std::max(size, static_cast<uint32_t>(stored.size()));
+        const bool reuses = model.live_count() < model.slot_count();
+        const std::optional<uint16_t> expected = model.Insert(stored, logical);
+        Result<uint16_t> slot = page.Insert(
+            stored.data(), static_cast<uint32_t>(stored.size()), logical);
+        ASSERT_EQ(slot.ok(), expected.has_value()) << "step " << step;
+        if (expected.has_value()) {
+          ASSERT_EQ(slot.ValueOrDie(), *expected);
+          if (reuses) ++tombstones_reused;
+        } else {
+          ASSERT_EQ(slot.status().code(), StatusCode::kOutOfRange);
+        }
+      } else if (op < 8) {
+        // Update that shrinks, keeps the size, grows, or grows past what
+        // the page can hold.
+        const uint16_t slot = live[rng.Uniform(live.size())];
+        const uint32_t old_size = model.size(slot);
+        const uint32_t room = model.FreeSpace() + old_size;
+        uint32_t size = old_size;
+        switch (rng.Uniform(4)) {
+          case 0:
+            size = 1 + static_cast<uint32_t>(rng.Uniform(old_size));
+            break;
+          case 1:
+            break;
+          case 2: {
+            const uint32_t headroom = std::min(room - old_size, 120u);
+            if (headroom > 0) {
+              size = old_size + 1 + static_cast<uint32_t>(rng.Uniform(headroom));
+            }
+            break;
+          }
+          default:
+            size = room + 1 + static_cast<uint32_t>(rng.Uniform(50));
+            break;
+        }
+        const std::vector<uint8_t> stored =
+            RandomBytes(&rng, StoredFor(&rng, size));
+        const bool expected = model.Update(slot, stored, size);
+        const Status status = page.Update(
+            slot, stored.data(), static_cast<uint32_t>(stored.size()), size);
+        ASSERT_EQ(status.ok(), expected) << "step " << step;
+        if (!expected) {
+          ASSERT_EQ(status.code(), StatusCode::kOutOfRange);
+          ++updates_out_of_range;
+        }
+      } else {
+        const uint16_t slot = live[rng.Uniform(live.size())];
+        model.Delete(slot);
+        ASSERT_TRUE(page.Delete(slot).ok());
+      }
+      ExpectSamePage(page, model);
+      // Garbage is compacted away: the arena never runs past twice the
+      // page, however much churn the page has seen.
+      ASSERT_LE(page.resident_bytes(), 2u * kPageSize) << "step " << step;
+      if (step % 100 == 0) {
+        // A page rebuilt from the image stores every logical byte but is
+        // the same page.
+        Result<Page> reloaded = Page::Deserialize(page.Serialize());
+        ASSERT_TRUE(reloaded.ok());
+        ASSERT_EQ(reloaded.ValueOrDie().Serialize(), model.Serialize());
+      }
+    }
+    EXPECT_GT(updates_out_of_range, 0u);
+    EXPECT_GT(tombstones_reused, 0u);
   }
 }
 

@@ -209,11 +209,12 @@ TEST_F(TupleStoreTest, PageHoldsTheOnlyCopy) {
   ASSERT_EQ(disk_.page_count(), 1u);
 
   // Overwrite the record in place with a different tuple of the same size.
-  const std::vector<uint8_t> bytes = Row(7, 8).Serialize(100);
+  const std::vector<uint8_t> bytes = Row(7, 8).Serialize();
   Result<storage::Page*> page = disk_.ReadPage(0);
   ASSERT_TRUE(page.ok());
   ASSERT_TRUE(page.ValueOrDie()
-                  ->Update(0, bytes.data(), static_cast<uint32_t>(bytes.size()))
+                  ->Update(0, bytes.data(), static_cast<uint32_t>(bytes.size()),
+                           100)
                   .ok());
 
   const std::vector<Tuple> snapshot = store.SnapshotForTesting();
