@@ -143,8 +143,7 @@ Result<CrashSweepReport> CrashPointSweep(const CrashSweepOptions& options,
         std::vector<WorkloadOp>(ops.begin(),
                                 ops.begin() + static_cast<std::ptrdiff_t>(
                                                   split))));
-    PROCSIM_RETURN_IF_ERROR(
-        live.TakeCheckpoint(/*truncate_validity_log=*/true));
+    PROCSIM_RETURN_IF_ERROR(live.TakeCheckpoint());
     PROCSIM_RETURN_IF_ERROR(live.Run(std::vector<WorkloadOp>(
         ops.begin() + static_cast<std::ptrdiff_t>(split), ops.end())));
   } else {

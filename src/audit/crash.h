@@ -41,15 +41,16 @@ struct CrashSweepOptions {
   /// Check every `stride`-th crash point (1 = every WAL record boundary);
   /// the empty prefix and the full log are always checked.
   std::size_t stride = 1;
-  /// Run the structure validators (catalog, i-locks, invalidation log,
-  /// cache budget, Rete) on every recovered engine.
+  /// Run the structure validators (catalog, i-locks, cache budget, Rete)
+  /// on every recovered engine.
   bool validate_structures = true;
   /// Additionally run the six-strategy-vs-oracle sweep on every recovered
   /// engine (quadratically expensive; always run at the full-log point).
   bool compare_strategies_at_every_point = true;
-  /// Take a WAL checkpoint (validity bitmap snapshot) after this many ops
-  /// of the live run, so the sweep covers recovery both before and after a
-  /// checkpoint record.  0 = no mid-run checkpoint.
+  /// Write a kCheckpoint WAL record (TxnEngine::TakeCheckpoint: the
+  /// validity bitmap) after this many ops of the live run, so the sweep
+  /// covers recovery both from genesis and from the checkpoint plus the log
+  /// tail.  0 = no mid-run checkpoint.
   std::size_t checkpoint_after_ops = 0;
 };
 

@@ -10,7 +10,6 @@
 #include "proc/strategy.h"
 #include "sim/simulator.h"
 #include "sim/workload.h"
-#include "storage/disk.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -56,16 +55,10 @@ Status CompareProcedure(Harness* harness, proc::ProcId id,
                         CrossCheckReport* report,
                         std::string* digest = nullptr) {
   sim::Database* db = harness->db.get();
-  std::string expected;
   std::size_t expected_rows = 0;
-  {
-    storage::MeteringGuard guard(db->disk.get());
-    Result<std::vector<Tuple>> oracle =
-        db->executor->Execute(db->procedures[id].query);
-    PROCSIM_RETURN_IF_ERROR(oracle.status());
-    expected = sim::CanonicalResultBytes(oracle.ValueOrDie());
-    expected_rows = oracle.ValueOrDie().size();
-  }
+  Result<std::string> oracle = sim::OracleResultBytes(db, id, &expected_rows);
+  PROCSIM_RETURN_IF_ERROR(oracle.status());
+  const std::string& expected = oracle.ValueOrDie();
   if (digest != nullptr) *digest = expected;
   for (const std::unique_ptr<proc::Strategy>& strategy :
        harness->strategies.all) {

@@ -107,10 +107,6 @@ Status ValidateILockTable(const proc::ILockTable& locks,
   return status;
 }
 
-Status ValidateInvalidationLog(const proc::InvalidationLog& log) {
-  return log.CheckConsistency();
-}
-
 Status ValidateCacheBudget(const proc::CacheBudget& budget) {
   std::vector<std::size_t> live_bytes(budget.shard_count(), 0);
   Status status = Status::OK();
@@ -278,8 +274,6 @@ Status ValidateStructures(const sim::Database& db,
   }
   PROCSIM_RETURN_IF_ERROR(ValidateILockTable(
       strategies.cache_invalidate->lock_table(), db.procedures.size()));
-  PROCSIM_RETURN_IF_ERROR(
-      ValidateInvalidationLog(strategies.cache_invalidate->validity_log()));
   return ValidateCacheBudget(*strategies.budget);
 }
 

@@ -6,7 +6,6 @@
 #include "ivm/tuple_store.h"
 #include "proc/cache_budget.h"
 #include "proc/ilock.h"
-#include "proc/invalidation_log.h"
 #include "relational/catalog.h"
 #include "relational/relation.h"
 #include "rete/network.h"
@@ -57,9 +56,6 @@ Status ValidateReteNetwork(const rete::ReteNetwork& network);
 Status ValidateILockTable(const proc::ILockTable& locks,
                           std::size_t procedure_count);
 
-/// Invalidation log: monotone LSNs and records that map to live procedures.
-Status ValidateInvalidationLog(const proc::InvalidationLog& log);
-
 /// Cache budget: per-shard accounted bytes must equal the sum over live
 /// entries of that shard, every dead (evicted) entry must account zero
 /// bytes, and no shard may exceed its byte budget.  Run at quiescent points
@@ -77,7 +73,7 @@ Status ValidateCatalog(const rel::Catalog& catalog);
 
 /// The structure sweep every quiescent check runs over one database and its
 /// six strategies: the catalog, the RVM Rete network, CacheInvalidate's
-/// i-lock table and invalidation log, and the shared cache budget.
+/// i-lock table, and the shared cache budget.
 Status ValidateStructures(const sim::Database& db,
                           const sim::StrategySet& strategies);
 

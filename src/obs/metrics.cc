@@ -38,9 +38,6 @@ namespace procsim::obs {
     "proc.cache_invalidate.true_invalidations",
     "proc.ilock.broken_found",
     "proc.ilock.locks_set",
-    "proc.invalidation_log.checkpoints",
-    "proc.invalidation_log.records",
-    "proc.invalidation_log.truncations",
     "proc.update_cache_avm.accesses",
     "proc.update_cache_avm.cache_refreshes",
     "proc.update_cache_avm.delta_tuples_applied",

@@ -164,31 +164,15 @@ bool CacheInvalidateStrategy::IsValid(ProcId id) const {
   return validity_->IsValid(id);
 }
 
-const InvalidationLog& CacheInvalidateStrategy::validity_log() const {
+std::vector<bool> CacheInvalidateStrategy::ValidityBitmap() const {
   PROCSIM_CHECK(validity_.has_value()) << "Prepare() not called";
-  return *validity_;
+  return validity_->Snapshot();
 }
 
-InvalidationLog& CacheInvalidateStrategy::mutable_validity_log() {
+void CacheInvalidateStrategy::SetValidityMirror(
+    InvalidationLog::MirrorFn mirror) {
   PROCSIM_CHECK(validity_.has_value()) << "Prepare() not called";
-  return *validity_;
-}
-
-InvalidationLog::Checkpoint CacheInvalidateStrategy::TakeValidityCheckpoint()
-    const {
-  PROCSIM_CHECK(validity_.has_value()) << "Prepare() not called";
-  return validity_->TakeCheckpoint();
-}
-
-Status CacheInvalidateStrategy::CrashAndRecover(
-    const InvalidationLog::Checkpoint& checkpoint) {
-  if (!validity_.has_value()) {
-    return Status::Internal("Prepare() not called");
-  }
-  validity_->Crash();
-  Result<std::vector<bool>> recovered = validity_->Recover(checkpoint);
-  if (!recovered.ok()) return recovered.status();
-  return validity_->ResetFrom(recovered.TakeValueOrDie());
+  validity_->SetMirror(std::move(mirror));
 }
 
 }  // namespace procsim::proc

@@ -73,23 +73,14 @@ class CacheInvalidateStrategy : public Strategy {
 
   const ILockTable& lock_table() const { return locks_; }
 
-  /// The §3 recoverable validity store backing this strategy.  Valid after
+  /// Copy of the §3 validity bitmap (one bit per procedure).  Valid after
   /// Prepare().
-  const InvalidationLog& validity_log() const;
+  std::vector<bool> ValidityBitmap() const;
 
-  /// Mutable access for the transaction layer: installing the WAL mirror
-  /// (InvalidationLog::SetMirror) and driving checkpoint/truncation from
-  /// the engine's recovery protocol.  Valid after Prepare().
-  InvalidationLog& mutable_validity_log();
-
-  /// Captures a recovery checkpoint of the validity bitmap.
-  InvalidationLog::Checkpoint TakeValidityCheckpoint() const;
-
-  /// Simulates a crash that loses the in-memory validity bitmap (cached
-  /// pages are durable) and recovers it from `checkpoint` plus the
-  /// invalidation log — the paper's §3 WAL-recovery scheme.  After this the
-  /// strategy serves correct results again.
-  Status CrashAndRecover(const InvalidationLog::Checkpoint& checkpoint);
+  /// Installs the hook that logs every validity change
+  /// (InvalidationLog::SetMirror); the transaction layer points it at its
+  /// write-ahead log.  Valid after Prepare().
+  void SetValidityMirror(InvalidationLog::MirrorFn mirror);
 
  private:
   struct Entry {

@@ -1,22 +1,11 @@
 #include "proc/invalidation_log.h"
 
-#include <algorithm>
-#include <mutex>
+#include <string>
+#include <utility>
 
-#include "obs/metrics.h"
 #include "util/logging.h"
 
 namespace procsim::proc {
-namespace {
-
-obs::Counter* const g_records =
-    obs::GlobalMetrics().RegisterCounter("proc.invalidation_log.records");
-obs::Counter* const g_truncations =
-    obs::GlobalMetrics().RegisterCounter("proc.invalidation_log.truncations");
-obs::Counter* const g_checkpoints =
-    obs::GlobalMetrics().RegisterCounter("proc.invalidation_log.checkpoints");
-
-}  // namespace
 
 using Guard = util::RankedLockGuard;
 
@@ -25,140 +14,39 @@ InvalidationLog::InvalidationLog(std::size_t procedure_count)
 
 bool InvalidationLog::IsValid(ProcId id) const {
   Guard guard(latch_);
-  PROCSIM_CHECK(!crashed_) << "bitmap lost; recover first";
   PROCSIM_CHECK_LT(id, valid_.size());
   return valid_[id];
 }
 
-Status InvalidationLog::Append(Record::Kind kind, ProcId id) {
+Status InvalidationLog::Change(Record::Kind kind, ProcId id) {
+  Guard guard(latch_);
   if (id >= valid_.size()) {
     return Status::InvalidArgument("procedure id out of range: " +
                                    std::to_string(id));
   }
-  records_.push_back(Record{next_lsn_++, kind, id});
-  g_records->Add();
-  if (mirror_) mirror_(records_.back());
+  const bool valid = kind == Record::Kind::kValidate;
+  if (valid_[id] == valid) return Status::OK();  // idempotent, no record
+  valid_[id] = valid;
+  if (mirror_) mirror_(Record{kind, id});
   return Status::OK();
+}
+
+Status InvalidationLog::MarkInvalid(ProcId id) {
+  return Change(Record::Kind::kInvalidate, id);
+}
+
+Status InvalidationLog::MarkValid(ProcId id) {
+  return Change(Record::Kind::kValidate, id);
+}
+
+std::vector<bool> InvalidationLog::Snapshot() const {
+  Guard guard(latch_);
+  return valid_;
 }
 
 void InvalidationLog::SetMirror(MirrorFn mirror) {
   Guard guard(latch_);
   mirror_ = std::move(mirror);
-}
-
-Status InvalidationLog::MarkInvalid(ProcId id) {
-  Guard guard(latch_);
-  if (crashed_) return Status::Internal("bitmap lost; recover first");
-  if (id >= valid_.size()) {
-    return Status::InvalidArgument("procedure id out of range");
-  }
-  if (!valid_[id]) return Status::OK();  // idempotent, no log record
-  PROCSIM_RETURN_IF_ERROR(Append(Record::Kind::kInvalidate, id));
-  valid_[id] = false;
-  return Status::OK();
-}
-
-Status InvalidationLog::MarkValid(ProcId id) {
-  Guard guard(latch_);
-  if (crashed_) return Status::Internal("bitmap lost; recover first");
-  if (id >= valid_.size()) {
-    return Status::InvalidArgument("procedure id out of range");
-  }
-  if (valid_[id]) return Status::OK();
-  PROCSIM_RETURN_IF_ERROR(Append(Record::Kind::kValidate, id));
-  valid_[id] = true;
-  return Status::OK();
-}
-
-InvalidationLog::Checkpoint InvalidationLog::TakeCheckpoint() const {
-  Guard guard(latch_);
-  PROCSIM_CHECK(!crashed_);
-  Checkpoint checkpoint;
-  checkpoint.lsn = next_lsn_ - 1;
-  checkpoint.valid = valid_;
-  g_checkpoints->Add();
-  return checkpoint;
-}
-
-void InvalidationLog::TruncateThrough(const Checkpoint& checkpoint) {
-  Guard guard(latch_);
-  records_.erase(
-      std::remove_if(records_.begin(), records_.end(),
-                     [&](const Record& record) {
-                       return record.lsn <= checkpoint.lsn;
-                     }),
-      records_.end());
-  truncated_through_ = std::max(truncated_through_, checkpoint.lsn);
-  g_truncations->Add();
-}
-
-Result<std::vector<bool>> InvalidationLog::Recover(
-    const Checkpoint& checkpoint) const {
-  Guard guard(latch_);
-  if (checkpoint.valid.size() != valid_.size()) {
-    return Status::InvalidArgument("checkpoint bitmap size mismatch");
-  }
-  if (checkpoint.lsn < truncated_through_) {
-    // The records between the checkpoint and the truncation point are gone;
-    // replaying across the hole would silently resurrect stale validity
-    // (the crash harness caught exactly this before the guard existed).
-    return Status::FailedPrecondition(
-        "checkpoint at LSN " + std::to_string(checkpoint.lsn) +
-        " predates log truncation through LSN " +
-        std::to_string(truncated_through_));
-  }
-  std::vector<bool> recovered = checkpoint.valid;
-  // Replay the log suffix in LSN order (records_ is append-ordered).
-  for (const Record& record : records_) {
-    if (record.lsn <= checkpoint.lsn) continue;
-    if (record.procedure >= recovered.size()) {
-      return Status::Internal("log record for unknown procedure");
-    }
-    recovered[record.procedure] =
-        record.kind == Record::Kind::kValidate;
-  }
-  return recovered;
-}
-
-void InvalidationLog::Crash() {
-  Guard guard(latch_);
-  crashed_ = true;
-  std::fill(valid_.begin(), valid_.end(), false);
-}
-
-Status InvalidationLog::ResetFrom(std::vector<bool> valid) {
-  Guard guard(latch_);
-  if (valid.size() != valid_.size()) {
-    return Status::InvalidArgument("bitmap size mismatch");
-  }
-  valid_ = std::move(valid);
-  crashed_ = false;
-  return Status::OK();
-}
-
-Status InvalidationLog::CheckConsistency() const {
-  Guard guard(latch_);
-  uint64_t previous_lsn = truncated_through_;
-  for (const Record& record : records_) {
-    if (record.lsn <= previous_lsn) {
-      return Status::Internal("log LSN " + std::to_string(record.lsn) +
-                              " does not increase past " +
-                              std::to_string(previous_lsn));
-    }
-    if (record.lsn >= next_lsn_) {
-      return Status::Internal("log LSN " + std::to_string(record.lsn) +
-                              " is at or beyond next_lsn " +
-                              std::to_string(next_lsn_));
-    }
-    if (record.procedure >= valid_.size()) {
-      return Status::Internal("log record at LSN " +
-                              std::to_string(record.lsn) +
-                              " names unknown procedure " +
-                              std::to_string(record.procedure));
-    }
-    previous_lsn = record.lsn;
-  }
-  return Status::OK();
 }
 
 }  // namespace procsim::proc

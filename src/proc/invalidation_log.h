@@ -12,44 +12,29 @@
 
 namespace procsim::proc {
 
-/// \brief The recoverable in-memory validity store sketched in §3 of the
-/// paper: "use conventional write-ahead log recovery and log the
-/// identifiers of invalidated procedures ... If the data structure is
-/// checkpointed periodically, it can be recovered by playing the latest
-/// part of the log against the last checkpoint after a crash."
+/// \brief The in-memory validity bitmap of §3 of the paper (one bit per
+/// procedure), whose every change is logged: "use conventional write-ahead
+/// log recovery and log the identifiers of invalidated procedures".
 ///
-/// The live structure is a validity bitmap (one bit per procedure) held in
-/// memory, so recording an invalidation costs no data-page I/O — this is
-/// what justifies the paper's C_inval ≈ 0 operating point.  Every state
-/// change appends a log record (sequenced by an LSN); Checkpoint() captures
-/// the bitmap with the current LSN; Recover() reconstructs the bitmap from
-/// a checkpoint plus the log suffix.
+/// Recording an invalidation costs no data-page I/O — this is what
+/// justifies the paper's C_inval ≈ 0 operating point.  The log itself is
+/// not kept here: each real change is handed to the mirror (SetMirror), and
+/// the transaction layer's mirror appends it to the engine's write-ahead
+/// log.  That WAL, with its kCheckpoint bitmaps, is the only record
+/// recovery reads (txn::TxnEngine::Recover, DESIGN.md §12).
 ///
-/// Log storage is modeled in memory; the I/O cost of the log write is the
-/// caller's C_inval (a log append is a sequential write amortized across
-/// many records, hence ≈ 0 compared with 2·C2 random I/O).
-///
-/// Thread safety: bitmap reads and log appends are serialized by one
-/// kInvalidationLog-rank latch.  Unlike the ILockTable, the log cannot be
-/// striped — LSNs form a single total order, exactly as a WAL tail does —
-/// so the latch models a real log-manager serialization point.  The
-/// `records()` accessor returns an unguarded reference and is only safe at
-/// quiescent points (validators, recovery tests).
+/// Thread safety: bitmap reads, changes and the mirror call are serialized
+/// by one kInvalidationLog-rank latch, so a change and its WAL append are
+/// one step — the WAL's order of validity records is the bitmap's order of
+/// changes.
 class InvalidationLog {
  public:
-  /// One durable record: procedure `id` became invalid (kInvalidate) or
-  /// valid again after a recompute (kValidate).
+  /// One validity change: procedure `procedure` became invalid
+  /// (kInvalidate) or valid again after a recompute (kValidate).
   struct Record {
     enum class Kind : uint8_t { kInvalidate = 0, kValidate = 1 };
-    uint64_t lsn = 0;
     Kind kind = Kind::kInvalidate;
     ProcId procedure = 0;
-  };
-
-  /// A captured bitmap with the LSN it reflects.
-  struct Checkpoint {
-    uint64_t lsn = 0;
-    std::vector<bool> valid;
   };
 
   /// \param procedure_count  size of the validity bitmap; all start valid
@@ -57,82 +42,36 @@ class InvalidationLog {
   InvalidationLog(const InvalidationLog&) = delete;
   InvalidationLog& operator=(const InvalidationLog&) = delete;
 
-  /// Latch-free: the bitmap's *size* is fixed at construction; only its
-  /// bits are guarded.
-  std::size_t procedure_count() const NO_THREAD_SAFETY_ANALYSIS {
-    return valid_.size();
-  }
-
   bool IsValid(ProcId id) const;
 
-  /// Marks `id` invalid, logging the transition.  Idempotent: re-marking an
-  /// already-invalid procedure writes no record (the paper's cost model
+  /// Marks `id` invalid and mirrors the change.  Idempotent: re-marking an
+  /// already-invalid procedure mirrors nothing (the paper's cost model
   /// likewise only charges real transitions when C_inval reflects logging).
   Status MarkInvalid(ProcId id);
 
-  /// Marks `id` valid again (after its cache is refreshed), logging it.
+  /// Marks `id` valid again (after its cache is refreshed), mirroring it.
   Status MarkValid(ProcId id);
 
-  /// Captures the current bitmap.
-  Checkpoint TakeCheckpoint() const;
+  /// Copy of the whole bitmap, taken under the latch (what a WAL
+  /// checkpoint record captures).
+  std::vector<bool> Snapshot() const;
 
-  /// Truncates log records at or before the checkpoint's LSN (they are no
-  /// longer needed for recovery) and remembers the truncation point, so a
-  /// later Recover() against a checkpoint older than the truncation fails
-  /// loudly instead of silently replaying across the missing prefix.
-  void TruncateThrough(const Checkpoint& checkpoint);
-
-  /// Rebuilds the bitmap state from `checkpoint` plus this log's records
-  /// with lsn > checkpoint.lsn — the §3 crash-recovery procedure.  Returns
-  /// the recovered validity bitmap.  Fails (FailedPrecondition) if records
-  /// the checkpoint needs were truncated away: checkpoint.lsn must be at or
-  /// past the last TruncateThrough() point.  A fresh checkpoint at LSN 0
-  /// (taken before any record) recovers fine against an untruncated log.
-  Result<std::vector<bool>> Recover(const Checkpoint& checkpoint) const;
-
-  /// Observer called (under the latch) for every record this log appends.
-  /// The transaction layer installs a hook that mirrors validity
-  /// transitions into the engine's write-ahead log, tagged with the
-  /// mutating transaction — that is what makes invalidation state exactly
-  /// as durable as the data it guards.  The hook must only acquire latches
-  /// ranked above kInvalidationLog (the WAL's kWal qualifies).  Install at
-  /// quiesce; pass nullptr to clear.
+  /// Observer called (under the latch) once for every real change.  The
+  /// transaction layer installs a hook that appends the change to the
+  /// engine's write-ahead log, tagged with the mutating transaction — that
+  /// is what makes invalidation state exactly as durable as the data it
+  /// guards.  The hook must only acquire latches ranked above
+  /// kInvalidationLog (the WAL's kWal qualifies).  Install at quiesce; pass
+  /// nullptr to clear.
   using MirrorFn = std::function<void(const Record&)>;
   void SetMirror(MirrorFn mirror);
 
-  /// Simulates a crash: wipes the in-memory bitmap (the log and any
-  /// checkpoints survive).  After this, only Recover() can restore state;
-  /// ResetFrom() installs a recovered bitmap.
-  void Crash();
-  Status ResetFrom(std::vector<bool> valid);
-
-  /// Quiescent-only accessors (no latch; see class comment).  The analysis
-  /// is disabled here by design: these read guarded state without the
-  /// latch, which is safe only at validator/recovery quiesce points.
-  const std::vector<Record>& records() const NO_THREAD_SAFETY_ANALYSIS {
-    return records_;
-  }
-  uint64_t next_lsn() const NO_THREAD_SAFETY_ANALYSIS { return next_lsn_; }
-  bool crashed() const NO_THREAD_SAFETY_ANALYSIS { return crashed_; }
-  uint64_t truncated_through() const NO_THREAD_SAFETY_ANALYSIS {
-    return truncated_through_;
-  }
-
-  /// Verifies log-structure invariants: LSNs strictly increase and stay
-  /// below next_lsn(), and every record names a procedure inside the
-  /// bitmap.  Used by audit::ValidateInvalidationLog.
-  Status CheckConsistency() const;
-
  private:
-  Status Append(Record::Kind kind, ProcId id) REQUIRES(latch_);
+  Status Change(Record::Kind kind, ProcId id);
 
   mutable util::RankedMutex latch_{
       util::LatchRank::kInvalidationLog, "InvalidationLog"};
   std::vector<bool> valid_ GUARDED_BY(latch_);
-  std::vector<Record> records_ GUARDED_BY(latch_);
-  uint64_t next_lsn_ GUARDED_BY(latch_) = 1;
-  uint64_t truncated_through_ GUARDED_BY(latch_) = 0;
-  bool crashed_ GUARDED_BY(latch_) = false;
   MirrorFn mirror_ GUARDED_BY(latch_);
 };
 

@@ -380,4 +380,14 @@ Result<MutationResult> ApplyMutationOp(Database* db, const WorkloadOp& op,
   return result;
 }
 
+Result<std::string> OracleResultBytes(Database* db, proc::ProcId id,
+                                      std::size_t* rows) {
+  storage::MeteringGuard guard(db->disk.get());
+  Result<std::vector<Tuple>> oracle =
+      db->executor->Execute(db->procedures[id].query);
+  if (!oracle.ok()) return oracle.status();
+  if (rows != nullptr) *rows = oracle.ValueOrDie().size();
+  return CanonicalResultBytes(oracle.ValueOrDie());
+}
+
 }  // namespace procsim::sim

@@ -203,6 +203,13 @@ Result<MutationResult> ApplyMutationOp(Database* db, const WorkloadOp& op,
 /// the digest every answer is compared against the oracle by.
 using rel::CanonicalResultBytes;
 
+/// \brief The from-scratch oracle's answer for procedure `id`: its query
+/// executed with metering off (no check is charged), in
+/// CanonicalResultBytes form.  `rows`, when non-null, receives the answer's
+/// cardinality.
+Result<std::string> OracleResultBytes(Database* db, proc::ProcId id,
+                                      std::size_t* rows = nullptr);
+
 }  // namespace procsim::sim
 
 #endif  // PROCSIM_SIM_WORKLOAD_H_

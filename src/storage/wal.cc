@@ -80,10 +80,9 @@ uint64_t WriteAheadLog::AppendValidate(uint64_t txn, uint64_t procedure) {
       WalRecord{0, WalRecord::Kind::kValidate, txn, procedure, 0, {}});
 }
 
-uint64_t WriteAheadLog::AppendCheckpoint(uint64_t validity_lsn,
-                                         std::vector<bool> bitmap) {
-  return Append(WalRecord{0, WalRecord::Kind::kCheckpoint, 0, validity_lsn, 0,
-                          std::move(bitmap)});
+uint64_t WriteAheadLog::AppendCheckpoint(std::vector<bool> bitmap) {
+  return Append(
+      WalRecord{0, WalRecord::Kind::kCheckpoint, 0, 0, 0, std::move(bitmap)});
 }
 
 void WriteAheadLog::Force() {

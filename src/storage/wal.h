@@ -15,7 +15,9 @@ namespace procsim::storage {
 /// below sim/proc in the module DAG, so records carry only untyped payloads;
 /// the txn layer owns the encoding (a mutation record's payload is the
 /// sim::WorkloadOp kind + its self-contained RNG seed, a validity record's
-/// payload is the proc id mirrored from proc::InvalidationLog).
+/// payload is the id of the procedure whose proc::InvalidationLog bit
+/// changed).  This log is the only record of validity changes: the bitmap
+/// keeps none of its own.
 ///
 /// Recovery contract (enforced by txn::TxnEngine::Recover): a transaction's
 /// effects are durable iff its kCommit record survives the crash prefix.
@@ -29,7 +31,7 @@ struct WalRecord {
     kAbort = 3,       ///< transaction rolled back; its records are dead
     kInvalidate = 4,  ///< mirrored validity transition: a=procedure id
     kValidate = 5,    ///< mirrored validity transition: a=procedure id
-    kCheckpoint = 6,  ///< a=validity LSN at capture; bitmap=validity snapshot
+    kCheckpoint = 6,  ///< bitmap=validity snapshot; a, b unused
   };
 
   uint64_t lsn = 0;
@@ -38,8 +40,8 @@ struct WalRecord {
   uint64_t a = 0;    ///< kind-dependent payload (see Kind comments)
   uint64_t b = 0;    ///< kind-dependent payload (see Kind comments)
   /// kCheckpoint only: the validity bitmap captured at a group-flush
-  /// boundary.  std::vector<bool> keeps the record layer-clean (storage
-  /// cannot name proc::InvalidationLog::Checkpoint).
+  /// boundary.  Recovery replays the validity records after it against
+  /// this snapshot.
   std::vector<bool> bitmap;
 };
 
@@ -57,11 +59,10 @@ const char* WalRecordKindName(WalRecord::Kind kind);
 /// the group-commit latency/throughput trade.
 ///
 /// Thread safety: one kWal-rank latch serializes appends, forces and
-/// truncation — LSNs form a single total order, as in InvalidationLog.  The
-/// latch ranks *above* kInvalidationLog because validity-log appends mirror
-/// into the WAL while the validity latch is held.  Snapshot() copies the
-/// records under the latch, so the crash harness can slice prefixes without
-/// racing live appends.
+/// truncation — LSNs form a single total order.  The latch ranks *above*
+/// kInvalidationLog because a validity change is appended here while the
+/// bitmap's latch is held.  Snapshot() copies the records under the latch,
+/// so the crash harness can slice prefixes without racing live appends.
 class WriteAheadLog {
  public:
   /// \param meter          charged force_cost_ms per Force(); may be null
@@ -77,7 +78,7 @@ class WriteAheadLog {
   uint64_t AppendAbort(uint64_t txn);
   uint64_t AppendInvalidate(uint64_t txn, uint64_t procedure);
   uint64_t AppendValidate(uint64_t txn, uint64_t procedure);
-  uint64_t AppendCheckpoint(uint64_t validity_lsn, std::vector<bool> bitmap);
+  uint64_t AppendCheckpoint(std::vector<bool> bitmap);
 
   /// Forces the log tail to "disk": charges the force cost to the meter and
   /// counts the wal.log.forces metric.  Durability itself is modeled by the

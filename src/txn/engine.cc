@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "proc/cache_invalidate.h"
-#include "storage/disk.h"
 #include "util/logging.h"
 
 namespace procsim::txn {
@@ -53,7 +52,7 @@ Result<std::unique_ptr<TxnEngine>> TxnEngine::Build(const Options& options)
 
 void TxnEngine::InstallMirror() NO_THREAD_SAFETY_ANALYSIS {
   storage::WriteAheadLog* wal = wal_.get();
-  strategies_.cache_invalidate->mutable_validity_log().SetMirror(
+  strategies_.cache_invalidate->SetValidityMirror(
       [wal](const proc::InvalidationLog::Record& record) {
         if (record.kind == proc::InvalidationLog::Record::Kind::kInvalidate) {
           wal->AppendInvalidate(CurrentTxn(), record.procedure);
@@ -137,16 +136,9 @@ Status TxnEngine::ApplyCommitted(TxnId txn,
       .status();
 }
 
-Status TxnEngine::TakeCheckpoint(bool truncate_validity_log)
-    NO_THREAD_SAFETY_ANALYSIS {
+Status TxnEngine::TakeCheckpoint() NO_THREAD_SAFETY_ANALYSIS {
   PROCSIM_RETURN_IF_ERROR(txns_->Flush());
-  const proc::InvalidationLog::Checkpoint checkpoint =
-      strategies_.cache_invalidate->TakeValidityCheckpoint();
-  wal_->AppendCheckpoint(checkpoint.lsn, checkpoint.valid);
-  if (truncate_validity_log) {
-    strategies_.cache_invalidate->mutable_validity_log().TruncateThrough(
-        checkpoint);
-  }
+  wal_->AppendCheckpoint(strategies_.cache_invalidate->ValidityBitmap());
   return Status::OK();
 }
 
@@ -231,14 +223,12 @@ Result<std::string> TxnEngine::StateDigest() {
 
 std::string OracleStateDigest(sim::Database* db) {
   std::string digest;
-  storage::MeteringGuard guard(db->disk.get());
   for (proc::ProcId id = 0; id < db->procedures.size(); ++id) {
-    Result<std::vector<rel::Tuple>> oracle =
-        db->executor->Execute(db->procedures[id].query);
+    Result<std::string> oracle = sim::OracleResultBytes(db, id);
     PROCSIM_CHECK(oracle.ok()) << "oracle execution failed on "
                                << db->procedures[id].name << ": "
                                << oracle.status().ToString();
-    const std::string bytes = sim::CanonicalResultBytes(oracle.ValueOrDie());
+    const std::string& bytes = oracle.ValueOrDie();
     digest += std::to_string(id) + ":" + std::to_string(bytes.size()) + ":";
     digest += bytes;
   }
@@ -257,14 +247,9 @@ Status TxnEngine::CompareAllAgainstOracle() NO_THREAD_SAFETY_ANALYSIS {
   {
     CurrentTxnScope scope(txn);
     for (proc::ProcId id = 0; id < db_->procedures.size(); ++id) {
-      std::string expected;
-      {
-        storage::MeteringGuard guard(db_->disk.get());
-        Result<std::vector<rel::Tuple>> oracle =
-            db_->executor->Execute(db_->procedures[id].query);
-        PROCSIM_RETURN_IF_ERROR(oracle.status());
-        expected = sim::CanonicalResultBytes(oracle.ValueOrDie());
-      }
+      Result<std::string> oracle = sim::OracleResultBytes(db_.get(), id);
+      PROCSIM_RETURN_IF_ERROR(oracle.status());
+      const std::string& expected = oracle.ValueOrDie();
       for (const std::unique_ptr<proc::Strategy>& strategy :
            strategies_.all) {
         Result<std::vector<rel::Tuple>> answer = strategy->Access(id);

@@ -125,14 +125,13 @@ class TxnEngine {
   /// Forces the pending partial commit group, if any.
   Status Flush();
 
-  /// Flushes, captures the CacheInvalidate validity checkpoint and logs it
-  /// as a kCheckpoint WAL record.  When `truncate_validity_log` is set the
-  /// in-memory validity log is truncated through the checkpoint — the
-  /// InvalidationLog reclamation protocol the recovery edge-case tests
-  /// exercise.  (The WAL itself is never truncated by the engine: the
-  /// durable base image is the seed, so every committed mutation record is
-  /// needed for redo.)
-  Status TakeCheckpoint(bool truncate_validity_log = false);
+  /// Flushes, then writes the CacheInvalidate validity bitmap into a
+  /// kCheckpoint WAL record; recovery restores the bitmap from the latest
+  /// surviving checkpoint plus the committed validity records after it.
+  /// (The WAL itself is never truncated by the engine: the durable base
+  /// image is the seed, so every committed mutation record is needed for
+  /// redo.)  Quiescent-only.
+  Status TakeCheckpoint();
 
   /// Executes a marker-aware op stream single-threadedly: kBegin/kCommit/
   /// kAbort bracket explicit transactions, bare ops auto-commit, accesses

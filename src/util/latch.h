@@ -43,10 +43,11 @@ namespace procsim::util {
 ///   kCacheBudget      cache-budget accounting shards (byte totals + LRU
 ///                     clock; eviction only flips per-entry atomic flags,
 ///                     so no lower-ranked latch is ever taken under it)
-///   kInvalidationLog  validity bitmap + log append latch
+///   kInvalidationLog  validity bitmap latch (held across a bit change and
+///                     its mirrored WAL append)
 ///   kWal              write-ahead-log append/truncate latch (sits above
-///                     kInvalidationLog: validity-log appends mirror into
-///                     the WAL while the validity latch is held)
+///                     kInvalidationLog: validity changes are appended to
+///                     the WAL while the bitmap latch is held)
 ///   kPageTable        SimulatedDisk page-directory latch (page allocation
 ///                     vs concurrent page lookups)
 ///   kBufferCache      buffer-cache frame/LRU latch

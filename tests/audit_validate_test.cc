@@ -308,14 +308,6 @@ TEST(ValidateILockTableTest, DetectsEmptyInterval) {
       << status.ToString();
 }
 
-TEST(ValidateInvalidationLogTest, TracksTransitions) {
-  proc::InvalidationLog log(4);
-  ASSERT_TRUE(log.MarkInvalid(1).ok());
-  ASSERT_TRUE(log.MarkInvalid(3).ok());
-  ASSERT_TRUE(log.MarkValid(1).ok());
-  EXPECT_TRUE(ValidateInvalidationLog(log).ok());
-}
-
 // ---------------------------------------------------------------------------
 // Cache budget: accounting drift must be caught at quiesce.
 

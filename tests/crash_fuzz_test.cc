@@ -87,8 +87,8 @@ TEST(CrashFuzzTest, TinyCacheBudgetSurvivesCrashes) {
 }
 
 TEST(CrashFuzzTest, CheckpointedLogSurvivesCrashesOnBothSides) {
-  // A mid-run kCheckpoint (with validity-log truncation) means some crash
-  // prefixes recover from the bitmap snapshot, others from genesis.
+  // A mid-run kCheckpoint means some crash prefixes restore the validity
+  // bitmap from its snapshot plus the log tail, others from genesis.
   CrashSweepOptions sweep;
   sweep.engine = EngineOptions(13);
   sweep.checkpoint_after_ops = 6;

@@ -1,5 +1,7 @@
 #include "proc/invalidation_log.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
@@ -7,144 +9,109 @@
 namespace procsim::proc {
 namespace {
 
+using Kind = InvalidationLog::Record::Kind;
+using Records = std::vector<InvalidationLog::Record>;
+
+/// Routes every record `log` mirrors into `sink` — the stand-in for the
+/// write-ahead log the transaction layer mirrors into.
+void MirrorInto(InvalidationLog* log, Records* sink) {
+  log->SetMirror([sink](const InvalidationLog::Record& record) {
+    sink->push_back(record);
+  });
+}
+
+/// Replays `records[from..]` onto `bitmap`, as recovery replays the log
+/// tail after a checkpoint.
+std::vector<bool> Replay(std::vector<bool> bitmap, const Records& records,
+                         std::size_t from) {
+  for (std::size_t i = from; i < records.size(); ++i) {
+    bitmap[records[i].procedure] = records[i].kind == Kind::kValidate;
+  }
+  return bitmap;
+}
+
 TEST(InvalidationLogTest, StartsAllValid) {
   InvalidationLog log(4);
   for (ProcId id = 0; id < 4; ++id) EXPECT_TRUE(log.IsValid(id));
-  EXPECT_TRUE(log.records().empty());
+  EXPECT_EQ(log.Snapshot(), std::vector<bool>(4, true));
 }
 
 TEST(InvalidationLogTest, TransitionsAreLogged) {
   InvalidationLog log(4);
+  Records mirrored;
+  MirrorInto(&log, &mirrored);
   ASSERT_TRUE(log.MarkInvalid(2).ok());
   EXPECT_FALSE(log.IsValid(2));
+  EXPECT_EQ(log.Snapshot(), (std::vector<bool>{true, true, false, true}));
   ASSERT_TRUE(log.MarkValid(2).ok());
   EXPECT_TRUE(log.IsValid(2));
-  ASSERT_EQ(log.records().size(), 2u);
-  EXPECT_EQ(log.records()[0].kind, InvalidationLog::Record::Kind::kInvalidate);
-  EXPECT_EQ(log.records()[1].kind, InvalidationLog::Record::Kind::kValidate);
-  EXPECT_LT(log.records()[0].lsn, log.records()[1].lsn);
+  ASSERT_EQ(mirrored.size(), 2u);
+  EXPECT_EQ(mirrored[0].kind, Kind::kInvalidate);
+  EXPECT_EQ(mirrored[1].kind, Kind::kValidate);
+  EXPECT_EQ(mirrored[0].procedure, 2u);
+  EXPECT_EQ(mirrored[1].procedure, 2u);
 }
 
 TEST(InvalidationLogTest, IdempotentTransitionsWriteNoRecords) {
   InvalidationLog log(2);
+  Records mirrored;
+  MirrorInto(&log, &mirrored);
   ASSERT_TRUE(log.MarkValid(0).ok());    // already valid
   ASSERT_TRUE(log.MarkInvalid(1).ok());
   ASSERT_TRUE(log.MarkInvalid(1).ok());  // already invalid
-  EXPECT_EQ(log.records().size(), 1u);
+  EXPECT_EQ(mirrored.size(), 1u);
 }
 
 TEST(InvalidationLogTest, OutOfRangeIdsRejected) {
   InvalidationLog log(2);
+  Records mirrored;
+  MirrorInto(&log, &mirrored);
   EXPECT_FALSE(log.MarkInvalid(5).ok());
   EXPECT_FALSE(log.MarkValid(5).ok());
+  EXPECT_TRUE(mirrored.empty());
+  EXPECT_EQ(log.Snapshot(), std::vector<bool>(2, true));
 }
 
 TEST(InvalidationLogTest, RecoverFromCheckpointPlusSuffix) {
+  // The §3 recovery the WAL performs, in miniature: a snapshot plus the
+  // mirrored records after it rebuild the live bitmap.
   InvalidationLog log(4);
+  Records mirrored;
+  MirrorInto(&log, &mirrored);
   ASSERT_TRUE(log.MarkInvalid(0).ok());
-  const InvalidationLog::Checkpoint checkpoint = log.TakeCheckpoint();
+  const std::vector<bool> checkpoint = log.Snapshot();
+  const std::size_t tail = mirrored.size();
   ASSERT_TRUE(log.MarkInvalid(1).ok());
   ASSERT_TRUE(log.MarkValid(0).ok());
 
-  log.Crash();
-  Result<std::vector<bool>> recovered = log.Recover(checkpoint);
-  ASSERT_TRUE(recovered.ok());
-  ASSERT_TRUE(log.ResetFrom(recovered.TakeValueOrDie()).ok());
-  EXPECT_TRUE(log.IsValid(0));   // re-validated after checkpoint
-  EXPECT_FALSE(log.IsValid(1));  // invalidated after checkpoint
-  EXPECT_TRUE(log.IsValid(2));
-  EXPECT_TRUE(log.IsValid(3));
-}
-
-TEST(InvalidationLogTest, TruncationPreservesRecoverability) {
-  InvalidationLog log(3);
-  ASSERT_TRUE(log.MarkInvalid(0).ok());
-  const InvalidationLog::Checkpoint checkpoint = log.TakeCheckpoint();
-  log.TruncateThrough(checkpoint);
-  EXPECT_TRUE(log.records().empty());
-  ASSERT_TRUE(log.MarkInvalid(1).ok());
-  log.Crash();
-  Result<std::vector<bool>> recovered = log.Recover(checkpoint);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_FALSE(recovered.ValueOrDie()[0]);
-  EXPECT_FALSE(recovered.ValueOrDie()[1]);
-  EXPECT_TRUE(recovered.ValueOrDie()[2]);
-}
-
-TEST(InvalidationLogTest, OperationsAfterCrashFailUntilReset) {
-  InvalidationLog log(2);
-  const auto checkpoint = log.TakeCheckpoint();
-  log.Crash();
-  EXPECT_FALSE(log.MarkInvalid(0).ok());
-  ASSERT_TRUE(log.ResetFrom(log.Recover(checkpoint).TakeValueOrDie()).ok());
-  EXPECT_TRUE(log.MarkInvalid(0).ok());
-}
-
-TEST(InvalidationLogTest, RecoverAcrossTruncationHoleFailsLoudly) {
-  // Regression: a checkpoint that predates the truncation point must be
-  // rejected — replaying the surviving suffix against it would silently
-  // resurrect stale validity for the truncated-away transitions.
-  InvalidationLog log(3);
-  const InvalidationLog::Checkpoint stale = log.TakeCheckpoint();  // LSN 0
-  ASSERT_TRUE(log.MarkInvalid(0).ok());
-  const InvalidationLog::Checkpoint fresh = log.TakeCheckpoint();
-  log.TruncateThrough(fresh);
-  EXPECT_EQ(log.truncated_through(), fresh.lsn);
-  Result<std::vector<bool>> recovered = log.Recover(stale);
-  ASSERT_FALSE(recovered.ok());
-  EXPECT_EQ(recovered.status().code(), StatusCode::kFailedPrecondition);
-  // The checkpoint at the truncation point itself is still usable.
-  EXPECT_TRUE(log.Recover(fresh).ok());
-}
-
-TEST(InvalidationLogTest, FreshLsnZeroCheckpointRecoversUntruncatedLog) {
-  // Regression: a checkpoint taken before any record (LSN 0) must recover
-  // fine as long as nothing was truncated — the whole log is its suffix.
-  InvalidationLog log(2);
-  const InvalidationLog::Checkpoint genesis = log.TakeCheckpoint();
-  EXPECT_EQ(genesis.lsn, 0u);
-  ASSERT_TRUE(log.MarkInvalid(1).ok());
-  Result<std::vector<bool>> recovered = log.Recover(genesis);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_TRUE(recovered.ValueOrDie()[0]);
-  EXPECT_FALSE(recovered.ValueOrDie()[1]);
-}
-
-TEST(InvalidationLogTest, ConsistencyHoldsOnEmptyPostTruncationLog) {
-  // Regression: after truncating everything, the checker must anchor LSN
-  // monotonicity at the truncation point, not at zero.
-  InvalidationLog log(2);
-  ASSERT_TRUE(log.MarkInvalid(0).ok());
-  ASSERT_TRUE(log.MarkValid(0).ok());
-  const InvalidationLog::Checkpoint checkpoint = log.TakeCheckpoint();
-  log.TruncateThrough(checkpoint);
-  EXPECT_TRUE(log.records().empty());
-  EXPECT_TRUE(log.CheckConsistency().ok());
-  ASSERT_TRUE(log.MarkInvalid(1).ok());
-  EXPECT_TRUE(log.CheckConsistency().ok());
+  const std::vector<bool> recovered = Replay(checkpoint, mirrored, tail);
+  EXPECT_TRUE(recovered[0]);   // re-validated after checkpoint
+  EXPECT_FALSE(recovered[1]);  // invalidated after checkpoint
+  EXPECT_TRUE(recovered[2]);
+  EXPECT_TRUE(recovered[3]);
+  EXPECT_EQ(recovered, log.Snapshot());
 }
 
 TEST(InvalidationLogTest, MirrorSeesEveryAppendedRecord) {
   InvalidationLog log(3);
-  std::vector<InvalidationLog::Record> mirrored;
-  log.SetMirror([&](const InvalidationLog::Record& record) {
-    mirrored.push_back(record);
-  });
+  Records mirrored;
+  MirrorInto(&log, &mirrored);
   ASSERT_TRUE(log.MarkInvalid(1).ok());
   ASSERT_TRUE(log.MarkInvalid(1).ok());  // idempotent: no record, no mirror
   ASSERT_TRUE(log.MarkValid(1).ok());
   ASSERT_EQ(mirrored.size(), 2u);
-  EXPECT_EQ(mirrored[0].kind, InvalidationLog::Record::Kind::kInvalidate);
+  EXPECT_EQ(mirrored[0].kind, Kind::kInvalidate);
   EXPECT_EQ(mirrored[0].procedure, 1u);
-  EXPECT_EQ(mirrored[1].kind, InvalidationLog::Record::Kind::kValidate);
-  EXPECT_EQ(mirrored[0].lsn, log.records()[0].lsn);
+  EXPECT_EQ(mirrored[1].kind, Kind::kValidate);
   log.SetMirror(nullptr);
   ASSERT_TRUE(log.MarkInvalid(2).ok());
   EXPECT_EQ(mirrored.size(), 2u);  // cleared hook sees nothing
+  EXPECT_FALSE(log.IsValid(2));    // but the bitmap still changes
 }
 
-// Property: random transition streams with random crash/checkpoint points
-// always recover the pre-crash state.
+// Property: over random transition streams, the latest snapshot plus the
+// records mirrored after it always equal the live bitmap — the mirror sees
+// exactly one record per real change, which is what WAL recovery needs.
 class InvalidationLogPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
@@ -152,7 +119,10 @@ TEST_P(InvalidationLogPropertyTest, RecoveryMatchesLiveState) {
   Rng rng(GetParam());
   constexpr std::size_t kProcedures = 16;
   InvalidationLog log(kProcedures);
-  InvalidationLog::Checkpoint checkpoint = log.TakeCheckpoint();
+  Records mirrored;
+  MirrorInto(&log, &mirrored);
+  std::vector<bool> checkpoint = log.Snapshot();
+  std::size_t tail = 0;
   std::vector<bool> shadow(kProcedures, true);
   for (int step = 0; step < 500; ++step) {
     const ProcId id = rng.Uniform(kProcedures);
@@ -164,17 +134,14 @@ TEST_P(InvalidationLogPropertyTest, RecoveryMatchesLiveState) {
       shadow[id] = true;
     }
     if (rng.Bernoulli(0.05)) {
-      checkpoint = log.TakeCheckpoint();
-      if (rng.Bernoulli(0.5)) log.TruncateThrough(checkpoint);
+      checkpoint = log.Snapshot();
+      tail = mirrored.size();
     }
     if (rng.Bernoulli(0.03)) {
-      log.Crash();
-      Result<std::vector<bool>> recovered = log.Recover(checkpoint);
-      ASSERT_TRUE(recovered.ok());
-      EXPECT_EQ(recovered.ValueOrDie(), shadow) << "step " << step;
-      ASSERT_TRUE(log.ResetFrom(recovered.TakeValueOrDie()).ok());
+      EXPECT_EQ(Replay(checkpoint, mirrored, tail), shadow) << "step " << step;
     }
   }
+  EXPECT_EQ(log.Snapshot(), shadow);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InvalidationLogPropertyTest,

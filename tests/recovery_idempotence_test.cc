@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "audit/crash.h"
+#include "proc/cache_invalidate.h"
 #include "sim/workload.h"
 #include "storage/wal.h"
 #include "txn/engine.h"
@@ -149,6 +150,70 @@ TEST(RecoveryIdempotenceTest, RecoveredEngineNeverReusesLoggedTxnIds) {
   ASSERT_TRUE(recovered.ValueOrDie()->Commit(fresh).ok());
   ASSERT_TRUE(recovered.ValueOrDie()->Flush().ok());
   EXPECT_TRUE(recovered.ValueOrDie()->wal().CheckConsistency().ok());
+}
+
+TEST(RecoveryIdempotenceTest, CheckpointPlusLogTailRestoresValidity) {
+  // The §3 recovery story at the engine: a kCheckpoint record carries the
+  // validity bitmap, a later committed update invalidates some procedure p,
+  // and recovery from the full WAL must restore p as invalid — both from the
+  // log (checkpoint + committed tail) and in the replayed CacheInvalidate.
+  const TxnEngine::Options options = SmallOptions(47);
+  Result<std::unique_ptr<TxnEngine>> created = TxnEngine::Create(options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  TxnEngine& live = *created.ValueOrDie();
+  ASSERT_TRUE(live.Run(SomeOps(options, 12)).ok());
+  // Refresh every cache so the checkpoint follows validity records but
+  // captures an all-valid bitmap.
+  ASSERT_TRUE(live.CompareAllAgainstOracle().ok());
+  const std::size_t proc_count = live.procedure_count();
+  const std::vector<bool> all_valid(proc_count, true);
+  ASSERT_EQ(live.strategies().cache_invalidate->ValidityBitmap(), all_valid);
+  ASSERT_TRUE(live.TakeCheckpoint().ok());
+
+  // Commit updates until one invalidates a procedure.
+  std::vector<bool> live_valid = all_valid;
+  for (uint64_t seed = 1; seed <= 64 && live_valid == all_valid; ++seed) {
+    ASSERT_TRUE(
+        live.Run({sim::WorkloadOp{sim::WorkloadOp::Kind::kUpdate, seed}}).ok());
+    ASSERT_TRUE(live.Flush().ok());
+    live_valid = live.strategies().cache_invalidate->ValidityBitmap();
+  }
+  ASSERT_NE(live_valid, all_valid) << "no update invalidated a procedure";
+
+  // Procedures named by a validity record after the checkpoint.
+  const std::vector<storage::WalRecord> wal = live.WalSnapshot();
+  std::vector<bool> touched(proc_count, false);
+  bool after_checkpoint = false;
+  for (const storage::WalRecord& record : wal) {
+    if (record.kind == storage::WalRecord::Kind::kCheckpoint) {
+      after_checkpoint = true;
+    } else if (after_checkpoint &&
+               (record.kind == storage::WalRecord::Kind::kInvalidate ||
+                record.kind == storage::WalRecord::Kind::kValidate)) {
+      touched[record.a] = true;
+    }
+  }
+  ASSERT_TRUE(after_checkpoint);
+
+  TxnEngine::RecoveryReport report;
+  Result<std::unique_ptr<TxnEngine>> recovered =
+      TxnEngine::Recover(options, wal, {}, &report);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_EQ(report.log_restored_valid.size(), proc_count);
+  for (proc::ProcId id = 0; id < proc_count; ++id) {
+    if (!touched[id]) {
+      EXPECT_TRUE(report.log_restored_valid[id]) << "procedure " << id;
+    }
+    if (!live_valid[id]) {
+      EXPECT_FALSE(report.log_restored_valid[id]) << "procedure " << id;
+      EXPECT_FALSE(
+          recovered.ValueOrDie()->strategies().cache_invalidate->IsValid(id))
+          << "procedure " << id;
+    }
+  }
+  // Every mirrored record was committed, so the log's bitmap is the live one.
+  EXPECT_EQ(report.log_restored_valid, live_valid);
+  EXPECT_TRUE(recovered.ValueOrDie()->CompareAllAgainstOracle().ok());
 }
 
 }  // namespace

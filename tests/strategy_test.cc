@@ -298,31 +298,6 @@ TEST_F(StrategyTest, RvmMaintainsProceduresAndReportsSharing) {
             Canon(Recompute(strategy.procedures()[1].query)));
 }
 
-TEST_F(StrategyTest, CacheInvalidateSurvivesCrashRecovery) {
-  // The §3 recovery story: the validity bitmap is lost in a crash and
-  // reconstructed from a checkpoint plus the invalidation log; cached pages
-  // themselves are durable.  No stale result may be served afterwards.
-  CacheInvalidateStrategy strategy(&catalog_, &executor_, &meter_, 100, 0.0);
-  ASSERT_TRUE(strategy.AddProcedure(MakeP1(0, 0, 9)).ok());
-  ASSERT_TRUE(strategy.AddProcedure(MakeP1(1, 20, 29)).ok());
-  ASSERT_TRUE(strategy.Prepare().ok());
-  const auto checkpoint = strategy.TakeValidityCheckpoint();
-  // Invalidate procedure 0 after the checkpoint (logged).
-  UpdateTuple(&strategy, 5, 100, 0);
-  ASSERT_FALSE(strategy.IsValid(0));
-  ASSERT_TRUE(strategy.IsValid(1));
-  // Crash and recover: validity state must match the pre-crash state.
-  ASSERT_TRUE(strategy.CrashAndRecover(checkpoint).ok());
-  EXPECT_FALSE(strategy.IsValid(0));
-  EXPECT_TRUE(strategy.IsValid(1));
-  // And the served results are correct (0 recomputes, 1 reads cache).
-  EXPECT_EQ(Canon(strategy.Access(0).ValueOrDie()),
-            Canon(Recompute(strategy.procedures()[0].query)));
-  EXPECT_EQ(Canon(strategy.Access(1).ValueOrDie()),
-            Canon(Recompute(strategy.procedures()[1].query)));
-  EXPECT_EQ(strategy.validity_log().records().size(), 2u);  // invalid+valid
-}
-
 TEST_F(StrategyTest, AllStrategiesAgreeAfterMixedWorkload) {
   std::vector<std::unique_ptr<Strategy>> strategies;
   strategies.push_back(std::make_unique<AlwaysRecomputeStrategy>(

@@ -22,7 +22,7 @@ TEST(WalTest, AppendsSequenceLsnsAndRoundTripPayloads) {
   EXPECT_EQ(wal.AppendValidate(7, 5), 4u);
   EXPECT_EQ(wal.AppendCommit(7), 5u);
   EXPECT_EQ(wal.AppendAbort(8), 6u);
-  EXPECT_EQ(wal.AppendCheckpoint(42, {true, false, true}), 7u);
+  EXPECT_EQ(wal.AppendCheckpoint({true, false, true}), 7u);
   EXPECT_EQ(wal.size(), 7u);
   EXPECT_EQ(wal.next_lsn(), 8u);
 
@@ -41,7 +41,6 @@ TEST(WalTest, AppendsSequenceLsnsAndRoundTripPayloads) {
   EXPECT_EQ(records[5].txn, 8u);
   EXPECT_EQ(records[6].kind, WalRecord::Kind::kCheckpoint);
   EXPECT_EQ(records[6].txn, 0u);
-  EXPECT_EQ(records[6].a, 42u);
   EXPECT_EQ(records[6].bitmap, (std::vector<bool>{true, false, true}));
   EXPECT_TRUE(wal.CheckConsistency().ok());
 }
