@@ -45,9 +45,7 @@ void BM_BTreeBulkLoadSequential(benchmark::State& state) {
   // the rightmost leaf and splits leave half-full leaves behind.
   for (auto _ : state) {
     state.PauseTiming();
-    CostMeter meter;
-    storage::SimulatedDisk disk(4000, &meter);
-    disk.set_metering_enabled(false);
+    storage::SimulatedDisk disk(4000, /*meter=*/nullptr);
     storage::BTree tree(&disk, 20);
     state.ResumeTiming();
     for (int64_t i = 0; i < state.range(0); ++i) {
@@ -63,9 +61,7 @@ BENCHMARK(BM_BTreeBulkLoadSequential)->Arg(10000)->Arg(100000);
 void BM_HeapScan(benchmark::State& state) {
   // A full scan of paper-width (S = 100 byte) tuples, decoding each record
   // straight from its page.
-  CostMeter meter;
-  storage::SimulatedDisk disk(4000, &meter);
-  disk.set_metering_enabled(false);
+  storage::SimulatedDisk disk(4000, /*meter=*/nullptr);
   storage::HeapFile heap(&disk);
   for (int64_t i = 0; i < state.range(0); ++i) {
     const rel::Tuple tuple({rel::Value(i), rel::Value(i % 97),

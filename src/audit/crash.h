@@ -72,10 +72,11 @@ struct CrashSweepReport {
 /// equal the reference digest (atomicity + durability: exactly the
 /// committed prefix, nothing more, nothing less), every strategy must agree
 /// with the recovered oracle (cache-state consistency), the structure
-/// validators must pass, and Recover's internal log-subset invariant must
-/// hold.  Any violation fails the sweep with the crash point identified —
-/// the failing stream is then fed to ReduceOpStream with a "does any crash
-/// point still fail?" probe for a paste-ready minimal reproduction.
+/// validators must pass, and Recover's internal two-sided validity
+/// cross-check (log versus replay) must hold.  Any violation fails the
+/// sweep with the crash point identified — the failing stream is then fed
+/// to ReduceOpStream with a "does any crash point still fail?" probe for a
+/// paste-ready minimal reproduction.
 Result<CrashSweepReport> CrashPointSweep(const CrashSweepOptions& options,
                                          const std::vector<sim::WorkloadOp>& ops);
 

@@ -64,15 +64,8 @@ Status ValidateHeapFile(const storage::HeapFile& file) {
   return file.CheckConsistency();
 }
 
-Status ValidateBufferCache(const storage::BufferCache& cache,
-                           bool expect_unpinned) {
-  PROCSIM_RETURN_IF_ERROR(cache.CheckConsistency());
-  if (expect_unpinned && cache.total_pins() > 0) {
-    return Status::Internal(
-        "buffer cache holds " + std::to_string(cache.total_pins()) +
-        " leaked pin(s) at a quiescent point");
-  }
-  return Status::OK();
+Status ValidateBufferCache(const storage::BufferCache& cache) {
+  return cache.CheckConsistency();
 }
 
 Status ValidateTupleStore(const ivm::TupleStore& store) {

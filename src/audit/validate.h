@@ -38,11 +38,8 @@ Status ValidatePage(const storage::Page& page);
 /// Heap file: page list and per-page live counts vs record_count().
 Status ValidateHeapFile(const storage::HeapFile& file);
 
-/// Buffer cache: LRU/frame agreement, capacity, pin accounting and dirty
-/// residency.  With `expect_unpinned` set, any outstanding pin (a leak at a
-/// quiescent point) is an error.
-Status ValidateBufferCache(const storage::BufferCache& cache,
-                           bool expect_unpinned = false);
+/// Buffer cache: LRU/residency-map agreement and capacity.
+Status ValidateBufferCache(const storage::BufferCache& cache);
 
 /// Tuple store: heap, tuple map and probe indexes must describe one bag.
 Status ValidateTupleStore(const ivm::TupleStore& store);

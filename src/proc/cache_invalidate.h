@@ -77,7 +77,7 @@ class CacheInvalidateStrategy : public Strategy {
   /// Prepare().
   std::vector<bool> ValidityBitmap() const;
 
-  /// Installs the hook that logs every validity change
+  /// Installs the hook that logs every invalidation
   /// (InvalidationLog::SetMirror); the transaction layer points it at its
   /// write-ahead log.  Valid after Prepare().
   void SetValidityMirror(InvalidationLog::MirrorFn mirror);

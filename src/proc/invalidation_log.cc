@@ -18,25 +18,24 @@ bool InvalidationLog::IsValid(ProcId id) const {
   return valid_[id];
 }
 
-Status InvalidationLog::Change(Record::Kind kind, ProcId id) {
+Status InvalidationLog::Change(ProcId id, bool valid) {
   Guard guard(latch_);
   if (id >= valid_.size()) {
     return Status::InvalidArgument("procedure id out of range: " +
                                    std::to_string(id));
   }
-  const bool valid = kind == Record::Kind::kValidate;
   if (valid_[id] == valid) return Status::OK();  // idempotent, no record
   valid_[id] = valid;
-  if (mirror_) mirror_(Record{kind, id});
+  if (!valid && mirror_) mirror_(id);
   return Status::OK();
 }
 
 Status InvalidationLog::MarkInvalid(ProcId id) {
-  return Change(Record::Kind::kInvalidate, id);
+  return Change(id, /*valid=*/false);
 }
 
 Status InvalidationLog::MarkValid(ProcId id) {
-  return Change(Record::Kind::kValidate, id);
+  return Change(id, /*valid=*/true);
 }
 
 std::vector<bool> InvalidationLog::Snapshot() const {

@@ -1,7 +1,6 @@
 #ifndef PROCSIM_PROC_INVALIDATION_LOG_H_
 #define PROCSIM_PROC_INVALIDATION_LOG_H_
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -13,30 +12,25 @@
 namespace procsim::proc {
 
 /// \brief The in-memory validity bitmap of §3 of the paper (one bit per
-/// procedure), whose every change is logged: "use conventional write-ahead
-/// log recovery and log the identifiers of invalidated procedures".
+/// procedure), whose invalidations are logged: "use conventional
+/// write-ahead log recovery and log the identifiers of invalidated
+/// procedures".
 ///
 /// Recording an invalidation costs no data-page I/O — this is what
 /// justifies the paper's C_inval ≈ 0 operating point.  The log itself is
-/// not kept here: each real change is handed to the mirror (SetMirror), and
-/// the transaction layer's mirror appends it to the engine's write-ahead
-/// log.  That WAL, with its kCheckpoint bitmaps, is the only record
-/// recovery reads (txn::TxnEngine::Recover, DESIGN.md §12).
+/// not kept here: each real invalidation is handed to the mirror
+/// (SetMirror), and the transaction layer's mirror appends it to the
+/// engine's write-ahead log.  Re-validations are not logged: one follows a
+/// recompute whose cached bytes are not durable, so recovery leaves the
+/// procedure invalid either way.  The WAL, with its kCheckpoint bitmaps, is
+/// the only record recovery reads (txn::TxnEngine::Recover, DESIGN.md §12).
 ///
 /// Thread safety: bitmap reads, changes and the mirror call are serialized
-/// by one kInvalidationLog-rank latch, so a change and its WAL append are
-/// one step — the WAL's order of validity records is the bitmap's order of
-/// changes.
+/// by one kInvalidationLog-rank latch, so an invalidation and its WAL
+/// append are one step — the WAL's order of invalidation records is the
+/// bitmap's order of invalidations.
 class InvalidationLog {
  public:
-  /// One validity change: procedure `procedure` became invalid
-  /// (kInvalidate) or valid again after a recompute (kValidate).
-  struct Record {
-    enum class Kind : uint8_t { kInvalidate = 0, kValidate = 1 };
-    Kind kind = Kind::kInvalidate;
-    ProcId procedure = 0;
-  };
-
   /// \param procedure_count  size of the validity bitmap; all start valid
   explicit InvalidationLog(std::size_t procedure_count);
   InvalidationLog(const InvalidationLog&) = delete;
@@ -44,30 +38,32 @@ class InvalidationLog {
 
   bool IsValid(ProcId id) const;
 
-  /// Marks `id` invalid and mirrors the change.  Idempotent: re-marking an
-  /// already-invalid procedure mirrors nothing (the paper's cost model
-  /// likewise only charges real transitions when C_inval reflects logging).
+  /// Marks `id` invalid and mirrors the invalidation.  Idempotent:
+  /// re-marking an already-invalid procedure mirrors nothing (the paper's
+  /// cost model likewise only charges real transitions when C_inval
+  /// reflects logging).
   Status MarkInvalid(ProcId id);
 
-  /// Marks `id` valid again (after its cache is refreshed), mirroring it.
+  /// Marks `id` valid again (after its cache is refreshed).  Not mirrored.
   Status MarkValid(ProcId id);
 
   /// Copy of the whole bitmap, taken under the latch (what a WAL
   /// checkpoint record captures).
   std::vector<bool> Snapshot() const;
 
-  /// Observer called (under the latch) once for every real change.  The
-  /// transaction layer installs a hook that appends the change to the
-  /// engine's write-ahead log, tagged with the mutating transaction — that
-  /// is what makes invalidation state exactly as durable as the data it
-  /// guards.  The hook must only acquire latches ranked above
-  /// kInvalidationLog (the WAL's kWal qualifies).  Install at quiesce; pass
-  /// nullptr to clear.
-  using MirrorFn = std::function<void(const Record&)>;
+  /// Observer called (under the latch) with the procedure id of every real
+  /// invalidation.  The transaction layer installs a hook that appends it
+  /// to the engine's write-ahead log, tagged with the committing
+  /// transaction — that is what makes invalidation state exactly as
+  /// durable as the data it guards.  The hook must only acquire latches
+  /// ranked above kInvalidationLog (the WAL's kWal qualifies).  Install at
+  /// quiesce; pass nullptr to clear.
+  using MirrorFn = std::function<void(ProcId)>;
   void SetMirror(MirrorFn mirror);
 
  private:
-  Status Change(Record::Kind kind, ProcId id);
+  /// Sets bit `id` to `valid`, mirroring a real invalidation.
+  Status Change(ProcId id, bool valid);
 
   mutable util::RankedMutex latch_{
       util::LatchRank::kInvalidationLog, "InvalidationLog"};

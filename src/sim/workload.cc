@@ -216,12 +216,7 @@ Result<std::vector<std::pair<Tuple, Tuple>>> ApplyUpdateTransaction(
         db->r1_rids[rng->Uniform(db->r1_rids.size())];
     Result<Tuple> old_tuple = r1.ValueOrDie()->Read(rid);
     if (!old_tuple.ok()) return old_tuple.status();
-    Tuple new_tuple(
-        {Value(static_cast<int64_t>(
-             rng->Uniform(static_cast<uint64_t>(db->r1_keys)))),
-         Value(static_cast<int64_t>(
-             rng->Uniform(static_cast<uint64_t>(db->r2_count)))),
-         Value(static_cast<int64_t>(rng->Next() & 0x7fffffff))});
+    Tuple new_tuple = RandomR1Tuple(*db, rng);
     PROCSIM_RETURN_IF_ERROR(r1.ValueOrDie()->UpdateInPlace(rid, new_tuple));
     changes.emplace_back(old_tuple.TakeValueOrDie(), std::move(new_tuple));
   }

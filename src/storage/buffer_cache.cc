@@ -1,6 +1,5 @@
 #include "storage/buffer_cache.h"
 
-#include <mutex>
 #include <string>
 
 #include "obs/metrics.h"
@@ -25,122 +24,27 @@ BufferCache::BufferCache(std::size_t capacity_pages)
   PROCSIM_CHECK_GT(capacity_pages, 0u);
 }
 
-bool BufferCache::TouchLocked(uint32_t page_id) {
-  auto it = frames_.find(page_id);
-  if (it != frames_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second->lru_pos);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    g_hits->Add();
-    return true;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  g_misses->Add();
-  if (frames_.size() >= capacity_) {
-    // Evict the least recently used unpinned frame.
-    auto victim = lru_.end();
-    for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
-      if (frames_.at(*rit)->pins.load(std::memory_order_relaxed) == 0) {
-        victim = std::prev(rit.base());
-        break;
-      }
-    }
-    PROCSIM_CHECK(victim != lru_.end())
-        << "buffer cache full of pinned pages (capacity " << capacity_ << ")";
-    dirty_.erase(*victim);
-    frames_.erase(*victim);
-    lru_.erase(victim);
-    g_evictions->Add();
-  }
-  lru_.push_front(page_id);
-  auto frame = std::make_unique<Frame>();
-  frame->lru_pos = lru_.begin();
-  frames_[page_id] = std::move(frame);
-  return false;
-}
-
 bool BufferCache::Touch(uint32_t page_id) {
   Guard guard(latch_);
-  const bool hit = TouchLocked(page_id);
+  const auto it = frames_.find(page_id);
+  const bool hit = it != frames_.end();
+  if (hit) {
+    lru_.splice(lru_.begin(), lru_, it->second);
+    ++hits_;
+    g_hits->Add();
+  } else {
+    ++misses_;
+    g_misses->Add();
+    if (frames_.size() >= capacity_) {
+      frames_.erase(lru_.back());
+      lru_.pop_back();
+      g_evictions->Add();
+    }
+    lru_.push_front(page_id);
+    frames_.emplace(page_id, lru_.begin());
+  }
   PROCSIM_AUDIT_OK(CheckConsistencyLocked());
   return hit;
-}
-
-Status BufferCache::Evict(uint32_t page_id) {
-  Guard guard(latch_);
-  auto it = frames_.find(page_id);
-  if (it == frames_.end()) return Status::OK();
-  if (it->second->pins.load(std::memory_order_relaxed) > 0) {
-    return Status::InvalidArgument("cannot evict pinned page " +
-                                   std::to_string(page_id));
-  }
-  lru_.erase(it->second->lru_pos);
-  frames_.erase(it);
-  dirty_.erase(page_id);
-  PROCSIM_AUDIT_OK(CheckConsistencyLocked());
-  return Status::OK();
-}
-
-void BufferCache::Clear() {
-  Guard guard(latch_);
-  PROCSIM_CHECK_EQ(total_pins_.load(), 0u) << "Clear() with pins outstanding";
-  lru_.clear();
-  frames_.clear();
-  dirty_.clear();
-}
-
-void BufferCache::Pin(uint32_t page_id) {
-  Guard guard(latch_);
-  TouchLocked(page_id);
-  frames_.at(page_id)->pins.fetch_add(1, std::memory_order_relaxed);
-  total_pins_.fetch_add(1, std::memory_order_relaxed);
-  PROCSIM_AUDIT_OK(CheckConsistencyLocked());
-}
-
-Status BufferCache::Unpin(uint32_t page_id) {
-  Guard guard(latch_);
-  auto it = frames_.find(page_id);
-  if (it == frames_.end() ||
-      it->second->pins.load(std::memory_order_relaxed) == 0) {
-    return Status::InvalidArgument("unpin of unpinned page " +
-                                   std::to_string(page_id));
-  }
-  it->second->pins.fetch_sub(1, std::memory_order_relaxed);
-  total_pins_.fetch_sub(1, std::memory_order_relaxed);
-  PROCSIM_AUDIT_OK(CheckConsistencyLocked());
-  return Status::OK();
-}
-
-uint32_t BufferCache::pin_count(uint32_t page_id) const {
-  Guard guard(latch_);
-  auto it = frames_.find(page_id);
-  return it == frames_.end()
-             ? 0
-             : it->second->pins.load(std::memory_order_relaxed);
-}
-
-Status BufferCache::MarkDirty(uint32_t page_id) {
-  Guard guard(latch_);
-  if (!frames_.contains(page_id)) {
-    return Status::InvalidArgument("dirtying non-resident page " +
-                                   std::to_string(page_id));
-  }
-  dirty_.insert(page_id);
-  return Status::OK();
-}
-
-void BufferCache::ClearDirty(uint32_t page_id) {
-  Guard guard(latch_);
-  dirty_.erase(page_id);
-}
-
-bool BufferCache::IsDirty(uint32_t page_id) const {
-  Guard guard(latch_);
-  return dirty_.contains(page_id);
-}
-
-std::size_t BufferCache::dirty_count() const {
-  Guard guard(latch_);
-  return dirty_.size();
 }
 
 bool BufferCache::Contains(uint32_t page_id) const {
@@ -151,6 +55,16 @@ bool BufferCache::Contains(uint32_t page_id) const {
 std::size_t BufferCache::size() const {
   Guard guard(latch_);
   return frames_.size();
+}
+
+uint64_t BufferCache::hits() const {
+  Guard guard(latch_);
+  return hits_;
+}
+
+uint64_t BufferCache::misses() const {
+  Guard guard(latch_);
+  return misses_;
 }
 
 Status BufferCache::CheckConsistency() const {
@@ -169,25 +83,11 @@ Status BufferCache::CheckConsistencyLocked() const {
                             std::to_string(frames_.size()) + " frames vs " +
                             std::to_string(lru_.size()) + " LRU entries");
   }
-  uint64_t pins = 0;
-  for (const auto& [page_id, frame] : frames_) {
-    if (*frame->lru_pos != page_id) {
+  for (const auto& [page_id, position] : frames_) {
+    if (*position != page_id) {
       return Status::Internal("frame for page " + std::to_string(page_id) +
                               " points at LRU entry " +
-                              std::to_string(*frame->lru_pos));
-    }
-    pins += frame->pins.load(std::memory_order_relaxed);
-  }
-  if (pins != total_pins_.load(std::memory_order_relaxed)) {
-    return Status::Internal(
-        "pin accounting leak: per-frame pins sum to " + std::to_string(pins) +
-        " but total_pins() is " +
-        std::to_string(total_pins_.load(std::memory_order_relaxed)));
-  }
-  for (uint32_t page_id : dirty_) {
-    if (!frames_.contains(page_id)) {
-      return Status::Internal("dirty page " + std::to_string(page_id) +
-                              " is not resident");
+                              std::to_string(*position));
     }
   }
   return Status::OK();

@@ -1,12 +1,9 @@
 #ifndef PROCSIM_STORAGE_BUFFER_CACHE_H_
 #define PROCSIM_STORAGE_BUFFER_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "util/latch.h"
 #include "util/status.h"
@@ -14,24 +11,19 @@
 
 namespace procsim::storage {
 
-/// \brief An LRU page-residency tracker with pin and dirty accounting.
+/// \brief An LRU page-residency tracker.
 ///
 /// The paper's 1987 cost model charges every page touch as a disk I/O — no
 /// buffer cache.  This class lets the simulator relax that assumption as an
-/// ablation: when attached to a SimulatedDisk, a read of a resident page is
-/// free and only misses pay C2.  (Pages are always durable in the page
-/// store; the cache only tracks *residency* for charging purposes.)
+/// ablation (AB6, bench/abl_buffer_cache.cc): when attached to a
+/// SimulatedDisk, a read of a resident page is free and only misses pay C2.
+/// Pages are always durable in the page store and writes are write-through,
+/// so the cache holds no page contents, pins or dirty bits — only which
+/// page ids are resident, in recency order.
 ///
-/// Pin counts and the dirty set exist for invariant auditing and for the
-/// concurrent engine, where an in-flight operation must keep its pages
-/// resident: a pinned frame is never chosen as an eviction victim, and
-/// audit::ValidateBufferCache can assert that a quiescent system holds no
-/// pins — a leaked pin is a bug in the caller's pin/unpin pairing.
-///
-/// Thread safety: every access to the frame map / LRU list is serialized by
-/// an internal kBufferCache-rank latch (a read is an LRU *mutation*, so
-/// even lookups latch).  Pin counts are atomics, so accounting reads
-/// (total_pins, pin_count) never block a session mid-eviction.
+/// Thread safety: one internal kBufferCache-rank latch serializes the LRU
+/// list, the residency map and the hit/miss counts (a read is an LRU
+/// *mutation*, so even lookups latch).
 class BufferCache {
  public:
   /// \param capacity_pages  number of page frames (> 0)
@@ -39,68 +31,19 @@ class BufferCache {
 
   /// Records an access to `page_id`.  Returns true on a hit (no charge
   /// due); on a miss the page is brought in, evicting the least recently
-  /// used unpinned frame if full.  It is a checked fatal error to touch a
-  /// new page while every frame is pinned.
+  /// used page if full.
   bool Touch(uint32_t page_id);
-
-  /// Drops `page_id` if resident and unpinned (e.g. after the caller
-  /// invalidates it); InvalidArgument if the frame is pinned.
-  Status Evict(uint32_t page_id);
-
-  /// Empties the cache (cold start).  Checked fatal error if pins are held.
-  void Clear();
-
-  // --- pin accounting ------------------------------------------------------
-
-  /// Brings `page_id` in (counting a hit/miss like Touch) and increments its
-  /// pin count; pinned frames are exempt from eviction.
-  void Pin(uint32_t page_id);
-
-  /// Decrements `page_id`'s pin count; InvalidArgument if not pinned.
-  Status Unpin(uint32_t page_id);
-
-  /// Current pin count of `page_id` (0 if absent or unpinned).
-  uint32_t pin_count(uint32_t page_id) const;
-
-  /// Sum of all pin counts; 0 when the system is quiescent.
-  uint64_t total_pins() const {
-    return total_pins_.load(std::memory_order_relaxed);
-  }
-
-  // --- dirty tracking ------------------------------------------------------
-
-  /// Marks a resident page dirty; InvalidArgument if not resident.
-  Status MarkDirty(uint32_t page_id);
-
-  /// Clears the dirty bit (after the caller writes the page back).
-  void ClearDirty(uint32_t page_id);
-
-  bool IsDirty(uint32_t page_id) const;
-  std::size_t dirty_count() const;
 
   bool Contains(uint32_t page_id) const;
   std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  uint64_t hits() const;
+  uint64_t misses() const;
 
-  /// Verifies internal invariants: the LRU list and frame map describe the
-  /// same pages, occupancy respects capacity, every pinned or dirty page is
-  /// resident, and the pin total matches the per-frame counts.
+  /// Verifies internal invariants: the LRU list and residency map describe
+  /// the same pages and occupancy respects capacity.
   Status CheckConsistency() const;
 
  private:
-  // Frames are heap-allocated so the atomic pin count has a stable address
-  // across rehashes of the frame map.
-  struct Frame {
-    std::list<uint32_t>::iterator lru_pos;
-    std::atomic<uint32_t> pins{0};
-  };
-
-  /// Moves `page_id` to the MRU position, inserting it (with eviction) on a
-  /// miss.  Returns true on a hit.
-  bool TouchLocked(uint32_t page_id) REQUIRES(latch_);
-
   Status CheckConsistencyLocked() const REQUIRES(latch_);
 
   const std::size_t capacity_;
@@ -108,12 +51,11 @@ class BufferCache {
       util::LatchRank::kBufferCache, "BufferCache"};
   // Most recently used at the front.
   std::list<uint32_t> lru_ GUARDED_BY(latch_);
-  std::unordered_map<uint32_t, std::unique_ptr<Frame>> frames_
+  // Resident page id -> its position in lru_.
+  std::unordered_map<uint32_t, std::list<uint32_t>::iterator> frames_
       GUARDED_BY(latch_);
-  std::unordered_set<uint32_t> dirty_ GUARDED_BY(latch_);
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> total_pins_{0};
+  uint64_t hits_ GUARDED_BY(latch_) = 0;
+  uint64_t misses_ GUARDED_BY(latch_) = 0;
 };
 
 }  // namespace procsim::storage

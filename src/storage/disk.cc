@@ -94,9 +94,7 @@ bool SimulatedDisk::IsLive(PageId page_id) const {
 }
 
 bool SimulatedDisk::metering_enabled() const {
-  if (!metering_enabled_) return false;
-  const ThreadDiskState& state = StateFor(this);
-  return state.metering_disable_depth == 0;
+  return StateFor(this).metering_disable_depth == 0;
 }
 
 PageId SimulatedDisk::AllocatePage() {
@@ -199,7 +197,5 @@ void SimulatedDisk::ChargeWrite(PageId page_id) {
 void SimulatedDisk::EnableBufferCache(std::size_t capacity_pages) {
   cache_.emplace(capacity_pages);
 }
-
-void SimulatedDisk::DisableBufferCache() { cache_.reset(); }
 
 }  // namespace procsim::storage

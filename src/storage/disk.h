@@ -35,8 +35,8 @@ namespace procsim::storage {
 class SimulatedDisk {
  public:
   /// \param page_size  bytes per page (the paper's B)
-  /// \param meter      cost sink; must outlive the disk; may be null for
-  ///                   cost-free setup phases (see set_metering_enabled)
+  /// \param meter      cost sink; must outlive the disk; null charges
+  ///                   nothing (MeteringGuard un-meters a scope instead)
   SimulatedDisk(uint32_t page_size, CostMeter* meter);
   ~SimulatedDisk();
 
@@ -55,11 +55,9 @@ class SimulatedDisk {
   /// True if `page_id` was allocated and has not been freed.
   bool IsLive(PageId page_id) const;
 
-  /// Enables/disables cost charging globally.  Bulk-loading the database
-  /// before an experiment is free, as in the paper.  Only call while the
-  /// disk is quiescent (no concurrent sessions); per-operation un-metering
-  /// goes through MeteringGuard, which is thread-local.
-  void set_metering_enabled(bool enabled) { metering_enabled_ = enabled; }
+  /// False while a MeteringGuard on this disk is open on the calling
+  /// thread.  Bulk-loading the database before an experiment is free, as in
+  /// the paper.
   bool metering_enabled() const;
 
   CostMeter* meter() const { return meter_; }
@@ -103,7 +101,6 @@ class SimulatedDisk {
   /// resident pages stop being charged; writes remain write-through
   /// (charged) and refresh residency.
   void EnableBufferCache(std::size_t capacity_pages);
-  void DisableBufferCache();
   const BufferCache* buffer_cache() const {
     return cache_.has_value() ? &*cache_ : nullptr;
   }
@@ -114,10 +111,6 @@ class SimulatedDisk {
 
   const uint32_t page_size_;
   CostMeter* const meter_;
-  // Written only while quiescent; concurrent sessions read it under the
-  // engine's database latch, which provides the ordering.
-  // procsim-lint: allow(unguarded(metering_enabled_)) because writes are quiescent-only; reads are ordered by the engine database latch
-  bool metering_enabled_ = true;
   mutable util::RankedMutex page_table_latch_{
       util::LatchRank::kPageTable, "SimulatedDisk::page_table"};
   // The directory (which pages exist) is latched; page *contents* are
@@ -125,7 +118,7 @@ class SimulatedDisk {
   // page id; a freed page leaves a null slot behind.
   std::vector<std::unique_ptr<Page>> pages_ GUARDED_BY(page_table_latch_);
   std::size_t live_pages_ GUARDED_BY(page_table_latch_) = 0;
-  // procsim-lint: allow(unguarded(cache_)) because the optional is engaged/reset only while quiescent; the BufferCache inside has its own latch
+  // procsim-lint: allow(unguarded(cache_)) because the optional is engaged only while quiescent; the BufferCache inside has its own latch
   std::optional<BufferCache> cache_;
 };
 

@@ -33,8 +33,6 @@ const char* WalRecordKindName(WalRecord::Kind kind) {
       return "abort";
     case WalRecord::Kind::kInvalidate:
       return "invalidate";
-    case WalRecord::Kind::kValidate:
-      return "validate";
     case WalRecord::Kind::kCheckpoint:
       return "checkpoint";
   }
@@ -73,11 +71,6 @@ uint64_t WriteAheadLog::AppendAbort(uint64_t txn) {
 uint64_t WriteAheadLog::AppendInvalidate(uint64_t txn, uint64_t procedure) {
   return Append(
       WalRecord{0, WalRecord::Kind::kInvalidate, txn, procedure, 0, {}});
-}
-
-uint64_t WriteAheadLog::AppendValidate(uint64_t txn, uint64_t procedure) {
-  return Append(
-      WalRecord{0, WalRecord::Kind::kValidate, txn, procedure, 0, {}});
 }
 
 uint64_t WriteAheadLog::AppendCheckpoint(std::vector<bool> bitmap) {

@@ -14,23 +14,24 @@ namespace procsim::storage {
 /// \brief One write-ahead-log record.  The WAL lives in the storage layer,
 /// below sim/proc in the module DAG, so records carry only untyped payloads;
 /// the txn layer owns the encoding (a mutation record's payload is the
-/// sim::WorkloadOp kind + its self-contained RNG seed, a validity record's
-/// payload is the id of the procedure whose proc::InvalidationLog bit
-/// changed).  This log is the only record of validity changes: the bitmap
-/// keeps none of its own.
+/// sim::WorkloadOp kind + its self-contained RNG seed, an invalidation
+/// record's payload is the id of the procedure whose proc::InvalidationLog
+/// bit went from valid to invalid).  As in §3 of the paper, only
+/// invalidations are logged: a re-validation follows a recompute, and
+/// cached bytes are not durable, so recovery never restores one.  This log
+/// is the only record of invalidations: the bitmap keeps none of its own.
 ///
 /// Recovery contract (enforced by txn::TxnEngine::Recover): a transaction's
 /// effects are durable iff its kCommit record survives the crash prefix.
-/// Mutation and validity records always precede their transaction's commit
-/// record, so a prefix cut anywhere yields a well-formed redo log.
+/// Mutation and invalidation records always precede their transaction's
+/// commit record, so a prefix cut anywhere yields a well-formed redo log.
 struct WalRecord {
   enum class Kind : uint8_t {
     kBegin = 0,       ///< transaction start
     kMutation = 1,    ///< redo record: a=op kind, b=op value (private seed)
     kCommit = 2,      ///< commit point — the txn is durable iff this survives
     kAbort = 3,       ///< transaction rolled back; its records are dead
-    kInvalidate = 4,  ///< mirrored validity transition: a=procedure id
-    kValidate = 5,    ///< mirrored validity transition: a=procedure id
+    kInvalidate = 4,  ///< a procedure became invalid: a=procedure id
     kCheckpoint = 6,  ///< bitmap=validity snapshot; a, b unused
   };
 
@@ -40,7 +41,7 @@ struct WalRecord {
   uint64_t a = 0;    ///< kind-dependent payload (see Kind comments)
   uint64_t b = 0;    ///< kind-dependent payload (see Kind comments)
   /// kCheckpoint only: the validity bitmap captured at a group-flush
-  /// boundary.  Recovery replays the validity records after it against
+  /// boundary.  Recovery applies the invalidation records after it to
   /// this snapshot.
   std::vector<bool> bitmap;
 };
@@ -60,7 +61,7 @@ const char* WalRecordKindName(WalRecord::Kind kind);
 ///
 /// Thread safety: one kWal-rank latch serializes appends, forces and
 /// truncation — LSNs form a single total order.  The latch ranks *above*
-/// kInvalidationLog because a validity change is appended here while the
+/// kInvalidationLog because an invalidation is appended here while the
 /// bitmap's latch is held.  Snapshot() copies the records under the latch,
 /// so the crash harness can slice prefixes without racing live appends.
 class WriteAheadLog {
@@ -77,7 +78,6 @@ class WriteAheadLog {
   uint64_t AppendCommit(uint64_t txn);
   uint64_t AppendAbort(uint64_t txn);
   uint64_t AppendInvalidate(uint64_t txn, uint64_t procedure);
-  uint64_t AppendValidate(uint64_t txn, uint64_t procedure);
   uint64_t AppendCheckpoint(std::vector<bool> bitmap);
 
   /// Forces the log tail to "disk": charges the force cost to the meter and

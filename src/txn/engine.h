@@ -18,24 +18,6 @@
 
 namespace procsim::txn {
 
-/// The transaction currently executing on this thread (0 = none).  The
-/// InvalidationLog→WAL mirror reads it to tag mirrored validity records
-/// with their mutating transaction, which is what lets recovery discard
-/// the invalidations of uncommitted transactions.
-TxnId CurrentTxn();
-
-/// RAII tag installing `txn` as the thread's current transaction.
-class CurrentTxnScope {
- public:
-  explicit CurrentTxnScope(TxnId txn);
-  ~CurrentTxnScope();
-  CurrentTxnScope(const CurrentTxnScope&) = delete;
-  CurrentTxnScope& operator=(const CurrentTxnScope&) = delete;
-
- private:
-  TxnId previous_;
-};
-
 /// \brief The transactional engine: one Database + all six strategies
 /// behind Begin/Queue/Access/Commit/Abort, with a WriteAheadLog and a
 /// group-committing TxnManager that also owns the R1 S/X lock — and a
@@ -59,11 +41,13 @@ class CurrentTxnScope {
 /// transactions' mutation records *organically* — through the same
 /// ApplyMutationOp + strategy-notification path the live engine uses.
 /// That one pass reconstructs the heaps/indexes AND re-derives every
-/// cache's validity, i-locks and budget accounting.  The mirrored validity
-/// records in the log are then cross-checked against the organic outcome:
-/// any procedure the (committed) log marks invalid must be invalid in the
-/// recovered engine — a violated subset means a lost invalidation, the
-/// exact bug class the crash harness exists to catch.
+/// cache's validity, i-locks and budget accounting.  The logged
+/// invalidations are then cross-checked against the organic outcome, both
+/// ways: any procedure the (committed) log marks invalid must be invalid in
+/// the recovered engine, and any procedure the replay first invalidated
+/// after the latest checkpoint must be named by a committed invalidation
+/// record.  Either violation is a lost invalidation, the exact bug class
+/// the crash harness exists to catch.
 class TxnEngine {
  public:
   struct Options {
@@ -79,8 +63,8 @@ class TxnEngine {
   struct RecoveryInjection {
     /// Replay applies heap mutations but skips the CacheInvalidate
     /// strategy's write notification — a lost invalidation.  Both recovery
-    /// cross-checks (the log-subset invariant and the oracle digest sweep)
-    /// must catch it.
+    /// cross-checks (the log-versus-replay validity check and the oracle
+    /// digest sweep) must catch it.
     bool drop_invalidation_replay = false;
   };
 
@@ -90,9 +74,9 @@ class TxnEngine {
     std::size_t replayed_mutations = 0;
     /// Records of uncommitted/aborted transactions skipped by replay.
     std::size_t discarded_records = 0;
-    /// The validity bitmap restored purely from the log (checkpoint +
-    /// committed mirrored records) — the §3 WAL-recovery answer, checked
-    /// against the organically replayed bitmap.
+    /// The validity bitmap restored purely from the log (checkpoint minus
+    /// committed invalidations after it) — the §3 WAL-recovery answer,
+    /// checked against the organically replayed bitmap.
     std::vector<bool> log_restored_valid;
   };
 
@@ -127,7 +111,7 @@ class TxnEngine {
 
   /// Flushes, then writes the CacheInvalidate validity bitmap into a
   /// kCheckpoint WAL record; recovery restores the bitmap from the latest
-  /// surviving checkpoint plus the committed validity records after it.
+  /// surviving checkpoint plus the committed invalidations after it.
   /// (The WAL itself is never truncated by the engine: the durable base
   /// image is the seed, so every committed mutation record is needed for
   /// redo.)  Quiescent-only.
@@ -178,8 +162,8 @@ class TxnEngine {
   void InstallMirror();
 
   /// Group-flush apply hook: applies `ops` and notifies strategies, under
-  /// the db latch, tagged as `txn`.  `skip_invalidation` is the planted
-  /// recovery bug (only ever set by Recover's replay).
+  /// the db latch, with applying_txn_ = `txn`.  `skip_invalidation` is the
+  /// planted recovery bug (only ever set by Recover's replay).
   Status ApplyCommitted(TxnId txn, const std::vector<sim::WorkloadOp>& ops,
                         bool skip_invalidation);
 
@@ -190,6 +174,9 @@ class TxnEngine {
   std::unique_ptr<util::LatchStripes> slot_stripes_;
   std::unique_ptr<sim::Database> db_ GUARDED_BY(db_latch_);
   sim::StrategySet strategies_ GUARDED_BY(db_latch_);
+  /// The transaction ApplyCommitted is applying: the mirror tags each
+  /// invalidation record with it.
+  TxnId applying_txn_ GUARDED_BY(db_latch_) = 0;
   // procsim-lint: allow(unguarded(wal_)) because the pointer is written once at Build; the WriteAheadLog serializes itself on its own kWal latch
   std::unique_ptr<storage::WriteAheadLog> wal_;
   // procsim-lint: allow(unguarded(txns_)) because the pointer is written once at Build; the TxnManager serializes itself on its own kTxnManager latch

@@ -35,8 +35,8 @@ namespace procsim::txn {
 ///    queue reaches group_commit_size the group flushes.
 ///  - A flush walks the queue in order: for each transaction it appends
 ///    the kMutation redo records, runs the caller's apply hook (heap apply
-///    + strategy notification; mirrored validity records land here, tagged
-///    with the transaction), appends kCommit — the commit point — then
+///    + strategy notification; mirrored invalidation records land here,
+///    tagged with the transaction), appends kCommit — the commit point — then
 ///    forces the log once for the whole group.  One force amortized over
 ///    the batch is the paper's C_inval ≈ 0 argument applied to commits.
 ///  - Abort() logs kAbort, drops the buffer and releases the lock.

@@ -32,9 +32,7 @@ storage::RecordId Rid(uint32_t n) {
 // B-tree: a planted key-order violation must be detected and named.
 
 TEST(ValidateBTreeTest, CleanTreePasses) {
-  CostMeter meter;
-  storage::SimulatedDisk disk(4000, &meter);
-  disk.set_metering_enabled(false);
+  storage::SimulatedDisk disk(4000, /*meter=*/nullptr);
   storage::BTree tree(&disk, 20);
   for (int64_t key = 0; key < 64; ++key) {
     ASSERT_TRUE(tree.Insert(key, Rid(static_cast<uint32_t>(key))).ok());
@@ -43,9 +41,7 @@ TEST(ValidateBTreeTest, CleanTreePasses) {
 }
 
 TEST(ValidateBTreeTest, DetectsCorruptedLeafOrder) {
-  CostMeter meter;
-  storage::SimulatedDisk disk(4000, &meter);
-  disk.set_metering_enabled(false);
+  storage::SimulatedDisk disk(4000, /*meter=*/nullptr);
   storage::BTree tree(&disk, 20);
   for (int64_t key = 0; key < 64; ++key) {
     ASSERT_TRUE(tree.Insert(key, Rid(static_cast<uint32_t>(key))).ok());
@@ -58,48 +54,12 @@ TEST(ValidateBTreeTest, DetectsCorruptedLeafOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Buffer cache: a pin without a matching unpin is a leak at quiescence.
+// Buffer cache: an LRU churned past capacity stays consistent.
 
 TEST(ValidateBufferCacheTest, CleanCachePasses) {
   storage::BufferCache cache(4);
-  cache.Touch(1);
-  cache.Touch(2);
-  cache.Pin(3);
-  ASSERT_TRUE(cache.Unpin(3).ok());
-  EXPECT_TRUE(ValidateBufferCache(cache).ok());
-  EXPECT_TRUE(ValidateBufferCache(cache, /*expect_unpinned=*/true).ok());
-}
-
-TEST(ValidateBufferCacheTest, DetectsLeakedPin) {
-  storage::BufferCache cache(4);
-  cache.Pin(7);  // never unpinned
-  EXPECT_TRUE(ValidateBufferCache(cache).ok());  // structurally fine...
-  const Status status = ValidateBufferCache(cache, /*expect_unpinned=*/true);
-  ASSERT_FALSE(status.ok());  // ...but a leak at a quiescent point
-  EXPECT_NE(status.ToString().find("leaked pin"), std::string::npos)
-      << status.ToString();
-}
-
-TEST(ValidateBufferCacheTest, PinnedFrameSurvivesEvictionPressure) {
-  storage::BufferCache cache(2);
-  cache.Pin(1);
-  cache.Touch(2);
-  cache.Touch(3);  // must evict page 2, not the pinned page 1
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_FALSE(cache.Contains(2));
-  EXPECT_EQ(cache.Evict(1).code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(cache.Unpin(1).ok());
-  EXPECT_TRUE(ValidateBufferCache(cache, /*expect_unpinned=*/true).ok());
-}
-
-TEST(ValidateBufferCacheTest, DirtyTrackingRequiresResidency) {
-  storage::BufferCache cache(2);
-  cache.Touch(1);
-  ASSERT_TRUE(cache.MarkDirty(1).ok());
-  EXPECT_TRUE(cache.IsDirty(1));
-  EXPECT_EQ(cache.MarkDirty(99).code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(cache.Evict(1).ok());  // eviction clears the dirty bit
-  EXPECT_FALSE(cache.IsDirty(1));
+  for (uint32_t page_id = 0; page_id < 10; ++page_id) cache.Touch(page_id);
+  cache.Touch(8);
   EXPECT_TRUE(ValidateBufferCache(cache).ok());
 }
 
@@ -143,8 +103,9 @@ TEST(ValidatePageTest, RoundTripsPaddedTuples) {
 class ValidateReteTest : public ::testing::Test {
  protected:
   ValidateReteTest()
-      : disk_(4000, &meter_), catalog_(&disk_), executor_(&catalog_, &meter_) {
-    disk_.set_metering_enabled(false);
+      : disk_(4000, /*meter=*/nullptr),
+        catalog_(&disk_),
+        executor_(&catalog_, &meter_) {
     rel::Relation::Options r1_options;
     r1_options.tuple_width_bytes = 100;
     r1_options.btree_column = 0;

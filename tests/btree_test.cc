@@ -131,9 +131,7 @@ TEST_F(BTreeTest, HeavyDuplicateKeysSpanLeaves) {
 TEST_F(BTreeTest, HeightMatchesAnalyticModelAtPaperScale) {
   // The analytic model assumes H1 = ceil(log_200 N); verify for N = 50000
   // (kept below the default 100000 to bound test time).
-  CostMeter meter;
-  SimulatedDisk disk(4000, &meter);
-  disk.set_metering_enabled(false);
+  SimulatedDisk disk(4000, /*meter=*/nullptr);
   BTree tree(&disk, 20);
   for (int64_t i = 0; i < 50000; ++i) {
     ASSERT_TRUE(tree.Insert(i, Rid(static_cast<uint32_t>(i))).ok());
@@ -161,9 +159,7 @@ class BTreeDuplicateRunTest
     : public ::testing::TestWithParam<DuplicateRunCase> {};
 
 TEST_P(BTreeDuplicateRunTest, EveryPairIsFoundAcrossLeaves) {
-  CostMeter meter;
-  SimulatedDisk disk(GetParam().page_size, &meter);
-  disk.set_metering_enabled(false);
+  SimulatedDisk disk(GetParam().page_size, /*meter=*/nullptr);
   BTree tree(&disk, 20);
   // More than two full leaves' worth of one key: at least three leaves.
   const uint32_t count = 2 * tree.fanout() + tree.fanout() / 2;
@@ -239,9 +235,8 @@ TEST(BTreeNodeSizeDeathTest, RejectsFanoutWhoseFullLeafOverflowsThePage) {
 class BTreePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BTreePropertyTest, MatchesReferenceMultimap) {
-  CostMeter meter;
-  SimulatedDisk disk(1000, &meter);  // small pages -> fanout 50 -> deep trees
-  disk.set_metering_enabled(false);
+  // Small pages -> fanout 50 -> deep trees.
+  SimulatedDisk disk(1000, /*meter=*/nullptr);
   BTree tree(&disk, 20);
   Rng rng(GetParam());
   std::multimap<int64_t, RecordId> reference;
@@ -297,12 +292,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BTreePropertyTest,
 TEST(BTreeCostTest, DescentChargesHeightReads) {
   CostMeter meter;
   SimulatedDisk disk(4000, &meter);
-  disk.set_metering_enabled(false);
   BTree tree(&disk, 20);
-  for (int64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(tree.Insert(i, Rid(static_cast<uint32_t>(i))).ok());
+  {
+    MeteringGuard unmetered(&disk);
+    for (int64_t i = 0; i < 1000; ++i) {
+      ASSERT_TRUE(tree.Insert(i, Rid(static_cast<uint32_t>(i))).ok());
+    }
   }
-  disk.set_metering_enabled(true);
   meter.Reset();
   (void)tree.Search(500);
   // Search reads one node per level to find the leaf, re-reads the leaf to

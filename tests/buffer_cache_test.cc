@@ -28,18 +28,6 @@ TEST(BufferCacheTest, LruEviction) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(BufferCacheTest, ExplicitEvictAndClear) {
-  BufferCache cache(4);
-  (void)cache.Touch(7);
-  cache.Evict(7);
-  EXPECT_FALSE(cache.Contains(7));
-  cache.Evict(99);  // absent: no-op
-  (void)cache.Touch(1);
-  (void)cache.Touch(2);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-}
-
 TEST(BufferCacheTest, SizeNeverExceedsCapacity) {
   BufferCache cache(8);
   Rng rng(5);
@@ -89,8 +77,6 @@ TEST(DiskBufferCacheTest, TinyCacheThrashes) {
     (void)disk.ReadPage(b);
   }
   EXPECT_EQ(meter.disk_reads(), 10u);  // every access evicts the other page
-  disk.DisableBufferCache();
-  EXPECT_EQ(disk.buffer_cache(), nullptr);
 }
 
 TEST(DiskBufferCacheTest, InteractsWithAccessScopes) {

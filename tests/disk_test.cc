@@ -25,12 +25,14 @@ TEST(SimulatedDiskTest, MissingPageIsNotFound) {
 TEST(SimulatedDiskTest, MeteringCanBeDisabled) {
   CostMeter meter;
   SimulatedDisk disk(4000, &meter);
-  disk.set_metering_enabled(false);
-  const PageId page = disk.AllocatePage();
-  (void)disk.ReadPage(page);
-  (void)disk.MarkDirty(page);
+  PageId page;
+  {
+    MeteringGuard unmetered(&disk);
+    page = disk.AllocatePage();
+    (void)disk.ReadPage(page);
+    (void)disk.MarkDirty(page);
+  }
   EXPECT_DOUBLE_EQ(meter.total_ms(), 0.0);
-  disk.set_metering_enabled(true);
   (void)disk.ReadPage(page);
   EXPECT_EQ(meter.disk_reads(), 1u);
 }

@@ -70,7 +70,7 @@ TEST_P(ExecutorPropertyTest, AgreesWithNaiveEvaluator) {
   Rng rng(GetParam());
   CostMeter meter;
   storage::SimulatedDisk disk(4000, &meter);
-  disk.set_metering_enabled(false);
+  storage::MeteringGuard unmetered(&disk);
   Catalog catalog(&disk);
   Executor executor(&catalog, &meter);
 

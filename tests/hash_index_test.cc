@@ -38,9 +38,8 @@ TEST(HashIndexTest, DuplicateKeysDifferentRids) {
 }
 
 TEST(HashIndexTest, OverflowChainsWork) {
-  CostMeter meter;
-  SimulatedDisk disk(400, &meter);  // tiny pages -> capacity 20 per bucket
-  disk.set_metering_enabled(false);
+  // Tiny pages -> capacity 20 per bucket.
+  SimulatedDisk disk(400, /*meter=*/nullptr);
   HashIndex index(&disk, 10, 20);   // deliberately undersized directory
   for (uint32_t i = 0; i < 500; ++i) {
     ASSERT_TRUE(index.Insert(static_cast<int64_t>(i % 7), Rid(i)).ok());
@@ -59,12 +58,13 @@ TEST(HashIndexTest, OverflowChainsWork) {
 TEST(HashIndexTest, ProbeChargesBucketRead) {
   CostMeter meter;
   SimulatedDisk disk(4000, &meter);
-  disk.set_metering_enabled(false);
   HashIndex index(&disk, 1000, 20);
-  for (uint32_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(index.Insert(static_cast<int64_t>(i), Rid(i)).ok());
+  {
+    MeteringGuard unmetered(&disk);
+    for (uint32_t i = 0; i < 1000; ++i) {
+      ASSERT_TRUE(index.Insert(static_cast<int64_t>(i), Rid(i)).ok());
+    }
   }
-  disk.set_metering_enabled(true);
   meter.Reset();
   (void)index.Search(123);
   // One bucket page read (chains should be empty at 60% fill).
@@ -73,9 +73,7 @@ TEST(HashIndexTest, ProbeChargesBucketRead) {
 }
 
 TEST(HashIndexTest, RandomizedAgainstReference) {
-  CostMeter meter;
-  SimulatedDisk disk(2000, &meter);
-  disk.set_metering_enabled(false);
+  SimulatedDisk disk(2000, /*meter=*/nullptr);
   HashIndex index(&disk, 64, 20);
   Rng rng(77);
   std::multimap<int64_t, RecordId> reference;

@@ -162,7 +162,7 @@ TEST(RecoveryIdempotenceTest, CheckpointPlusLogTailRestoresValidity) {
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   TxnEngine& live = *created.ValueOrDie();
   ASSERT_TRUE(live.Run(SomeOps(options, 12)).ok());
-  // Refresh every cache so the checkpoint follows validity records but
+  // Refresh every cache so the checkpoint follows invalidation records but
   // captures an all-valid bitmap.
   ASSERT_TRUE(live.CompareAllAgainstOracle().ok());
   const std::size_t proc_count = live.procedure_count();
@@ -180,7 +180,7 @@ TEST(RecoveryIdempotenceTest, CheckpointPlusLogTailRestoresValidity) {
   }
   ASSERT_NE(live_valid, all_valid) << "no update invalidated a procedure";
 
-  // Procedures named by a validity record after the checkpoint.
+  // Procedures named by an invalidation record after the checkpoint.
   const std::vector<storage::WalRecord> wal = live.WalSnapshot();
   std::vector<bool> touched(proc_count, false);
   bool after_checkpoint = false;
@@ -188,8 +188,7 @@ TEST(RecoveryIdempotenceTest, CheckpointPlusLogTailRestoresValidity) {
     if (record.kind == storage::WalRecord::Kind::kCheckpoint) {
       after_checkpoint = true;
     } else if (after_checkpoint &&
-               (record.kind == storage::WalRecord::Kind::kInvalidate ||
-                record.kind == storage::WalRecord::Kind::kValidate)) {
+               record.kind == storage::WalRecord::Kind::kInvalidate) {
       touched[record.a] = true;
     }
   }
@@ -211,9 +210,40 @@ TEST(RecoveryIdempotenceTest, CheckpointPlusLogTailRestoresValidity) {
           << "procedure " << id;
     }
   }
-  // Every mirrored record was committed, so the log's bitmap is the live one.
+  // Every invalidation was committed and nothing was re-validated after the
+  // checkpoint, so the log's bitmap is the live one.
   EXPECT_EQ(report.log_restored_valid, live_valid);
   EXPECT_TRUE(recovered.ValueOrDie()->CompareAllAgainstOracle().ok());
+}
+
+TEST(RecoveryIdempotenceTest, LogMissingAnInvalidationIsRejected) {
+  // The reverse direction of the validity cross-check: a procedure the
+  // replay invalidates must be named by a committed invalidation record.
+  // A log with every kInvalidate stripped (and no checkpoint) reads
+  // all-valid, so recovery must refuse it rather than trust it.
+  const TxnEngine::Options options = SmallOptions(53);
+  Result<std::unique_ptr<TxnEngine>> live = TxnEngine::Create(options);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ASSERT_TRUE(live.ValueOrDie()->Run(SomeOps(options, 24)).ok());
+  ASSERT_TRUE(live.ValueOrDie()->Flush().ok());
+  const std::vector<storage::WalRecord> wal =
+      live.ValueOrDie()->WalSnapshot();
+  ASSERT_TRUE(TxnEngine::Recover(options, wal, {}).ok());
+
+  std::vector<storage::WalRecord> stripped;
+  for (const storage::WalRecord& record : wal) {
+    if (record.kind != storage::WalRecord::Kind::kInvalidate) {
+      stripped.push_back(record);
+    }
+  }
+  ASSERT_LT(stripped.size(), wal.size()) << "the run logged no invalidation";
+  Result<std::unique_ptr<TxnEngine>> recovered =
+      TxnEngine::Recover(options, stripped, {});
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_NE(recovered.status().ToString().find(
+                "the log lost the invalidation of"),
+            std::string::npos)
+      << recovered.status().ToString();
 }
 
 }  // namespace

@@ -143,11 +143,12 @@ TEST_F(RelationTest, ClusteredLoadSpansExpectedPages) {
 
 TEST_F(RelationTest, RangeScanChargesClusteredPageCount) {
   Relation* t = MakeIndexed();
-  disk_.set_metering_enabled(false);
-  for (int64_t i = 0; i < 400; ++i) {
-    ASSERT_TRUE(t->Insert(Row(i, i)).ok());
+  {
+    storage::MeteringGuard unmetered(&disk_);
+    for (int64_t i = 0; i < 400; ++i) {
+      ASSERT_TRUE(t->Insert(Row(i, i)).ok());
+    }
   }
-  disk_.set_metering_enabled(true);
   meter_.Reset();
   {
     storage::AccessScope scope(&disk_);

@@ -42,11 +42,12 @@ TEST_F(TupleStoreTest, BagSemanticsForDuplicates) {
 
 TEST_F(TupleStoreTest, ReadAllReturnsEverythingAndChargesPerPage) {
   TupleStore store(&disk_, 100);
-  disk_.set_metering_enabled(false);
-  for (int64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(store.Insert(Row(i, i)).ok());
+  {
+    storage::MeteringGuard unmetered(&disk_);
+    for (int64_t i = 0; i < 100; ++i) {
+      ASSERT_TRUE(store.Insert(Row(i, i)).ok());
+    }
   }
-  disk_.set_metering_enabled(true);
   meter_.Reset();
   auto all = store.ReadAll();
   ASSERT_TRUE(all.ok());

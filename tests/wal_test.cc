@@ -19,29 +19,28 @@ TEST(WalTest, AppendsSequenceLsnsAndRoundTripPayloads) {
   EXPECT_EQ(wal.AppendBegin(7), 1u);
   EXPECT_EQ(wal.AppendMutation(7, 3, 12345), 2u);
   EXPECT_EQ(wal.AppendInvalidate(7, 4), 3u);
-  EXPECT_EQ(wal.AppendValidate(7, 5), 4u);
-  EXPECT_EQ(wal.AppendCommit(7), 5u);
-  EXPECT_EQ(wal.AppendAbort(8), 6u);
-  EXPECT_EQ(wal.AppendCheckpoint({true, false, true}), 7u);
-  EXPECT_EQ(wal.size(), 7u);
-  EXPECT_EQ(wal.next_lsn(), 8u);
+  EXPECT_EQ(wal.AppendCommit(7), 4u);
+  EXPECT_EQ(wal.AppendAbort(8), 5u);
+  EXPECT_EQ(wal.AppendCheckpoint({true, false, true}), 6u);
+  EXPECT_EQ(wal.size(), 6u);
+  EXPECT_EQ(wal.next_lsn(), 7u);
 
   const std::vector<WalRecord> records = wal.Snapshot();
-  ASSERT_EQ(records.size(), 7u);
+  ASSERT_EQ(records.size(), 6u);
   EXPECT_EQ(records[0].kind, WalRecord::Kind::kBegin);
   EXPECT_EQ(records[0].txn, 7u);
   EXPECT_EQ(records[1].kind, WalRecord::Kind::kMutation);
   EXPECT_EQ(records[1].a, 3u);
   EXPECT_EQ(records[1].b, 12345u);
   EXPECT_EQ(records[2].kind, WalRecord::Kind::kInvalidate);
+  EXPECT_EQ(records[2].txn, 7u);
   EXPECT_EQ(records[2].a, 4u);
-  EXPECT_EQ(records[3].kind, WalRecord::Kind::kValidate);
-  EXPECT_EQ(records[4].kind, WalRecord::Kind::kCommit);
-  EXPECT_EQ(records[5].kind, WalRecord::Kind::kAbort);
-  EXPECT_EQ(records[5].txn, 8u);
-  EXPECT_EQ(records[6].kind, WalRecord::Kind::kCheckpoint);
-  EXPECT_EQ(records[6].txn, 0u);
-  EXPECT_EQ(records[6].bitmap, (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(records[3].kind, WalRecord::Kind::kCommit);
+  EXPECT_EQ(records[4].kind, WalRecord::Kind::kAbort);
+  EXPECT_EQ(records[4].txn, 8u);
+  EXPECT_EQ(records[5].kind, WalRecord::Kind::kCheckpoint);
+  EXPECT_EQ(records[5].txn, 0u);
+  EXPECT_EQ(records[5].bitmap, (std::vector<bool>{true, false, true}));
   EXPECT_TRUE(wal.CheckConsistency().ok());
 }
 
