@@ -25,13 +25,6 @@ Status AtCrashPoint(std::size_t point, std::size_t total,
                                    status.message());
 }
 
-/// All structure validators against one recovered engine.
-Status ValidateRecovered(txn::TxnEngine* engine) {
-  PROCSIM_RETURN_IF_ERROR(
-      ValidateStructures(*engine->database(), engine->strategies()));
-  return engine->wal().CheckConsistency();
-}
-
 /// Advances the reference database across `records[from, to)`: buffers
 /// mutation records per transaction and applies a transaction's ops when
 /// its commit record enters the prefix — the same order recovery replays
@@ -109,14 +102,6 @@ std::vector<WorkloadOp> WrapInTransactions(const std::vector<WorkloadOp>& ops,
 
 Result<CrashSweepReport> CrashPointSweep(const CrashSweepOptions& options,
                                          const std::vector<WorkloadOp>& ops) {
-  for (const WorkloadOp& op : ops) {
-    if (sim::IsMutationOp(op.kind) && op.value == 0) {
-      return Status::InvalidArgument(
-          "crash sweep streams must be op-seeded (mutation value != 0): "
-          "recovery replays ops without an inline RNG stream");
-    }
-  }
-
   // Live run: the engine whose WAL the sweep slices.
   Result<std::unique_ptr<txn::TxnEngine>> created =
       txn::TxnEngine::Create(options.engine);
@@ -208,7 +193,7 @@ Result<CrashSweepReport> CrashPointSweep(const CrashSweepOptions& options,
     }
     if (options.validate_structures) {
       PROCSIM_RETURN_IF_ERROR(
-          AtCrashPoint(point, wal.size(), ValidateRecovered(&engine)));
+          AtCrashPoint(point, wal.size(), ValidateEngine(engine)));
     }
   }
   return report;

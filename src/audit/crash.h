@@ -25,9 +25,10 @@ struct TxnWrapOptions {
 /// runs of mutations are bracketed by kBegin/kCommit (or kAbort with the
 /// configured probability).  Accesses pass through where they stand — some
 /// land inside transactions, some outside, exercising both read paths.  The
-/// wrapped stream exercises multi-op atomicity and rollback in every
-/// consumer of marker semantics (RunOpStream, TxnEngine::Run, the crash
-/// sweep).  Markers already present in the input are dropped first.
+/// wrapped stream exercises multi-op atomicity and rollback in
+/// TxnEngine::Run, the one interpreter of marker semantics, and so in the
+/// oracle and the crash sweep that drive it.  Markers already present in
+/// the input are dropped first.
 std::vector<sim::WorkloadOp> WrapInTransactions(
     const std::vector<sim::WorkloadOp>& ops, const TxnWrapOptions& options);
 

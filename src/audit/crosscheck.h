@@ -6,52 +6,40 @@
 #include <string>
 #include <vector>
 
-#include "cost/params.h"
-#include "proc/engine_config.h"
 #include "sim/workload.h"
+#include "txn/engine.h"
 #include "util/status.h"
 
 namespace procsim::audit {
 
 /// Configuration for one differential-oracle run.
 struct CrossCheckOptions {
-  /// Paper parameters; only the structural ones matter here (N, S, B, d,
-  /// f_R2, f_R3, l, N1, N2, SF, f, f2) — costs are ignored because the
-  /// oracle checks answers, not charges.
-  cost::Params params;
-  cost::ProcModel model = cost::ProcModel::kModel1;
-  uint64_t seed = 42;
+  /// The engine under test: paper parameters (only the structural ones
+  /// matter — the oracle checks answers, not charges), model, seed, shard
+  /// count and cache budget, and the op mix GenerateOpStream draws from.
+  /// Set `engine.mix.update_batch` to `engine.params.l` for the paper's
+  /// update transactions.  An adversarially tiny cache budget forces
+  /// constant eviction; the byte-identity guarantee must hold regardless
+  /// (eviction is not invalidation — a recompute restores the exact value).
+  txn::TxnEngine::Options engine;
 
-  /// Number of randomized workload steps to execute.
+  /// Number of randomized workload steps GenerateOpStream draws.
   std::size_t steps = 500;
 
-  /// Per-step operation mix; the remainder is a procedure access.
-  double update_weight = 0.30;  ///< in-place update transaction (l tuples)
-  double insert_weight = 0.10;  ///< base-table insert of a fresh R1 tuple
-  double delete_weight = 0.10;  ///< base-table delete of a random R1 tuple
-
-  /// R1 is never shrunk below this size by random deletes.
-  std::size_t min_r1_tuples = 8;
-
-  /// After every update batch, compare this many procedures across all
-  /// strategies (0 = every procedure).
+  /// After every committed update transaction, compare this many
+  /// procedures across all strategies (0 = every procedure).
   std::size_t compare_sample = 0;
 
-  /// Also run the deep structure validators (catalog/indexes, Rete network,
-  /// i-locks, invalidation log, cache budget) after every update batch.
+  /// Also run audit::ValidateEngine (catalog/indexes, Rete network,
+  /// i-locks, cache budget, WAL) after every committed update transaction.
   bool validate_structures = true;
-
-  /// Shard count and cache budget the six strategies run under.  An
-  /// adversarially tiny budget forces constant eviction; the oracle's
-  /// byte-identity guarantee must hold regardless (eviction is not
-  /// invalidation — a recompute restores the exact value).
-  proc::EngineConfig engine;
 };
 
 /// What a clean run did.
 struct CrossCheckReport {
   std::size_t steps = 0;
   std::size_t accesses = 0;
+  /// Committed mutation ops, by kind (kSilentUpdate counts as an update).
   std::size_t update_transactions = 0;
   std::size_t base_inserts = 0;
   std::size_t base_deletes = 0;
@@ -64,14 +52,16 @@ struct CrossCheckReport {
 
 /// \brief The cross-strategy differential oracle.
 ///
-/// Builds ONE database and attaches all six strategies to it — Always
-/// Recompute, Cache+Invalidate, UpdateCache/AVM, UpdateCache/RVM, Hybrid
-/// and UpdateCache/Adaptive — then drives a seeded random interleaving of
-/// update transactions, base-table inserts/deletes and procedure accesses.
-/// After every update batch (and on every access) each strategy's answer
-/// for the sampled procedures must be byte-identical (serialized, sorted)
-/// to a from-scratch recomputation; any divergence aborts the run with a
-/// Status naming the strategy, the procedure and the first difference.
+/// Drives ONE txn::TxnEngine — one database with all six strategies
+/// attached: Always Recompute, Cache+Invalidate, UpdateCache/AVM,
+/// UpdateCache/RVM, Hybrid and UpdateCache/Adaptive — through a seeded
+/// random interleaving of update transactions, base-table inserts/deletes
+/// and procedure accesses.  Every access's answer, which the engine already
+/// requires all six strategies to agree on, must be byte-identical
+/// (serialized, sorted) to a from-scratch recomputation; after every
+/// committed update transaction the sampled procedures are compared the
+/// same way.  Any divergence aborts the run with a Status naming the
+/// strategy and the procedure.
 ///
 /// The strategies differ only in cost, never in answers — this is the
 /// paper's core correctness property, and the property every refactor of
@@ -87,12 +77,14 @@ Result<CrossCheckReport> CrossCheck(const CrossCheckOptions& options);
 std::vector<sim::WorkloadOp> GenerateOpStream(const CrossCheckOptions& options);
 
 /// \brief Replays an explicit op stream under the differential oracle:
-/// builds the options' database plus all six strategies, then executes
-/// `ops` — comparing every access against the from-scratch oracle and
-/// running CompareBatch/validators after each applied mutation.
+/// creates the options' engine and runs `ops` through TxnEngine::Run,
+/// comparing every access against the from-scratch oracle and running the
+/// comparison sweep and validators after every committed transaction that
+/// queued a mutation.  Mutations must be op-seeded (value != 0); a value-0
+/// mutation is InvalidArgument.
 ///
 /// kSilentUpdate ops mutate the base table but skip strategy notification
-/// AND the transaction-end hook, so the immediately following comparison
+/// AND the transaction-end hook, so the comparison after their commit
 /// reports the stale cache — the planted bug the reducer shrinks toward.
 ///
 /// If `access_digests` is non-null, the canonical result bytes

@@ -1,7 +1,10 @@
 #include "audit/reduce.h"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "util/logging.h"
 
@@ -148,21 +151,65 @@ std::string FormatReducedTestCase(const CrossCheckOptions& options,
   out << "// Reduced reproduction: " << ops.size() << " op"
       << (ops.size() == 1 ? "" : "s") << ".\n"
       << "// Expected failure: " << failure << "\n"
-      << "audit::CrossCheckOptions options;\n"
-      << "options.seed = " << options.seed << ";\n"
-      << "options.model = cost::ProcModel::"
-      << (options.model == cost::ProcModel::kModel1 ? "kModel1" : "kModel2")
-      << ";\n"
-      << "options.params.N = " << options.params.N << ";\n"
-      << "options.params.N1 = " << options.params.N1 << ";\n"
-      << "options.params.N2 = " << options.params.N2 << ";\n"
-      << "options.params.l = " << options.params.l << ";\n"
-      << "options.params.SF = " << options.params.SF << ";\n"
-      << "options.params.f = " << options.params.f << ";\n"
-      << "options.params.f2 = " << options.params.f2 << ";\n"
-      << "options.compare_sample = " << options.compare_sample << ";\n"
-      << "options.min_r1_tuples = " << options.min_r1_tuples << ";\n"
-      << "const std::vector<sim::WorkloadOp> ops = {\n";
+      << "audit::CrossCheckOptions options;\n";
+  // One assignment per field that differs from its default, so the
+  // snippet replays under exactly the options that failed.
+  const auto field = [&out](const char* name, const auto& value,
+                            const auto& fallback) {
+    if (value == fallback) return;
+    out << "options." << name << " = ";
+    if constexpr (std::is_floating_point_v<std::decay_t<decltype(value)>>) {
+      char buffer[32];  // shortest form that round-trips
+      out << std::string_view(
+          buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+    } else {
+      out << std::boolalpha << value;
+    }
+    out << ";\n";
+  };
+  const CrossCheckOptions defaults;
+#define PROCSIM_REPRO_FIELD(path) field(#path, options.path, defaults.path)
+  PROCSIM_REPRO_FIELD(engine.params.N);
+  PROCSIM_REPRO_FIELD(engine.params.S);
+  PROCSIM_REPRO_FIELD(engine.params.B);
+  PROCSIM_REPRO_FIELD(engine.params.d);
+  PROCSIM_REPRO_FIELD(engine.params.f_R2);
+  PROCSIM_REPRO_FIELD(engine.params.f_R3);
+  PROCSIM_REPRO_FIELD(engine.params.k);
+  PROCSIM_REPRO_FIELD(engine.params.l);
+  PROCSIM_REPRO_FIELD(engine.params.q);
+  PROCSIM_REPRO_FIELD(engine.params.Z);
+  PROCSIM_REPRO_FIELD(engine.params.N1);
+  PROCSIM_REPRO_FIELD(engine.params.N2);
+  PROCSIM_REPRO_FIELD(engine.params.SF);
+  PROCSIM_REPRO_FIELD(engine.params.f);
+  PROCSIM_REPRO_FIELD(engine.params.f2);
+  PROCSIM_REPRO_FIELD(engine.params.C1);
+  PROCSIM_REPRO_FIELD(engine.params.C2);
+  PROCSIM_REPRO_FIELD(engine.params.C3);
+  PROCSIM_REPRO_FIELD(engine.params.C_inval);
+  PROCSIM_REPRO_FIELD(engine.seed);
+  PROCSIM_REPRO_FIELD(engine.config.shards);
+  PROCSIM_REPRO_FIELD(engine.config.cache_budget_bytes);
+  PROCSIM_REPRO_FIELD(engine.config.group_commit_size);
+  PROCSIM_REPRO_FIELD(engine.config.wal_force_cost_ms);
+  PROCSIM_REPRO_FIELD(engine.mix.update_weight);
+  PROCSIM_REPRO_FIELD(engine.mix.insert_weight);
+  PROCSIM_REPRO_FIELD(engine.mix.delete_weight);
+  PROCSIM_REPRO_FIELD(engine.mix.update_batch);
+  PROCSIM_REPRO_FIELD(engine.mix.min_r1_tuples);
+  PROCSIM_REPRO_FIELD(steps);
+  PROCSIM_REPRO_FIELD(compare_sample);
+  PROCSIM_REPRO_FIELD(validate_structures);
+#undef PROCSIM_REPRO_FIELD
+  if (options.engine.params.yao_mode != defaults.engine.params.yao_mode) {
+    out << "options.engine.params.yao_mode = cost::YaoMode::kExact;\n";
+  }
+  if (options.engine.model != defaults.engine.model) {
+    out << "options.engine.model = cost::ProcModel::kModel"
+        << static_cast<int>(options.engine.model) << ";\n";
+  }
+  out << "const std::vector<sim::WorkloadOp> ops = {\n";
   for (const WorkloadOp& op : ops) {
     out << "    {sim::WorkloadOp::Kind::" << sim::WorkloadOpKindName(op.kind)
         << ", " << op.value << "ull},\n";

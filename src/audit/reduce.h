@@ -32,7 +32,7 @@ struct ReduceOutcome {
 /// Because ops are self-contained (each mutation carries its own RNG seed),
 /// any sublist of a failing stream is a well-formed stream — the property
 /// that makes this reduction sound.  Every probe replays the candidate
-/// against a fresh database/strategy harness, so probes are independent.
+/// on a fresh txn::TxnEngine, so probes are independent.
 ///
 /// Transaction markers are the one exception to "any sublist is
 /// well-formed": slicing can orphan a kCommit or unbalance a kBegin.  Every

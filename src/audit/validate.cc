@@ -259,15 +259,17 @@ Status ValidateCatalog(const rel::Catalog& catalog) {
   return Status::OK();
 }
 
-Status ValidateStructures(const sim::Database& db,
-                          const sim::StrategySet& strategies) {
+Status ValidateEngine(txn::TxnEngine& engine) {
+  const sim::Database& db = *engine.database();
+  const sim::StrategySet& strategies = engine.strategies();
   PROCSIM_RETURN_IF_ERROR(ValidateCatalog(*db.catalog));
   if (strategies.rvm->network() != nullptr) {
     PROCSIM_RETURN_IF_ERROR(ValidateReteNetwork(*strategies.rvm->network()));
   }
   PROCSIM_RETURN_IF_ERROR(ValidateILockTable(
       strategies.cache_invalidate->lock_table(), db.procedures.size()));
-  return ValidateCacheBudget(*strategies.budget);
+  PROCSIM_RETURN_IF_ERROR(ValidateCacheBudget(*strategies.budget));
+  return engine.wal().CheckConsistency();
 }
 
 }  // namespace procsim::audit

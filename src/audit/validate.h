@@ -14,6 +14,7 @@
 #include "storage/buffer_cache.h"
 #include "storage/heap_file.h"
 #include "storage/page.h"
+#include "txn/engine.h"
 
 namespace procsim::audit {
 
@@ -68,11 +69,10 @@ Status ValidateRelation(const rel::Relation& relation,
 /// Runs ValidateRelation over every relation in the catalog.
 Status ValidateCatalog(const rel::Catalog& catalog);
 
-/// The structure sweep every quiescent check runs over one database and its
-/// six strategies: the catalog, the RVM Rete network, CacheInvalidate's
-/// i-lock table, and the shared cache budget.
-Status ValidateStructures(const sim::Database& db,
-                          const sim::StrategySet& strategies);
+/// The sweep every quiescent check runs over one engine: its database's
+/// catalog, the RVM Rete network, CacheInvalidate's i-lock table, the
+/// shared cache budget, and the write-ahead log's consistency.
+Status ValidateEngine(txn::TxnEngine& engine);
 
 }  // namespace procsim::audit
 

@@ -174,9 +174,7 @@ Result<SessionPool::RunResult> SessionPool::Run(const Options& options) {
     PROCSIM_RETURN_IF_ERROR(status);
   }
   PROCSIM_RETURN_IF_ERROR(engine->CompareAllAgainstOracle());
-  PROCSIM_RETURN_IF_ERROR(engine->wal().CheckConsistency());
-  PROCSIM_RETURN_IF_ERROR(
-      audit::ValidateStructures(*engine->database(), engine->strategies()));
+  PROCSIM_RETURN_IF_ERROR(audit::ValidateEngine(*engine));
   result.accesses = accesses.load();
   result.mutations = mutations.load();
   result.total_cost_ms = engine->database()->meter.total_ms();

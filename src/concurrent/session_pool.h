@@ -41,8 +41,8 @@ namespace procsim::concurrent {
 ///
 /// The quiesce check, after every session has joined, is
 /// TxnEngine::CompareAllAgainstOracle (which flushes the pending commit
-/// group first), the WAL's consistency check and the audit structure
-/// validators.
+/// group first) and audit::ValidateEngine (the structure validators and
+/// the WAL's consistency check).
 class SessionPool {
  public:
   struct Options {

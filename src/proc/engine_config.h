@@ -9,11 +9,12 @@ namespace procsim::proc {
 
 /// \brief Engine-wide sharding and memory-budget configuration.
 ///
-/// One value of this struct flows from the top (txn::TxnEngine::Options,
-/// audit::CrossCheckOptions, sim::Simulator::Options) down into every
-/// partitioned structure, so the i-lock stripes, the cache-budget shards and
-/// the engine's slot stripes all agree on the partitioning instead of each
-/// hardcoding its own constant.
+/// One value of this struct flows from the top (txn::TxnEngine::Options —
+/// which audit::CrossCheckOptions embeds, so the differential oracle runs
+/// on the engine — and sim::Simulator::Options) down into every
+/// partitioned structure, so the i-lock stripes, the cache-budget shards
+/// and the engine's slot stripes all agree on the partitioning instead of
+/// each hardcoding its own constant.
 struct EngineConfig {
   /// Shard count for every partitioned structure (util::ShardMap).
   std::size_t shards = util::kDefaultShardCount;

@@ -123,9 +123,10 @@ struct AppliedTransaction {
 /// driven by the passed tuples alone), so notifying after the last op is
 /// equivalent to notifying after each.
 ///
-/// The simulator, the differential oracle and the transactional engine
-/// (live commits and recovery redo) all apply through here, so every
-/// strategy sees the same change stream whichever driver runs it.
+/// The simulator and the transactional engine (live commits, recovery
+/// redo, and so the differential oracle that drives it) all apply through
+/// here, so every strategy sees the same change stream whichever driver
+/// runs it.
 Result<AppliedTransaction> ApplyTransaction(
     Database* db, const std::vector<WorkloadOp>& ops, const WorkloadMix& mix,
     Rng* inline_rng, std::span<proc::Strategy* const> strategies);

@@ -134,7 +134,7 @@ inline bool IsMutationOp(WorkloadOp::Kind kind) {
 }
 
 /// Per-step operation mix; the remainder of the probability mass is a
-/// procedure access.  Defaults match the historical CrossCheck mix.
+/// procedure access.  The defaults are the differential oracle's mix.
 struct WorkloadMix {
   double update_weight = 0.30;
   double insert_weight = 0.10;
@@ -205,10 +205,8 @@ using rel::CanonicalResultBytes;
 
 /// \brief The from-scratch oracle's answer for procedure `id`: its query
 /// executed with metering off (no check is charged), in
-/// CanonicalResultBytes form.  `rows`, when non-null, receives the answer's
-/// cardinality.
-Result<std::string> OracleResultBytes(Database* db, proc::ProcId id,
-                                      std::size_t* rows = nullptr);
+/// CanonicalResultBytes form.
+Result<std::string> OracleResultBytes(Database* db, proc::ProcId id);
 
 }  // namespace procsim::sim
 

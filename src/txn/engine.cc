@@ -66,8 +66,13 @@ Result<std::string> TxnEngine::Access(TxnId txn, uint64_t access_id) {
   // The slot stripe serializes concurrent refreshes of one cache slot
   // (e.g. two sessions both finding CacheInvalidate's entry invalid).
   util::RankedLockGuard slot_guard(slot_stripes_->For(id));
-  std::string expected;
-  bool first = true;
+  return Access(id, /*expected=*/nullptr, "under transactional access");
+}
+
+Result<std::string> TxnEngine::Access(proc::ProcId id,
+                                      const std::string* expected,
+                                      const char* against) {
+  std::string agreed;
   for (const std::unique_ptr<proc::Strategy>& strategy : strategies_.all) {
     Result<std::vector<rel::Tuple>> answer = strategy->Access(id);
     if (!answer.ok()) {
@@ -76,16 +81,15 @@ Result<std::string> TxnEngine::Access(TxnId txn, uint64_t access_id) {
                               answer.status().ToString());
     }
     std::string digest = sim::CanonicalResultBytes(answer.ValueOrDie());
-    if (first) {
-      expected = std::move(digest);
-      first = false;
-    } else if (digest != expected) {
+    if (expected == nullptr) {
+      agreed = std::move(digest);
+      expected = &agreed;
+    } else if (digest != *expected) {
       return Status::Internal(strategy->name() + " diverged on " +
-                              db_->procedures[id].name +
-                              " under transactional access");
+                              db_->procedures[id].name + " " + against);
     }
   }
-  return expected;
+  return agreed;
 }
 
 Status TxnEngine::Commit(TxnId txn) {
@@ -124,16 +128,31 @@ Status TxnEngine::TakeCheckpoint() NO_THREAD_SAFETY_ANALYSIS {
   return Status::OK();
 }
 
-Status TxnEngine::Run(const std::vector<sim::WorkloadOp>& ops) {
+Status TxnEngine::Run(const std::vector<sim::WorkloadOp>& ops,
+                      const RunObserver& observe) {
   // `open` tracks the transaction currently holding locks — explicit
-  // (kBegin) or the implicit one wrapped around a bare op.  Any error
-  // return below leaves it for the rollback at the bottom, so a failed op
-  // can never leak a transaction that pins R1 forever.
+  // (kBegin) or the implicit one wrapped around a bare op — and `queued`
+  // its mutations.  Any error return below leaves it for the rollback at
+  // the bottom, so a failed op can never leak a transaction that pins R1
+  // forever.
   TxnId open = 0;
+  std::vector<sim::WorkloadOp> queued;
+  const auto commit_open = [&]() -> Status {
+    const TxnId txn = open;
+    open = 0;  // Commit terminates the txn even when it fails
+    PROCSIM_RETURN_IF_ERROR(Commit(txn));
+    RunEvent event;
+    event.committed = queued;
+    const Status observed = observe ? observe(event) : Status::OK();
+    queued.clear();
+    return observed;
+  };
   const auto run_all = [&]() -> Status {
     for (const sim::WorkloadOp& op : ops) {
+      const bool implicit = open == 0 && !sim::IsTxnMarker(op.kind);
+      if (implicit) open = Begin();
       switch (op.kind) {
-        case sim::WorkloadOp::Kind::kBegin: {
+        case sim::WorkloadOp::Kind::kBegin:
           if (open != 0) {
             return Status::InvalidArgument(
                 "nested kBegin: transaction " + std::to_string(open) +
@@ -141,17 +160,13 @@ Status TxnEngine::Run(const std::vector<sim::WorkloadOp>& ops) {
           }
           open = Begin();
           break;
-        }
-        case sim::WorkloadOp::Kind::kCommit: {
+        case sim::WorkloadOp::Kind::kCommit:
           if (open == 0) {
             return Status::InvalidArgument(
                 "kCommit without an open transaction");
           }
-          const TxnId txn = open;
-          open = 0;  // Commit terminates the txn even when it fails
-          PROCSIM_RETURN_IF_ERROR(Commit(txn));
+          PROCSIM_RETURN_IF_ERROR(commit_open());
           break;
-        }
         case sim::WorkloadOp::Kind::kAbort: {
           if (open == 0) {
             return Status::InvalidArgument(
@@ -159,32 +174,27 @@ Status TxnEngine::Run(const std::vector<sim::WorkloadOp>& ops) {
           }
           const TxnId txn = open;
           open = 0;
+          queued.clear();
           PROCSIM_RETURN_IF_ERROR(Abort(txn));
           break;
         }
         case sim::WorkloadOp::Kind::kAccess: {
-          const bool implicit = open == 0;
-          if (implicit) open = Begin();
-          PROCSIM_RETURN_IF_ERROR(Access(open, op.value).status());
-          if (implicit) {
-            const TxnId txn = open;
-            open = 0;
-            PROCSIM_RETURN_IF_ERROR(Commit(txn));
+          Result<std::string> digest = Access(open, op.value);
+          PROCSIM_RETURN_IF_ERROR(digest.status());
+          if (observe) {
+            RunEvent event;
+            event.access = &op;
+            event.digest = digest.TakeValueOrDie();
+            PROCSIM_RETURN_IF_ERROR(observe(event));
           }
           break;
         }
-        default: {  // mutations
-          const bool implicit = open == 0;
-          if (implicit) open = Begin();
+        default:  // mutations
           PROCSIM_RETURN_IF_ERROR(Queue(open, op));
-          if (implicit) {
-            const TxnId txn = open;
-            open = 0;
-            PROCSIM_RETURN_IF_ERROR(Commit(txn));
-          }
+          queued.push_back(op);
           break;
-        }
       }
+      if (implicit) PROCSIM_RETURN_IF_ERROR(commit_open());
     }
     return Status::OK();
   };
@@ -229,16 +239,9 @@ Status TxnEngine::CompareAllAgainstOracle() NO_THREAD_SAFETY_ANALYSIS {
   for (proc::ProcId id = 0; id < db_->procedures.size(); ++id) {
     Result<std::string> oracle = sim::OracleResultBytes(db_.get(), id);
     PROCSIM_RETURN_IF_ERROR(oracle.status());
-    const std::string& expected = oracle.ValueOrDie();
-    for (const std::unique_ptr<proc::Strategy>& strategy : strategies_.all) {
-      Result<std::vector<rel::Tuple>> answer = strategy->Access(id);
-      PROCSIM_RETURN_IF_ERROR(answer.status());
-      if (sim::CanonicalResultBytes(answer.ValueOrDie()) != expected) {
-        return Status::Internal(strategy->name() + " diverged on " +
-                                db_->procedures[id].name +
-                                " against the from-scratch oracle");
-      }
-    }
+    PROCSIM_RETURN_IF_ERROR(
+        Access(id, &oracle.ValueOrDie(), "against the from-scratch oracle")
+            .status());
   }
   PROCSIM_RETURN_IF_ERROR(txns_->Commit(txn, nullptr));
   return txns_->Flush();

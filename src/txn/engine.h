@@ -2,7 +2,9 @@
 #define PROCSIM_TXN_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -117,12 +119,30 @@ class TxnEngine {
   /// redo.)  Quiescent-only.
   Status TakeCheckpoint();
 
+  /// One step Run reports to its observer: an access served, or a
+  /// transaction committed.
+  struct RunEvent {
+    /// After an access: the access op; null after a commit.
+    const sim::WorkloadOp* access = nullptr;
+    /// After an access: the canonical result bytes all six strategies
+    /// agreed on.
+    std::string digest;
+    /// After a commit: the mutation ops the transaction queued, in order
+    /// (empty for a read-only one).
+    std::span<const sim::WorkloadOp> committed;
+  };
+  /// Run's per-op callback; a non-OK return stops the run.  After a
+  /// commit it may drive the engine itself: Run then holds no transaction.
+  using RunObserver = std::function<Status(const RunEvent& event)>;
+
   /// Executes a marker-aware op stream single-threadedly: kBegin/kCommit/
   /// kAbort bracket explicit transactions, bare ops auto-commit, accesses
   /// read (inside or outside transactions).  An unterminated transaction at
   /// stream end is rolled back.  The trailing commit group is NOT flushed —
-  /// call Flush() for a quiescent end state.
-  Status Run(const std::vector<sim::WorkloadOp>& ops);
+  /// call Flush() for a quiescent end state.  `observe`, when set, is
+  /// called after each access and after each commit.
+  Status Run(const std::vector<sim::WorkloadOp>& ops,
+             const RunObserver& observe = nullptr);
 
   /// From-scratch oracle digest of every procedure's current value
   /// (un-metered), procedure-tagged and length-prefixed — byte-identical
@@ -131,8 +151,9 @@ class TxnEngine {
 
   /// Quiescent sweep: flushes the pending commit group, then every
   /// strategy's answer for every procedure must be byte-identical to the
-  /// from-scratch oracle.  (Structure validators live a layer up, in audit;
-  /// the crash harness and the session pool run both.)
+  /// from-scratch oracle.  (Structure validators live a layer up, in
+  /// audit::ValidateEngine; the oracle, the crash harness and the session
+  /// pool run both.)
   Status CompareAllAgainstOracle();
 
   std::vector<storage::WalRecord> WalSnapshot() const {
@@ -156,6 +177,18 @@ class TxnEngine {
 
   /// Builds database + strategies + txn machinery (no replay, no mirror).
   static Result<std::unique_ptr<TxnEngine>> Build(const Options& options);
+
+  /// The six-way loop Access and CompareAllAgainstOracle share: serves
+  /// procedure `id` from every strategy, in strategies_.all order.  Each
+  /// answer's canonical bytes must equal `expected`, or the first
+  /// strategy's when `expected` is null; a divergence is Internal, naming
+  /// the strategy and `against`.  With `expected` null, returns the agreed
+  /// bytes; otherwise the caller holds them and an empty string returns.
+  /// (An overload of Access because it is Strategy::Access fanned out:
+  /// procsim_lint's latch-rank pass matches calls by name and treats a
+  /// same-named callee as that dispatch.)
+  Result<std::string> Access(proc::ProcId id, const std::string* expected,
+                             const char* against) REQUIRES_SHARED(db_latch_);
 
   /// Installs the InvalidationLog→WAL mirror (disabled during replay so
   /// recovery does not re-log what it is reconstructing).

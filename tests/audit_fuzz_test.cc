@@ -29,11 +29,18 @@ cost::Params SmallParams() {
   return params;
 }
 
-TEST(AuditFuzzTest, Model1StrategiesAgreeOver500Steps) {
+CrossCheckOptions SmallOptions(uint64_t seed) {
   CrossCheckOptions options;
-  options.params = SmallParams();
-  options.model = cost::ProcModel::kModel1;
-  options.seed = 20260806;
+  options.engine.params = SmallParams();
+  options.engine.mix.update_batch =
+      static_cast<std::size_t>(options.engine.params.l);
+  options.engine.seed = seed;
+  return options;
+}
+
+TEST(AuditFuzzTest, Model1StrategiesAgreeOver500Steps) {
+  CrossCheckOptions options = SmallOptions(20260806);
+  options.engine.model = cost::ProcModel::kModel1;
   options.steps = 500;
   Result<CrossCheckReport> report = CrossCheck(options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -47,10 +54,8 @@ TEST(AuditFuzzTest, Model1StrategiesAgreeOver500Steps) {
 }
 
 TEST(AuditFuzzTest, Model2ThreeWayJoinsAgree) {
-  CrossCheckOptions options;
-  options.params = SmallParams();
-  options.model = cost::ProcModel::kModel2;
-  options.seed = 7;
+  CrossCheckOptions options = SmallOptions(7);
+  options.engine.model = cost::ProcModel::kModel2;
   options.steps = 200;
   Result<CrossCheckReport> report = CrossCheck(options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -60,9 +65,7 @@ TEST(AuditFuzzTest, Model2ThreeWayJoinsAgree) {
 
 TEST(AuditFuzzTest, DifferentSeedsAllAgree) {
   for (uint64_t seed : {1u, 2u, 3u}) {
-    CrossCheckOptions options;
-    options.params = SmallParams();
-    options.seed = seed;
+    CrossCheckOptions options = SmallOptions(seed);
     options.steps = 60;
     Result<CrossCheckReport> report = CrossCheck(options);
     EXPECT_TRUE(report.ok()) << "seed " << seed << ": "
@@ -76,9 +79,7 @@ TEST(AuditFuzzTest, TinyBudgetPreservesByteIdentityAcrossShardCounts) {
   // Evictions must actually happen, and every access digest must stay
   // byte-identical — eviction is not invalidation; a recompute restores the
   // exact oracle value regardless of how the LRU perturbs each strategy.
-  CrossCheckOptions options;
-  options.params = SmallParams();
-  options.seed = 20260807;
+  CrossCheckOptions options = SmallOptions(20260807);
   options.steps = 120;
   options.compare_sample = 1;  // digests are the property under test
   const std::vector<sim::WorkloadOp> ops = GenerateOpStream(options);
@@ -93,10 +94,10 @@ TEST(AuditFuzzTest, TinyBudgetPreservesByteIdentityAcrossShardCounts) {
   for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8},
                              std::size_t{64}}) {
     CrossCheckOptions budgeted = options;
-    budgeted.engine.shards = shards;
+    budgeted.engine.config.shards = shards;
     // ~13-tuple results at S=100 bytes: a couple of KB forces constant
     // eviction across every strategy's cached objects.
-    budgeted.engine.cache_budget_bytes = 2048;
+    budgeted.engine.config.cache_budget_bytes = 2048;
     std::vector<std::string> digests;
     Result<CrossCheckReport> report = RunOpStream(budgeted, ops, &digests);
     ASSERT_TRUE(report.ok())
@@ -113,9 +114,7 @@ TEST(AuditFuzzTest, TinyBudgetPreservesByteIdentityAcrossShardCounts) {
 }
 
 TEST(AuditFuzzTest, SampledComparisonMode) {
-  CrossCheckOptions options;
-  options.params = SmallParams();
-  options.seed = 99;
+  CrossCheckOptions options = SmallOptions(99);
   options.steps = 80;
   options.compare_sample = 2;  // spot-check two procedures per batch
   Result<CrossCheckReport> report = CrossCheck(options);
@@ -123,12 +122,39 @@ TEST(AuditFuzzTest, SampledComparisonMode) {
 }
 
 TEST(AuditFuzzTest, DatabaseWithoutProceduresIsRejected) {
-  CrossCheckOptions options;
-  options.params = SmallParams();
-  options.params.N1 = 0;
-  options.params.N2 = 0;
+  CrossCheckOptions options = SmallOptions(42);
+  options.engine.params.N1 = 0;
+  options.engine.params.N2 = 0;
   options.steps = 20;
   Result<CrossCheckReport> report = CrossCheck(options);
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(AuditFuzzTest, SilentUpdateFailsAtItsCommit) {
+  // The comparison sweep runs after every committed transaction that
+  // queued a mutation, so a lost invalidation fails at its commit with no
+  // access after it; an aborted one is never applied.
+  CrossCheckOptions options = SmallOptions(20260806);
+  options.engine.mix.update_batch = 20;  // wide enough to break a procedure
+  using Kind = sim::WorkloadOp::Kind;
+  const sim::WorkloadOp silent{Kind::kSilentUpdate, 12345};
+  const sim::WorkloadOp begin{Kind::kBegin, 0};
+  EXPECT_FALSE(RunOpStream(options, {silent}).ok());
+  EXPECT_FALSE(
+      RunOpStream(options, {begin, silent, {Kind::kCommit, 0}}).ok());
+  const Result<CrossCheckReport> aborted =
+      RunOpStream(options, {begin, silent, {Kind::kAbort, 0}});
+  ASSERT_TRUE(aborted.ok()) << aborted.status().ToString();
+  EXPECT_EQ(aborted.ValueOrDie().update_transactions, 0u);
+}
+
+TEST(AuditFuzzTest, InlineMutationsAreRejected) {
+  // value == 0 means "draw from the caller's inline RNG", which a deferred
+  // apply does not have: the engine refuses rather than diverging silently.
+  const std::vector<sim::WorkloadOp> ops = {
+      sim::WorkloadOp{sim::WorkloadOp::Kind::kUpdate, 0}};
+  Result<CrossCheckReport> report = RunOpStream(SmallOptions(1), ops);
+  ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 

@@ -37,13 +37,7 @@ SessionPool::Options PoolOptions(uint64_t seed) {
 
 audit::CrossCheckOptions ReplayOptions(const SessionPool::Options& pool) {
   audit::CrossCheckOptions options;
-  options.params = pool.engine.params;
-  options.model = pool.engine.model;
-  options.seed = pool.engine.seed;
-  options.update_weight = pool.engine.mix.update_weight;
-  options.insert_weight = pool.engine.mix.insert_weight;
-  options.delete_weight = pool.engine.mix.delete_weight;
-  options.min_r1_tuples = pool.engine.mix.min_r1_tuples;
+  options.engine = pool.engine;
   // Keep replay comparisons cheap: the digests are the property under
   // test; the full validator sweep already ran at the pool's quiesce.
   options.compare_sample = 1;

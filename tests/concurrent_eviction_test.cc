@@ -40,17 +40,10 @@ SessionPool::Options PoolOptions(uint64_t seed) {
 
 audit::CrossCheckOptions ReplayOptions(const SessionPool::Options& pool) {
   audit::CrossCheckOptions options;
-  options.params = pool.engine.params;
-  options.model = pool.engine.model;
-  options.seed = pool.engine.seed;
-  options.update_weight = pool.engine.mix.update_weight;
-  options.insert_weight = pool.engine.mix.insert_weight;
-  options.delete_weight = pool.engine.mix.delete_weight;
-  options.min_r1_tuples = pool.engine.mix.min_r1_tuples;
-  // The oracle replays under the SAME shard count and budget: the digests
-  // are the property under test, the validator sweep already ran at the
-  // pool's quiesce.
-  options.engine = pool.engine.config;
+  // The oracle replays under the SAME engine options, shard count and
+  // budget included: the digests are the property under test, the
+  // validator sweep already ran at the pool's quiesce.
+  options.engine = pool.engine;
   options.compare_sample = 1;
   options.validate_structures = false;
   return options;

@@ -124,9 +124,7 @@ TEST(CrashFuzzTest, PlantedLostInvalidationIsCaughtAndMinimized) {
   // ddmin against a "does any crash point still fail?" probe shrinks the
   // stream to a paste-ready minimal reproduction.
   CrossCheckOptions render;
-  render.params = sweep.engine.params;
-  render.model = sweep.engine.model;
-  render.seed = sweep.engine.seed;
+  render.engine = sweep.engine;
   const ReduceProbe probe = [&](const std::vector<WorkloadOp>& candidate) {
     return !CrashPointSweep(sweep, candidate).ok();
   };

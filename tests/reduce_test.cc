@@ -17,19 +17,20 @@ using sim::WorkloadOp;
 
 CrossCheckOptions ReducerOptions() {
   CrossCheckOptions options;
-  options.params.N = 160;
-  options.params.f_R2 = 0.1;
-  options.params.f_R3 = 0.1;
+  options.engine.params.N = 160;
+  options.engine.params.f_R2 = 0.1;
+  options.engine.params.f_R3 = 0.1;
   // A large update batch so a single silent update transaction almost
   // surely breaks some procedure's interval — the failure the reducer
   // must preserve while shrinking.
-  options.params.l = 20;
-  options.params.N1 = 4;
-  options.params.N2 = 4;
-  options.params.SF = 0.5;
-  options.params.f = 0.08;
-  options.params.f2 = 0.3;
-  options.seed = 20260806;
+  options.engine.params.l = 20;
+  options.engine.mix.update_batch = 20;
+  options.engine.params.N1 = 4;
+  options.engine.params.N2 = 4;
+  options.engine.params.SF = 0.5;
+  options.engine.params.f = 0.08;
+  options.engine.params.f2 = 0.3;
+  options.engine.seed = 20260806;
   return options;
 }
 
@@ -45,7 +46,7 @@ TEST(ReduceTest, PlantedSilentUpdateShrinksToMinimalRepro) {
   ASSERT_TRUE(reduced.ok()) << reduced.status().ToString();
   const ReduceOutcome& outcome = reduced.ValueOrDie();
   // The silent update fails on its own (CompareBatch runs right after the
-  // un-notified mutation), so 1-minimality means a tiny repro.
+  // un-notified mutation commits), so 1-minimality means a tiny repro.
   EXPECT_LE(outcome.minimal.size(), 10u);
   EXPECT_GE(outcome.minimal.size(), 1u);
   EXPECT_GT(outcome.probes, 1u);
@@ -61,6 +62,29 @@ TEST(ReduceTest, PlantedSilentUpdateShrinksToMinimalRepro) {
     EXPECT_TRUE(RunOpStream(options, without).ok())
         << "op " << i << " is removable";
   }
+}
+
+TEST(ReduceTest, ReproCarriesEveryNonDefaultOption) {
+  // The pasted repro must replay under the options that failed, including
+  // the ones the reducer's own callers rarely change.
+  CrossCheckOptions options = ReducerOptions();
+  options.engine.params.f_R2 = 0.2;
+  options.engine.config.cache_budget_bytes = 4096;
+  options.steps = 30;
+  std::vector<WorkloadOp> ops = GenerateOpStream(options);
+  ops[5] = WorkloadOp{WorkloadOp::Kind::kSilentUpdate, 12345};
+
+  Result<ReduceOutcome> reduced = ReduceOpStream(options, ops);
+  ASSERT_TRUE(reduced.ok()) << reduced.status().ToString();
+  const std::string& repro = reduced.ValueOrDie().test_case;
+  EXPECT_NE(repro.find("options.engine.params.f_R2 = 0.2;\n"),
+            std::string::npos)
+      << repro;
+  EXPECT_NE(repro.find("options.engine.config.cache_budget_bytes = 4096;\n"),
+            std::string::npos)
+      << repro;
+  // Fields left at their defaults are not printed.
+  EXPECT_EQ(repro.find("engine.params.f_R3"), std::string::npos) << repro;
 }
 
 TEST(ReduceTest, PassingStreamIsRejected) {

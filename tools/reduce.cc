@@ -7,7 +7,7 @@
 //
 // Usage:
 //   reduce --seed=7 --steps=120 [--model=2] [--plant-silent=IDX]
-//          [--n=200] [--n1=6] [--n2=6] [--compare-sample=2]
+//          [--n=200] [--n1=6] [--n2=6] [--l=20] [--compare-sample=2]
 //
 // With --plant-silent=IDX the op at position IDX is replaced by a
 // kSilentUpdate (same seed), so the stream genuinely fails and the reducer
@@ -53,21 +53,23 @@ int main(int argc, char** argv) {
   using procsim::sim::WorkloadOp;
 
   CrossCheckOptions options;
-  options.seed = FlagValue(argc, argv, "seed", 7);
+  procsim::txn::TxnEngine::Options& engine = options.engine;
+  engine.seed = FlagValue(argc, argv, "seed", 7);
   options.steps = static_cast<std::size_t>(FlagValue(argc, argv, "steps", 120));
-  options.model = FlagValue(argc, argv, "model", 1) == 2
-                      ? procsim::cost::ProcModel::kModel2
-                      : procsim::cost::ProcModel::kModel1;
-  options.params.N = static_cast<double>(FlagValue(argc, argv, "n", 200));
-  options.params.N1 = static_cast<double>(FlagValue(argc, argv, "n1", 6));
-  options.params.N2 = static_cast<double>(FlagValue(argc, argv, "n2", 6));
+  engine.model = FlagValue(argc, argv, "model", 1) == 2
+                     ? procsim::cost::ProcModel::kModel2
+                     : procsim::cost::ProcModel::kModel1;
+  engine.params.N = static_cast<double>(FlagValue(argc, argv, "n", 200));
+  engine.params.N1 = static_cast<double>(FlagValue(argc, argv, "n1", 6));
+  engine.params.N2 = static_cast<double>(FlagValue(argc, argv, "n2", 6));
   // Update batches wide enough, and selection intervals long enough, that
   // a planted silent update almost surely breaks some procedure.
-  options.params.l = static_cast<double>(FlagValue(argc, argv, "l", 20));
-  options.params.f_R2 = 0.1;
-  options.params.f_R3 = 0.1;
-  options.params.f = 0.08;
-  options.params.f2 = 0.3;
+  engine.params.l = static_cast<double>(FlagValue(argc, argv, "l", 20));
+  engine.mix.update_batch = static_cast<std::size_t>(engine.params.l);
+  engine.params.f_R2 = 0.1;
+  engine.params.f_R3 = 0.1;
+  engine.params.f = 0.08;
+  engine.params.f2 = 0.3;
   options.compare_sample =
       static_cast<std::size_t>(FlagValue(argc, argv, "compare-sample", 0));
 
@@ -81,11 +83,11 @@ int main(int argc, char** argv) {
       return 2;
     }
     ops[index].kind = WorkloadOp::Kind::kSilentUpdate;
-    if (ops[index].value == 0) ops[index].value = options.seed + 1;
+    if (ops[index].value == 0) ops[index].value = engine.seed + 1;
   }
 
   std::printf("reducing %zu ops (seed %llu)...\n", ops.size(),
-              static_cast<unsigned long long>(options.seed));
+              static_cast<unsigned long long>(engine.seed));
   procsim::Result<procsim::audit::ReduceOutcome> reduced =
       procsim::audit::ReduceOpStream(options, ops);
   if (!reduced.ok()) {
