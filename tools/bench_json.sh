@@ -14,10 +14,13 @@
 #   - the analytic benches, pure closed-form cost-model evaluations;
 #   - measured benches whose figures are simulated costs or counts from a
 #     fixed seed (fig20_memory_pressure, fig21_group_commit,
-#     micro_row_paths, abl_adaptive, abl_hybrid).  Their wall-clock numbers,
-#     where any, sit under keys tools/bench_diff ignores.
-# The other measured benches (sim_vs_analytic, abl_buffer_cache, ...) carry
-# their own internal assertions and run only as `bench-smoke` ctest cases.
+#     micro_row_paths, abl_adaptive, abl_hybrid, abl_join_shape,
+#     abl_buffer_cache, abl_clustering_drift, sim_vs_analytic).  Their
+#     wall-clock numbers, where any, sit under keys tools/bench_diff
+#     ignores.
+# Every bench also runs as a `bench-smoke` ctest case (quick mode).
+# micro_substrate, a wall-clock-only Google Benchmark, is not gated and
+# runs only there.
 set -eu -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -64,6 +67,10 @@ GOLDEN_BENCHES=(
   micro_row_paths
   abl_adaptive
   abl_hybrid
+  abl_join_shape
+  abl_buffer_cache
+  abl_clustering_drift
+  sim_vs_analytic
 )
 
 if [[ ! -x "${DIFF_BIN}" && "${UPDATE}" -eq 0 ]]; then
