@@ -61,10 +61,10 @@ int main(int argc, char** argv) {
     }
     for (double fraction : {0.1, 0.5, 2.0}) {
       Result<sim::SimulationResult> run = sim::Simulator::RunWithFactory(
-          [&](sim::Database* db) {
+          [&](sim::Database* db, proc::CacheBudget* budget) {
             return std::make_unique<proc::UpdateCacheAvmStrategy>(
                 db->catalog.get(), db->executor.get(), &db->meter,
-                static_cast<std::size_t>(point.S), fraction,
+                static_cast<std::size_t>(point.S), budget, fraction,
                 /*max_unread_patches=*/4);
           },
           options);

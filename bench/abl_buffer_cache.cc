@@ -39,19 +39,18 @@ int main(int argc, char** argv) {
   for (std::size_t cache_pages : cache_sizes) {
     std::vector<std::string> row{
         cache_pages == 0 ? "none (paper)" : std::to_string(cache_pages)};
-    for (cost::Strategy strategy :
-         {cost::Strategy::kAlwaysRecompute, cost::Strategy::kCacheInvalidate,
-          cost::Strategy::kUpdateCacheAvm,
-          cost::Strategy::kUpdateCacheRvm}) {
+    for (cost::Strategy strategy : cost::kAllStrategies) {
       sim::Simulator::Options options;
       options.params = params;
       options.seed = 55;
       Result<sim::SimulationResult> run = sim::Simulator::RunWithFactory(
-          [&](sim::Database* db) {
+          [&](sim::Database* db, proc::CacheBudget* budget) {
             if (cache_pages > 0) {
               db->disk->EnableBufferCache(cache_pages);
             }
-            return sim::Simulator::MakeStrategy(strategy, db, params);
+            return proc::MakeStrategy(strategy, db->catalog.get(),
+                                      db->executor.get(), &db->meter, params,
+                                      budget);
           },
           options);
       if (!run.ok()) {

@@ -61,12 +61,10 @@ int main(int argc, char** argv) {
 
     std::string routes;
     Result<sim::SimulationResult> hybrid_run = sim::Simulator::RunWithFactory(
-        [&](sim::Database* db) {
-          auto hybrid = std::make_unique<proc::HybridStrategy>(
-              db->catalog.get(), db->executor.get(), &db->meter,
-              static_cast<std::size_t>(point.S), point,
-              cost::ProcModel::kModel1, /*safety_margin=*/1.25);
-          return hybrid;
+        [&](sim::Database* db, proc::CacheBudget* budget) {
+          return std::make_unique<proc::HybridStrategy>(
+              db->catalog.get(), db->executor.get(), &db->meter, point,
+              cost::ProcModel::kModel1, budget);
         },
         options);
     if (!hybrid_run.ok()) {
@@ -76,9 +74,11 @@ int main(int argc, char** argv) {
     // Re-derive the routing (deterministic from parameters).
     {
       const auto rec_p1 = cost::RecommendForProcedureType(
-          point, cost::ProcModel::kModel1, false, 1.25);
+          point, cost::ProcModel::kModel1, /*is_join_procedure=*/false,
+          proc::HybridStrategy::kSafetyMargin);
       const auto rec_p2 = cost::RecommendForProcedureType(
-          point, cost::ProcModel::kModel1, true, 1.25);
+          point, cost::ProcModel::kModel1, /*is_join_procedure=*/true,
+          proc::HybridStrategy::kSafetyMargin);
       routes = "P1->" + cost::StrategyName(rec_p1.strategy) + " P2->" +
                cost::StrategyName(rec_p2.strategy);
     }

@@ -48,10 +48,10 @@ int main(int argc, char** argv) {
          {rete::ReteNetwork::JoinShape::kRightDeep,
           rete::ReteNetwork::JoinShape::kLeftDeep}) {
       Result<sim::SimulationResult> run = sim::Simulator::RunWithFactory(
-          [&](sim::Database* db) {
+          [&](sim::Database* db, proc::CacheBudget* budget) {
             return std::make_unique<proc::UpdateCacheRvmStrategy>(
                 db->catalog.get(), db->executor.get(), &db->meter,
-                static_cast<std::size_t>(point.S), shape);
+                static_cast<std::size_t>(point.S), budget, shape);
           },
           options);
       if (!run.ok()) {

@@ -7,7 +7,7 @@
 #include <iostream>
 #include <memory>
 
-#include "proc/update_cache_avm.h"
+#include "proc/cache_budget.h"
 #include "proc/update_cache_rvm.h"
 #include "relational/catalog.h"
 #include "relational/executor.h"
@@ -115,14 +115,11 @@ int main() {
   TablePrinter table({"maintainer", "per-update maintenance (ms)",
                       "nodes (t-const/alpha/and/beta)", "shared hits"});
   for (const bool use_rvm : {false, true}) {
-    std::unique_ptr<proc::Strategy> strategy;
-    if (use_rvm) {
-      strategy = std::make_unique<proc::UpdateCacheRvmStrategy>(
-          &catalog, &executor, &meter, 100);
-    } else {
-      strategy = std::make_unique<proc::UpdateCacheAvmStrategy>(
-          &catalog, &executor, &meter, 100);
-    }
+    proc::CacheBudget budget(0);  // unlimited: accounts, never evicts
+    const std::unique_ptr<proc::Strategy> strategy = proc::MakeStrategy(
+        use_rvm ? cost::Strategy::kUpdateCacheRvm
+                : cost::Strategy::kUpdateCacheAvm,
+        &catalog, &executor, &meter, cost::Params{}, &budget);
     for (int64_t form = 0; form < kForms; ++form) {
       (void)strategy->AddProcedure(proc::DatabaseProcedure{
           static_cast<proc::ProcId>(form), "FORM_" + std::to_string(form),

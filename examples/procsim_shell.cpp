@@ -21,9 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "proc/always_recompute.h"
-#include "proc/cache_invalidate.h"
-#include "proc/update_cache_avm.h"
+#include "proc/cache_budget.h"
 #include "proc/update_cache_rvm.h"
 #include "relational/catalog.h"
 #include "relational/executor.h"
@@ -40,6 +38,9 @@ struct Shell {
   rel::Catalog catalog{&disk};
   rel::Executor executor{&catalog, &meter};
   rel::QuelParser parser{&catalog};
+  // Shared by every defined procedure's strategy; unlimited, so it accounts
+  // cached results but never evicts one.
+  proc::CacheBudget budget{0};
 
   struct StoredProc {
     std::unique_ptr<proc::Strategy> strategy;  // one strategy per procedure
@@ -164,23 +165,19 @@ struct Shell {
     std::getline(in, text);
     Result<rel::ProcedureQuery> query = parser.Parse(text);
     if (!query.ok()) return query.status();
-    StoredProc stored;
-    if (kind == "ar") {
-      stored.strategy = std::make_unique<proc::AlwaysRecomputeStrategy>(
-          &catalog, &executor, &meter, 100);
-    } else if (kind == "ci") {
-      stored.strategy = std::make_unique<proc::CacheInvalidateStrategy>(
-          &catalog, &executor, &meter, 100, 0.0);
-    } else if (kind == "avm") {
-      stored.strategy = std::make_unique<proc::UpdateCacheAvmStrategy>(
-          &catalog, &executor, &meter, 100);
-    } else if (kind == "rvm") {
-      stored.strategy = std::make_unique<proc::UpdateCacheRvmStrategy>(
-          &catalog, &executor, &meter, 100);
-    } else {
+    const std::map<std::string, cost::Strategy> kinds = {
+        {"ar", cost::Strategy::kAlwaysRecompute},
+        {"ci", cost::Strategy::kCacheInvalidate},
+        {"avm", cost::Strategy::kUpdateCacheAvm},
+        {"rvm", cost::Strategy::kUpdateCacheRvm}};
+    const auto found = kinds.find(kind);
+    if (found == kinds.end()) {
       return Status::InvalidArgument(
           "strategy must be one of ar|ci|avm|rvm, got '" + kind + "'");
     }
+    StoredProc stored;
+    stored.strategy = proc::MakeStrategy(found->second, &catalog, &executor,
+                                         &meter, cost::Params{}, &budget);
     proc::DatabaseProcedure procedure;
     procedure.id = 0;
     procedure.name = name;

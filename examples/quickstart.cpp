@@ -8,10 +8,8 @@
 #include <iostream>
 #include <memory>
 
-#include "proc/always_recompute.h"
-#include "proc/cache_invalidate.h"
-#include "proc/update_cache_avm.h"
-#include "proc/update_cache_rvm.h"
+#include "proc/cache_budget.h"
+#include "proc/strategy.h"
 #include "relational/catalog.h"
 #include "relational/executor.h"
 #include "relational/parser.h"
@@ -105,15 +103,15 @@ int main() {
   std::cout << "CLERKS1 = " << clerks1.query.ToString() << "\n\n";
 
   // --- run under every strategy ----------------------------------------------
+  // Default parameters: 100-byte result tuples, free invalidations.  The
+  // unlimited budget accounts cached results but never evicts one.
+  const cost::Params params;
+  proc::CacheBudget budget(0);
   std::vector<std::unique_ptr<proc::Strategy>> strategies;
-  strategies.push_back(std::make_unique<proc::AlwaysRecomputeStrategy>(
-      &catalog, &executor, &meter, 100));
-  strategies.push_back(std::make_unique<proc::CacheInvalidateStrategy>(
-      &catalog, &executor, &meter, 100, /*invalidation_cost_ms=*/0.0));
-  strategies.push_back(std::make_unique<proc::UpdateCacheAvmStrategy>(
-      &catalog, &executor, &meter, 100));
-  strategies.push_back(std::make_unique<proc::UpdateCacheRvmStrategy>(
-      &catalog, &executor, &meter, 100));
+  for (cost::Strategy kind : cost::kAllStrategies) {
+    strategies.push_back(
+        proc::MakeStrategy(kind, &catalog, &executor, &meter, params, &budget));
+  }
   for (auto& strategy : strategies) {
     (void)strategy->AddProcedure(progs1);
     (void)strategy->AddProcedure(clerks1);

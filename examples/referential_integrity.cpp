@@ -9,8 +9,10 @@
 // customers" table: when a customer is deactivated, its id is added to
 // GONE; orders referencing a GONE customer are violations.)
 #include <iostream>
+#include <memory>
 
-#include "proc/update_cache_avm.h"
+#include "proc/cache_budget.h"
+#include "proc/strategy.h"
 #include "relational/catalog.h"
 #include "relational/executor.h"
 
@@ -76,9 +78,12 @@ int main() {
   stage.probe_column = 1;  // ORDERS.customer
   violations.query.joins.push_back(stage);
 
-  proc::UpdateCacheAvmStrategy monitor(&catalog, &executor, &meter, 100);
-  (void)monitor.AddProcedure(violations);
-  Status st = monitor.Prepare();
+  proc::CacheBudget budget(0);  // unlimited: accounts, never evicts
+  const std::unique_ptr<proc::Strategy> monitor =
+      proc::MakeStrategy(cost::Strategy::kUpdateCacheAvm, &catalog, &executor,
+                         &meter, cost::Params{}, &budget);
+  (void)monitor->AddProcedure(violations);
+  Status st = monitor->Prepare();
   if (!st.ok()) {
     std::cerr << st.ToString() << "\n";
     return 1;
@@ -86,7 +91,7 @@ int main() {
 
   auto report = [&](const std::string& when) {
     meter.Reset();
-    auto value = monitor.Access(0);
+    auto value = monitor->Access(0);
     std::cout << when << ": " << value.ValueOrDie().size()
               << " dangling orders (read cost "
               << meter.total_ms() << " ms)\n";
@@ -111,8 +116,8 @@ int main() {
     ivm::ChangeBatch changes;
     changes.AddDelete(row);
     changes.AddInsert(fixed_row);
-    monitor.OnBatch("ORDERS", changes);
-    (void)monitor.OnTransactionEnd();
+    monitor->OnBatch("ORDERS", changes);
+    (void)monitor->OnTransactionEnd();
     ++fixed;
   }
   std::cout << "reassigned " << fixed << " orders\n";
@@ -127,8 +132,8 @@ int main() {
     }
     ivm::ChangeBatch changes;
     changes.AddInsert(bad_order);
-    monitor.OnBatch("ORDERS", changes);
-    (void)monitor.OnTransactionEnd();
+    monitor->OnBatch("ORDERS", changes);
+    (void)monitor->OnTransactionEnd();
   }
   report("after inserting a bad order");
   return 0;

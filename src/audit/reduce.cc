@@ -189,7 +189,6 @@ std::string FormatReducedTestCase(const CrossCheckOptions& options,
   PROCSIM_REPRO_FIELD(engine.params.C3);
   PROCSIM_REPRO_FIELD(engine.params.C_inval);
   PROCSIM_REPRO_FIELD(engine.seed);
-  PROCSIM_REPRO_FIELD(engine.config.shards);
   PROCSIM_REPRO_FIELD(engine.config.cache_budget_bytes);
   PROCSIM_REPRO_FIELD(engine.config.group_commit_size);
   PROCSIM_REPRO_FIELD(engine.config.wal_force_cost_ms);

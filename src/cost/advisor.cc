@@ -12,9 +12,7 @@ namespace {
 std::vector<std::pair<Strategy, double>> RankStrategies(
     const AnalyticModel& model) {
   std::vector<std::pair<Strategy, double>> ranking;
-  for (Strategy strategy :
-       {Strategy::kAlwaysRecompute, Strategy::kCacheInvalidate,
-        Strategy::kUpdateCacheAvm, Strategy::kUpdateCacheRvm}) {
+  for (Strategy strategy : kAllStrategies) {
     ranking.emplace_back(strategy, model.CostPerQuery(strategy));
   }
   // Stable: ties (e.g. AVM vs RVM on a join-free population) resolve to the

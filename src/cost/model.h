@@ -15,6 +15,11 @@ enum class Strategy {
   kUpdateCacheRvm,  ///< shared Rete view maintenance
 };
 
+/// The four strategies in enum order.
+inline constexpr Strategy kAllStrategies[] = {
+    Strategy::kAlwaysRecompute, Strategy::kCacheInvalidate,
+    Strategy::kUpdateCacheAvm, Strategy::kUpdateCacheRvm};
+
 /// Short display name ("AR", "CI", "AVM", "RVM").
 std::string StrategyName(Strategy strategy);
 

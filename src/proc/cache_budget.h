@@ -44,8 +44,10 @@ class CacheBudget {
   using EntryId = std::size_t;
 
   /// \param budget_bytes  global budget; 0 = unlimited (never evicts)
-  /// \param shards        shard count (the engine's EngineConfig::shards)
-  CacheBudget(std::size_t budget_bytes, std::size_t shards);
+  /// \param shards        shard count; every engine and simulator budget
+  ///                      uses the default, only unit tests vary it
+  explicit CacheBudget(std::size_t budget_bytes,
+                       std::size_t shards = util::kDefaultShardCount);
   CacheBudget(const CacheBudget&) = delete;
   CacheBudget& operator=(const CacheBudget&) = delete;
 

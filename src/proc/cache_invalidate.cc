@@ -32,11 +32,10 @@ obs::Counter* const g_cache_reloads =
 
 CacheInvalidateStrategy::CacheInvalidateStrategy(
     rel::Catalog* catalog, rel::Executor* executor, CostMeter* meter,
-    std::size_t result_tuple_bytes, double invalidation_cost_ms,
-    EngineConfig config, CacheBudget* budget)
-    : Strategy(catalog, executor, meter, result_tuple_bytes, config, budget),
-      invalidation_cost_ms_(invalidation_cost_ms),
-      locks_(config.shards) {}
+    std::size_t result_tuple_bytes, CacheBudget* budget,
+    double invalidation_cost_ms)
+    : Strategy(catalog, executor, meter, result_tuple_bytes, budget),
+      invalidation_cost_ms_(invalidation_cost_ms) {}
 
 Status CacheInvalidateStrategy::Prepare() {
   storage::MeteringGuard guard(catalog_->disk());
@@ -47,10 +46,8 @@ Status CacheInvalidateStrategy::Prepare() {
     Entry& entry = entries_[procedure.id];
     entry.cache = std::make_unique<ivm::TupleStore>(catalog_->disk(),
                                                     result_tuple_bytes_);
-    if (budget_ != nullptr) {
-      entry.budget_id = budget_->Register(name() + "/" + procedure.name);
-      entry.live = budget_->LiveFlag(entry.budget_id);
-    }
+    entry.budget_id = budget_->Register(name() + "/" + procedure.name);
+    entry.live = budget_->LiveFlag(entry.budget_id);
     Result<std::vector<rel::Tuple>> value = Recompute(procedure.id);
     if (!value.ok()) return value.status();
   }
@@ -66,10 +63,8 @@ Result<std::vector<rel::Tuple>> CacheInvalidateStrategy::Recompute(ProcId id) {
   g_recomputes->Add();
   PROCSIM_RETURN_IF_ERROR(entries_[id].cache->Rebuild(value.ValueOrDie()));
   PROCSIM_RETURN_IF_ERROR(validity_->MarkValid(id));
-  if (budget_ != nullptr) {
-    budget_->Admit(entries_[id].budget_id,
-                   value.ValueOrDie().size() * result_tuple_bytes_);
-  }
+  budget_->Admit(entries_[id].budget_id,
+                 value.ValueOrDie().size() * result_tuple_bytes_);
 
   // Re-acquire i-locks on everything the recomputation read: the B-tree
   // interval of the base selection and every hash key probed.
@@ -105,7 +100,7 @@ Result<std::vector<rel::Tuple>> CacheInvalidateStrategy::Access(ProcId id) {
   if (validity_->IsValid(id)) {
     Entry& entry = entries_[id];
     if (EntryLive(entry)) {
-      if (budget_ != nullptr) budget_->OnAccess(entry.budget_id);
+      budget_->OnAccess(entry.budget_id);
       return entry.cache->ReadAll();
     }
     // Valid but evicted by the budget: the entry may not serve its pages, so

@@ -35,9 +35,7 @@ class CacheInvalidateStrategy : public Strategy {
  public:
   CacheInvalidateStrategy(rel::Catalog* catalog, rel::Executor* executor,
                           CostMeter* meter, std::size_t result_tuple_bytes,
-                          double invalidation_cost_ms,
-                          EngineConfig config = {},
-                          CacheBudget* budget = nullptr);
+                          CacheBudget* budget, double invalidation_cost_ms);
 
   std::string name() const override { return "CacheInvalidate"; }
 
@@ -86,13 +84,12 @@ class CacheInvalidateStrategy : public Strategy {
   struct Entry {
     std::unique_ptr<ivm::TupleStore> cache;
     CacheBudget::EntryId budget_id = 0;
-    /// Latch-free eviction poll (null when no budget is attached).
+    /// Latch-free eviction poll.
     const std::atomic<bool>* live = nullptr;
   };
 
   bool EntryLive(const Entry& entry) const {
-    return entry.live == nullptr ||
-           entry.live->load(std::memory_order_acquire);
+    return entry.live->load(std::memory_order_acquire);
   }
 
   /// Recomputes procedure `id`, refreshes its cache and re-acquires locks.

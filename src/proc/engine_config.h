@@ -3,24 +3,20 @@
 
 #include <cstddef>
 
-#include "util/shard.h"
-
 namespace procsim::proc {
 
-/// \brief Engine-wide sharding and memory-budget configuration.
+/// \brief The transactional engine's memory-budget and commit
+/// configuration.
 ///
-/// One value of this struct flows from the top (txn::TxnEngine::Options —
-/// which audit::CrossCheckOptions embeds, so the differential oracle runs
-/// on the engine — and sim::Simulator::Options) down into every
-/// partitioned structure, so the i-lock stripes, the cache-budget shards
-/// and the engine's slot stripes all agree on the partitioning instead of
-/// each hardcoding its own constant.
+/// It is part of txn::TxnEngine::Options (which audit::CrossCheckOptions
+/// embeds, so the differential oracle runs under the same settings).  The
+/// engine reads it when it builds its strategy set, its write-ahead log and
+/// its transaction manager; no strategy sees it.  Every partitioned
+/// structure (i-lock stripes, cache-budget shards, the engine's slot
+/// stripes) uses the constant util::kDefaultShardCount.
 struct EngineConfig {
-  /// Shard count for every partitioned structure (util::ShardMap).
-  std::size_t shards = util::kDefaultShardCount;
-
-  /// Global cache budget in bytes, split evenly across shards; cached
-  /// procedure results beyond the budget are evicted LRU-first and
+  /// Global cache budget in bytes, split evenly across the budget's shards;
+  /// cached procedure results beyond the budget are evicted LRU-first and
   /// recomputed on next access (AR-like degradation).  0 = unlimited:
   /// nothing is ever evicted, but byte accounting still runs so memory
   /// footprints stay observable.

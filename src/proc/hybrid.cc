@@ -1,37 +1,22 @@
 #include "proc/hybrid.h"
 
-#include "proc/always_recompute.h"
-#include "proc/cache_invalidate.h"
-#include "proc/update_cache_avm.h"
-#include "proc/update_cache_rvm.h"
 #include "util/logging.h"
 
 namespace procsim::proc {
 
 HybridStrategy::HybridStrategy(rel::Catalog* catalog, rel::Executor* executor,
-                               CostMeter* meter,
-                               std::size_t result_tuple_bytes,
-                               const cost::Params& params,
-                               cost::ProcModel model, double safety_margin,
-                               EngineConfig config, CacheBudget* budget)
-    : Strategy(catalog, executor, meter, result_tuple_bytes, config, budget),
+                               CostMeter* meter, const cost::Params& params,
+                               cost::ProcModel model, CacheBudget* budget)
+    : Strategy(catalog, executor, meter, static_cast<std::size_t>(params.S),
+               budget),
       params_(params),
-      model_(model),
-      safety_margin_(safety_margin) {
+      model_(model) {
   // Sub-strategies share the hybrid's budget: their cached copies compete
   // for the same global byte pool as everyone else's.
-  subs_.push_back(std::make_unique<AlwaysRecomputeStrategy>(
-      catalog, executor, meter, result_tuple_bytes, config, budget));
-  subs_.push_back(std::make_unique<CacheInvalidateStrategy>(
-      catalog, executor, meter, result_tuple_bytes, params.C_inval, config,
-      budget));
-  subs_.push_back(std::make_unique<UpdateCacheAvmStrategy>(
-      catalog, executor, meter, result_tuple_bytes,
-      UpdateCacheAvmStrategy::kAlwaysPatch,
-      UpdateCacheAvmStrategy::kNoStalenessLimit, config, budget));
-  subs_.push_back(std::make_unique<UpdateCacheRvmStrategy>(
-      catalog, executor, meter, result_tuple_bytes,
-      rete::ReteNetwork::JoinShape::kRightDeep, config, budget));
+  for (cost::Strategy kind : cost::kAllStrategies) {
+    subs_.push_back(
+        MakeStrategy(kind, catalog, executor, meter, params, budget));
+  }
 }
 
 Strategy* HybridStrategy::SubStrategy(cost::Strategy strategy) {
@@ -42,7 +27,7 @@ Status HybridStrategy::AddProcedure(const DatabaseProcedure& procedure) {
   PROCSIM_RETURN_IF_ERROR(Strategy::AddProcedure(procedure));
   const cost::Recommendation rec = cost::RecommendForProcedureType(
       params_, model_, /*is_join_procedure=*/!procedure.IsSelectionOnly(),
-      safety_margin_);
+      kSafetyMargin);
   Strategy* sub = SubStrategy(rec.strategy);
   DatabaseProcedure local = procedure;
   local.id = sub->procedures().size();

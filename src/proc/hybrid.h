@@ -16,19 +16,23 @@ namespace procsim::proc {
 ///
 /// Each registered procedure is routed to the strategy the analytic cost
 /// advisor recommends for its type (selection vs join) in the configured
-/// environment; the sub-strategies run side by side over the same database.
-/// The advisor's safety margin biases toward Cache and Invalidate when
-/// Update Cache's advantage is thin, implementing the paper's "CI is the
-/// safer algorithm" guidance.
+/// environment; the sub-strategies run side by side over the same database,
+/// each built by MakeStrategy exactly as a single-strategy run builds it.
+/// The advisor's safety margin (kSafetyMargin) biases toward Cache and
+/// Invalidate when Update Cache's advantage is thin, implementing the
+/// paper's "CI is the safer algorithm" guidance.
 class HybridStrategy : public Strategy {
  public:
-  /// \param params / model     the environment the advisor evaluates
-  /// \param safety_margin      see cost::RecommendStrategy
+  /// See cost::RecommendStrategy: CI is chosen over a cheaper Update Cache
+  /// variant when CI costs at most 25% more.
+  static constexpr double kSafetyMargin = 1.25;
+
+  /// \param params / model  the environment the advisor evaluates; also
+  ///                        the sub-strategies' parameters (MakeStrategy)
+  /// \param budget          shared by every sub-strategy (non-null)
   HybridStrategy(rel::Catalog* catalog, rel::Executor* executor,
-                 CostMeter* meter, std::size_t result_tuple_bytes,
-                 const cost::Params& params, cost::ProcModel model,
-                 double safety_margin = 1.25, EngineConfig config = {},
-                 CacheBudget* budget = nullptr);
+                 CostMeter* meter, const cost::Params& params,
+                 cost::ProcModel model, CacheBudget* budget);
 
   std::string name() const override { return "Hybrid"; }
 
@@ -57,7 +61,6 @@ class HybridStrategy : public Strategy {
 
   cost::Params params_;
   cost::ProcModel model_;
-  double safety_margin_;
   std::vector<Route> routes_;
   std::vector<std::unique_ptr<Strategy>> subs_;  ///< indexed by enum value
 };

@@ -29,8 +29,7 @@ std::vector<std::unique_ptr<ILockTable::Shard>> ILockTable::MakeShards(
   return shards;
 }
 
-ILockTable::ILockTable(std::size_t shards)
-    : map_(shards), shards_(MakeShards(map_.size())) {}
+ILockTable::ILockTable() : shards_(MakeShards(map_.size())) {}
 
 void ILockTable::AddIntervalLock(ProcId owner, const std::string& relation,
                                  std::size_t column, int64_t lo, int64_t hi) {

@@ -27,15 +27,15 @@ namespace procsim::proc {
 /// index structures); the paper charges no I/O for it — only the downstream
 /// screening/invalidations are charged by the callers.
 ///
-/// Thread safety: the table is sharded by relation name (util::ShardMap;
-/// shard count flows from proc::EngineConfig), each shard behind its own
+/// Thread safety: the table is sharded by relation name into
+/// util::kDefaultShardCount shards (util::ShardMap), each behind its own
 /// kILock stripe latch.  Per-operation calls (AddIntervalLock, FindBroken)
 /// touch exactly one shard; whole-table sweeps (ClearLocks, lock_count,
 /// ForEachLock) latch shards one at a time and never hold two, so stripe
 /// latches cannot deadlock against each other.
 class ILockTable {
  public:
-  explicit ILockTable(std::size_t shards = util::kDefaultShardCount);
+  ILockTable();
   ILockTable(const ILockTable&) = delete;
   ILockTable& operator=(const ILockTable&) = delete;
 

@@ -1,11 +1,12 @@
 #ifndef PROCSIM_PROC_STRATEGY_H_
 #define PROCSIM_PROC_STRATEGY_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "cost/model.h"
 #include "ivm/delta.h"
-#include "proc/engine_config.h"
 #include "proc/procedure.h"
 #include "relational/catalog.h"
 #include "relational/executor.h"
@@ -34,14 +35,13 @@ class CacheBudget;
 /// paper's analysis) is not charged to any strategy.
 class Strategy {
  public:
-  /// `config` supplies the sharding dimensions (i-lock stripes, budget
-  /// shards); `budget`, when non-null, accounts every cached result this
-  /// strategy materializes and may evict entries between accesses (the
-  /// strategy then degrades to recompute-on-access for that entry).  The
-  /// budget must outlive the strategy.
+  /// `budget` accounts every cached result this strategy materializes and
+  /// may evict entries between accesses (the strategy then degrades to
+  /// recompute-on-access for that entry); an unlimited CacheBudget(0)
+  /// accounts without evicting.  It must be non-null and outlive the
+  /// strategy.
   Strategy(rel::Catalog* catalog, rel::Executor* executor, CostMeter* meter,
-           std::size_t result_tuple_bytes, EngineConfig config = {},
-           CacheBudget* budget = nullptr);
+           std::size_t result_tuple_bytes, CacheBudget* budget);
   virtual ~Strategy() = default;
   Strategy(const Strategy&) = delete;
   Strategy& operator=(const Strategy&) = delete;
@@ -79,10 +79,21 @@ class Strategy {
   rel::Executor* executor_;
   CostMeter* meter_;
   std::size_t result_tuple_bytes_;
-  EngineConfig config_;
-  CacheBudget* budget_;  ///< may be null (no accounting, no eviction)
+  CacheBudget* budget_;
   std::vector<DatabaseProcedure> procedures_;
 };
+
+/// Builds the base strategy of `kind` — the paper's AR, CI, AVM or RVM in
+/// its §2 form — over one database, with result tuples of `params.S` bytes
+/// and CI's invalidation cost `params.C_inval`.  Every driver builds the
+/// four this way, so a strategy is charged the same whichever driver runs
+/// it.  `budget` must be non-null and outlive the strategy.
+std::unique_ptr<Strategy> MakeStrategy(cost::Strategy kind,
+                                       rel::Catalog* catalog,
+                                       rel::Executor* executor,
+                                       CostMeter* meter,
+                                       const cost::Params& params,
+                                       CacheBudget* budget);
 
 }  // namespace procsim::proc
 

@@ -22,9 +22,9 @@ obs::Counter* const g_cache_reloads =
 
 UpdateCacheAvmStrategy::UpdateCacheAvmStrategy(
     rel::Catalog* catalog, rel::Executor* executor, CostMeter* meter,
-    std::size_t result_tuple_bytes, double patch_fraction,
-    std::size_t max_unread_patches, EngineConfig config, CacheBudget* budget)
-    : Strategy(catalog, executor, meter, result_tuple_bytes, config, budget),
+    std::size_t result_tuple_bytes, CacheBudget* budget,
+    double patch_fraction, std::size_t max_unread_patches)
+    : Strategy(catalog, executor, meter, result_tuple_bytes, budget),
       patch_fraction_(patch_fraction),
       max_unread_patches_(max_unread_patches),
       never_invalidates_(patch_fraction == kAlwaysPatch &&
@@ -42,12 +42,10 @@ Status UpdateCacheAvmStrategy::Prepare() {
     entry.maintainer = std::make_unique<ivm::AvmViewMaintainer>(
         procedure.query, executor_, catalog_->disk(), result_tuple_bytes_);
     PROCSIM_RETURN_IF_ERROR(entry.maintainer->Initialize());
-    if (budget_ != nullptr) {
-      entry.budget_id = budget_->Register(name() + "/" + procedure.name);
-      entry.live = budget_->LiveFlag(entry.budget_id);
-      budget_->Admit(entry.budget_id, entry.maintainer->store().size() *
-                                          result_tuple_bytes_);
-    }
+    entry.budget_id = budget_->Register(name() + "/" + procedure.name);
+    entry.live = budget_->LiveFlag(entry.budget_id);
+    budget_->Admit(entry.budget_id,
+                   entry.maintainer->store().size() * result_tuple_bytes_);
     // Register the base-selection interval so broken locks can be found.
     Result<rel::Relation*> base =
         catalog_->GetRelation(procedure.query.base.relation);
@@ -68,7 +66,7 @@ Result<std::vector<rel::Tuple>> UpdateCacheAvmStrategy::Access(ProcId id) {
   if (never_invalidates_) g_accesses->Add();
   Entry& entry = entries_[id];
   if (entry.valid && EntryLive(entry)) {
-    if (budget_ != nullptr) budget_->OnAccess(entry.budget_id);
+    budget_->OnAccess(entry.budget_id);
     entry.unread_patches = 0;
     return entry.maintainer->Read();
   }
@@ -86,10 +84,8 @@ Result<std::vector<rel::Tuple>> UpdateCacheAvmStrategy::Access(ProcId id) {
   entry.valid = true;
   entry.pending.Clear();
   entry.unread_patches = 0;
-  if (budget_ != nullptr) {
-    budget_->Admit(entry.budget_id,
-                   value.ValueOrDie().size() * result_tuple_bytes_);
-  }
+  budget_->Admit(entry.budget_id,
+                 value.ValueOrDie().size() * result_tuple_bytes_);
   return value;
 }
 
@@ -146,10 +142,8 @@ Status UpdateCacheAvmStrategy::OnTransactionEnd() {
       ++patch_count_;
       ++entry.unread_patches;
       if (never_invalidates_) g_refreshes->Add();
-      if (budget_ != nullptr) {
-        budget_->Resize(entry.budget_id, entry.maintainer->store().size() *
-                                             result_tuple_bytes_);
-      }
+      budget_->Resize(entry.budget_id,
+                      entry.maintainer->store().size() * result_tuple_bytes_);
     } else {
       entry.valid = false;
       ++invalidate_count_;

@@ -49,10 +49,9 @@ class UpdateCacheAvmStrategy : public Strategy {
 
   UpdateCacheAvmStrategy(rel::Catalog* catalog, rel::Executor* executor,
                          CostMeter* meter, std::size_t result_tuple_bytes,
+                         CacheBudget* budget,
                          double patch_fraction = kAlwaysPatch,
-                         std::size_t max_unread_patches = kNoStalenessLimit,
-                         EngineConfig config = {},
-                         CacheBudget* budget = nullptr);
+                         std::size_t max_unread_patches = kNoStalenessLimit);
 
   std::string name() const override {
     return never_invalidates_ ? "UpdateCache/AVM" : "UpdateCache/Adaptive";
@@ -80,13 +79,12 @@ class UpdateCacheAvmStrategy : public Strategy {
     /// Patches applied since the last Access() of this procedure.
     std::size_t unread_patches = 0;
     CacheBudget::EntryId budget_id = 0;
-    /// Latch-free eviction poll (null when no budget is attached).
+    /// Latch-free eviction poll.
     const std::atomic<bool>* live = nullptr;
   };
 
   bool EntryLive(const Entry& entry) const {
-    return entry.live == nullptr ||
-           entry.live->load(std::memory_order_acquire);
+    return entry.live->load(std::memory_order_acquire);
   }
 
   void HandleWrite(const std::string& relation, const rel::Tuple& tuple,
@@ -97,7 +95,7 @@ class UpdateCacheAvmStrategy : public Strategy {
   /// Both thresholds at their limit: the instance is pure AVM.
   bool never_invalidates_;
   std::vector<Entry> entries_;
-  ILockTable locks_{config_.shards};
+  ILockTable locks_;
   Status deferred_error_;
   std::size_t patch_count_ = 0;
   std::size_t invalidate_count_ = 0;

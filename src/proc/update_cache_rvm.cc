@@ -15,9 +15,9 @@ obs::Counter* const g_cache_reloads =
 
 UpdateCacheRvmStrategy::UpdateCacheRvmStrategy(
     rel::Catalog* catalog, rel::Executor* executor, CostMeter* meter,
-    std::size_t result_tuple_bytes, rete::ReteNetwork::JoinShape shape,
-    EngineConfig config, CacheBudget* budget)
-    : Strategy(catalog, executor, meter, result_tuple_bytes, config, budget),
+    std::size_t result_tuple_bytes, CacheBudget* budget,
+    rete::ReteNetwork::JoinShape shape)
+    : Strategy(catalog, executor, meter, result_tuple_bytes, budget),
       shape_(shape) {}
 
 Status UpdateCacheRvmStrategy::Prepare() {
@@ -38,24 +38,21 @@ Status UpdateCacheRvmStrategy::Prepare() {
       network_->AddProcedures(queries);
   if (!memories.ok()) return memories.status();
   result_memories_ = memories.TakeValueOrDie();
-  if (budget_ != nullptr) {
-    // Budget only *terminal* result memories, and only after the whole
-    // network is built: a later procedure may have grafted a join on top of
-    // an earlier procedure's result memory, making it interior (evicting it
-    // would starve the downstream join).  Shared terminal memories register
-    // once, under the first owning procedure's name.
-    for (std::size_t i = 0; i < result_memories_.size(); ++i) {
-      rete::MemoryNode* memory = result_memories_[i];
-      if (!memory->successors().empty()) continue;
-      if (budget_index_.count(memory) > 0) continue;
-      const CacheBudget::EntryId entry_id =
-          budget_->Register(name() + "/" + procedures_[i].name);
-      memory->BindEvictionFlag(budget_->LiveFlag(entry_id));
-      budget_->Admit(entry_id,
-                     memory->store().size() * result_tuple_bytes_);
-      budget_entries_.emplace_back(memory, entry_id);
-      budget_index_.emplace(memory, entry_id);
-    }
+  // Budget only *terminal* result memories, and only after the whole
+  // network is built: a later procedure may have grafted a join on top of
+  // an earlier procedure's result memory, making it interior (evicting it
+  // would starve the downstream join).  Shared terminal memories register
+  // once, under the first owning procedure's name.
+  for (std::size_t i = 0; i < result_memories_.size(); ++i) {
+    rete::MemoryNode* memory = result_memories_[i];
+    if (!memory->successors().empty()) continue;
+    if (budget_index_.count(memory) > 0) continue;
+    const CacheBudget::EntryId entry_id =
+        budget_->Register(name() + "/" + procedures_[i].name);
+    memory->BindEvictionFlag(budget_->LiveFlag(entry_id));
+    budget_->Admit(entry_id, memory->store().size() * result_tuple_bytes_);
+    budget_entries_.emplace_back(memory, entry_id);
+    budget_index_.emplace(memory, entry_id);
   }
   return Status::OK();
 }

@@ -22,10 +22,9 @@ class UpdateCacheRvmStrategy : public Strategy {
  public:
   UpdateCacheRvmStrategy(
       rel::Catalog* catalog, rel::Executor* executor, CostMeter* meter,
-      std::size_t result_tuple_bytes,
+      std::size_t result_tuple_bytes, CacheBudget* budget,
       rete::ReteNetwork::JoinShape shape =
-          rete::ReteNetwork::JoinShape::kRightDeep,
-      EngineConfig config = {}, CacheBudget* budget = nullptr);
+          rete::ReteNetwork::JoinShape::kRightDeep);
 
   std::string name() const override { return "UpdateCache/RVM"; }
 

@@ -5,7 +5,6 @@
 #include "ivm/delta.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "proc/always_recompute.h"
 #include "proc/cache_invalidate.h"
 #include "proc/hybrid.h"
 #include "proc/update_cache_avm.h"
@@ -26,33 +25,6 @@ obs::Histogram* const g_update_cost = obs::GlobalMetrics().RegisterHistogram(
 
 using cost::Strategy;
 
-std::unique_ptr<proc::Strategy> Simulator::MakeStrategy(
-    Strategy strategy_kind, Database* db, const cost::Params& params,
-    const proc::EngineConfig& config, proc::CacheBudget* budget) {
-  const auto tuple_bytes = static_cast<std::size_t>(params.S);
-  switch (strategy_kind) {
-    case Strategy::kAlwaysRecompute:
-      return std::make_unique<proc::AlwaysRecomputeStrategy>(
-          db->catalog.get(), db->executor.get(), &db->meter, tuple_bytes,
-          config, budget);
-    case Strategy::kCacheInvalidate:
-      return std::make_unique<proc::CacheInvalidateStrategy>(
-          db->catalog.get(), db->executor.get(), &db->meter, tuple_bytes,
-          params.C_inval, config, budget);
-    case Strategy::kUpdateCacheAvm:
-      return std::make_unique<proc::UpdateCacheAvmStrategy>(
-          db->catalog.get(), db->executor.get(), &db->meter, tuple_bytes,
-          proc::UpdateCacheAvmStrategy::kAlwaysPatch,
-          proc::UpdateCacheAvmStrategy::kNoStalenessLimit, config, budget);
-    case Strategy::kUpdateCacheRvm:
-      return std::make_unique<proc::UpdateCacheRvmStrategy>(
-          db->catalog.get(), db->executor.get(), &db->meter, tuple_bytes,
-          rete::ReteNetwork::JoinShape::kRightDeep, config, budget);
-  }
-  PROCSIM_CHECK(false) << "unreachable";
-  return nullptr;
-}
-
 Result<StrategySet> MakeAllStrategies(Database* db,
                                       const cost::Params& params,
                                       cost::ProcModel model,
@@ -63,25 +35,24 @@ Result<StrategySet> MakeAllStrategies(Database* db,
         "the database has no procedures (N1 + N2 = 0)");
   }
   StrategySet set;
-  set.budget = std::make_unique<proc::CacheBudget>(config.cache_budget_bytes,
-                                                   config.shards);
-  const auto tuple_bytes = static_cast<std::size_t>(params.S);
-  for (Strategy kind :
-       {Strategy::kAlwaysRecompute, Strategy::kCacheInvalidate,
-        Strategy::kUpdateCacheAvm, Strategy::kUpdateCacheRvm}) {
-    set.all.push_back(
-        Simulator::MakeStrategy(kind, db, params, config, set.budget.get()));
+  set.budget = std::make_unique<proc::CacheBudget>(config.cache_budget_bytes);
+  proc::CacheBudget* const budget = set.budget.get();
+  for (Strategy kind : cost::kAllStrategies) {
+    set.all.push_back(proc::MakeStrategy(kind, db->catalog.get(),
+                                         db->executor.get(), &db->meter,
+                                         params, budget));
   }
   set.cache_invalidate =
       static_cast<proc::CacheInvalidateStrategy*>(set.all[1].get());
   set.rvm = static_cast<proc::UpdateCacheRvmStrategy*>(set.all[3].get());
   set.all.push_back(std::make_unique<proc::HybridStrategy>(
-      db->catalog.get(), db->executor.get(), &db->meter, tuple_bytes, params,
-      model, /*safety_margin=*/1.25, config, set.budget.get()));
+      db->catalog.get(), db->executor.get(), &db->meter, params, model,
+      budget));
+  // Adaptive: AVM with both §8 invalidation thresholds finite.
   set.all.push_back(std::make_unique<proc::UpdateCacheAvmStrategy>(
-      db->catalog.get(), db->executor.get(), &db->meter, tuple_bytes,
-      /*patch_fraction=*/0.25, /*max_unread_patches=*/4, config,
-      set.budget.get()));
+      db->catalog.get(), db->executor.get(), &db->meter,
+      static_cast<std::size_t>(params.S), budget, /*patch_fraction=*/0.25,
+      /*max_unread_patches=*/4));
 
   for (const std::unique_ptr<proc::Strategy>& strategy : set.all) {
     for (const proc::DatabaseProcedure& procedure : db->procedures) {
@@ -92,48 +63,43 @@ Result<StrategySet> MakeAllStrategies(Database* db,
   return set;
 }
 
-Result<AppliedTransaction> ApplyTransaction(
-    Database* db, const std::vector<WorkloadOp>& ops, const WorkloadMix& mix,
-    Rng* inline_rng, std::span<proc::Strategy* const> strategies) {
-  AppliedTransaction result;
-  result.applied.reserve(ops.size());
+Status ApplyTransaction(Database* db, const std::vector<WorkloadOp>& ops,
+                        const WorkloadMix& mix, Rng* inline_rng,
+                        std::span<proc::Strategy* const> strategies) {
   ivm::ChangeBatch changes;
+  bool notified = false;
   for (const WorkloadOp& op : ops) {
     Result<MutationResult> mutation =
         ApplyMutationOp(db, op, mix, inline_rng);
     if (!mutation.ok()) return mutation.status();
     const MutationResult& applied = mutation.ValueOrDie();
-    result.applied.push_back(applied.applied);
     if (!applied.applied || !applied.notify) continue;
     for (const auto& [old_tuple, new_tuple] : applied.changes) {
       if (old_tuple.has_value()) changes.AddDelete(*old_tuple);
       if (new_tuple.has_value()) changes.AddInsert(*new_tuple);
     }
-    result.notified = true;
+    notified = true;
   }
   if (!changes.empty()) {
     for (proc::Strategy* strategy : strategies) {
       strategy->OnBatch("R1", changes);
     }
   }
-  if (result.notified) {
+  if (notified) {
     for (proc::Strategy* strategy : strategies) {
       PROCSIM_RETURN_IF_ERROR(strategy->OnTransactionEnd());
     }
   }
-  return result;
+  return Status::OK();
 }
 
 Result<SimulationResult> Simulator::Run(Strategy strategy_kind,
                                         const Options& options) {
-  // The budget outlives the factory-made strategy (RunWithFactory destroys
-  // the strategy before returning, while `budget` is still alive here).
-  const auto budget = std::make_unique<proc::CacheBudget>(
-      options.engine.cache_budget_bytes, options.engine.shards);
   return RunWithFactory(
-      [&](Database* db) {
-        return MakeStrategy(strategy_kind, db, options.params, options.engine,
-                            budget.get());
+      [&](Database* db, proc::CacheBudget* budget) {
+        return proc::MakeStrategy(strategy_kind, db->catalog.get(),
+                                  db->executor.get(), &db->meter,
+                                  options.params, budget);
       },
       options);
 }
@@ -145,7 +111,10 @@ Result<SimulationResult> Simulator::RunWithFactory(
   if (!built.ok()) return built.status();
   std::unique_ptr<Database> db = built.TakeValueOrDie();
 
-  std::unique_ptr<proc::Strategy> strategy = factory(db.get());
+  // Unlimited: the paper's model has no memory limit.  Declared before the
+  // strategy, so it outlives it.
+  proc::CacheBudget budget(0);
+  std::unique_ptr<proc::Strategy> strategy = factory(db.get(), &budget);
   for (const proc::DatabaseProcedure& procedure : db->procedures) {
     PROCSIM_RETURN_IF_ERROR(strategy->AddProcedure(procedure));
   }
@@ -182,7 +151,7 @@ Result<SimulationResult> Simulator::RunWithFactory(
       obs::TraceSpan span("sim.update", "sim");
       const double before_ms = db->meter.total_ms();
       PROCSIM_RETURN_IF_ERROR(
-          ApplyTransaction(db.get(), {op}, mix, &rng, {&target, 1}).status());
+          ApplyTransaction(db.get(), {op}, mix, &rng, {&target, 1}));
       ++result.update_transactions;
       g_update_cost->Observe(db->meter.total_ms() - before_ms);
     } else {

@@ -49,31 +49,23 @@ class Simulator {
     /// If set, every Access() result is checked (un-metered) against a
     /// from-scratch recomputation; mismatches are counted.
     bool verify_results = false;
-    /// Sharding and cache-budget configuration (default: 8 shards,
-    /// unlimited budget — the pre-budget behavior).
-    proc::EngineConfig engine;
   };
 
-  /// Builds a fresh database for `options` and measures one strategy over
-  /// the workload.  Identical seeds produce identical databases and
-  /// workloads across strategies, so results are directly comparable.
+  /// Builds a fresh database for `options` and measures one strategy,
+  /// built by proc::MakeStrategy, over the workload.  Identical seeds
+  /// produce identical databases and workloads across strategies, so
+  /// results are directly comparable.
   static Result<SimulationResult> Run(cost::Strategy strategy_kind,
                                       const Options& options);
 
   /// Constructs a strategy with `factory` over a freshly built database and
-  /// measures it — for custom strategies (e.g. HybridStrategy) that are not
-  /// part of the cost::Strategy enum.
-  using StrategyFactory =
-      std::function<std::unique_ptr<proc::Strategy>(Database* db)>;
+  /// measures it — for strategies that are not one of the four base kinds
+  /// (e.g. HybridStrategy) or not in their §2 form.  The factory gets the
+  /// run's unlimited cache budget, which outlives the strategy.
+  using StrategyFactory = std::function<std::unique_ptr<proc::Strategy>(
+      Database* db, proc::CacheBudget* budget)>;
   static Result<SimulationResult> RunWithFactory(const StrategyFactory& factory,
                                                  const Options& options);
-
-  /// Constructs the strategy object of the given kind over `db`.  `budget`,
-  /// when non-null, must outlive the strategy.
-  static std::unique_ptr<proc::Strategy> MakeStrategy(
-      cost::Strategy strategy_kind, Database* db, const cost::Params& params,
-      const proc::EngineConfig& config = {},
-      proc::CacheBudget* budget = nullptr);
 };
 
 /// \brief All six strategies attached to one database, with typed views
@@ -92,24 +84,14 @@ struct StrategySet {
 
 /// Builds the full strategy set over `db`, registers every procedure with
 /// every strategy and calls Prepare().  Metering state is untouched.
-/// `config` sets the shard count and cache budget shared by all six
-/// strategies (default: 8 shards, unlimited budget).  A database with no
-/// procedures is InvalidArgument: every driver maps an access id onto the
-/// procedure set, which must not be empty.
+/// `config.cache_budget_bytes` sizes the cache budget all six strategies
+/// share (default: unlimited).  A database with no procedures is
+/// InvalidArgument: every driver maps an access id onto the procedure set,
+/// which must not be empty.
 Result<StrategySet> MakeAllStrategies(Database* db,
                                       const cost::Params& params,
                                       cost::ProcModel model,
                                       const proc::EngineConfig& config = {});
-
-/// What ApplyTransaction did.
-struct AppliedTransaction {
-  /// Per op, in order: whether it changed the base tables (a kDelete
-  /// against a minimum-size R1 does not).
-  std::vector<bool> applied;
-  /// Whether any applied op notified (kSilentUpdate never does); the
-  /// strategies then received OnTransactionEnd().
-  bool notified = false;
-};
 
 /// \brief The one apply-and-notify path for an update transaction.
 ///
@@ -121,15 +103,17 @@ struct AppliedTransaction {
 /// each strategy then gets OnTransactionEnd().  Strategies never read R1
 /// while being notified (i-locks, predicate screens and Rete memories are
 /// driven by the passed tuples alone), so notifying after the last op is
-/// equivalent to notifying after each.
+/// equivalent to notifying after each.  An op that changes nothing (a
+/// kDelete against a minimum-size R1) or does not notify (kSilentUpdate)
+/// adds nothing to the batch.
 ///
 /// The simulator and the transactional engine (live commits, recovery
 /// redo, and so the differential oracle that drives it) all apply through
 /// here, so every strategy sees the same change stream whichever driver
 /// runs it.
-Result<AppliedTransaction> ApplyTransaction(
-    Database* db, const std::vector<WorkloadOp>& ops, const WorkloadMix& mix,
-    Rng* inline_rng, std::span<proc::Strategy* const> strategies);
+Status ApplyTransaction(Database* db, const std::vector<WorkloadOp>& ops,
+                        const WorkloadMix& mix, Rng* inline_rng,
+                        std::span<proc::Strategy* const> strategies);
 
 }  // namespace procsim::sim
 

@@ -9,6 +9,7 @@
 
 #include "proc/cache_invalidate.h"
 #include "util/logging.h"
+#include "util/shard.h"
 
 namespace procsim::txn {
 
@@ -30,7 +31,8 @@ Result<std::unique_ptr<TxnEngine>> TxnEngine::Build(const Options& options)
       engine->wal_.get(), &engine->db_->meter,
       TxnManager::Options{options.config.group_commit_size});
   const std::size_t stripes = std::max<std::size_t>(
-      1, std::min(options.config.shards, engine->db_->procedures.size()));
+      1,
+      std::min(util::kDefaultShardCount, engine->db_->procedures.size()));
   engine->slot_stripes_ = std::make_unique<util::LatchStripes>(
       util::LatchRank::kStrategySlot, "TxnEngine::slot", stripes);
   return engine;
@@ -118,8 +120,7 @@ Status TxnEngine::ApplyCommitted(TxnId txn,
     notified.push_back(strategy.get());
   }
   return sim::ApplyTransaction(db_.get(), ops, options_.mix,
-                               /*inline_rng=*/nullptr, notified)
-      .status();
+                               /*inline_rng=*/nullptr, notified);
 }
 
 Status TxnEngine::TakeCheckpoint() NO_THREAD_SAFETY_ANALYSIS {

@@ -56,7 +56,7 @@ class TxnEngine {
     cost::Params params;
     cost::ProcModel model = cost::ProcModel::kModel1;
     uint64_t seed = 42;
-    /// shards + cache budget + group_commit_size + wal_force_cost_ms.
+    /// Cache budget, group_commit_size and wal_force_cost_ms.
     proc::EngineConfig config;
     sim::WorkloadMix mix;
   };

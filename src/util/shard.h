@@ -9,9 +9,8 @@
 
 namespace procsim::util {
 
-/// Default shard count for every partitioned engine structure (the i-lock
-/// table's historical 8-way split, now shared by the cache-budget shards
-/// and the engine's slot stripes via proc::EngineConfig).
+/// Shard count of every partitioned engine structure: the i-lock table's
+/// stripes, the cache budget's shards and the engine's slot stripes.
 inline constexpr std::size_t kDefaultShardCount = 8;
 
 /// \brief A fixed partitioning of a key space into N shards.
@@ -19,8 +18,8 @@ inline constexpr std::size_t kDefaultShardCount = 8;
 /// One ShardMap value describes how an engine dimension (procedure slots,
 /// cached results, i-lock stripes) is split: dense ids partition by
 /// `id % size()` (so slot `id / size()` within a shard is dense too), and
-/// names partition by hash.  The map is immutable — shard count is an
-/// engine construction parameter, never changed live.
+/// names partition by hash.  The map is immutable: the shard count is fixed
+/// at construction, never changed live.
 class ShardMap {
  public:
   explicit ShardMap(std::size_t shards = kDefaultShardCount)

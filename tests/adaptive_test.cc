@@ -73,12 +73,13 @@ class AdaptiveTest : public ::testing::Test {
   storage::SimulatedDisk disk_;
   rel::Catalog catalog_;
   rel::Executor executor_;
+  CacheBudget budget_{0};  // unlimited: accounts, never evicts
   rel::Relation* table_ = nullptr;
   std::vector<storage::RecordId> rids_;
 };
 
 TEST_F(AdaptiveTest, SmallDeltaIsPatched) {
-  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100,
+  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100, &budget_,
                                   /*patch_fraction=*/0.25,
                                   /*max_unread_patches=*/4);
   ASSERT_TRUE(strategy.AddProcedure(Proc(0, 0, 39)).ok());  // 40-tuple view
@@ -92,7 +93,7 @@ TEST_F(AdaptiveTest, SmallDeltaIsPatched) {
 }
 
 TEST_F(AdaptiveTest, LargeDeltaInvalidates) {
-  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100,
+  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100, &budget_,
                                   /*patch_fraction=*/0.25,
                                   /*max_unread_patches=*/4);
   ASSERT_TRUE(strategy.AddProcedure(Proc(0, 0, 19)).ok());  // 20-tuple view
@@ -110,7 +111,7 @@ TEST_F(AdaptiveTest, LargeDeltaInvalidates) {
 }
 
 TEST_F(AdaptiveTest, ZeroFractionDegeneratesToCacheInvalidate) {
-  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100,
+  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100, &budget_,
                                   /*patch_fraction=*/0.0,
                                   /*max_unread_patches=*/4);
   ASSERT_TRUE(strategy.AddProcedure(Proc(0, 0, 39)).ok());
@@ -122,7 +123,7 @@ TEST_F(AdaptiveTest, ZeroFractionDegeneratesToCacheInvalidate) {
 }
 
 TEST_F(AdaptiveTest, UpdatesWhileInvalidAreAbsorbedByRecompute) {
-  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100,
+  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100, &budget_,
                                   /*patch_fraction=*/0.0,
                                   /*max_unread_patches=*/4);
   ASSERT_TRUE(strategy.AddProcedure(Proc(0, 0, 39)).ok());
@@ -142,8 +143,8 @@ TEST_F(AdaptiveTest, UpdatesWhileInvalidAreAbsorbedByRecompute) {
 }
 
 TEST_F(AdaptiveTest, DefaultThresholdsPatchEveryDelta) {
-  UpdateCacheAvmStrategy avm(&catalog_, &executor_, &meter_, 100);
-  UpdateCacheAvmStrategy adaptive(&catalog_, &executor_, &meter_, 100,
+  UpdateCacheAvmStrategy avm(&catalog_, &executor_, &meter_, 100, &budget_);
+  UpdateCacheAvmStrategy adaptive(&catalog_, &executor_, &meter_, 100, &budget_,
                                   /*patch_fraction=*/0.25,
                                   /*max_unread_patches=*/4);
   EXPECT_EQ(avm.name(), "UpdateCache/AVM");
@@ -198,10 +199,10 @@ TEST_P(AdaptiveSimTest, MatchesRecomputationUnderWorkload) {
   const double fraction = GetParam();
   const bool pure_avm = fraction == UpdateCacheAvmStrategy::kAlwaysPatch;
   Result<sim::SimulationResult> result = sim::Simulator::RunWithFactory(
-      [&](sim::Database* db) {
+      [&](sim::Database* db, CacheBudget* budget) {
         auto strategy = std::make_unique<UpdateCacheAvmStrategy>(
             db->catalog.get(), db->executor.get(), &db->meter,
-            static_cast<std::size_t>(options.params.S), fraction,
+            static_cast<std::size_t>(options.params.S), budget, fraction,
             pure_avm ? UpdateCacheAvmStrategy::kNoStalenessLimit : 4);
         EXPECT_EQ(strategy->name(), pure_avm ? "UpdateCache/AVM"
                                              : "UpdateCache/Adaptive");

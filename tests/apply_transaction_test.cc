@@ -27,8 +27,9 @@ struct Change {
 /// Records every notification it receives.
 class RecordingStrategy : public proc::Strategy {
  public:
-  explicit RecordingStrategy(Database* db)
-      : Strategy(db->catalog.get(), db->executor.get(), &db->meter, 100) {}
+  RecordingStrategy(Database* db, proc::CacheBudget* budget)
+      : Strategy(db->catalog.get(), db->executor.get(), &db->meter, 100,
+                 budget) {}
 
   std::string name() const override { return "Recording"; }
   Status Prepare() override { return Status::OK(); }
@@ -92,33 +93,31 @@ class ApplyTransactionTest : public ::testing::Test {
   }
 
   std::unique_ptr<Database> db_;
+  proc::CacheBudget budget_{0};
   WorkloadMix mix_;
 };
 
 TEST_F(ApplyTransactionTest, SkippedOpNotifiesNothing) {
   mix_.min_r1_tuples = db_->r1_rids.size();  // R1 is already at its minimum
-  RecordingStrategy strategy(db_.get());
+  RecordingStrategy strategy(db_.get(), &budget_);
   proc::Strategy* strategies[] = {&strategy};
-  Result<AppliedTransaction> txn = ApplyTransaction(
+  const std::vector<std::string> before = R1Rows();
+  const Status txn = ApplyTransaction(
       db_.get(), {WorkloadOp{Kind::kDelete, 11}}, mix_, nullptr, strategies);
-  ASSERT_TRUE(txn.ok()) << txn.status().ToString();
-  EXPECT_EQ(txn.ValueOrDie().applied, std::vector<bool>{false});
-  EXPECT_FALSE(txn.ValueOrDie().notified);
+  ASSERT_TRUE(txn.ok()) << txn.ToString();
+  EXPECT_EQ(R1Rows(), before);
   EXPECT_TRUE(strategy.batches.empty());
   EXPECT_EQ(strategy.transaction_ends, 0);
-  EXPECT_EQ(db_->r1_rids.size(), mix_.min_r1_tuples);
 }
 
 TEST_F(ApplyTransactionTest, SilentUpdateAppliesWithoutNotifying) {
-  RecordingStrategy strategy(db_.get());
+  RecordingStrategy strategy(db_.get(), &budget_);
   proc::Strategy* strategies[] = {&strategy};
   const std::vector<std::string> before = R1Rows();
-  Result<AppliedTransaction> txn =
+  const Status txn =
       ApplyTransaction(db_.get(), {WorkloadOp{Kind::kSilentUpdate, 12}}, mix_,
                        nullptr, strategies);
-  ASSERT_TRUE(txn.ok()) << txn.status().ToString();
-  EXPECT_EQ(txn.ValueOrDie().applied, std::vector<bool>{true});
-  EXPECT_FALSE(txn.ValueOrDie().notified);
+  ASSERT_TRUE(txn.ok()) << txn.ToString();
   EXPECT_TRUE(strategy.batches.empty());
   EXPECT_EQ(strategy.transaction_ends, 0);
   EXPECT_NE(R1Rows(), before);
@@ -145,13 +144,11 @@ TEST_F(ApplyTransactionTest, MixedTransactionIsOneOrderedBatch) {
     }
   }
 
-  RecordingStrategy strategy(db_.get());
+  RecordingStrategy strategy(db_.get(), &budget_);
   proc::Strategy* strategies[] = {&strategy};
-  Result<AppliedTransaction> txn =
+  const Status txn =
       ApplyTransaction(db_.get(), ops, mix_, nullptr, strategies);
-  ASSERT_TRUE(txn.ok()) << txn.status().ToString();
-  EXPECT_EQ(txn.ValueOrDie().applied, std::vector<bool>(3, true));
-  EXPECT_TRUE(txn.ValueOrDie().notified);
+  ASSERT_TRUE(txn.ok()) << txn.ToString();
   ASSERT_EQ(strategy.batches.size(), 1u);
   EXPECT_EQ(strategy.relations, std::vector<std::string>{"R1"});
   EXPECT_EQ(strategy.transaction_ends, 1);
@@ -169,8 +166,8 @@ TEST_F(ApplyTransactionTest, MixedTransactionIsOneOrderedBatch) {
 }
 
 TEST_F(ApplyTransactionTest, OnlyTheGivenStrategiesAreNotified) {
-  RecordingStrategy first(db_.get());
-  RecordingStrategy second(db_.get());
+  RecordingStrategy first(db_.get(), &budget_);
+  RecordingStrategy second(db_.get(), &budget_);
   proc::Strategy* both[] = {&first, &second};
   ASSERT_TRUE(ApplyTransaction(db_.get(), {WorkloadOp{Kind::kUpdate, 31}},
                                mix_, nullptr, both)

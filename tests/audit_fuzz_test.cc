@@ -73,10 +73,10 @@ TEST(AuditFuzzTest, DifferentSeedsAllAgree) {
   }
 }
 
-TEST(AuditFuzzTest, TinyBudgetPreservesByteIdentityAcrossShardCounts) {
+TEST(AuditFuzzTest, TinyBudgetPreservesByteIdentityAcrossBudgets) {
   // The eviction-aware differential proof: replay one op stream unbudgeted,
-  // then under an adversarially tiny cache budget at several shard counts.
-  // Evictions must actually happen, and every access digest must stay
+  // then under several adversarially tiny cache budgets.  Evictions must
+  // actually happen, and every access digest must stay
   // byte-identical — eviction is not invalidation; a recompute restores the
   // exact oracle value regardless of how the LRU perturbs each strategy.
   CrossCheckOptions options = SmallOptions(20260807);
@@ -91,23 +91,23 @@ TEST(AuditFuzzTest, TinyBudgetPreservesByteIdentityAcrossShardCounts) {
   ASSERT_FALSE(baseline_digests.empty());
   EXPECT_EQ(baseline.ValueOrDie().cache_evictions, 0u);
 
-  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8},
-                             std::size_t{64}}) {
+  // ~13-tuple results at S=100 bytes: a few KB forces constant eviction
+  // across every strategy's cached objects.
+  for (std::size_t budget_bytes : {std::size_t{1024}, std::size_t{2048},
+                                   std::size_t{4096}, std::size_t{8192}}) {
     CrossCheckOptions budgeted = options;
-    budgeted.engine.config.shards = shards;
-    // ~13-tuple results at S=100 bytes: a couple of KB forces constant
-    // eviction across every strategy's cached objects.
-    budgeted.engine.config.cache_budget_bytes = 2048;
+    budgeted.engine.config.cache_budget_bytes = budget_bytes;
     std::vector<std::string> digests;
     Result<CrossCheckReport> report = RunOpStream(budgeted, ops, &digests);
     ASSERT_TRUE(report.ok())
-        << shards << " shards: " << report.status().ToString();
+        << budget_bytes << " bytes: " << report.status().ToString();
     EXPECT_GT(report.ValueOrDie().cache_evictions, 0u)
-        << shards << " shards: budget never forced an eviction";
-    ASSERT_EQ(digests.size(), baseline_digests.size()) << shards << " shards";
+        << budget_bytes << " bytes: budget never forced an eviction";
+    ASSERT_EQ(digests.size(), baseline_digests.size())
+        << budget_bytes << " bytes";
     for (std::size_t i = 0; i < digests.size(); ++i) {
       ASSERT_EQ(digests[i], baseline_digests[i])
-          << shards << " shards: access #" << i
+          << budget_bytes << " bytes: access #" << i
           << " diverged between budgeted and unbudgeted runs";
     }
   }

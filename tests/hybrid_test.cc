@@ -88,15 +88,74 @@ TEST(HybridTest, RoutesAndAnswersCorrectly) {
   options.seed = 5;
   options.verify_results = true;
   Result<sim::SimulationResult> result = sim::Simulator::RunWithFactory(
-      [&](sim::Database* db) {
+      [&](sim::Database* db, CacheBudget* budget) {
         return std::make_unique<HybridStrategy>(
             db->catalog.get(), db->executor.get(), &db->meter,
-            static_cast<std::size_t>(options.params.S), options.params,
-            cost::ProcModel::kModel1);
+            options.params, cost::ProcModel::kModel1, budget);
       },
       options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.ValueOrDie().verification_failures, 0u);
+}
+
+TEST(HybridTest, SingleRouteChargesEqualTheRoutedStrategy) {
+  // With one procedure type per database, Hybrid routes every procedure to
+  // one sub-strategy and must charge exactly what that strategy charges
+  // when run alone: its sub-strategies are built as MakeStrategy builds
+  // them, and the idle ones charge nothing.
+  struct Case {
+    const char* name;
+    bool joins;  ///< joins only (N1 = 0), else selections only (N2 = 0)
+    cost::ProcModel model;
+    double update_probability;
+    cost::Strategy route;
+  };
+  const Case cases[] = {
+      {"selections, model 1, P=0.1", false, cost::ProcModel::kModel1, 0.1,
+       cost::Strategy::kCacheInvalidate},
+      {"selections, model 1, P=0.6", false, cost::ProcModel::kModel1, 0.6,
+       cost::Strategy::kAlwaysRecompute},
+      {"joins, model 1, P=0.1", true, cost::ProcModel::kModel1, 0.1,
+       cost::Strategy::kUpdateCacheAvm},
+      {"joins, model 2, P=0.1", true, cost::ProcModel::kModel2, 0.1,
+       cost::Strategy::kUpdateCacheRvm},
+  };
+  for (const Case& c : cases) {
+    sim::Simulator::Options options;
+    options.params.N = 4000;
+    options.params.f = 0.005;
+    options.params.q = 60;
+    options.params.N1 = c.joins ? 0 : 20;
+    options.params.N2 = c.joins ? 20 : 0;
+    options.params.SetUpdateProbability(c.update_probability);
+    options.model = c.model;
+    options.seed = 11;
+    ASSERT_EQ(cost::RecommendForProcedureType(options.params, c.model,
+                                              c.joins,
+                                              HybridStrategy::kSafetyMargin)
+                  .strategy,
+              c.route)
+        << c.name;
+
+    Result<sim::SimulationResult> hybrid = sim::Simulator::RunWithFactory(
+        [&](sim::Database* db, CacheBudget* budget) {
+          return std::make_unique<HybridStrategy>(
+              db->catalog.get(), db->executor.get(), &db->meter,
+              options.params, c.model, budget);
+        },
+        options);
+    Result<sim::SimulationResult> routed =
+        sim::Simulator::Run(c.route, options);
+    ASSERT_TRUE(hybrid.ok()) << c.name << ": " << hybrid.status().ToString();
+    ASSERT_TRUE(routed.ok()) << c.name << ": " << routed.status().ToString();
+    const sim::SimulationResult& h = hybrid.ValueOrDie();
+    const sim::SimulationResult& r = routed.ValueOrDie();
+    EXPECT_GT(r.total_ms, 0.0) << c.name;
+    EXPECT_EQ(h.total_ms, r.total_ms) << c.name;
+    EXPECT_EQ(h.disk_reads, r.disk_reads) << c.name;
+    EXPECT_EQ(h.disk_writes, r.disk_writes) << c.name;
+    EXPECT_EQ(h.screens, r.screens) << c.name;
+  }
 }
 
 TEST(HybridTest, AssignmentsCoverAllProcedures) {
@@ -119,8 +178,9 @@ TEST(HybridTest, AssignmentsCoverAllProcedures) {
 
   cost::Params params = SmallParams();
   params.SetUpdateProbability(0.1);
-  HybridStrategy hybrid(&catalog, &executor, &meter, 100, params,
-                        cost::ProcModel::kModel1);
+  CacheBudget budget(0);
+  HybridStrategy hybrid(&catalog, &executor, &meter, params,
+                        cost::ProcModel::kModel1, &budget);
   for (ProcId id = 0; id < 6; ++id) {
     DatabaseProcedure procedure;
     procedure.id = id;
@@ -158,8 +218,9 @@ TEST(HybridTest, HighUpdateEnvironmentRoutesToRecompute) {
 
   cost::Params params;
   params.SetUpdateProbability(0.95);
-  HybridStrategy hybrid(&catalog, &executor, &meter, 100, params,
-                        cost::ProcModel::kModel1);
+  CacheBudget budget(0);
+  HybridStrategy hybrid(&catalog, &executor, &meter, params,
+                        cost::ProcModel::kModel1, &budget);
   DatabaseProcedure procedure;
   procedure.id = 0;
   procedure.name = "P";

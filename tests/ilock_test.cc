@@ -56,22 +56,8 @@ TEST(ILockTableTest, ClearLocksDropsOnlyOwner) {
   EXPECT_EQ(locks.FindBroken("R1", Row(10)), std::vector<ProcId>{2});
 }
 
-TEST(ILockTableTest, ConfigurableShardCount) {
-  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8},
-                             std::size_t{64}}) {
-    ILockTable locks(shards);
-    EXPECT_EQ(locks.shard_count(), shards);
-    // Behavior is shard-count independent.
-    locks.AddIntervalLock(1, "R1", 0, 0, 100);
-    locks.AddValueLock(2, "R2", 0, 7);
-    EXPECT_EQ(locks.FindBroken("R1", Row(50)), std::vector<ProcId>{1});
-    EXPECT_EQ(locks.FindBroken("R2", Row(7)), std::vector<ProcId>{2});
-    EXPECT_EQ(locks.lock_count(), 2u);
-  }
-}
-
 TEST(ILockTableTest, ShardLockCountsSumToTotal) {
-  ILockTable locks(4);
+  ILockTable locks;
   const char* relations[] = {"R1", "R2", "R3", "R4", "R5"};
   std::size_t added = 0;
   for (const char* relation : relations) {
@@ -89,8 +75,8 @@ TEST(ILockTableTest, ShardLockCountsSumToTotal) {
 }
 
 TEST(ILockTableDeathTest, ShardLockCountBoundsChecked) {
-  ILockTable locks(4);
-  EXPECT_DEATH(locks.shard_lock_count(4), "");
+  ILockTable locks;
+  EXPECT_DEATH(locks.shard_lock_count(locks.shard_count()), "");
 }
 
 TEST(ILockTableTest, NonIntegerColumnsIgnored) {

@@ -42,7 +42,7 @@ TEST_P(IpValidationTest, MeasuredInvalidFractionTracksAnalyticIp) {
   std::size_t accesses = 0;
   std::size_t invalid = 0;
   Result<SimulationResult> rerun = Simulator::RunWithFactory(
-      [&](Database* db) {
+      [&](Database* db, proc::CacheBudget* budget) {
         struct Probe : proc::CacheInvalidateStrategy {
           using CacheInvalidateStrategy::CacheInvalidateStrategy;
           std::size_t* accesses_out = nullptr;
@@ -54,7 +54,7 @@ TEST_P(IpValidationTest, MeasuredInvalidFractionTracksAnalyticIp) {
         };
         auto strategy = std::make_unique<Probe>(
             db->catalog.get(), db->executor.get(), &db->meter,
-            static_cast<std::size_t>(params.S), params.C_inval);
+            static_cast<std::size_t>(params.S), budget, params.C_inval);
         strategy->accesses_out = &accesses;
         strategy->invalid_out = &invalid;
         return strategy;

@@ -65,21 +65,22 @@ TEST_P(SoakTest, ExtensionStrategiesNeverServeStaleResults) {
 
   for (int variant = 0; variant < 3; ++variant) {
     Result<SimulationResult> result = Simulator::RunWithFactory(
-        [&](Database* db) -> std::unique_ptr<proc::Strategy> {
+        [&](Database* db,
+            proc::CacheBudget* budget) -> std::unique_ptr<proc::Strategy> {
           const auto bytes = static_cast<std::size_t>(options.params.S);
           switch (variant) {
             case 0:
               return std::make_unique<proc::UpdateCacheAvmStrategy>(
                   db->catalog.get(), db->executor.get(), &db->meter, bytes,
-                  0.3, 3);
+                  budget, 0.3, 3);
             case 1:
               return std::make_unique<proc::HybridStrategy>(
-                  db->catalog.get(), db->executor.get(), &db->meter, bytes,
-                  options.params, options.model, 1.25);
+                  db->catalog.get(), db->executor.get(), &db->meter,
+                  options.params, options.model, budget);
             default:
               return std::make_unique<proc::UpdateCacheRvmStrategy>(
                   db->catalog.get(), db->executor.get(), &db->meter, bytes,
-                  rete::ReteNetwork::JoinShape::kLeftDeep);
+                  budget, rete::ReteNetwork::JoinShape::kLeftDeep);
           }
         },
         options);

@@ -103,13 +103,15 @@ class StrategyTest : public ::testing::Test {
   storage::SimulatedDisk disk_;
   rel::Catalog catalog_;
   rel::Executor executor_;
+  CacheBudget budget_{0};  // unlimited: accounts, never evicts
   rel::Relation* base_ = nullptr;
   rel::Relation* inner_ = nullptr;
   std::vector<storage::RecordId> rids_;
 };
 
 TEST_F(StrategyTest, AlwaysRecomputeReflectsUpdatesImmediately) {
-  AlwaysRecomputeStrategy strategy(&catalog_, &executor_, &meter_, 100);
+  AlwaysRecomputeStrategy strategy(&catalog_, &executor_, &meter_,
+                                   100, &budget_);
   ASSERT_TRUE(strategy.AddProcedure(MakeP1(0, 10, 19)).ok());
   ASSERT_TRUE(strategy.Prepare().ok());
   EXPECT_EQ(strategy.Access(0).ValueOrDie().size(), 10u);
@@ -118,18 +120,21 @@ TEST_F(StrategyTest, AlwaysRecomputeReflectsUpdatesImmediately) {
 }
 
 TEST_F(StrategyTest, AlwaysRecomputeUnknownProcedure) {
-  AlwaysRecomputeStrategy strategy(&catalog_, &executor_, &meter_, 100);
+  AlwaysRecomputeStrategy strategy(&catalog_, &executor_, &meter_,
+                                   100, &budget_);
   ASSERT_TRUE(strategy.Prepare().ok());
   EXPECT_EQ(strategy.Access(3).status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(StrategyTest, ProcedureIdsMustBeDense) {
-  AlwaysRecomputeStrategy strategy(&catalog_, &executor_, &meter_, 100);
+  AlwaysRecomputeStrategy strategy(&catalog_, &executor_, &meter_,
+                                   100, &budget_);
   EXPECT_FALSE(strategy.AddProcedure(MakeP1(5, 0, 1)).ok());
 }
 
 TEST_F(StrategyTest, CacheInvalidateServesFromCacheWhenValid) {
-  CacheInvalidateStrategy strategy(&catalog_, &executor_, &meter_, 100, 0.0);
+  CacheInvalidateStrategy strategy(&catalog_, &executor_, &meter_,
+                                   100, &budget_, 0.0);
   ASSERT_TRUE(strategy.AddProcedure(MakeP1(0, 10, 19)).ok());
   ASSERT_TRUE(strategy.Prepare().ok());
   EXPECT_TRUE(strategy.IsValid(0));
@@ -141,7 +146,8 @@ TEST_F(StrategyTest, CacheInvalidateServesFromCacheWhenValid) {
 }
 
 TEST_F(StrategyTest, CacheInvalidateInvalidatesOnConflictOnly) {
-  CacheInvalidateStrategy strategy(&catalog_, &executor_, &meter_, 100, 0.0);
+  CacheInvalidateStrategy strategy(&catalog_, &executor_, &meter_,
+                                   100, &budget_, 0.0);
   ASSERT_TRUE(strategy.AddProcedure(MakeP1(0, 10, 19)).ok());
   ASSERT_TRUE(strategy.AddProcedure(MakeP1(1, 30, 39)).ok());
   ASSERT_TRUE(strategy.Prepare().ok());
@@ -155,7 +161,8 @@ TEST_F(StrategyTest, CacheInvalidateInvalidatesOnConflictOnly) {
 }
 
 TEST_F(StrategyTest, CacheInvalidateChargesInvalidationCost) {
-  CacheInvalidateStrategy strategy(&catalog_, &executor_, &meter_, 100, 60.0);
+  CacheInvalidateStrategy strategy(&catalog_, &executor_, &meter_,
+                                   100, &budget_, 60.0);
   ASSERT_TRUE(strategy.AddProcedure(MakeP1(0, 0, 39)).ok());
   ASSERT_TRUE(strategy.Prepare().ok());
   meter_.Reset();
@@ -172,7 +179,8 @@ TEST_F(StrategyTest, CacheInvalidateFalseInvalidation) {
   // The i-lock covers the whole selection interval of a join procedure; an
   // update inside the interval invalidates even if the joined residual
   // would reject the new tuple — the paper's false invalidation.
-  CacheInvalidateStrategy strategy(&catalog_, &executor_, &meter_, 100, 0.0);
+  CacheInvalidateStrategy strategy(&catalog_, &executor_, &meter_,
+                                   100, &budget_, 0.0);
   DatabaseProcedure p2 = MakeP2(0, 10, 19);
   p2.query.joins[0].residual = Conjunction(
       {rel::PredicateTerm{1, rel::CompareOp::kEq, Value(int64_t{-1})}});
@@ -206,7 +214,9 @@ TEST(CacheInvalidateDoubleTest, TinyDoubleChangeIsATrueInvalidation) {
   for (int64_t i = 0; i < 10; ++i) {
     rids.push_back(table->Insert(Tuple({Value(i), Value(1e-9)})).ValueOrDie());
   }
-  CacheInvalidateStrategy strategy(&catalog, &executor, &meter, 100, 0.0);
+  CacheBudget budget(0);
+  CacheInvalidateStrategy strategy(&catalog, &executor, &meter, 100, &budget,
+                                   0.0);
   DatabaseProcedure procedure;
   procedure.id = 0;
   procedure.name = "P";
@@ -244,7 +254,8 @@ TEST(CacheInvalidateDoubleTest, TinyDoubleChangeIsATrueInvalidation) {
 }
 
 TEST_F(StrategyTest, AvmMaintainsJoinProcedureThroughUpdates) {
-  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100);
+  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_,
+                                  100, &budget_);
   ASSERT_TRUE(strategy.AddProcedure(MakeP2(0, 0, 39)).ok());
   ASSERT_TRUE(strategy.AddProcedure(MakeP1(1, 20, 29)).ok());
   ASSERT_TRUE(strategy.Prepare().ok());
@@ -258,7 +269,8 @@ TEST_F(StrategyTest, AvmMaintainsJoinProcedureThroughUpdates) {
 }
 
 TEST_F(StrategyTest, AvmAccessReadsOnlyStoredPages) {
-  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100);
+  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_,
+                                  100, &budget_);
   ASSERT_TRUE(strategy.AddProcedure(MakeP1(0, 0, 39)).ok());
   ASSERT_TRUE(strategy.Prepare().ok());
   meter_.Reset();
@@ -268,7 +280,8 @@ TEST_F(StrategyTest, AvmAccessReadsOnlyStoredPages) {
 }
 
 TEST_F(StrategyTest, AvmChargesScreenAndC3PerBrokenLock) {
-  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_, 100);
+  UpdateCacheAvmStrategy strategy(&catalog_, &executor_, &meter_,
+                                  100, &budget_);
   ASSERT_TRUE(strategy.AddProcedure(MakeP1(0, 10, 19)).ok());
   ASSERT_TRUE(strategy.Prepare().ok());
   meter_.Reset();
@@ -285,7 +298,8 @@ TEST_F(StrategyTest, AvmChargesScreenAndC3PerBrokenLock) {
 }
 
 TEST_F(StrategyTest, RvmMaintainsProceduresAndReportsSharing) {
-  UpdateCacheRvmStrategy strategy(&catalog_, &executor_, &meter_, 100);
+  UpdateCacheRvmStrategy strategy(&catalog_, &executor_, &meter_,
+                                  100, &budget_);
   ASSERT_TRUE(strategy.AddProcedure(MakeP1(0, 10, 19)).ok());
   ASSERT_TRUE(strategy.AddProcedure(MakeP2(1, 10, 19)).ok());  // shares base
   ASSERT_TRUE(strategy.Prepare().ok());
@@ -301,13 +315,13 @@ TEST_F(StrategyTest, RvmMaintainsProceduresAndReportsSharing) {
 TEST_F(StrategyTest, AllStrategiesAgreeAfterMixedWorkload) {
   std::vector<std::unique_ptr<Strategy>> strategies;
   strategies.push_back(std::make_unique<AlwaysRecomputeStrategy>(
-      &catalog_, &executor_, &meter_, 100));
+      &catalog_, &executor_, &meter_, 100, &budget_));
   strategies.push_back(std::make_unique<CacheInvalidateStrategy>(
-      &catalog_, &executor_, &meter_, 100, 0.0));
+      &catalog_, &executor_, &meter_, 100, &budget_, 0.0));
   strategies.push_back(std::make_unique<UpdateCacheAvmStrategy>(
-      &catalog_, &executor_, &meter_, 100));
+      &catalog_, &executor_, &meter_, 100, &budget_));
   strategies.push_back(std::make_unique<UpdateCacheRvmStrategy>(
-      &catalog_, &executor_, &meter_, 100));
+      &catalog_, &executor_, &meter_, 100, &budget_));
   for (auto& strategy : strategies) {
     ASSERT_TRUE(strategy->AddProcedure(MakeP1(0, 5, 14)).ok());
     ASSERT_TRUE(strategy->AddProcedure(MakeP2(1, 10, 29)).ok());
