@@ -60,16 +60,8 @@ Status ValidatePage(const storage::Page& page) {
   return Status::OK();
 }
 
-Status ValidateHeapFile(const storage::HeapFile& file) {
-  return file.CheckConsistency();
-}
-
 Status ValidateBufferCache(const storage::BufferCache& cache) {
   return cache.CheckConsistency();
-}
-
-Status ValidateTupleStore(const ivm::TupleStore& store) {
-  return store.CheckConsistency();
 }
 
 Status ValidateReteNetwork(const rete::ReteNetwork& network) {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 
-#include "ivm/tuple_store.h"
 #include "proc/cache_budget.h"
 #include "proc/ilock.h"
 #include "relational/catalog.h"
@@ -12,7 +11,6 @@
 #include "sim/simulator.h"
 #include "storage/btree.h"
 #include "storage/buffer_cache.h"
-#include "storage/heap_file.h"
 #include "storage/page.h"
 #include "txn/engine.h"
 
@@ -24,7 +22,8 @@ namespace procsim::audit {
 // charge the cost meter, so they can run between workload operations
 // without distorting the paper's measurements.  The same checks run
 // automatically after every mutation in PROCSIM_AUDIT builds (see
-// PROCSIM_AUDIT_OK in util/logging.h).
+// PROCSIM_AUDIT_OK in util/logging.h).  Heap files and tuple stores have
+// no wrapper here: their own CheckConsistency() is the validator.
 
 /// B-tree: sorted keys, separator bounds, fanout fill bounds, uniform leaf
 /// depth, leaf-chain (key, rid) ordering, and chain-vs-entry_count
@@ -36,14 +35,8 @@ Status ValidateBTree(const storage::BTree& tree);
 /// logical image (its stored bytes, then the zeros it only accounts).
 Status ValidatePage(const storage::Page& page);
 
-/// Heap file: page list and per-page live counts vs record_count().
-Status ValidateHeapFile(const storage::HeapFile& file);
-
 /// Buffer cache: LRU/residency-map agreement and capacity.
 Status ValidateBufferCache(const storage::BufferCache& cache);
-
-/// Tuple store: heap, tuple map and probe indexes must describe one bag.
-Status ValidateTupleStore(const ivm::TupleStore& store);
 
 /// Rete network: every α-memory equals a from-scratch recomputation of its
 /// selection and every β-memory equals the join of its inputs.

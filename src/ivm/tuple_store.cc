@@ -1,6 +1,8 @@
 #include "ivm/tuple_store.h"
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "util/logging.h"
 
@@ -14,6 +16,7 @@ TupleStore::TupleStore(storage::SimulatedDisk* disk, std::size_t pad_to_bytes)
       pad_to_bytes_(pad_to_bytes),
       heap_(disk) {
   PROCSIM_CHECK(disk != nullptr);
+  indexes_.try_emplace(0);
 }
 
 TupleStore::~TupleStore() {
@@ -26,9 +29,8 @@ std::size_t TupleStore::page_count() const { return heap_.pages().size(); }
 Status TupleStore::InsertInternal(const Tuple& tuple) {
   Result<RecordId> rid = heap_.Insert(tuple.Serialize(), pad_to_bytes_);
   if (!rid.ok()) return rid.status();
-  by_tuple_.emplace(tuple.Hash(), rid.ValueOrDie());
-  for (auto& [column, index] : probe_indexes_) {
-    index.emplace(tuple.value(column).AsInt64(), rid.ValueOrDie());
+  for (auto& [column, index] : indexes_) {
+    index.emplace(tuple.value(column).Hash(), rid.ValueOrDie());
   }
   ++count_;
   return Status::OK();
@@ -46,45 +48,44 @@ Result<Tuple> TupleStore::Decode(RecordId rid) const {
   return Tuple::Deserialize(bytes.ValueOrDie());
 }
 
-TupleStore::TupleMap::const_iterator TupleStore::Find(
-    const Tuple& tuple) const {
+std::optional<RecordId> TupleStore::Find(const Tuple& tuple) const {
   // Compare decoded tuples, not bytes: values equal under Value::Compare
-  // (+0.0 and -0.0, NaN payloads) may encode differently.
+  // (+0.0 and -0.0, NaN payloads) may encode differently.  A candidate
+  // above the lowest match so far is not decoded.
   storage::MeteringGuard guard(disk_);
-  auto [begin, end] = by_tuple_.equal_range(tuple.Hash());
+  std::optional<RecordId> found;
+  auto [begin, end] = indexes_.at(0).equal_range(tuple.value(0).Hash());
   for (auto it = begin; it != end; ++it) {
+    if (found.has_value() && !(it->second < *found)) continue;
     Result<Tuple> stored = Decode(it->second);
     PROCSIM_CHECK(stored.ok()) << stored.status().ToString();
-    if (stored.ValueOrDie() == tuple) return it;
+    if (stored.ValueOrDie() == tuple) found = it->second;
   }
-  return by_tuple_.end();
+  return found;
 }
 
 Status TupleStore::Remove(const Tuple& tuple) {
-  const auto it = Find(tuple);
-  if (it == by_tuple_.end()) {
+  const std::optional<RecordId> rid = Find(tuple);
+  if (!rid.has_value()) {
     return Status::NotFound("tuple not in store: " + tuple.ToString());
   }
-  const RecordId rid = it->second;
-  PROCSIM_RETURN_IF_ERROR(heap_.Delete(rid));
-  for (auto& [column, index] : probe_indexes_) {
-    const int64_t key = tuple.value(column).AsInt64();
-    auto [kbegin, kend] = index.equal_range(key);
-    for (auto kit = kbegin; kit != kend; ++kit) {
-      if (kit->second == rid) {
-        index.erase(kit);
+  PROCSIM_RETURN_IF_ERROR(heap_.Delete(*rid));
+  for (auto& [column, index] : indexes_) {
+    auto [begin, end] = index.equal_range(tuple.value(column).Hash());
+    for (auto it = begin; it != end; ++it) {
+      if (it->second == *rid) {
+        index.erase(it);
         break;
       }
     }
   }
-  by_tuple_.erase(it);
   --count_;
   PROCSIM_AUDIT_OK(CheckConsistency());
   return Status::OK();
 }
 
 bool TupleStore::Contains(const Tuple& tuple) const {
-  return Find(tuple) != by_tuple_.end();
+  return Find(tuple).has_value();
 }
 
 Result<std::vector<Tuple>> TupleStore::ReadAll() const {
@@ -101,33 +102,42 @@ Result<std::vector<Tuple>> TupleStore::ReadAll() const {
 }
 
 void TupleStore::EnsureProbeIndex(std::size_t column) {
-  if (probe_indexes_.contains(column)) return;
-  auto& index = probe_indexes_[column];
+  auto [it, created] = indexes_.try_emplace(column);
+  if (!created) return;
+  Index& index = it->second;
   storage::MeteringGuard guard(disk_);
-  for (const auto& [hash, rid] : by_tuple_) {
-    Result<storage::ByteView> bytes = heap_.Read(rid);
-    PROCSIM_CHECK(bytes.ok()) << bytes.status().ToString();
-    Result<rel::Value> key =
-        Tuple::DeserializeValue(bytes.ValueOrDie(), column);
-    PROCSIM_CHECK(key.ok()) << key.status().ToString();
-    index.emplace(key.ValueOrDie().AsInt64(), rid);
-  }
+  const Status scanned =
+      heap_.Scan([&](RecordId rid, storage::ByteView bytes) {
+        Result<rel::Value> value = Tuple::DeserializeValue(bytes, column);
+        PROCSIM_CHECK(value.ok()) << value.status().ToString();
+        index.emplace(value.ValueOrDie().Hash(), rid);
+        return true;
+      });
+  PROCSIM_CHECK(scanned.ok()) << scanned.ToString();
 }
 
 Result<std::vector<Tuple>> TupleStore::ProbeEqual(std::size_t column,
                                                   int64_t key) const {
-  auto index_it = probe_indexes_.find(column);
-  if (index_it == probe_indexes_.end()) {
+  auto index = indexes_.find(column);
+  if (index == indexes_.end()) {
     return Status::InvalidArgument("no probe index on column " +
                                    std::to_string(column));
   }
+  const rel::Value wanted(key);
+  std::vector<RecordId> candidates;
+  auto [begin, end] = index->second.equal_range(wanted.Hash());
+  for (auto it = begin; it != end; ++it) candidates.push_back(it->second);
+  std::sort(candidates.begin(), candidates.end());
   std::vector<Tuple> out;
-  auto [begin, end] = index_it->second.equal_range(key);
-  for (auto it = begin; it != end; ++it) {
-    Result<storage::ByteView> bytes = heap_.Read(it->second);
-    if (!bytes.ok()) return bytes.status();
-    Result<Tuple> tuple = Tuple::Deserialize(bytes.ValueOrDie());
+  for (RecordId rid : candidates) {
+    Result<Tuple> tuple = [&] {
+      storage::MeteringGuard guard(disk_);
+      return Decode(rid);
+    }();
     if (!tuple.ok()) return tuple.status();
+    if (!(tuple.ValueOrDie().value(column) == wanted)) continue;  // collision
+    // The charged fetch of a match.
+    PROCSIM_RETURN_IF_ERROR(heap_.Read(rid).status());
     out.push_back(tuple.TakeValueOrDie());
   }
   return out;
@@ -138,8 +148,7 @@ Status TupleStore::Rebuild(const std::vector<Tuple>& tuples) {
   // for each page being replaced; Insert below charges the new writes.
   const std::size_t old_pages = page_count();
   PROCSIM_RETURN_IF_ERROR(heap_.FreePages());
-  by_tuple_.clear();
-  for (auto& [column, index] : probe_indexes_) index.clear();
+  for (auto& [column, index] : indexes_) index.clear();
   count_ = 0;
   if (disk_->metering_enabled() && disk_->meter() != nullptr) {
     disk_->meter()->ChargeDiskRead(old_pages);
@@ -153,20 +162,27 @@ Status TupleStore::Rebuild(const std::vector<Tuple>& tuples) {
 }
 
 std::vector<Tuple> TupleStore::SnapshotForTesting() const {
-  std::vector<Tuple> out;
-  out.reserve(count_);
   storage::MeteringGuard guard(disk_);
-  for (const auto& [hash, rid] : by_tuple_) {
-    Result<Tuple> tuple = Decode(rid);
-    PROCSIM_CHECK(tuple.ok()) << tuple.status().ToString();
-    out.push_back(tuple.TakeValueOrDie());
-  }
-  return out;
+  Result<std::vector<Tuple>> all = ReadAll();
+  PROCSIM_CHECK(all.ok()) << all.status().ToString();
+  return all.TakeValueOrDie();
 }
 
 void TupleStore::ForEach(
     const std::function<bool(const Tuple&)>& fn) const {
-  for (const auto& [hash, rid] : by_tuple_) {
+  // `fn` keeps the caller's metering, so it cannot run inside an un-metered
+  // scan: collect the record ids first, then decode each un-metered.
+  std::vector<RecordId> rids;
+  rids.reserve(count_);
+  {
+    storage::MeteringGuard guard(disk_);
+    const Status scanned = heap_.Scan([&](RecordId rid, storage::ByteView) {
+      rids.push_back(rid);
+      return true;
+    });
+    PROCSIM_CHECK(scanned.ok()) << scanned.ToString();
+  }
+  for (RecordId rid : rids) {
     Result<Tuple> tuple = [&] {
       storage::MeteringGuard guard(disk_);
       return Decode(rid);
@@ -179,53 +195,35 @@ void TupleStore::ForEach(
 Status TupleStore::CheckConsistency() const {
   storage::MeteringGuard guard(disk_);
   PROCSIM_RETURN_IF_ERROR(heap_.CheckConsistency());
-  if (by_tuple_.size() != count_) {
-    return Status::Internal("tuple map holds " +
-                            std::to_string(by_tuple_.size()) +
-                            " entries but size() is " + std::to_string(count_));
-  }
   if (heap_.record_count() != count_) {
     return Status::Internal("heap holds " +
                             std::to_string(heap_.record_count()) +
                             " records but size() is " + std::to_string(count_));
   }
-  std::set<RecordId> mapped;
-  for (const auto& [hash, rid] : by_tuple_) {
-    if (!mapped.insert(rid).second) {
-      return Status::Internal("tuple map names record " + rid.ToString() +
-                              " twice");
-    }
-    Result<Tuple> stored = Decode(rid);
-    if (!stored.ok()) {
-      return Status::Internal("mapped record " + rid.ToString() +
-                              " unreadable: " + stored.status().ToString());
-    }
-    if (hash != stored.ValueOrDie().Hash()) {
-      return Status::Internal("record " + rid.ToString() + " stores " +
-                              stored.ValueOrDie().ToString() +
-                              ", which does not hash to its tuple map key");
-    }
-  }
-  for (const auto& [column, index] : probe_indexes_) {
+  for (const auto& [column, index] : indexes_) {
+    const std::string name = "index on column " + std::to_string(column);
     if (index.size() != count_) {
-      return Status::Internal(
-          "probe index on column " + std::to_string(column) + " holds " +
-          std::to_string(index.size()) + " postings for " +
-          std::to_string(count_) + " tuples");
+      return Status::Internal(name + " holds " + std::to_string(index.size()) +
+                              " postings for " + std::to_string(count_) +
+                              " tuples");
     }
-    for (const auto& [key, rid] : index) {
-      Result<storage::ByteView> bytes = heap_.Read(rid);
-      if (!bytes.ok()) {
-        return Status::Internal("probe index posting " + rid.ToString() +
-                                " unreadable: " + bytes.status().ToString());
+    std::set<RecordId> named;
+    for (const auto& [hash, rid] : index) {
+      if (!named.insert(rid).second) {
+        return Status::Internal(name + " names record " + rid.ToString() +
+                                " twice");
       }
-      Result<Tuple> stored = Tuple::Deserialize(bytes.ValueOrDie());
-      if (!stored.ok()) return stored.status();
-      if (stored.ValueOrDie().value(column).AsInt64() != key) {
+      Result<Tuple> stored = Decode(rid);
+      if (!stored.ok()) {
+        return Status::Internal(name + " names record " + rid.ToString() +
+                                ", which is unreadable: " +
+                                stored.status().ToString());
+      }
+      if (stored.ValueOrDie().value(column).Hash() != hash) {
         return Status::Internal(
-            "probe index on column " + std::to_string(column) +
-            " maps key " + std::to_string(key) + " to record " +
-            rid.ToString() + " holding " + stored.ValueOrDie().ToString());
+            "record " + rid.ToString() + " stores " +
+            stored.ValueOrDie().ToString() + ", whose column " +
+            std::to_string(column) + " does not hash to its index key");
       }
     }
   }

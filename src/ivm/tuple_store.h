@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -15,20 +15,21 @@
 
 namespace procsim::ivm {
 
-/// \brief A page-backed bag of tuples with cheap in-memory lookup
-/// structures.
+/// \brief A page-backed bag of tuples with cheap in-memory indexes.
 ///
 /// Used for materialized procedure results, cached values, and Rete α/β
 /// memory nodes.  The SimulatedDisk pages hold the only copy of each tuple,
 /// so every read of the contents and every incremental refresh charges the
-/// paper's I/O costs.  The lookup maps (tuple hash → rids, key → rids) hold
-/// record ids, not tuples: they model the index part of the structure, whose
-/// traversal the paper does not charge, and the records they name are
-/// decoded from their pages un-metered when a lookup must compare tuples.
+/// paper's I/O costs.  Its one kind of index maps a column value's
+/// rel::Value::Hash to the record ids holding it: the uncharged index part of
+/// the structure, whose named records are decoded un-metered when a lookup
+/// must compare values.  Column 0 is always indexed and answers whole-tuple
+/// lookups; other columns are indexed on demand (EnsureProbeIndex) — a shared
+/// Rete memory may be probed on different columns by different and-nodes.
 ///
-/// Duplicate tuples are supported (bag semantics).  Probe indexes on int64
-/// columns can be added on demand (EnsureProbeIndex) — a shared Rete memory
-/// may be probed on different columns by different and-nodes.
+/// Duplicate tuples are supported (bag semantics).  Every order the store
+/// exposes is record order (RecordId, which is heap page/slot order), never
+/// a hash table's.
 class TupleStore {
  public:
   /// \param disk          backing store
@@ -47,23 +48,24 @@ class TupleStore {
   /// partially filled page).
   Status Insert(const rel::Tuple& tuple);
 
-  /// Removes one instance of `tuple`; NotFound if absent.
+  /// Removes the lowest-RecordId instance of `tuple`; NotFound if absent.
   Status Remove(const rel::Tuple& tuple);
 
   /// True if at least one instance of `tuple` is stored (no I/O charge —
-  /// answered like an index lookup: the hash map names the candidates and
-  /// each is decoded from its page un-metered).
+  /// answered like an index lookup: the column-0 index names the candidates
+  /// and each is decoded from its page un-metered).
   bool Contains(const rel::Tuple& tuple) const;
 
-  /// Reads every tuple, charging one read per page.
+  /// Reads every tuple in record order, charging one read per page.
   Result<std::vector<rel::Tuple>> ReadAll() const;
 
-  /// Builds (or keeps) an in-memory probe index on `column` (int64).
+  /// Builds (or keeps) an in-memory index on `column`; column 0 has one.
   void EnsureProbeIndex(std::size_t column);
 
-  /// All tuples whose `column` equals `key`, charging one read per distinct
-  /// record fetch (page reads deduplicate inside an access scope).
-  /// Requires EnsureProbeIndex(column) to have been called.
+  /// All tuples whose `column` equals `key`, in record order, charging one
+  /// read per distinct record fetch (page reads deduplicate inside an access
+  /// scope).  A hash collision is checked un-metered, so it is neither
+  /// charged nor returned.  Requires an index on `column`.
   Result<std::vector<rel::Tuple>> ProbeEqual(std::size_t column,
                                              int64_t key) const;
 
@@ -74,46 +76,38 @@ class TupleStore {
   /// (SimulatedDisk::FreePage); the new contents go on fresh page ids.
   Status Rebuild(const std::vector<rel::Tuple>& tuples);
 
-  /// Contents without any I/O charge; for tests and invariant checks only.
+  /// ReadAll without any I/O charge; for tests and invariant checks only.
   std::vector<rel::Tuple> SnapshotForTesting() const;
 
-  /// Visits every stored tuple in SnapshotForTesting's order until `fn`
-  /// returns false.  Each tuple is decoded from its page un-metered; `fn`
-  /// runs under the caller's metering.  `fn`'s argument is a temporary,
-  /// valid only during that call: copy what must outlive it.  `fn` must not
-  /// mutate this store.
+  /// Visits every stored tuple in record order until `fn` returns false.
+  /// Each tuple is decoded from its page un-metered; `fn` runs under the
+  /// caller's metering.  `fn`'s argument is a temporary, valid only during
+  /// that call: copy what must outlive it.  `fn` must not mutate this store.
   void ForEach(const std::function<bool(const rel::Tuple&)>& fn) const;
 
-  /// Deep self-validation (un-metered): the heap, the tuple map and every
-  /// probe index must describe the same bag — each mapped record is live on
-  /// its page, named once, and decodes to a tuple whose hash is its map key;
-  /// counts agree everywhere, and each probe-index posting points at a
-  /// record whose column value is the posting's key.
+  /// Deep self-validation (un-metered): the heap and every index must
+  /// describe the same bag — each index names every live record once, and
+  /// each posting's key is the hash of its record's value in that column.
   Status CheckConsistency() const;
 
   std::size_t size() const { return count_; }
   std::size_t page_count() const;
 
  private:
-  using TupleMap = std::unordered_multimap<std::size_t, storage::RecordId>;
+  /// Column value hash -> ids of the records holding that value.
+  using Index = std::unordered_multimap<std::size_t, storage::RecordId>;
 
   Status InsertInternal(const rel::Tuple& tuple);
   /// The tuple stored at `rid`; the caller un-meters the read.
   Result<rel::Tuple> Decode(storage::RecordId rid) const;
-  /// The first entry in map order whose record equals `tuple`, or end().
-  TupleMap::const_iterator Find(const rel::Tuple& tuple) const;
+  /// The lowest record equal to `tuple`, if any.
+  std::optional<storage::RecordId> Find(const rel::Tuple& tuple) const;
 
   storage::SimulatedDisk* disk_;
   std::size_t pad_to_bytes_;
   storage::HeapFile heap_;
-  // tuple-hash -> rids (collisions resolved by decoding and comparing).  Its
-  // iteration order is the order of every walk (ForEach, probe-index
-  // backfill), hence of Rete β inserts and page images.
-  TupleMap by_tuple_;
-  // column -> (key -> rids).
-  std::map<std::size_t,
-           std::unordered_multimap<int64_t, storage::RecordId>>
-      probe_indexes_;
+  // column -> index; column 0 is always present.
+  std::map<std::size_t, Index> indexes_;
   std::size_t count_ = 0;
 };
 

@@ -31,6 +31,7 @@ struct JoinStage {
   std::size_t probe_column = 0;  ///< index into the accumulated output tuple
   Conjunction residual;          ///< over the inner relation's columns
 
+  bool operator==(const JoinStage&) const = default;
   std::string ToString() const;
 };
 

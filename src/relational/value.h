@@ -63,8 +63,8 @@ class Value {
 
   /// Stable hash: FNV-1a over the encoded form.  Equal values hash
   /// equally: -0.0 hashes as +0.0 and every NaN as one canonical NaN.  The
-  /// values are part of the page-image contract (they order TupleStore's
-  /// map, hence Rete β-memory inserts).
+  /// values are part of the page-image contract: through Tuple::Hash they
+  /// order ivm::DeltaSet::NetRows, hence AVM's patches.
   std::size_t Hash() const;
 
  private:

@@ -77,7 +77,7 @@ Result<MemoryNode*> ReteNetwork::WireJoin(MemoryNode* left, MemoryNode* right,
   left->mutable_store()->EnsureProbeIndex(left_column);
   right->mutable_store()->EnsureProbeIndex(right_column);
 
-  // Populate from the current memory contents, left side in tuple-map order,
+  // Populate from the current memory contents, left side in record order,
   // before registering anything.
   Status populated = Status::OK();
   left->store().ForEach([&](const Tuple& left_tuple) {
@@ -225,10 +225,14 @@ Result<MemoryNode*> ReteNetwork::BuildJoinTail(const ProcedureQuery& query,
                                     query.joins[i].residual);
     signature ^= query.joins[i].probe_column * 0x9e3779b97f4a7c15ULL;
   }
-  if (auto it = tails_by_signature_.find(signature);
-      it != tails_by_signature_.end()) {
+  std::vector<rel::JoinStage> stages(query.joins.begin() + from,
+                                     query.joins.end());
+  stages.front().probe_column = 0;
+  auto [begin, end] = tails_by_signature_.equal_range(signature);
+  for (auto it = begin; it != end; ++it) {
+    if (it->second.stages != stages) continue;  // hash collision
     ++stats_.shared_subexpression_hits;
-    return it->second;
+    return it->second.memory;
   }
 
   Result<SelectionEntry*> selection =
@@ -271,7 +275,8 @@ Result<MemoryNode*> ReteNetwork::BuildJoinTail(const ProcedureQuery& query,
     result = beta.ValueOrDie();
   }
 
-  tails_by_signature_[signature] = result;
+  tails_by_signature_.emplace(signature,
+                              JoinTail{std::move(stages), result});
   return result;
 }
 

@@ -225,8 +225,16 @@ class ReteNetwork {
       GUARDED_BY(submit_latch_);
   std::unordered_map<std::string, std::vector<SelectionEntry*>> root_index_
       GUARDED_BY(submit_latch_);
-  // join-tail signature -> shared memory node
-  std::unordered_map<std::size_t, MemoryNode*> tails_by_signature_
+  /// A built right-deep join tail: the stages it covers, with the first
+  /// stage's probe column zeroed (that probe is outside the tail), and the
+  /// memory holding its value.
+  struct JoinTail {
+    std::vector<rel::JoinStage> stages;
+    MemoryNode* memory = nullptr;
+  };
+  // join-tail signature -> the tails with that signature (a shared one is
+  // matched on its stages, so a signature collision never shares).
+  std::unordered_multimap<std::size_t, JoinTail> tails_by_signature_
       GUARDED_BY(submit_latch_);
   Stats stats_ GUARDED_BY(submit_latch_);
 };

@@ -1,6 +1,6 @@
 // Pins the physical result of a fixed workload at paper scale: the bytes of
 // every live disk page, the oracle state digest, the procedure answers and
-// the simulated-cost totals.  The 26 bench goldens pin simulated costs
+// the simulated-cost totals.  The 30 bench goldens pin simulated costs
 // only; this test additionally catches a change to the on-page node layout,
 // to B-tree split points or to the pages an operation charges, even when
 // the answers and totals happen to survive it.  A deliberate layout change
@@ -141,13 +141,13 @@ void ExpectPins(const Pins& expected, const Pins& actual) {
 constexpr std::size_t kOps = 120;
 
 TEST(DiskImageGoldenTest, Model1) {
-  ExpectPins({0x30dc6a41820d0b8cULL, 0x0191d0e0c2df5b5eULL,
+  ExpectPins({0x7e4f4bf5848feed8ULL, 0x0191d0e0c2df5b5eULL,
               0x4b5321fa7c537d6fULL, 415298, 7907, 829, 152274, 944},
              RunScript(cost::ProcModel::kModel1, kOps));
 }
 
 TEST(DiskImageGoldenTest, Model2) {
-  ExpectPins({0x0d4313f45d21f8adULL, 0xb95d498c2154e6b1ULL,
+  ExpectPins({0x7b36d5ed46d73c69ULL, 0xb95d498c2154e6b1ULL,
               0x542d936f8123e19bULL, 408977, 8308, 977, 129659, 768},
              RunScript(cost::ProcModel::kModel2, kOps));
 }

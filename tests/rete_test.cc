@@ -201,6 +201,20 @@ TEST_F(ReteTest, IdenticalJoinTailIsShared) {
   ASSERT_TRUE(network.AddProcedure(P2Model2(20, 29, 1)).ok());
   EXPECT_EQ(network.stats().beta_memories, tails_before + 1);  // result only
   EXPECT_GE(network.stats().shared_subexpression_hits, 1u);
+
+  // A tail that differs only in its R3 stage's residual is a new tail: its
+  // own σ(R3) α-memory, R2 ⋈ R3 β-memory and result β-memory.
+  ProcedureQuery other_r3 = P2Model2(20, 29, 1);
+  other_r3.joins[1].residual =
+      Conjunction({PredicateTerm{1, rel::CompareOp::kEq, Value(int64_t{0})}});
+  const std::size_t alphas_before = network.stats().alpha_memories;
+  const std::size_t betas_before = network.stats().beta_memories;
+  auto memory = network.AddProcedure(other_r3);
+  ASSERT_TRUE(memory.ok()) << memory.status().ToString();
+  EXPECT_EQ(network.stats().alpha_memories, alphas_before + 1);
+  EXPECT_EQ(network.stats().beta_memories, betas_before + 2);
+  EXPECT_EQ(Canon(memory.ValueOrDie()->store().SnapshotForTesting()),
+            Canon(executor_.Execute(other_r3).ValueOrDie()));
 }
 
 TEST_F(ReteTest, InsertTokenFlowsToMemories) {

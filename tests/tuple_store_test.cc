@@ -78,8 +78,57 @@ TEST_F(TupleStoreTest, ProbeIndexOnDemand) {
 TEST_F(TupleStoreTest, ProbeWithoutIndexFails) {
   TupleStore store(&disk_, 100);
   ASSERT_TRUE(store.Insert(Row(1, 2)).ok());
-  EXPECT_EQ(store.ProbeEqual(0, 1).status().code(),
+  EXPECT_EQ(store.ProbeEqual(1, 2).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST_F(TupleStoreTest, ColumnZeroIsAlwaysIndexed) {
+  TupleStore store(&disk_, 100);
+  ASSERT_TRUE(store.Insert(Row(1, 2)).ok());
+  ASSERT_TRUE(store.Insert(Row(3, 4)).ok());
+  Result<std::vector<Tuple>> matches = store.ProbeEqual(0, 3);
+  ASSERT_TRUE(matches.ok()) << matches.status().ToString();
+  EXPECT_EQ(matches.ValueOrDie(), std::vector<Tuple>{Row(3, 4)});
+}
+
+TEST_F(TupleStoreTest, ProbeReturnsMatchesInRecordOrder) {
+  TupleStore store(&disk_, 100);
+  store.EnsureProbeIndex(1);
+  ASSERT_TRUE(store.Insert(Row(1, 7)).ok());
+  ASSERT_TRUE(store.Insert(Row(2, 8)).ok());
+  ASSERT_TRUE(store.Insert(Row(3, 7)).ok());
+  ASSERT_TRUE(store.Insert(Row(4, 7)).ok());
+  Result<std::vector<Tuple>> matches = store.ProbeEqual(1, 7);
+  ASSERT_TRUE(matches.ok()) << matches.status().ToString();
+  EXPECT_EQ(matches.ValueOrDie(),
+            (std::vector<Tuple>{Row(1, 7), Row(3, 7), Row(4, 7)}));
+}
+
+TEST_F(TupleStoreTest, WalksVisitTuplesInRecordOrder) {
+  TupleStore store(&disk_, 100);
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(store.Insert(Row(i * 7919 % 101, i)).ok());
+  }
+  for (int64_t i = 0; i < 100; i += 3) {
+    ASSERT_TRUE(store.Remove(Row(i * 7919 % 101, i)).ok());
+  }
+  Result<std::vector<Tuple>> read_all = store.ReadAll();
+  ASSERT_TRUE(read_all.ok());
+  std::vector<Tuple> visited;
+  store.ForEach([&](const Tuple& tuple) {
+    visited.push_back(tuple);
+    return true;
+  });
+  EXPECT_EQ(visited, read_all.ValueOrDie());
+  EXPECT_EQ(store.SnapshotForTesting(), read_all.ValueOrDie());
+
+  visited.clear();
+  store.ForEach([&](const Tuple& tuple) {
+    visited.push_back(tuple);
+    return visited.size() < 3;
+  });
+  EXPECT_EQ(visited, std::vector<Tuple>(read_all.ValueOrDie().begin(),
+                                        read_all.ValueOrDie().begin() + 3));
 }
 
 TEST_F(TupleStoreTest, MultipleProbeIndexesCoexist) {
@@ -204,6 +253,17 @@ TEST_F(TupleStoreTest, LookupsCompareValuesNotBytes) {
   EXPECT_TRUE(store.CheckConsistency().ok());
 }
 
+TEST_F(TupleStoreTest, RemoveTakesTheLowestEqualRecord) {
+  TupleStore store(&disk_, 100);
+  ASSERT_TRUE(store.Insert(Tuple({Value(0.0)})).ok());
+  ASSERT_TRUE(store.Insert(Tuple({Value(-0.0)})).ok());
+  ASSERT_TRUE(store.Remove(Tuple({Value(0.0)})).ok());
+  Result<std::vector<Tuple>> left = store.ReadAll();
+  ASSERT_TRUE(left.ok());
+  ASSERT_EQ(left.ValueOrDie().size(), 1u);
+  EXPECT_TRUE(std::signbit(left.ValueOrDie()[0].value(0).AsDouble()));
+}
+
 TEST_F(TupleStoreTest, PageHoldsTheOnlyCopy) {
   TupleStore store(&disk_, 100);
   ASSERT_TRUE(store.Insert(Row(1, 2)).ok());
@@ -224,7 +284,7 @@ TEST_F(TupleStoreTest, PageHoldsTheOnlyCopy) {
   EXPECT_FALSE(store.Contains(Row(1, 2)));
   const Status consistency = store.CheckConsistency();
   EXPECT_EQ(consistency.code(), StatusCode::kInternal);
-  EXPECT_NE(consistency.ToString().find("does not hash to its tuple map key"),
+  EXPECT_NE(consistency.ToString().find("does not hash to its index key"),
             std::string::npos)
       << consistency.ToString();
 }

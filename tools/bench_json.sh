@@ -5,7 +5,8 @@
 # collects their BENCH_<name>.json snapshots into a scratch directory, and
 # diffs each against the committed golden in bench/goldens/ with
 # tools/bench_diff (2% relative tolerance on numeric leaves, exact match on
-# structure and strings, "metrics" subtree ignored).
+# structure and strings, "metrics" and "timings" ignored).  Goldens are
+# written without those two keys.
 #
 #   tools/bench_json.sh [build-dir]                  # gate (default: build)
 #   tools/bench_json.sh [build-dir] --update-goldens # re-baseline
@@ -16,8 +17,8 @@
 #     fixed seed (fig20_memory_pressure, fig21_group_commit,
 #     micro_row_paths, abl_adaptive, abl_hybrid, abl_join_shape,
 #     abl_buffer_cache, abl_clustering_drift, sim_vs_analytic).  Their
-#     wall-clock numbers, where any, sit under keys tools/bench_diff
-#     ignores.
+#     wall-clock numbers, where any, sit under "timings", which
+#     tools/bench_diff ignores and goldens omit.
 # Every bench also runs as a `bench-smoke` ctest case (quick mode).
 # micro_substrate, a wall-clock-only Google Benchmark, is not gated and
 # runs only there.
@@ -97,8 +98,26 @@ done
 
 if [[ "${UPDATE}" -eq 1 ]]; then
   mkdir -p "${GOLDEN_DIR}"
+  # A golden keeps only what tools/bench_diff gates.  The "timings" and
+  # "metrics" keys (always the last ones a bench writes) are cut, so no
+  # wall-clock number and no stale copy of a counter added or deleted later
+  # is committed.  The rest keeps the bench's own formatting.
   for bench in "${GOLDEN_BENCHES[@]}"; do
-    cp "${SCRATCH}/BENCH_${bench}.json" "${GOLDEN_DIR}/BENCH_${bench}.json"
+    python3 - "${SCRATCH}/BENCH_${bench}.json" \
+        "${GOLDEN_DIR}/BENCH_${bench}.json" <<'EOF'
+import json
+import re
+import sys
+
+text = open(sys.argv[1]).read()
+head = re.split(r'\n  "(?:timings|metrics)": ', text, maxsplit=1)[0]
+golden = head.rstrip(",") + "\n}\n"
+expected = json.loads(text)
+expected.pop("timings", None)
+if expected.pop("metrics", None) is None or json.loads(golden) != expected:
+    sys.exit("bench_json.sh: cannot cut the metrics from " + sys.argv[1])
+open(sys.argv[2], "w").write(golden)
+EOF
   done
   echo "bench_json.sh: updated ${#GOLDEN_BENCHES[@]} goldens in ${GOLDEN_DIR}"
   exit 0
