@@ -91,6 +91,18 @@ bool ReadPod(std::span<const uint8_t> in, std::size_t* cursor, T* value) {
   return true;
 }
 
+// FNV-1a, streamed over the bytes of an encoded value.
+constexpr std::size_t kFnvOffset = 1469598103934665603ULL;
+
+std::size_t FnvMix(std::size_t h, const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 }  // namespace
 
 std::size_t Value::SerializedSize() const {
@@ -160,19 +172,28 @@ Result<Value> Value::DeserializeFrom(std::span<const uint8_t> in,
 }
 
 std::size_t Value::Hash() const {
-  std::vector<uint8_t> bytes(SerializedSize());
-  SerializeInto(bytes.data());
-  if (type() == ValueType::kDouble) {
-    // Equal values must hash equally: -0.0 as +0.0, every NaN as one NaN.
-    double d = std::get<double>(repr_);
-    if (d == 0.0) d = 0.0;
-    if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
-    std::memcpy(bytes.data() + 1, &d, sizeof(d));
-  }
-  std::size_t h = 1469598103934665603ULL;  // FNV-1a
-  for (uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ULL;
+  // The same bytes SerializeInto writes, in the same order, without a
+  // buffer.
+  const auto tag = static_cast<uint8_t>(type());
+  std::size_t h = FnvMix(kFnvOffset, &tag, 1);
+  switch (type()) {
+    case ValueType::kInt64: {
+      const int64_t v = std::get<int64_t>(repr_);
+      return FnvMix(h, &v, sizeof(v));
+    }
+    case ValueType::kDouble: {
+      // Equal values must hash equally: -0.0 as +0.0, every NaN as one NaN.
+      double d = std::get<double>(repr_);
+      if (d == 0.0) d = 0.0;
+      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
+      return FnvMix(h, &d, sizeof(d));
+    }
+    case ValueType::kString: {
+      const std::string& s = std::get<std::string>(repr_);
+      const auto size = static_cast<uint32_t>(s.size());
+      h = FnvMix(h, &size, sizeof(size));
+      return FnvMix(h, s.data(), s.size());
+    }
   }
   return h;
 }

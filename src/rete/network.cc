@@ -81,18 +81,13 @@ Result<MemoryNode*> ReteNetwork::WireJoin(MemoryNode* left, MemoryNode* right,
   // before registering anything.
   Status populated = Status::OK();
   left->store().ForEach([&](const Tuple& left_tuple) {
-    Result<std::vector<Tuple>> matches = right->store().ProbeEqual(
-        right_column, left_tuple.value(left_column).AsInt64());
-    if (!matches.ok()) {
-      populated = matches.status();
-      return false;
-    }
-    for (const Tuple& right_tuple : matches.ValueOrDie()) {
-      populated = beta->mutable_store()->Insert(
-          Tuple::Concat(left_tuple, right_tuple));
-      if (!populated.ok()) return false;
-    }
-    return true;
+    populated = right->store().ProbeEqual(
+        right_column, left_tuple.value(left_column).AsInt64(),
+        [&](Tuple&& right_tuple) {
+          return beta->mutable_store()->Insert(
+              Tuple::Concat(left_tuple, right_tuple));
+        });
+    return populated.ok();
   });
   PROCSIM_RETURN_IF_ERROR(populated);
 

@@ -87,7 +87,12 @@ Result<std::vector<Tuple>> MemoryNode::ReadAll() const {
 Result<std::vector<Tuple>> MemoryNode::ProbeEqual(std::size_t column,
                                                   int64_t key) const {
   util::RankedLockGuard guard(latch_);
-  return store_.ProbeEqual(column, key);
+  std::vector<Tuple> matches;
+  PROCSIM_RETURN_IF_ERROR(store_.ProbeEqual(column, key, [&](Tuple&& match) {
+    matches.push_back(std::move(match));
+    return Status::OK();
+  }));
+  return matches;
 }
 
 Status MemoryNode::ResetContents(const std::vector<Tuple>& tuples) {

@@ -112,7 +112,9 @@ class MemoryNode : public ReteNode {
   Result<std::vector<rel::Tuple>> ReadAll() const;
 
   /// Latched equality probe on `column` — the and-node's join lookup while
-  /// a token from the opposite side is in flight.
+  /// a token from the opposite side is in flight.  The matches are collected
+  /// under the latch and returned, so the caller propagates only after the
+  /// latch is dropped (no two memory latches are ever held together).
   Result<std::vector<rel::Tuple>> ProbeEqual(std::size_t column,
                                              int64_t key) const;
 

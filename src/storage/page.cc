@@ -30,8 +30,9 @@ uint32_t Page::FreeSpace() const { return page_size_ - BytesUsed(); }
 bool Page::Fits(uint32_t size) const { return size <= FreeSpace(); }
 
 uint32_t Page::Append(const uint8_t* data, uint32_t stored, uint32_t size) {
-  if (arena_.capacity() == 0) {
-    // Size the arena for a page full of records shaped like the first one.
+  if (arena_.capacity() == 0 && stored < size) {
+    // Padded records: size the arena for a page full of records shaped
+    // like the first one.
     arena_.reserve(uint64_t{page_size_} * stored / size);
   } else if (garbage_ > 0 && arena_.size() + stored > arena_.capacity()) {
     Compact();  // reclaim garbage rather than grow the arena
@@ -39,6 +40,15 @@ uint32_t Page::Append(const uint8_t* data, uint32_t stored, uint32_t size) {
   // resize + memcpy rather than insert-from-pointer: GCC 12's
   // -Wstringop-overflow misfires on the latter (see AppendPod below).
   const auto offset = static_cast<uint32_t>(arena_.size());
+  if (offset + stored > arena_.capacity()) {
+    // Grow to fit, doubling up to the page size.  Live stored bytes never
+    // exceed the page, so once garbage is compacted away an arena never
+    // needs more than that: a B-tree node or hash bucket (one unpadded
+    // record) holds about its own bytes, not B.
+    arena_.reserve(std::max<uint64_t>(
+        offset + stored,
+        std::min<uint64_t>(2 * uint64_t{arena_.capacity()}, page_size_)));
+  }
   arena_.resize(offset + stored);
   std::memcpy(arena_.data() + offset, data, stored);
   return offset;

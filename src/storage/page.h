@@ -49,7 +49,9 @@ using ByteView = std::span<const uint8_t>;
 /// View returns the stored bytes, and Serialize writes the zeros back out,
 /// so a page image is the same whether or not padding is stored.
 ///
-/// Stored bytes live in an arena that grows to fit.  Deletes and updates
+/// Stored bytes live in an arena that grows to fit: a padded record's first
+/// append reserves room for a page full of records like it, and otherwise
+/// the arena doubles as needed, up to the page size.  Deletes and updates
 /// leave garbage in it, which is compacted away once it reaches half the
 /// arena or an append would otherwise grow the arena.  The page
 /// size is a constructor parameter rather than a compile-time constant so

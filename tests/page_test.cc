@@ -101,6 +101,33 @@ TEST(PageTest, UpdateGrowingRecordCompacts) {
   EXPECT_EQ(Copied(page, slot_a), big);
 }
 
+// A record that stores all its bytes (a B-tree node, a hash bucket) gets an
+// arena about its own size, growing by doubling up to the page; a padded
+// record's first append still reserves a page full of records like it.
+TEST(PageTest, ArenaHoldsAboutWhatThePageStores) {
+  constexpr uint32_t kPageSize = 4000;
+  Page node(kPageSize);
+  std::vector<uint8_t> image(100, 0xab);
+  const uint16_t slot = node.Insert(image.data(), 100).ValueOrDie();
+  EXPECT_EQ(node.resident_bytes(), 100u);
+  for (uint32_t size = 114; size <= 2809; size += 14) {
+    image.assign(size, 0xcd);
+    ASSERT_TRUE(node.Update(slot, image.data(), size).ok());
+    ASSERT_LE(node.resident_bytes(), std::min(2 * size, kPageSize)) << size;
+    ASSERT_EQ(Copied(node, slot), image);
+  }
+  EXPECT_EQ(node.FreeSpace(), kPageSize - image.size());
+
+  Page heap(kPageSize);
+  const std::vector<uint8_t> tuple(30, 0x11);
+  ASSERT_TRUE(heap.Insert(tuple.data(), 30, 100).ok());
+  EXPECT_EQ(heap.resident_bytes(), kPageSize * 30 / 100);
+  for (int i = 1; i < 40; ++i) {
+    ASSERT_TRUE(heap.Insert(tuple.data(), 30, 100).ok());
+  }
+  EXPECT_EQ(heap.resident_bytes(), kPageSize * 30 / 100);  // no regrowth
+}
+
 TEST(PageTest, UpdateThatCannotFitFails) {
   Page page(32);
   const auto a = Bytes("aaaa");

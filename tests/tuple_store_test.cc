@@ -4,14 +4,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+
+#include "util/rng.h"
 
 namespace procsim::ivm {
 namespace {
 
 using rel::Tuple;
 using rel::Value;
+using storage::RecordId;
 
 Tuple Row(int64_t a, int64_t b) { return Tuple({Value(a), Value(b)}); }
+
+// The tuples ProbeEqual visits, in visit order.
+Result<std::vector<Tuple>> Probe(const TupleStore& store, std::size_t column,
+                                 int64_t key) {
+  std::vector<Tuple> matches;
+  PROCSIM_RETURN_IF_ERROR(store.ProbeEqual(column, key, [&](Tuple&& match) {
+    matches.push_back(std::move(match));
+    return Status::OK();
+  }));
+  return matches;
+}
 
 class TupleStoreTest : public ::testing::Test {
  protected:
@@ -63,7 +78,7 @@ TEST_F(TupleStoreTest, ProbeIndexOnDemand) {
   }
   // Index built after data exists; must backfill.
   store.EnsureProbeIndex(0);
-  auto matches = store.ProbeEqual(0, 2);
+  auto matches = Probe(store, 0, 2);
   ASSERT_TRUE(matches.ok());
   EXPECT_EQ(matches.ValueOrDie().size(), 5u);
   for (const Tuple& t : matches.ValueOrDie()) {
@@ -72,13 +87,13 @@ TEST_F(TupleStoreTest, ProbeIndexOnDemand) {
   // Index maintained by later mutations.
   ASSERT_TRUE(store.Insert(Row(2, 99)).ok());
   ASSERT_TRUE(store.Remove(Row(2, 2)).ok());
-  EXPECT_EQ(store.ProbeEqual(0, 2).ValueOrDie().size(), 5u);
+  EXPECT_EQ(Probe(store, 0, 2).ValueOrDie().size(), 5u);
 }
 
 TEST_F(TupleStoreTest, ProbeWithoutIndexFails) {
   TupleStore store(&disk_, 100);
   ASSERT_TRUE(store.Insert(Row(1, 2)).ok());
-  EXPECT_EQ(store.ProbeEqual(1, 2).status().code(),
+  EXPECT_EQ(Probe(store, 1, 2).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -86,7 +101,7 @@ TEST_F(TupleStoreTest, ColumnZeroIsAlwaysIndexed) {
   TupleStore store(&disk_, 100);
   ASSERT_TRUE(store.Insert(Row(1, 2)).ok());
   ASSERT_TRUE(store.Insert(Row(3, 4)).ok());
-  Result<std::vector<Tuple>> matches = store.ProbeEqual(0, 3);
+  Result<std::vector<Tuple>> matches = Probe(store, 0, 3);
   ASSERT_TRUE(matches.ok()) << matches.status().ToString();
   EXPECT_EQ(matches.ValueOrDie(), std::vector<Tuple>{Row(3, 4)});
 }
@@ -98,7 +113,7 @@ TEST_F(TupleStoreTest, ProbeReturnsMatchesInRecordOrder) {
   ASSERT_TRUE(store.Insert(Row(2, 8)).ok());
   ASSERT_TRUE(store.Insert(Row(3, 7)).ok());
   ASSERT_TRUE(store.Insert(Row(4, 7)).ok());
-  Result<std::vector<Tuple>> matches = store.ProbeEqual(1, 7);
+  Result<std::vector<Tuple>> matches = Probe(store, 1, 7);
   ASSERT_TRUE(matches.ok()) << matches.status().ToString();
   EXPECT_EQ(matches.ValueOrDie(),
             (std::vector<Tuple>{Row(1, 7), Row(3, 7), Row(4, 7)}));
@@ -137,8 +152,8 @@ TEST_F(TupleStoreTest, MultipleProbeIndexesCoexist) {
   store.EnsureProbeIndex(1);
   ASSERT_TRUE(store.Insert(Row(1, 10)).ok());
   ASSERT_TRUE(store.Insert(Row(2, 10)).ok());
-  EXPECT_EQ(store.ProbeEqual(0, 1).ValueOrDie().size(), 1u);
-  EXPECT_EQ(store.ProbeEqual(1, 10).ValueOrDie().size(), 2u);
+  EXPECT_EQ(Probe(store, 0, 1).ValueOrDie().size(), 1u);
+  EXPECT_EQ(Probe(store, 1, 10).ValueOrDie().size(), 2u);
 }
 
 TEST_F(TupleStoreTest, RebuildChargesReadModifyWrite) {
@@ -163,8 +178,8 @@ TEST_F(TupleStoreTest, RebuildReplacesContents) {
   EXPECT_FALSE(store.Contains(Row(1, 1)));
   EXPECT_TRUE(store.Contains(Row(2, 2)));
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.ProbeEqual(0, 1).ValueOrDie().size(), 0u);
-  EXPECT_EQ(store.ProbeEqual(0, 3).ValueOrDie().size(), 1u);
+  EXPECT_EQ(Probe(store, 0, 1).ValueOrDie().size(), 0u);
+  EXPECT_EQ(Probe(store, 0, 3).ValueOrDie().size(), 1u);
 }
 
 TEST_F(TupleStoreTest, RebuildFreesThePagesItReplaces) {
@@ -287,6 +302,253 @@ TEST_F(TupleStoreTest, PageHoldsTheOnlyCopy) {
   EXPECT_NE(consistency.ToString().find("does not hash to its index key"),
             std::string::npos)
       << consistency.ToString();
+}
+
+// Two int64 keys whose Value::Hash agree in the low 32 bits: one tag, so
+// one home slot, for two different values.
+constexpr int64_t kTagTwinA = 1482008352108671526;
+constexpr int64_t kTagTwinB = 6231150877740702512;
+
+TEST_F(TupleStoreTest, TagCollisionCostsNothing) {
+  ASSERT_EQ(PostingTable::TagOf(Value(kTagTwinA).Hash()),
+            PostingTable::TagOf(Value(kTagTwinB).Hash()));
+  ASSERT_NE(Value(kTagTwinA).Hash(), Value(kTagTwinB).Hash());
+
+  TupleStore alone(&disk_, 100);
+  alone.EnsureProbeIndex(1);
+  ASSERT_TRUE(alone.Insert(Row(kTagTwinA, kTagTwinA)).ok());
+  TupleStore both(&disk_, 100);
+  both.EnsureProbeIndex(1);
+  ASSERT_TRUE(both.Insert(Row(kTagTwinB, kTagTwinB)).ok());
+  ASSERT_TRUE(both.Insert(Row(kTagTwinA, kTagTwinA)).ok());
+  ASSERT_TRUE(both.Insert(Row(kTagTwinB, kTagTwinB)).ok());
+
+  for (std::size_t column : {0u, 1u}) {
+    meter_.Reset();
+    Result<std::vector<Tuple>> single = Probe(alone, column, kTagTwinA);
+    ASSERT_TRUE(single.ok());
+    const double single_ms = meter_.total_ms();
+    const uint64_t single_reads = meter_.disk_reads();
+    meter_.Reset();
+    Result<std::vector<Tuple>> twinned = Probe(both, column, kTagTwinA);
+    ASSERT_TRUE(twinned.ok());
+    // The twins are decoded un-metered and skipped: no extra row, no charge.
+    EXPECT_EQ(twinned.ValueOrDie(),
+              std::vector<Tuple>{Row(kTagTwinA, kTagTwinA)});
+    EXPECT_EQ(twinned.ValueOrDie(), single.ValueOrDie());
+    EXPECT_EQ(meter_.disk_reads(), single_reads);
+    EXPECT_EQ(single_reads, 1u);
+    EXPECT_DOUBLE_EQ(meter_.total_ms(), single_ms);
+  }
+
+  meter_.Reset();
+  EXPECT_FALSE(alone.Contains(Row(kTagTwinB, kTagTwinB)));
+  EXPECT_TRUE(both.Contains(Row(kTagTwinA, kTagTwinA)));
+  EXPECT_DOUBLE_EQ(meter_.total_ms(), 0.0);
+  ASSERT_TRUE(both.Remove(Row(kTagTwinA, kTagTwinA)).ok());
+  EXPECT_FALSE(both.Contains(Row(kTagTwinA, kTagTwinA)));
+  EXPECT_EQ(Probe(both, 1, kTagTwinB).ValueOrDie().size(), 2u);
+  EXPECT_TRUE(both.CheckConsistency().ok());
+}
+
+// PostingTable on its own, with tags chosen by hand rather than hashed.
+
+RecordId Rid(uint32_t n) {
+  return RecordId{n / 40, static_cast<uint16_t>(n % 40)};
+}
+
+// The rids filed under `tag`, sorted.
+std::vector<RecordId> WithTag(const PostingTable& table, uint32_t tag) {
+  std::vector<RecordId> rids;
+  table.ForEachWithTag(tag, [&](RecordId rid) { rids.push_back(rid); });
+  std::sort(rids.begin(), rids.end());
+  return rids;
+}
+
+// The first tag at or after `from` whose home in a table of `table`'s
+// capacity is `slot`.
+uint32_t TagHomedAt(const PostingTable& table, std::size_t slot,
+                    uint32_t from = 0) {
+  uint32_t tag = from;
+  while (table.HomeSlot(tag) != slot) ++tag;
+  return tag;
+}
+
+// A table grown to 16 slots by 7 postings of one tag homed at slot 4, so
+// they fill slots 4..10 and leave the wrap-around point free.
+PostingTable SixteenSlotTable(uint32_t* filler_tag) {
+  PostingTable sizing;
+  for (uint32_t i = 0; i < 7; ++i) sizing.Insert(0, Rid(i));
+  EXPECT_EQ(sizing.capacity(), 16u);
+  *filler_tag = TagHomedAt(sizing, 4);
+  PostingTable table;
+  for (uint32_t i = 0; i < 7; ++i) table.Insert(*filler_tag, Rid(1000 + i));
+  EXPECT_EQ(table.capacity(), 16u);
+  return table;
+}
+
+TEST(TupleStorePostingTableTest, EmptyTable) {
+  PostingTable table;
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.capacity(), 0u);
+  EXPECT_TRUE(WithTag(table, 7).empty());
+  EXPECT_FALSE(table.Erase(7, Rid(0)));
+  EXPECT_TRUE(table.CheckStructure().ok());
+}
+
+TEST(TupleStorePostingTableTest, ManyPostingsWithOneTag) {
+  PostingTable table;
+  std::vector<RecordId> expected;
+  for (uint32_t i = 0; i < 300; ++i) {
+    table.Insert(42, Rid(i));
+    expected.push_back(Rid(i));
+  }
+  table.Insert(43, Rid(5000));
+  ASSERT_TRUE(table.CheckStructure().ok());
+  EXPECT_EQ(table.size(), 301u);
+  EXPECT_EQ(WithTag(table, 42), expected);
+  EXPECT_EQ(WithTag(table, 43), std::vector<RecordId>{Rid(5000)});
+  EXPECT_FALSE(table.Erase(42, Rid(5000)));  // the rid is filed elsewhere
+  EXPECT_FALSE(table.Erase(44, Rid(0)));
+
+  // Erase from the front, the middle and the back of the one cluster.
+  for (uint32_t i : {0u, 150u, 299u, 1u, 151u, 298u}) {
+    ASSERT_TRUE(table.Erase(42, Rid(i)));
+    expected.erase(std::find(expected.begin(), expected.end(), Rid(i)));
+    ASSERT_TRUE(table.CheckStructure().ok()) << "after erasing " << i;
+    ASSERT_EQ(WithTag(table, 42), expected);
+  }
+  EXPECT_EQ(WithTag(table, 43), std::vector<RecordId>{Rid(5000)});
+  EXPECT_EQ(table.size(), 295u);
+}
+
+TEST(TupleStorePostingTableTest, EraseInTheMiddleOfAMixedCluster) {
+  uint32_t filler = 0;
+  PostingTable table = SixteenSlotTable(&filler);
+  // Tags homed at 5 and 6 land past the fillers' run (slots 11, 12, ...),
+  // interleaved with it in one cluster.
+  const uint32_t at5 = TagHomedAt(table, 5);
+  const uint32_t at6 = TagHomedAt(table, 6);
+  table.Insert(at5, Rid(1));
+  table.Insert(at6, Rid(2));
+  table.Insert(at5, Rid(3));
+  ASSERT_TRUE(table.CheckStructure().ok());
+  // Erasing a filler in the middle shifts the later postings back.
+  ASSERT_TRUE(table.Erase(filler, Rid(1003)));
+  ASSERT_TRUE(table.CheckStructure().ok());
+  EXPECT_EQ(WithTag(table, at5), (std::vector<RecordId>{Rid(1), Rid(3)}));
+  EXPECT_EQ(WithTag(table, at6), std::vector<RecordId>{Rid(2)});
+  EXPECT_EQ(WithTag(table, filler).size(), 6u);
+  ASSERT_TRUE(table.Erase(at5, Rid(1)));
+  ASSERT_TRUE(table.CheckStructure().ok());
+  EXPECT_EQ(WithTag(table, at5), std::vector<RecordId>{Rid(3)});
+  EXPECT_EQ(WithTag(table, at6), std::vector<RecordId>{Rid(2)});
+  EXPECT_EQ(table.size(), 8u);
+}
+
+TEST(TupleStorePostingTableTest, EraseAcrossTheWrapAroundPoint) {
+  uint32_t filler = 0;
+  PostingTable table = SixteenSlotTable(&filler);
+  const uint32_t at14 = TagHomedAt(table, 14);
+  const uint32_t at15 = TagHomedAt(table, 15);
+  const uint32_t at0 = TagHomedAt(table, 0);
+  // One cluster over slots 14, 15, 0, 1, 2: 14 and 15 from their own
+  // homes, the rest wrapped past the end of the array.
+  table.Insert(at14, Rid(1));
+  table.Insert(at15, Rid(2));
+  table.Insert(at14, Rid(3));
+  table.Insert(at0, Rid(4));
+  table.Insert(at15, Rid(5));
+  ASSERT_EQ(table.capacity(), 16u);
+  ASSERT_TRUE(table.CheckStructure().ok());
+
+  // Erase the last slot before the wrap: the wrapped postings shift back
+  // across it, except where that would pass their home.
+  ASSERT_TRUE(table.Erase(at15, Rid(2)));
+  ASSERT_TRUE(table.CheckStructure().ok());
+  EXPECT_EQ(WithTag(table, at14), (std::vector<RecordId>{Rid(1), Rid(3)}));
+  EXPECT_EQ(WithTag(table, at15), std::vector<RecordId>{Rid(5)});
+  EXPECT_EQ(WithTag(table, at0), std::vector<RecordId>{Rid(4)});
+
+  // Erase the cluster's head, then the wrapped posting homed at 0.
+  ASSERT_TRUE(table.Erase(at14, Rid(1)));
+  ASSERT_TRUE(table.CheckStructure().ok());
+  ASSERT_TRUE(table.Erase(at0, Rid(4)));
+  ASSERT_TRUE(table.CheckStructure().ok());
+  EXPECT_EQ(WithTag(table, at14), std::vector<RecordId>{Rid(3)});
+  EXPECT_EQ(WithTag(table, at15), std::vector<RecordId>{Rid(5)});
+  EXPECT_TRUE(WithTag(table, at0).empty());
+  EXPECT_EQ(WithTag(table, filler).size(), 7u);
+  EXPECT_EQ(table.size(), 9u);
+}
+
+TEST(TupleStorePostingTableTest, GrowsWhileDuplicatesArePresent) {
+  PostingTable table;
+  std::size_t last_capacity = 0;
+  int growths = 0;
+  for (uint32_t i = 0; i < 400; ++i) {
+    table.Insert(i % 3 == 0 ? 9u : 10u, Rid(i));
+    if (table.capacity() != last_capacity) {
+      ++growths;
+      last_capacity = table.capacity();
+      // Every posting survives the rehash, duplicates included.
+      ASSERT_TRUE(table.CheckStructure().ok()) << "at " << i;
+      ASSERT_EQ(WithTag(table, 9).size() + WithTag(table, 10).size(), i + 1);
+    }
+  }
+  EXPECT_EQ(growths, 8);  // 8, 16, ..., 1024 slots
+  EXPECT_EQ(table.capacity(), 1024u);
+  EXPECT_EQ(WithTag(table, 9).size(), 134u);
+  EXPECT_EQ(WithTag(table, 10).size(), 266u);
+}
+
+TEST(TupleStorePostingTableTest, ClearReleasesTheSlots) {
+  PostingTable table;
+  for (uint32_t i = 0; i < 100; ++i) table.Insert(i, Rid(i));
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.capacity(), 0u);
+  EXPECT_TRUE(WithTag(table, 5).empty());
+  table.Insert(5, Rid(5));
+  EXPECT_EQ(WithTag(table, 5), std::vector<RecordId>{Rid(5)});
+  EXPECT_TRUE(table.CheckStructure().ok());
+}
+
+// Seeded churn over a handful of tags, which keeps clusters long and makes
+// erases wrap around often, against a model multimap.
+TEST(TupleStorePostingTableTest, ChurnMatchesAModel) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    PostingTable table;
+    std::multimap<uint32_t, RecordId> model;
+    uint32_t next_rid = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const auto tag = static_cast<uint32_t>(rng.Uniform(6));
+      if (model.empty() || rng.Uniform(100) < 55) {
+        table.Insert(tag, Rid(next_rid));
+        model.emplace(tag, Rid(next_rid++));
+      } else {
+        auto victim = model.begin();
+        std::advance(victim, rng.Uniform(model.size()));
+        ASSERT_TRUE(table.Erase(victim->first, victim->second));
+        model.erase(victim);
+      }
+      ASSERT_TRUE(table.CheckStructure().ok()) << "seed " << seed << " step "
+                                               << step;
+      ASSERT_EQ(table.size(), model.size());
+      if (step % 50 == 0) {
+        for (uint32_t t = 0; t < 6; ++t) {
+          std::vector<RecordId> expected;
+          for (auto [it, end] = model.equal_range(t); it != end; ++it) {
+            expected.push_back(it->second);
+          }
+          std::sort(expected.begin(), expected.end());
+          ASSERT_EQ(WithTag(table, t), expected)
+              << "seed " << seed << " step " << step << " tag " << t;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -84,6 +84,19 @@ TEST(ValueTest, HashConsistentWithEquality) {
   }
 }
 
+// The hashes are part of the page-image contract (they order
+// ivm::DeltaSet::NetRows, hence AVM's patches), so they are pinned exactly:
+// FNV-1a over the encoded form, with -0.0 and NaN canonicalized.
+TEST(ValueTest, HashValuesArePinned) {
+  EXPECT_EQ(Value(int64_t{10}).Hash(), 0x2922270e0d3967f3ULL);
+  EXPECT_EQ(Value(int64_t{-1}).Hash(), 0x4a0f8feb970db531ULL);
+  EXPECT_EQ(Value(0.0).Hash(), 0x4f987be6ba3a2ea6ULL);
+  EXPECT_EQ(Value(-0.0).Hash(), 0x4f987be6ba3a2ea6ULL);
+  EXPECT_EQ(Value(std::numeric_limits<double>::quiet_NaN()).Hash(),
+            0x519d76e6bbf1c4cfULL);
+  EXPECT_EQ(Value("x").Hash(), 0x9bb832cb6accdf5eULL);
+}
+
 TEST(SchemaTest, ColumnLookup) {
   Schema schema({Column{"a", ValueType::kInt64},
                  Column{"b", ValueType::kString}});
