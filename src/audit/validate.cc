@@ -2,19 +2,76 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "proc/cache_invalidate.h"
+#include "proc/hybrid.h"
 #include "proc/update_cache_rvm.h"
 #include "storage/disk.h"
 #include "util/logging.h"
 
 namespace procsim::audit {
 
-Status ValidateBTree(const storage::BTree& tree) {
-  return tree.CheckInvariants();
+namespace {
+
+/// A live heap record and the keys it must be indexed under.
+struct LiveRecord {
+  storage::RecordId rid;
+  int64_t btree_key = 0;
+  int64_t hash_key = 0;
+};
+
+/// One index (B-tree or hash) of `relation` must hold one entry per live
+/// record, and each record must be findable under its `key`.  Entry-count
+/// equality plus forward containment makes the mapping a bijection ((key,
+/// rid) pairs are unique).
+template <typename Index>
+Status CheckIndexCoversRecords(const rel::Relation& relation,
+                               const Index& index, const std::string& label,
+                               const std::vector<LiveRecord>& live,
+                               int64_t LiveRecord::*key) {
+  if (index.entry_count() != live.size()) {
+    return Status::Internal(relation.name() + " " + label + " holds " +
+                            std::to_string(index.entry_count()) +
+                            " entries for " + std::to_string(live.size()) +
+                            " live records");
+  }
+  for (const LiveRecord& record : live) {
+    Result<std::vector<storage::RecordId>> rids = index.Search(record.*key);
+    PROCSIM_RETURN_IF_ERROR(rids.status());
+    if (std::ranges::find(rids.ValueOrDie(), record.rid) ==
+        rids.ValueOrDie().end()) {
+      return Status::Internal(relation.name() + " record " +
+                              record.rid.ToString() + " missing from " +
+                              label + " under key " +
+                              std::to_string(record.*key));
+    }
+  }
+  return Status::OK();
 }
+
+/// Validates the Rete network or i-lock table `strategy` keeps, recursing
+/// into a Hybrid's private sub-strategies.
+Status ValidateStrategy(const proc::Strategy& strategy) {
+  if (const auto* rvm =
+          dynamic_cast<const proc::UpdateCacheRvmStrategy*>(&strategy)) {
+    if (rvm->network() != nullptr) return rvm->network()->ValidateState();
+  } else if (const auto* ci =
+                 dynamic_cast<const proc::CacheInvalidateStrategy*>(
+                     &strategy)) {
+    return ValidateILockTable(ci->lock_table(), ci->procedures().size());
+  } else if (const auto* hybrid =
+                 dynamic_cast<const proc::HybridStrategy*>(&strategy)) {
+    for (const std::unique_ptr<proc::Strategy>& sub : hybrid->subs()) {
+      PROCSIM_RETURN_IF_ERROR(ValidateStrategy(*sub));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Status ValidatePage(const storage::Page& page) {
   PROCSIM_RETURN_IF_ERROR(page.CheckConsistency());
@@ -58,14 +115,6 @@ Status ValidatePage(const storage::Page& page) {
     }
   }
   return Status::OK();
-}
-
-Status ValidateBufferCache(const storage::BufferCache& cache) {
-  return cache.CheckConsistency();
-}
-
-Status ValidateReteNetwork(const rete::ReteNetwork& network) {
-  return network.ValidateState();
 }
 
 Status ValidateILockTable(const proc::ILockTable& locks,
@@ -131,11 +180,6 @@ Status ValidateRelation(const rel::Relation& relation,
   storage::MeteringGuard guard(disk);
 
   // Heap contents and record count, via the scan; collect indexed keys.
-  struct LiveRecord {
-    storage::RecordId rid;
-    int64_t btree_key = 0;
-    int64_t hash_key = 0;
-  };
   std::vector<LiveRecord> live;
   std::size_t scanned = 0;
   Status scan_status = Status::OK();
@@ -178,65 +222,15 @@ Status ValidateRelation(const rel::Relation& relation,
                             " are recorded");
   }
 
-  // B-tree: structurally sound, one entry per record, and each record is
-  // findable under its key.  Entry-count equality plus forward containment
-  // makes the mapping a bijection ((key, rid) pairs are unique).
   if (relation.has_btree()) {
-    const storage::BTree* btree = relation.btree();
-    PROCSIM_RETURN_IF_ERROR(btree->CheckInvariants());
-    if (btree->entry_count() != live.size()) {
-      return Status::Internal(
-          relation.name() + " btree holds " +
-          std::to_string(btree->entry_count()) + " entries for " +
-          std::to_string(live.size()) + " live records");
-    }
-    for (const LiveRecord& record : live) {
-      Result<std::vector<storage::RecordId>> rids =
-          btree->Search(record.btree_key);
-      PROCSIM_RETURN_IF_ERROR(rids.status());
-      bool found = false;
-      for (const storage::RecordId& rid : rids.ValueOrDie()) {
-        if (rid == record.rid) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::Internal(relation.name() + " record " +
-                                record.rid.ToString() +
-                                " missing from btree under key " +
-                                std::to_string(record.btree_key));
-      }
-    }
+    PROCSIM_RETURN_IF_ERROR(relation.btree()->CheckInvariants());
+    PROCSIM_RETURN_IF_ERROR(CheckIndexCoversRecords(
+        relation, *relation.btree(), "btree", live, &LiveRecord::btree_key));
   }
-
-  // Hash index: same bijection argument.
   if (relation.has_hash_index()) {
-    const storage::HashIndex* hash = relation.hash_index();
-    if (hash->entry_count() != live.size()) {
-      return Status::Internal(
-          relation.name() + " hash index holds " +
-          std::to_string(hash->entry_count()) + " entries for " +
-          std::to_string(live.size()) + " live records");
-    }
-    for (const LiveRecord& record : live) {
-      Result<std::vector<storage::RecordId>> rids =
-          hash->Search(record.hash_key);
-      PROCSIM_RETURN_IF_ERROR(rids.status());
-      bool found = false;
-      for (const storage::RecordId& rid : rids.ValueOrDie()) {
-        if (rid == record.rid) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::Internal(relation.name() + " record " +
-                                record.rid.ToString() +
-                                " missing from hash index under key " +
-                                std::to_string(record.hash_key));
-      }
-    }
+    PROCSIM_RETURN_IF_ERROR(
+        CheckIndexCoversRecords(relation, *relation.hash_index(),
+                                "hash index", live, &LiveRecord::hash_key));
   }
   return Status::OK();
 }
@@ -252,14 +246,11 @@ Status ValidateCatalog(const rel::Catalog& catalog) {
 }
 
 Status ValidateEngine(txn::TxnEngine& engine) {
-  const sim::Database& db = *engine.database();
   const sim::StrategySet& strategies = engine.strategies();
-  PROCSIM_RETURN_IF_ERROR(ValidateCatalog(*db.catalog));
-  if (strategies.rvm->network() != nullptr) {
-    PROCSIM_RETURN_IF_ERROR(ValidateReteNetwork(*strategies.rvm->network()));
+  PROCSIM_RETURN_IF_ERROR(ValidateCatalog(*engine.database()->catalog));
+  for (const std::unique_ptr<proc::Strategy>& strategy : strategies.all) {
+    PROCSIM_RETURN_IF_ERROR(ValidateStrategy(*strategy));
   }
-  PROCSIM_RETURN_IF_ERROR(ValidateILockTable(
-      strategies.cache_invalidate->lock_table(), db.procedures.size()));
   PROCSIM_RETURN_IF_ERROR(ValidateCacheBudget(*strategies.budget));
   return engine.wal().CheckConsistency();
 }

@@ -7,10 +7,7 @@
 #include "proc/ilock.h"
 #include "relational/catalog.h"
 #include "relational/relation.h"
-#include "rete/network.h"
 #include "sim/simulator.h"
-#include "storage/btree.h"
-#include "storage/buffer_cache.h"
 #include "storage/page.h"
 #include "txn/engine.h"
 
@@ -22,25 +19,15 @@ namespace procsim::audit {
 // charge the cost meter, so they can run between workload operations
 // without distorting the paper's measurements.  The same checks run
 // automatically after every mutation in PROCSIM_AUDIT builds (see
-// PROCSIM_AUDIT_OK in util/logging.h).  Heap files and tuple stores have
-// no wrapper here: their own CheckConsistency() is the validator.
-
-/// B-tree: sorted keys, separator bounds, fanout fill bounds, uniform leaf
-/// depth, leaf-chain (key, rid) ordering, and chain-vs-entry_count
-/// agreement.
-Status ValidateBTree(const storage::BTree& tree);
+// PROCSIM_AUDIT_OK in util/logging.h).  A structure whose own check is
+// the whole validator has no wrapper here: B-trees (CheckInvariants()),
+// heap files, tuple stores and buffer caches (CheckConsistency()) and Rete
+// networks (ValidateState()).
 
 /// Slotted page: slot directory vs free-space accounting, plus a
 /// serialize/deserialize round trip that must reproduce every live record's
 /// logical image (its stored bytes, then the zeros it only accounts).
 Status ValidatePage(const storage::Page& page);
-
-/// Buffer cache: LRU/residency-map agreement and capacity.
-Status ValidateBufferCache(const storage::BufferCache& cache);
-
-/// Rete network: every α-memory equals a from-scratch recomputation of its
-/// selection and every β-memory equals the join of its inputs.
-Status ValidateReteNetwork(const rete::ReteNetwork& network);
 
 /// I-lock table: no dangling locks — every owner is a live procedure id
 /// (< procedure_count) and every interval is non-empty (lo <= hi).
@@ -63,8 +50,9 @@ Status ValidateRelation(const rel::Relation& relation,
 Status ValidateCatalog(const rel::Catalog& catalog);
 
 /// The sweep every quiescent check runs over one engine: its database's
-/// catalog, the RVM Rete network, CacheInvalidate's i-lock table, the
-/// shared cache budget, and the write-ahead log's consistency.
+/// catalog, every Rete network and i-lock table its strategies keep
+/// (Hybrid's private RVM and CacheInvalidate included), the shared cache
+/// budget, and the write-ahead log's consistency.
 Status ValidateEngine(txn::TxnEngine& engine);
 
 }  // namespace procsim::audit

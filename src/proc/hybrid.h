@@ -51,6 +51,11 @@ class HybridStrategy : public Strategy {
   /// (AR, CI, AVM, RVM).
   std::vector<std::size_t> AssignmentCounts() const;
 
+  /// The private sub-strategies, indexed by cost::Strategy value — for
+  /// audit::ValidateEngine, which validates their Rete network and i-lock
+  /// table like the top-level strategies'.
+  const std::vector<std::unique_ptr<Strategy>>& subs() const { return subs_; }
+
  private:
   struct Route {
     cost::Strategy strategy;

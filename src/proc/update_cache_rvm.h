@@ -42,7 +42,7 @@ class UpdateCacheRvmStrategy : public Strategy {
 
   const rete::ReteNetwork::Stats& network_stats() const;
 
-  /// The maintenance network itself (for audit::ValidateReteNetwork).
+  /// The maintenance network itself (for audit::ValidateEngine).
   /// Valid after Prepare().
   const rete::ReteNetwork* network() const { return network_.get(); }
 

@@ -52,14 +52,6 @@ std::string PredicateTerm::ToString(const Schema* schema) const {
   return out.str();
 }
 
-std::size_t PredicateTerm::Hash() const {
-  std::size_t h = column * 1099511628211ULL;
-  h ^= static_cast<std::size_t>(op) + 0x9e3779b97f4a7c15ULL;
-  h *= 1099511628211ULL;
-  h ^= constant.Hash();
-  return h;
-}
-
 bool Conjunction::Matches(const Tuple& tuple, std::size_t* screens) const {
   for (const PredicateTerm& term : terms_) {
     if (screens != nullptr) ++*screens;
@@ -75,22 +67,6 @@ std::string Conjunction::ToString(const Schema* schema) const {
     if (i > 0) out << " and ";
     out << terms_[i].ToString(schema);
   }
-  return out.str();
-}
-
-std::size_t Conjunction::Hash() const {
-  std::size_t h = 14695981039346656037ULL;
-  for (const PredicateTerm& term : terms_) {
-    h ^= term.Hash();
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string JoinCondition::ToString() const {
-  std::ostringstream out;
-  out << "left.$" << left_column << " " << CompareOpName(op) << " right.$"
-      << right_column;
   return out.str();
 }
 

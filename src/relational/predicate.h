@@ -9,8 +9,8 @@
 
 namespace procsim::rel {
 
-/// Comparison operators supported by predicate terms and join conditions —
-/// the paper's {<, >, <=, >=, =, !=}.
+/// Comparison operators supported by predicate terms — the paper's
+/// {<, >, <=, >=, =, !=}.
 enum class CompareOp { kLt, kGt, kLe, kGe, kEq, kNe };
 
 std::string CompareOpName(CompareOp op);
@@ -31,10 +31,6 @@ struct PredicateTerm {
 
   bool operator==(const PredicateTerm&) const = default;
   std::string ToString(const Schema* schema = nullptr) const;
-
-  /// Structural hash used for shared-subexpression detection in the Rete
-  /// network builder.
-  std::size_t Hash() const;
 };
 
 /// \brief A conjunction of simple terms.
@@ -56,26 +52,9 @@ class Conjunction {
 
   bool operator==(const Conjunction&) const = default;
   std::string ToString(const Schema* schema = nullptr) const;
-  std::size_t Hash() const;
 
  private:
   std::vector<PredicateTerm> terms_;
-};
-
-/// \brief An equi-join condition `left.column op right.column` (the paper's
-/// and-node form; only kEq is exercised by the procedure models but the
-/// evaluator supports all six operators).
-struct JoinCondition {
-  std::size_t left_column = 0;
-  CompareOp op = CompareOp::kEq;
-  std::size_t right_column = 0;
-
-  bool Matches(const Tuple& left, const Tuple& right) const {
-    return EvalCompare(left.value(left_column), op, right.value(right_column));
-  }
-
-  bool operator==(const JoinCondition&) const = default;
-  std::string ToString() const;
 };
 
 }  // namespace procsim::rel

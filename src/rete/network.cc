@@ -1,11 +1,12 @@
 #include "rete/network.h"
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <tuple>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -18,10 +19,6 @@ using rel::Tuple;
 
 namespace {
 
-std::size_t HashString(const std::string& s) {
-  return std::hash<std::string>{}(s);
-}
-
 obs::Counter* const g_tokens_submitted =
     obs::GlobalMetrics().RegisterCounter("rete.network.tokens_submitted");
 // Root dispatch: changes entering the root, and (change, selection entry)
@@ -31,22 +28,6 @@ obs::Counter* const g_rows_submitted =
     obs::GlobalMetrics().RegisterCounter("exec.batch.rows_submitted");
 obs::Counter* const g_rows_selected =
     obs::GlobalMetrics().RegisterCounter("exec.batch.rows_selected");
-
-std::size_t SelectionSignature(const std::string& relation, bool has_interval,
-                               std::size_t key_column, int64_t lo, int64_t hi,
-                               const Conjunction& residual) {
-  std::size_t h = HashString(relation);
-  h ^= (has_interval ? 0x9e3779b97f4a7c15ULL : 0x2545f4914f6cdd1dULL);
-  h *= 1099511628211ULL;
-  h ^= key_column;
-  h *= 1099511628211ULL;
-  h ^= static_cast<std::size_t>(static_cast<uint64_t>(lo));
-  h *= 1099511628211ULL;
-  h ^= static_cast<std::size_t>(static_cast<uint64_t>(hi));
-  h *= 1099511628211ULL;
-  h ^= residual.Hash();
-  return h;
-}
 
 /// Appends `base`'s tuples in heap-scan order.
 Status ScanRelation(const rel::Relation& base, std::vector<Tuple>* out) {
@@ -91,16 +72,12 @@ Result<MemoryNode*> ReteNetwork::WireJoin(MemoryNode* left, MemoryNode* right,
   });
   PROCSIM_RETURN_IF_ERROR(populated);
 
-  auto* and_node = MakeNode<AndNode>(left, right, left_column,
-                                     rel::CompareOp::kEq, right_column,
-                                     meter_);
+  auto* and_node =
+      MakeNode<AndNode>(left, right, left_column, right_column, meter_);
   MemoryNode* beta_memory = Adopt(std::move(beta));
   left->AddSuccessor(and_node->LeftInput());
   right->AddSuccessor(and_node->RightInput());
   and_node->AddSuccessor(beta_memory);
-  edges_.push_back(Edge{left, and_node, "L"});
-  edges_.push_back(Edge{right, and_node, "R"});
-  edges_.push_back(Edge{and_node, beta_memory, ""});
   ++stats_.and_nodes;
   ++stats_.beta_memories;
   return beta_memory;
@@ -118,17 +95,14 @@ Result<ReteNetwork::SelectionEntry*> ReteNetwork::GetOrCreateSelection(
     lo = std::numeric_limits<int64_t>::min();
     hi = std::numeric_limits<int64_t>::max();
   }
-  const std::size_t signature =
-      SelectionSignature(relation, has_interval, key_column, lo, hi, residual);
   for (const auto& entry : selections_) {
-    if (entry->signature != signature) continue;
-    if (entry->relation != relation || entry->has_interval != has_interval ||
-        entry->key_column != key_column || entry->lo != lo ||
-        entry->hi != hi || !(entry->node->residual() == residual)) {
-      continue;  // hash collision
+    if (entry->lo == lo && entry->hi == hi &&
+        entry->has_interval == has_interval &&
+        entry->key_column == key_column && entry->relation == relation &&
+        entry->node->residual() == residual) {
+      ++stats_.shared_subexpression_hits;
+      return entry.get();
     }
-    ++stats_.shared_subexpression_hits;
-    return entry.get();
   }
 
   Result<rel::Relation*> rel_result = catalog_->GetRelation(relation);
@@ -172,7 +146,6 @@ Result<ReteNetwork::SelectionEntry*> ReteNetwork::GetOrCreateSelection(
   auto* tconst = MakeNode<TConstNode>(key_column, lo, hi, residual, meter_);
   MemoryNode* alpha = Adopt(std::move(memory));
   tconst->AddSuccessor(alpha);
-  edges_.push_back(Edge{tconst, alpha, ""});
   ++stats_.tconst_nodes;
   ++stats_.alpha_memories;
 
@@ -184,7 +157,6 @@ Result<ReteNetwork::SelectionEntry*> ReteNetwork::GetOrCreateSelection(
   entry->hi = hi;
   entry->node = tconst;
   entry->memory = alpha;
-  entry->signature = signature;
   SelectionEntry* raw = entry.get();
   selections_.push_back(std::move(entry));
   root_index_[relation].push_back(raw);
@@ -211,23 +183,14 @@ Result<MemoryNode*> ReteNetwork::BuildJoinTail(const ProcedureQuery& query,
   PROCSIM_CHECK_LT(from, query.joins.size());
   const rel::JoinStage& stage = query.joins[from];
 
-  // Tail signature: this stage's selection plus the remaining chain.
-  std::size_t signature = SelectionSignature(
-      stage.relation, /*has_interval=*/false, 0, 0, 0, stage.residual);
-  for (std::size_t i = from + 1; i < query.joins.size(); ++i) {
-    signature *= 1099511628211ULL;
-    signature ^= SelectionSignature(query.joins[i].relation, false, 0, 0, 0,
-                                    query.joins[i].residual);
-    signature ^= query.joins[i].probe_column * 0x9e3779b97f4a7c15ULL;
-  }
   std::vector<rel::JoinStage> stages(query.joins.begin() + from,
                                      query.joins.end());
   stages.front().probe_column = 0;
-  auto [begin, end] = tails_by_signature_.equal_range(signature);
-  for (auto it = begin; it != end; ++it) {
-    if (it->second.stages != stages) continue;  // hash collision
-    ++stats_.shared_subexpression_hits;
-    return it->second.memory;
+  for (const JoinTail& tail : tails_) {
+    if (tail.stages == stages) {
+      ++stats_.shared_subexpression_hits;
+      return tail.memory;
+    }
   }
 
   Result<SelectionEntry*> selection =
@@ -270,8 +233,7 @@ Result<MemoryNode*> ReteNetwork::BuildJoinTail(const ProcedureQuery& query,
     result = beta.ValueOrDie();
   }
 
-  tails_by_signature_.emplace(signature,
-                              JoinTail{std::move(stages), result});
+  tails_.push_back(JoinTail{std::move(stages), result});
   return result;
 }
 
@@ -387,7 +349,10 @@ std::string ReteNetwork::ToDot() const {
     }
     return it->second;
   };
-  // Declare nodes with type-specific shapes.
+  // Declare nodes with type-specific shapes.  A memory's successor is an
+  // and-node's input adapter, which is drawn as the and-node itself.
+  std::map<const ReteNode*, std::pair<const ReteNode*, const char*>>
+      and_inputs;  // adapter -> (and-node, side label)
   for (const auto& node : nodes_) {
     const auto* tconst = dynamic_cast<const TConstNode*>(node.get());
     const auto* memory = dynamic_cast<const MemoryNode*>(node.get());
@@ -398,8 +363,10 @@ std::string ReteNetwork::ToDot() const {
       out << "shape=ellipse, label=\""
           << (memory->is_beta() ? "beta" : "alpha") << "-memory\\n|"
           << memory->store().size() << "|\"";
-    } else {
-      out << "shape=diamond, label=\"" << node->Describe() << "\"";
+    } else if (auto* and_node = dynamic_cast<AndNode*>(node.get())) {
+      out << "shape=diamond, label=\"" << and_node->Describe() << "\"";
+      and_inputs[and_node->LeftInput()] = {and_node, "L"};
+      and_inputs[and_node->RightInput()] = {and_node, "R"};
     }
     out << "];\n";
   }
@@ -410,12 +377,16 @@ std::string ReteNetwork::ToDot() const {
           << "\", fontsize=9];\n";
     }
   }
-  for (const Edge& edge : edges_) {
-    out << "  " << id_of(edge.from) << " -> " << id_of(edge.to);
-    if (!edge.label.empty()) {
-      out << " [label=\"" << edge.label << "\", fontsize=9]";
+  for (const auto& node : nodes_) {
+    for (const ReteNode* to : node->successors()) {
+      const char* label = nullptr;
+      if (auto input = and_inputs.find(to); input != and_inputs.end()) {
+        std::tie(to, label) = input->second;
+      }
+      out << "  " << id_of(node.get()) << " -> " << id_of(to);
+      if (label != nullptr) out << " [label=\"" << label << "\", fontsize=9]";
+      out << ";\n";
     }
-    out << ";\n";
   }
   out << "}\n";
   return out.str();
@@ -562,12 +533,8 @@ Status ReteNetwork::ValidateState() const {
     // Evicted β-memories (terminal only, like α above) skip validation.
     if (beta->evicted()) continue;
     PROCSIM_RETURN_IF_ERROR(beta->store().CheckConsistency());
-    // WireJoin builds equi-joins only; recompute by hashing the right side
-    // on its column (equal values hash equally).
-    if (and_node->op() != rel::CompareOp::kEq) {
-      return Status::Internal("and-node " + and_node->Describe() +
-                              " is not an equi-join");
-    }
+    // Recompute the equi-join by hashing the right side on its column
+    // (equal values hash equally).
     const std::size_t left_column = and_node->left_column();
     const std::size_t right_column = and_node->right_column();
     // ForEach's tuples live only for one call, so the hashed side is a copy.

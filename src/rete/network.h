@@ -116,13 +116,15 @@ class ReteNetwork {
   /// from-scratch recomputation of its selection against the catalog, and
   /// every β-memory must equal the join of its and-node's current input
   /// memories — so by induction each memory equals a from-scratch
-  /// recomputation of its subview.  Used by audit::ValidateReteNetwork and
-  /// (in PROCSIM_AUDIT builds) after every submitted token.
+  /// recomputation of its subview.  Used by audit::ValidateEngine and (in
+  /// PROCSIM_AUDIT builds) at every RVM transaction end.
   Status ValidateState() const;
 
   /// Renders the network as Graphviz DOT — the tool that drew the paper's
-  /// figures 1, 3 and 16.  Shared subexpressions appear as nodes with
-  /// multiple outgoing edges; memory nodes show their current cardinality.
+  /// figures 1, 3 and 16.  Edges follow the nodes' successor lists, an
+  /// and-node input drawn into the and-node and labelled L or R.  Shared
+  /// subexpressions appear as nodes with multiple outgoing edges; memory
+  /// nodes show their current cardinality.
   std::string ToDot() const;
 
  private:
@@ -135,7 +137,6 @@ class ReteNetwork {
     int64_t hi = 0;
     TConstNode* node = nullptr;
     MemoryNode* memory = nullptr;
-    std::size_t signature = 0;
   };
 
   /// Relation name -> its tuples in heap-scan order; lives for one
@@ -155,7 +156,8 @@ class ReteNetwork {
       REQUIRES(submit_latch_);
 
   /// Returns (creating if needed) the selection chain for `relation` with
-  /// the given interval/residual; the attached α-memory is populated from
+  /// the given interval/residual — an existing chain is shared when all of
+  /// them are equal; the attached α-memory is populated from
   /// the relation's current contents (an unconditional one from
   /// `snapshots`, which it fills on the relation's first use) before the
   /// chain is registered, so a failed insert registers nothing.
@@ -164,8 +166,8 @@ class ReteNetwork {
       int64_t lo, int64_t hi, const rel::Conjunction& residual,
       RelationSnapshots* snapshots) REQUIRES(submit_latch_);
 
-  /// Builds (with sharing) the right-deep join tail covering
-  /// `query.joins[from..]`; the returned memory holds
+  /// Builds the right-deep join tail covering `query.joins[from..]`, or
+  /// shares a built one with equal stages; the returned memory holds
   /// concat(R_from, ..., R_last) filtered by each stage's residual and
   /// joined on each inner stage's condition.
   Result<MemoryNode*> BuildJoinTail(const rel::ProcedureQuery& query,
@@ -180,7 +182,7 @@ class ReteNetwork {
       REQUIRES(submit_latch_);
 
   /// Wires `left ⋈ right` into a fresh β-memory populated from the current
-  /// memory contents, recording stats/edges.  The β-memory is populated
+  /// memory contents, recording stats.  The β-memory is populated
   /// before anything is registered, so a failed insert leaves the network
   /// as it was (apart from probe indexes on `left` and `right`).
   Result<MemoryNode*> WireJoin(MemoryNode* left, MemoryNode* right,
@@ -206,20 +208,12 @@ class ReteNetwork {
     return Adopt(std::make_unique<NodeType>(std::forward<Args>(args)...));
   }
 
-  /// One rendered edge of the network graph (adapters normalized away).
-  struct Edge {
-    const ReteNode* from;
-    const ReteNode* to;
-    std::string label;  ///< "", "L" or "R" (and-node input side)
-  };
-
   mutable util::RankedMutex submit_latch_{
       util::LatchRank::kRete, "ReteNetwork::submit"};
   rel::Catalog* const catalog_;
   CostMeter* const meter_;
   const std::size_t pad_to_bytes_;
   const JoinShape shape_;
-  std::vector<Edge> edges_ GUARDED_BY(submit_latch_);
   std::vector<std::unique_ptr<ReteNode>> nodes_ GUARDED_BY(submit_latch_);
   std::vector<std::unique_ptr<SelectionEntry>> selections_
       GUARDED_BY(submit_latch_);
@@ -232,10 +226,7 @@ class ReteNetwork {
     std::vector<rel::JoinStage> stages;
     MemoryNode* memory = nullptr;
   };
-  // join-tail signature -> the tails with that signature (a shared one is
-  // matched on its stages, so a signature collision never shares).
-  std::unordered_multimap<std::size_t, JoinTail> tails_by_signature_
-      GUARDED_BY(submit_latch_);
+  std::vector<JoinTail> tails_ GUARDED_BY(submit_latch_);
   Stats stats_ GUARDED_BY(submit_latch_);
 };
 

@@ -64,17 +64,6 @@ std::string TConstNode::Describe() const {
   return out.str();
 }
 
-std::size_t TConstNode::Signature() const {
-  std::size_t h = key_column_ * 1099511628211ULL;
-  h ^= static_cast<std::size_t>(static_cast<uint64_t>(lo_)) +
-       0x9e3779b97f4a7c15ULL;
-  h *= 1099511628211ULL;
-  h ^= static_cast<std::size_t>(static_cast<uint64_t>(hi_));
-  h *= 1099511628211ULL;
-  h ^= residual_.Hash();
-  return h;
-}
-
 MemoryNode::MemoryNode(storage::SimulatedDisk* disk, std::size_t pad_to_bytes,
                        bool is_beta)
     : store_(disk, pad_to_bytes), is_beta_(is_beta) {}
@@ -127,11 +116,10 @@ std::string MemoryNode::Describe() const {
 }
 
 AndNode::AndNode(MemoryNode* left, MemoryNode* right, std::size_t left_column,
-                 rel::CompareOp op, std::size_t right_column, CostMeter* meter)
+                 std::size_t right_column, CostMeter* meter)
     : left_(left),
       right_(right),
       left_column_(left_column),
-      op_(op),
       right_column_(right_column),
       meter_(meter),
       left_input_(this, true),
@@ -147,33 +135,19 @@ Status AndNode::Activate(const Token&) {
 }
 
 Status AndNode::ActivateFromSide(bool from_left, const Token& token) {
-  // Probe the opposite memory for joining tuples.  For the equi-joins the
-  // procedure models use, the memory's probe index narrows candidates to
-  // exact matches; non-eq operators fall back to scanning the memory.
+  // The opposite memory's probe index yields exactly the joining tuples.
   g_and_probes->Add();
   MemoryNode* opposite = from_left ? right_ : left_;
   const std::size_t own_column = from_left ? left_column_ : right_column_;
   const std::size_t opp_column = from_left ? right_column_ : left_column_;
-  std::vector<Tuple> candidates;
-  if (op_ == rel::CompareOp::kEq) {
-    Result<std::vector<Tuple>> probed = opposite->ProbeEqual(
-        opp_column, token.tuple.value(own_column).AsInt64());
-    if (!probed.ok()) return probed.status();
-    candidates = probed.TakeValueOrDie();
-  } else {
-    Result<std::vector<Tuple>> all = opposite->ReadAll();
-    if (!all.ok()) return all.status();
-    candidates = all.TakeValueOrDie();
-  }
-  for (const Tuple& match : candidates) {
+  Result<std::vector<Tuple>> matches = opposite->ProbeEqual(
+      opp_column, token.tuple.value(own_column).AsInt64());
+  if (!matches.ok()) return matches.status();
+  for (const Tuple& match : matches.ValueOrDie()) {
     const Tuple& left_tuple = from_left ? token.tuple : match;
     const Tuple& right_tuple = from_left ? match : token.tuple;
     // Verifying the qualification costs one screen per candidate pair.
     meter_->ChargeScreen();
-    if (!rel::EvalCompare(left_tuple.value(left_column_), op_,
-                          right_tuple.value(right_column_))) {
-      continue;
-    }
     g_and_derived->Add();
     PROCSIM_RETURN_IF_ERROR(
         Propagate(token.Derive(Tuple::Concat(left_tuple, right_tuple))));
@@ -183,8 +157,7 @@ Status AndNode::ActivateFromSide(bool from_left, const Token& token) {
 
 std::string AndNode::Describe() const {
   std::ostringstream out;
-  out << "and(left.$" << left_column_ << " " << rel::CompareOpName(op_)
-      << " right.$" << right_column_ << ")";
+  out << "and(left.$" << left_column_ << " = right.$" << right_column_ << ")";
   return out.str();
 }
 

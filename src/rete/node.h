@@ -64,9 +64,6 @@ class TConstNode : public ReteNode {
   int64_t hi() const { return hi_; }
   const rel::Conjunction& residual() const { return residual_; }
 
-  /// Structural signature for shared-subexpression detection.
-  std::size_t Signature() const;
-
  private:
   std::size_t key_column_;
   int64_t lo_;
@@ -108,7 +105,7 @@ class MemoryNode : public ReteNode {
   }
 
   /// Reads the memory contents (one I/O per page) under the memory latch —
-  /// answers procedure accesses and non-equi and-node probes.
+  /// answers procedure accesses.
   Result<std::vector<rel::Tuple>> ReadAll() const;
 
   /// Latched equality probe on `column` — the and-node's join lookup while
@@ -149,17 +146,19 @@ class MemoryNode : public ReteNode {
   std::atomic<const std::atomic<bool>*> live_flag_{nullptr};
 };
 
-/// \brief A two-input join node: `left.column op right.column`.
+/// \brief A two-input equi-join node: `left.column = right.column`, the
+/// procedures' equality qualification.
 ///
 /// Tokens arrive via the LeftInput()/RightInput() adapter nodes, which are
 /// wired as successors of the corresponding memory nodes.  On activation
-/// from one side, the opposite memory is probed for joining tuples; each
-/// (token, tuple) pair meeting the qualification produces a derived token
-/// with the original tag, propagated to this node's successors (a β-memory).
+/// from one side, the opposite memory's probe index on its join column
+/// yields the joining tuples; each (token, tuple) pair produces a derived
+/// token with the original tag, propagated to this node's successors (a
+/// β-memory).
 class AndNode : public ReteNode {
  public:
   AndNode(MemoryNode* left, MemoryNode* right, std::size_t left_column,
-          rel::CompareOp op, std::size_t right_column, CostMeter* meter);
+          std::size_t right_column, CostMeter* meter);
 
   /// AndNode is never activated directly; use the side adapters.
   Status Activate(const Token& token) override;
@@ -173,7 +172,6 @@ class AndNode : public ReteNode {
   const MemoryNode* right() const { return right_; }
   std::size_t left_column() const { return left_column_; }
   std::size_t right_column() const { return right_column_; }
-  rel::CompareOp op() const { return op_; }
 
  private:
   class SideAdapter : public ReteNode {
@@ -198,7 +196,6 @@ class AndNode : public ReteNode {
   MemoryNode* left_;
   MemoryNode* right_;
   std::size_t left_column_;
-  rel::CompareOp op_;
   std::size_t right_column_;
   CostMeter* meter_;
   SideAdapter left_input_;

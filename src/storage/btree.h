@@ -75,8 +75,8 @@ class BTree {
   /// accounts for exactly entry_count() entries.  (Rid order among equal
   /// keys is a within-leaf invariant only: duplicates of a key can span
   /// leaves and inserts land in the leftmost candidate leaf.)  Un-metered.
-  /// Used by tests, by audit::ValidateBTree, and (in PROCSIM_AUDIT builds)
-  /// after every mutation.
+  /// Used by tests, by audit::ValidateRelation, and (in PROCSIM_AUDIT
+  /// builds) after every mutation.
   Status CheckInvariants() const;
 
   /// Deliberately swaps two unequal keys inside one leaf, breaking key

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "ivm/delta.h"
+#include "proc/hybrid.h"
+#include "proc/update_cache_rvm.h"
 #include "relational/catalog.h"
 #include "relational/executor.h"
 #include "rete/network.h"
@@ -37,7 +39,7 @@ TEST(ValidateBTreeTest, CleanTreePasses) {
   for (int64_t key = 0; key < 64; ++key) {
     ASSERT_TRUE(tree.Insert(key, Rid(static_cast<uint32_t>(key))).ok());
   }
-  EXPECT_TRUE(ValidateBTree(tree).ok());
+  EXPECT_TRUE(tree.CheckInvariants().ok());
 }
 
 TEST(ValidateBTreeTest, DetectsCorruptedLeafOrder) {
@@ -47,7 +49,7 @@ TEST(ValidateBTreeTest, DetectsCorruptedLeafOrder) {
     ASSERT_TRUE(tree.Insert(key, Rid(static_cast<uint32_t>(key))).ok());
   }
   ASSERT_TRUE(tree.CorruptLeafOrderForTesting().ok());
-  const Status status = ValidateBTree(tree);
+  const Status status = tree.CheckInvariants();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("sorted"), std::string::npos)
       << status.ToString();
@@ -60,7 +62,7 @@ TEST(ValidateBufferCacheTest, CleanCachePasses) {
   storage::BufferCache cache(4);
   for (uint32_t page_id = 0; page_id < 10; ++page_id) cache.Touch(page_id);
   cache.Touch(8);
-  EXPECT_TRUE(ValidateBufferCache(cache).ok());
+  EXPECT_TRUE(cache.CheckConsistency().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -159,7 +161,7 @@ TEST_F(ValidateReteTest, CleanNetworkPasses) {
   rete::ReteNetwork network(&catalog_, &meter_, 100);
   ASSERT_TRUE(network.AddProcedure(P1(3, 12)).ok());
   ASSERT_TRUE(network.AddProcedure(P2(5, 20)).ok());
-  EXPECT_TRUE(ValidateReteNetwork(network).ok());
+  EXPECT_TRUE(network.ValidateState().ok());
   // Still clean after maintenance traffic: modify the base table, then
   // notify the network of the delete/insert pair (the validator recomputes
   // each memory from the catalog, so base table and tokens must agree).
@@ -177,7 +179,7 @@ TEST_F(ValidateReteTest, CleanNetworkPasses) {
   changes.AddDelete(old_tuple);
   changes.AddInsert(new_tuple);
   ASSERT_TRUE(network.OnChanges("R1", changes).ok());
-  EXPECT_TRUE(ValidateReteNetwork(network).ok());
+  EXPECT_TRUE(network.ValidateState().ok());
 }
 
 TEST_F(ValidateReteTest, DetectsDesynchronizedAlphaMemory) {
@@ -188,7 +190,7 @@ TEST_F(ValidateReteTest, DetectsDesynchronizedAlphaMemory) {
   ASSERT_TRUE(alpha->mutable_store()
                   ->Insert(Tuple({Value(int64_t{999}), Value(int64_t{0})}))
                   .ok());
-  const Status status = ValidateReteNetwork(network);
+  const Status status = network.ValidateState();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("spurious"), std::string::npos)
       << status.ToString();
@@ -203,7 +205,7 @@ TEST_F(ValidateReteTest, DetectsDesynchronizedBetaMemory) {
   std::vector<Tuple> contents = beta->mutable_store()->SnapshotForTesting();
   ASSERT_FALSE(contents.empty());
   ASSERT_TRUE(beta->mutable_store()->Remove(contents.front()).ok());
-  const Status status = ValidateReteNetwork(network);
+  const Status status = network.ValidateState();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("missing"), std::string::npos)
       << status.ToString();
@@ -227,7 +229,7 @@ TEST_F(ValidateReteTest, DetectsDoubleDivergenceBelowPrintPrecision) {
   rel::ProcedureQuery query;
   query.base = rel::BaseSelection{"R3", 0, 9, Conjunction{}};
   rete::MemoryNode* alpha = network.AddProcedure(query).ValueOrDie();
-  ASSERT_TRUE(ValidateReteNetwork(network).ok());
+  ASSERT_TRUE(network.ValidateState().ok());
   // Swap one stored tuple for one that prints alike: ToString rounds both
   // doubles to 0.000000, but their bytes differ.
   const Tuple stored({Value(int64_t{3}), Value(1e-9)});
@@ -235,7 +237,7 @@ TEST_F(ValidateReteTest, DetectsDoubleDivergenceBelowPrintPrecision) {
   ASSERT_EQ(stored.ToString(), planted.ToString());
   ASSERT_TRUE(alpha->mutable_store()->Remove(stored).ok());
   ASSERT_TRUE(alpha->mutable_store()->Insert(planted).ok());
-  const Status status = ValidateReteNetwork(network);
+  const Status status = network.ValidateState();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("missing"), std::string::npos)
       << status.ToString();
@@ -319,6 +321,62 @@ TEST_F(ValidateReteTest, DetectsIndexEntryMissingForLiveRecord) {
   const Status status = ValidateRelation(*r1_, catalog_.disk());
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("btree"), std::string::npos)
+      << status.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Engine sweep: Hybrid's private sub-strategies are validated too.
+
+TEST(ValidateEngineTest, ChecksHybridsPrivateReteNetwork) {
+  txn::TxnEngine::Options options;
+  options.model = cost::ProcModel::kModel2;
+  // A small database whose update rate is low enough (k = 10 update
+  // transactions per q = 100 accesses) that Hybrid routes P2 to RVM.
+  options.params.N = 160;
+  options.params.N1 = 4;
+  options.params.N2 = 4;
+  options.params.f = 0.08;
+  options.params.k = 10;
+  Result<std::unique_ptr<txn::TxnEngine>> created =
+      txn::TxnEngine::Create(options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  txn::TxnEngine& engine = *created.ValueOrDie();
+  ASSERT_TRUE(ValidateEngine(engine).ok());
+
+  const proc::HybridStrategy* hybrid = nullptr;
+  for (const auto& strategy : engine.strategies().all) {
+    hybrid = dynamic_cast<const proc::HybridStrategy*>(strategy.get());
+    if (hybrid != nullptr) break;
+  }
+  ASSERT_NE(hybrid, nullptr);
+  const auto& rvm = static_cast<const proc::UpdateCacheRvmStrategy&>(
+      *hybrid->subs()[static_cast<std::size_t>(
+          cost::Strategy::kUpdateCacheRvm)]);
+  ASSERT_FALSE(rvm.procedures().empty()) << "Hybrid routed nothing to RVM";
+
+  // Re-announce an R1 tuple of one of its procedures' intervals to Hybrid's
+  // network alone: its α-memory now holds the tuple twice, the relation
+  // once, and the top-level RVM network is untouched.  (network() is
+  // read-only by design; the cast is the deliberate corruption.)
+  const rel::BaseSelection& base = rvm.procedures().front().query.base;
+  ivm::ChangeBatch planted;
+  ASSERT_TRUE(engine.database()
+                  ->catalog->GetRelation("R1")
+                  .ValueOrDie()
+                  ->BTreeRange(base.lo, base.hi,
+                               [&](storage::RecordId, const Tuple& tuple) {
+                                 planted.AddInsert(tuple);
+                                 return false;
+                               })
+                  .ok());
+  ASSERT_FALSE(planted.empty());
+  ASSERT_TRUE(const_cast<rete::ReteNetwork*>(rvm.network())
+                  ->OnChanges("R1", planted)
+                  .ok());
+  EXPECT_TRUE(engine.strategies().rvm->network()->ValidateState().ok());
+  const Status status = ValidateEngine(engine);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("spurious"), std::string::npos)
       << status.ToString();
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "proc/update_cache_rvm.h"
 #include "sim/workload.h"
 #include "storage/disk.h"
 #include "storage/page.h"
@@ -150,6 +151,37 @@ TEST(DiskImageGoldenTest, Model2) {
   ExpectPins({0x7b36d5ed46d73c69ULL, 0xb95d498c2154e6b1ULL,
               0x542d936f8123e19bULL, 408977, 8308, 977, 129659, 768},
              RunScript(cost::ProcModel::kModel2, kOps));
+}
+
+/// The shape of the RVM strategy's Rete network right after Create(): the
+/// node counts, how many subexpressions AddProcedures shared and how many
+/// relation snapshots populated unconditional selections.  A change to its
+/// sharing decisions moves these even when the charges the goldens pin
+/// happen not to.
+void ExpectNetworkShape(cost::ProcModel model,
+                        const rete::ReteNetwork::Stats& expected) {
+  TxnEngine::Options options;
+  options.model = model;
+  options.seed = 1988;
+  Result<std::unique_ptr<TxnEngine>> created = TxnEngine::Create(options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  const rete::ReteNetwork::Stats& stats =
+      created.ValueOrDie()->strategies().rvm->network_stats();
+  EXPECT_EQ(stats.tconst_nodes, expected.tconst_nodes);
+  EXPECT_EQ(stats.alpha_memories, expected.alpha_memories);
+  EXPECT_EQ(stats.and_nodes, expected.and_nodes);
+  EXPECT_EQ(stats.beta_memories, expected.beta_memories);
+  EXPECT_EQ(stats.shared_subexpression_hits,
+            expected.shared_subexpression_hits);
+  EXPECT_EQ(stats.relation_scans, expected.relation_scans);
+}
+
+TEST(DiskImageGoldenTest, Model1NetworkShape) {
+  ExpectNetworkShape(cost::ProcModel::kModel1, {250, 250, 100, 100, 50, 1});
+}
+
+TEST(DiskImageGoldenTest, Model2NetworkShape) {
+  ExpectNetworkShape(cost::ProcModel::kModel2, {251, 251, 200, 200, 149, 2});
 }
 
 }  // namespace

@@ -29,16 +29,6 @@ TEST(PredicateTermTest, MatchesAgainstColumn) {
   EXPECT_FALSE(term.Matches(Row(0, 9)));
 }
 
-TEST(PredicateTermTest, HashDiscriminatesStructure) {
-  PredicateTerm a{0, CompareOp::kEq, Value(int64_t{1})};
-  PredicateTerm b{0, CompareOp::kEq, Value(int64_t{1})};
-  PredicateTerm c{0, CompareOp::kNe, Value(int64_t{1})};
-  PredicateTerm d{1, CompareOp::kEq, Value(int64_t{1})};
-  EXPECT_EQ(a.Hash(), b.Hash());
-  EXPECT_NE(a.Hash(), c.Hash());
-  EXPECT_NE(a.Hash(), d.Hash());
-}
-
 TEST(ConjunctionTest, EmptyMatchesEverything) {
   Conjunction empty;
   EXPECT_TRUE(empty.Matches(Row(1, 2)));
@@ -69,12 +59,6 @@ TEST(ConjunctionTest, ToStringWithSchema) {
                  Column{"dept", ValueType::kInt64}});
   Conjunction c({PredicateTerm{0, CompareOp::kGt, Value(int64_t{30})}});
   EXPECT_EQ(c.ToString(&schema), "age > 30");
-}
-
-TEST(JoinConditionTest, MatchesAcrossTuples) {
-  JoinCondition join{1, CompareOp::kEq, 0};
-  EXPECT_TRUE(join.Matches(Row(0, 7), Row(7, 0)));
-  EXPECT_FALSE(join.Matches(Row(0, 7), Row(8, 0)));
 }
 
 }  // namespace

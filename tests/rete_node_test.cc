@@ -56,16 +56,6 @@ TEST_F(ReteNodeTest, TConstChargesScreensPerActivation) {
   EXPECT_EQ(meter_.screens(), 1u);  // at least one screen per token
 }
 
-TEST_F(ReteNodeTest, TConstSignatureDistinguishesStructure) {
-  TConstNode a(0, 1, 5, Conjunction{}, &meter_);
-  TConstNode b(0, 1, 5, Conjunction{}, &meter_);
-  TConstNode c(0, 1, 6, Conjunction{}, &meter_);
-  TConstNode d(1, 1, 5, Conjunction{}, &meter_);
-  EXPECT_EQ(a.Signature(), b.Signature());
-  EXPECT_NE(a.Signature(), c.Signature());
-  EXPECT_NE(a.Signature(), d.Signature());
-}
-
 TEST_F(ReteNodeTest, MemoryNodeInsertAndDeleteSemantics) {
   MemoryNode memory(&disk_, 0, /*is_beta=*/true);
   ASSERT_TRUE(memory.Activate(Plus(Row(1, 1))).ok());
@@ -84,7 +74,7 @@ TEST_F(ReteNodeTest, AndNodeJoinsFromBothSides) {
   MemoryNode right(&disk_, 0, false);
   MemoryNode out(&disk_, 0, true);
   // Join condition: left.$1 = right.$0.
-  AndNode join(&left, &right, 1, rel::CompareOp::kEq, 0, &meter_);
+  AndNode join(&left, &right, 1, 0, &meter_);
   left.AddSuccessor(join.LeftInput());
   right.AddSuccessor(join.RightInput());
   join.AddSuccessor(&out);
@@ -112,25 +102,8 @@ TEST_F(ReteNodeTest, AndNodeJoinsFromBothSides) {
 TEST_F(ReteNodeTest, AndNodeDirectActivationIsAnError) {
   MemoryNode left(&disk_, 0, false);
   MemoryNode right(&disk_, 0, false);
-  AndNode join(&left, &right, 0, rel::CompareOp::kEq, 0, &meter_);
+  AndNode join(&left, &right, 0, 0, &meter_);
   EXPECT_EQ(join.Activate(Plus(Row(1, 1))).code(), StatusCode::kInternal);
-}
-
-TEST_F(ReteNodeTest, AndNodeNonEquiOperatorScansOpposite) {
-  MemoryNode left(&disk_, 0, false);
-  MemoryNode right(&disk_, 0, false);
-  MemoryNode out(&disk_, 0, true);
-  // left.$0 < right.$0 — no probe index usable, falls back to a scan.
-  AndNode join(&left, &right, 0, rel::CompareOp::kLt, 0, &meter_);
-  left.AddSuccessor(join.LeftInput());
-  right.AddSuccessor(join.RightInput());
-  join.AddSuccessor(&out);
-  ASSERT_TRUE(right.Activate(Plus(Row(10, 0))).ok());
-  ASSERT_TRUE(right.Activate(Plus(Row(1, 0))).ok());
-  ASSERT_TRUE(left.Activate(Plus(Row(5, 0))).ok());
-  // 5 < 10 matches; 5 < 1 does not.
-  ASSERT_EQ(out.store().size(), 1u);
-  EXPECT_EQ(out.store().SnapshotForTesting()[0].value(2).AsInt64(), 10);
 }
 
 TEST_F(ReteNodeTest, DescribeStringsAreInformative) {
@@ -142,7 +115,7 @@ TEST_F(ReteNodeTest, DescribeStringsAreInformative) {
   EXPECT_NE(tconst.Describe().find("!= 3"), std::string::npos);
   MemoryNode left(&disk_, 0, false);
   MemoryNode right(&disk_, 0, false);
-  AndNode join(&left, &right, 1, rel::CompareOp::kEq, 0, &meter_);
+  AndNode join(&left, &right, 1, 0, &meter_);
   EXPECT_NE(join.Describe().find("left.$1 = right.$0"), std::string::npos);
 }
 

@@ -10,6 +10,7 @@
 #
 #   tools/bench_json.sh [build-dir]                  # gate (default: build)
 #   tools/bench_json.sh [build-dir] --update-goldens # re-baseline
+#   tools/bench_json.sh --list                       # the gated benches
 #
 # Two kinds of bench are gated, both bit-stable across runs:
 #   - the analytic benches, pure closed-form cost-model evaluations;
@@ -28,9 +29,11 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="build"
 UPDATE=0
+LIST=0
 for arg in "$@"; do
   case "${arg}" in
     --update-goldens) UPDATE=1 ;;
+    --list) LIST=1 ;;
     *) BUILD_DIR="${arg}" ;;
   esac
 done
@@ -73,6 +76,11 @@ GOLDEN_BENCHES=(
   abl_clustering_drift
   sim_vs_analytic
 )
+
+if [[ "${LIST}" -eq 1 ]]; then
+  printf '%s\n' "${GOLDEN_BENCHES[@]}"
+  exit 0
+fi
 
 if [[ ! -x "${DIFF_BIN}" && "${UPDATE}" -eq 0 ]]; then
   echo "bench_json.sh: ${DIFF_BIN} not built (cmake --build ${BUILD_DIR})" >&2
