@@ -1,6 +1,6 @@
 // Pins the physical result of a fixed workload at paper scale: the bytes of
-// every live disk page, the oracle state digest, the procedure answers and
-// the simulated-cost totals.  The 30 bench goldens pin simulated costs
+// every live disk page, the write-ahead log's records, the oracle state
+// digest, the procedure answers and the simulated-cost totals.  The 30 bench goldens pin simulated costs
 // only; this test additionally catches a change to the on-page node layout,
 // to B-tree split points or to the pages an operation charges, even when
 // the answers and totals happen to survive it.  A deliberate layout change
@@ -53,8 +53,31 @@ uint64_t PageImageHash(storage::SimulatedDisk* disk) {
   return hash;
 }
 
+void Fnv1a(uint64_t value, uint64_t* hash) {
+  uint8_t bytes[8];
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<uint8_t>(value >> (8 * i));
+  }
+  Fnv1a(bytes, sizeof(bytes), hash);
+}
+
+/// FNV-1a over every write-ahead-log record's kind, txn, a and b, in log
+/// order: pins which invalidations were logged and in what order.
+uint64_t WalHash(const std::vector<storage::WalRecord>& records) {
+  uint64_t hash = kFnvOffset;
+  for (const storage::WalRecord& record : records) {
+    const auto kind = static_cast<uint8_t>(record.kind);
+    Fnv1a(&kind, 1, &hash);
+    Fnv1a(record.txn, &hash);
+    Fnv1a(record.a, &hash);
+    Fnv1a(record.b, &hash);
+  }
+  return hash;
+}
+
 struct Pins {
   uint64_t page_hash;
+  uint64_t wal_hash;
   uint64_t answer_hash;
   uint64_t digest_hash;
   double total_ms;
@@ -103,6 +126,7 @@ Pins RunScript(cost::ProcModel model, std::size_t op_count) {
   pins.screens = db->meter.screens();
   pins.delta_ops = db->meter.delta_ops();
   pins.page_hash = PageImageHash(db->disk.get());
+  pins.wal_hash = WalHash(engine.WalSnapshot());
   pins.answer_hash = answer_hash;
   Result<std::string> digest = engine.StateDigest();
   EXPECT_TRUE(digest.ok()) << digest.status().ToString();
@@ -114,9 +138,10 @@ Pins RunScript(cost::ProcModel model, std::size_t op_count) {
 std::string Describe(const Pins& pins) {
   char buffer[512];
   std::snprintf(buffer, sizeof(buffer),
-                "{0x%016llxULL, 0x%016llxULL, 0x%016llxULL, %.17g, %llu, "
-                "%llu, %llu, %llu}",
+                "{0x%016llxULL, 0x%016llxULL, 0x%016llxULL, 0x%016llxULL, "
+                "%.17g, %llu, %llu, %llu, %llu}",
                 static_cast<unsigned long long>(pins.page_hash),
+                static_cast<unsigned long long>(pins.wal_hash),
                 static_cast<unsigned long long>(pins.answer_hash),
                 static_cast<unsigned long long>(pins.digest_hash),
                 pins.total_ms,
@@ -130,6 +155,7 @@ std::string Describe(const Pins& pins) {
 void ExpectPins(const Pins& expected, const Pins& actual) {
   SCOPED_TRACE("actual pins: " + Describe(actual));
   EXPECT_EQ(expected.page_hash, actual.page_hash);
+  EXPECT_EQ(expected.wal_hash, actual.wal_hash);
   EXPECT_EQ(expected.answer_hash, actual.answer_hash);
   EXPECT_EQ(expected.digest_hash, actual.digest_hash);
   EXPECT_DOUBLE_EQ(expected.total_ms, actual.total_ms);
@@ -142,14 +168,18 @@ void ExpectPins(const Pins& expected, const Pins& actual) {
 constexpr std::size_t kOps = 120;
 
 TEST(DiskImageGoldenTest, Model1) {
-  ExpectPins({0x7e4f4bf5848feed8ULL, 0x0191d0e0c2df5b5eULL,
-              0x4b5321fa7c537d6fULL, 415298, 7907, 829, 152274, 944},
+  ExpectPins({0x7e4f4bf5848feed8ULL, 0x69aa42a86a1522c4ULL,
+              0x0191d0e0c2df5b5eULL, 0x4b5321fa7c537d6fULL, 415298, 7907, 829,
+              152274, 944},
              RunScript(cost::ProcModel::kModel1, kOps));
 }
 
 TEST(DiskImageGoldenTest, Model2) {
-  ExpectPins({0x7b36d5ed46d73c69ULL, 0xb95d498c2154e6b1ULL,
-              0x542d936f8123e19bULL, 408977, 8308, 977, 129659, 768},
+  // The log matches Model1's: the script writes R1 only, so only the base
+  // selections' i-locks break, and both models draw the same ones.
+  ExpectPins({0x7b36d5ed46d73c69ULL, 0x69aa42a86a1522c4ULL,
+              0xb95d498c2154e6b1ULL, 0x542d936f8123e19bULL, 408977, 8308, 977,
+              129659, 768},
              RunScript(cost::ProcModel::kModel2, kOps));
 }
 
