@@ -183,7 +183,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"group", "commits", "forces", "p50 ms", "p99 ms",
                       "total ms", "txn/s"});
   for (const LevelResult& level : levels) {
-    const std::string label = "g" + std::to_string(level.group_size);
+    std::string label = "g";
+    label += std::to_string(level.group_size);
     table.AddRow({std::to_string(level.group_size),
                   std::to_string(level.commits),
                   std::to_string(level.forces),

@@ -8,7 +8,6 @@
 
 #include "audit/validate.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -31,9 +30,6 @@ uint64_t SessionSeed(uint64_t pool_seed, std::size_t session) {
 /// bytes (empty for a mutation).
 Result<std::string> RunOp(txn::TxnEngine* engine, const WorkloadOp& op) {
   const bool access = op.kind == WorkloadOp::Kind::kAccess;
-  obs::TraceSpan span(
-      access ? "concurrent.session.access" : "concurrent.session.mutate",
-      "concurrent");
   const txn::TxnId txn = engine->Begin();
   std::string digest;
   Status status;

@@ -50,7 +50,6 @@ namespace procsim::obs {
     "rete.network.tokens_submitted",
     "rete.tconst.passed",
     "rete.tconst.tokens",
-    "shard.ilock.lookups",
     "sim.access.cost_ms",
     "sim.simulator.runs",
     "sim.update.cost_ms",

@@ -41,7 +41,6 @@ Status CacheInvalidateStrategy::Prepare() {
   storage::MeteringGuard guard(catalog_->disk());
   entries_.clear();
   entries_.resize(procedures_.size());
-  validity_.emplace(procedures_.size());
   for (const DatabaseProcedure& procedure : procedures_) {
     Entry& entry = entries_[procedure.id];
     entry.cache = std::make_unique<ivm::TupleStore>(catalog_->disk(),
@@ -62,7 +61,7 @@ Result<std::vector<rel::Tuple>> CacheInvalidateStrategy::Recompute(ProcId id) {
   if (!value.ok()) return value.status();
   g_recomputes->Add();
   PROCSIM_RETURN_IF_ERROR(entries_[id].cache->Rebuild(value.ValueOrDie()));
-  PROCSIM_RETURN_IF_ERROR(validity_->MarkValid(id));
+  entries_[id].valid = true;
   budget_->Admit(entries_[id].budget_id,
                  value.ValueOrDie().size() * result_tuple_bytes_);
 
@@ -97,8 +96,8 @@ Result<std::vector<rel::Tuple>> CacheInvalidateStrategy::Access(ProcId id) {
   }
   access_count_.fetch_add(1, std::memory_order_relaxed);
   g_accesses->Add();
-  if (validity_->IsValid(id)) {
-    Entry& entry = entries_[id];
+  Entry& entry = entries_[id];
+  if (entry.valid) {
     if (EntryLive(entry)) {
       budget_->OnAccess(entry.budget_id);
       return entry.cache->ReadAll();
@@ -117,8 +116,8 @@ Result<std::vector<rel::Tuple>> CacheInvalidateStrategy::Access(ProcId id) {
   // byte for byte, the invalidation was false (the i-lock interval
   // over-approximated the procedure's true read set).  The stale cache is
   // streamed from its pages un-metered.
-  rel::CanonicalBag stale(entries_[id].cache->size());
-  entries_[id].cache->ForEach([&](const rel::Tuple& tuple) {
+  rel::CanonicalBag stale(entry.cache->size());
+  entry.cache->ForEach([&](const rel::Tuple& tuple) {
     stale.Add(tuple);
     return true;
   });
@@ -137,9 +136,10 @@ Result<std::vector<rel::Tuple>> CacheInvalidateStrategy::Access(ProcId id) {
 void CacheInvalidateStrategy::HandleWrite(const std::string& relation,
                                           const rel::Tuple& tuple) {
   for (ProcId id : locks_.FindBroken(relation, tuple)) {
-    if (!validity_->IsValid(id)) continue;  // already marked
-    Status st = validity_->MarkInvalid(id);
-    PROCSIM_CHECK(st.ok()) << st.ToString();
+    Entry& entry = entries_[id];
+    if (!entry.valid) continue;  // already marked
+    entry.valid = false;
+    if (invalidation_hook_) invalidation_hook_(id);
     invalidation_count_.fetch_add(1, std::memory_order_relaxed);
     g_invalidations->Add();
     meter_->ChargeFixed(invalidation_cost_ms_);
@@ -156,18 +156,18 @@ void CacheInvalidateStrategy::OnBatch(const std::string& relation,
 
 bool CacheInvalidateStrategy::IsValid(ProcId id) const {
   PROCSIM_CHECK_LT(id, entries_.size());
-  return validity_->IsValid(id);
+  return entries_[id].valid;
 }
 
 std::vector<bool> CacheInvalidateStrategy::ValidityBitmap() const {
-  PROCSIM_CHECK(validity_.has_value()) << "Prepare() not called";
-  return validity_->Snapshot();
+  std::vector<bool> bitmap;
+  bitmap.reserve(entries_.size());
+  for (const Entry& entry : entries_) bitmap.push_back(entry.valid);
+  return bitmap;
 }
 
-void CacheInvalidateStrategy::SetValidityMirror(
-    InvalidationLog::MirrorFn mirror) {
-  PROCSIM_CHECK(validity_.has_value()) << "Prepare() not called";
-  validity_->SetMirror(std::move(mirror));
+void CacheInvalidateStrategy::SetValidityMirror(InvalidationHook hook) {
+  invalidation_hook_ = std::move(hook);
 }
 
 }  // namespace procsim::proc

@@ -2,15 +2,14 @@
 #define PROCSIM_PROC_CACHE_INVALIDATE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "ivm/tuple_store.h"
 #include "proc/cache_budget.h"
 #include "proc/ilock.h"
-#include "proc/invalidation_log.h"
 #include "proc/strategy.h"
 
 namespace procsim::proc {
@@ -31,6 +30,17 @@ namespace procsim::proc {
 /// inside the interval invalidates the cache even when a residual term
 /// (e.g. the paper's C_f2 on the joined relation) would have rejected it —
 /// the paper's *false invalidations*.
+///
+/// Validity is §3's bitmap, one flag per entry.  Each real invalidation is
+/// handed to the invalidation hook (SetValidityMirror), which the
+/// transaction layer points at its write-ahead log: "log the identifiers of
+/// invalidated procedures".  Re-validations are not logged: one follows a
+/// recompute whose cached bytes are not durable, so recovery leaves the
+/// procedure invalid either way.
+///
+/// Thread safety: the flags carry no latch of their own.  The engine's
+/// latches cover them: OnBatch runs under the exclusive database latch, and
+/// an Access of `id` under the shared one plus `id`'s slot stripe.
 class CacheInvalidateStrategy : public Strategy {
  public:
   CacheInvalidateStrategy(rel::Catalog* catalog, rel::Executor* executor,
@@ -71,18 +81,21 @@ class CacheInvalidateStrategy : public Strategy {
 
   const ILockTable& lock_table() const { return locks_; }
 
-  /// Copy of the §3 validity bitmap (one bit per procedure).  Valid after
-  /// Prepare().
+  /// The §3 validity bitmap, one bit per procedure, read from the entries
+  /// (what a WAL checkpoint record captures).  Valid after Prepare().
   std::vector<bool> ValidityBitmap() const;
 
-  /// Installs the hook that logs every invalidation
-  /// (InvalidationLog::SetMirror); the transaction layer points it at its
-  /// write-ahead log.  Valid after Prepare().
-  void SetValidityMirror(InvalidationLog::MirrorFn mirror);
+  /// Called with the procedure id of every real invalidation, in the order
+  /// ILockTable::FindBroken reports them; re-invalidating an invalid entry
+  /// calls nothing.  It runs inside OnBatch and must only acquire latches
+  /// ranked above kDatabase.  Install at quiesce; pass nullptr to clear.
+  using InvalidationHook = std::function<void(ProcId)>;
+  void SetValidityMirror(InvalidationHook hook);
 
  private:
   struct Entry {
     std::unique_ptr<ivm::TupleStore> cache;
+    bool valid = false;
     CacheBudget::EntryId budget_id = 0;
     /// Latch-free eviction poll.
     const std::atomic<bool>* live = nullptr;
@@ -99,7 +112,7 @@ class CacheInvalidateStrategy : public Strategy {
 
   double invalidation_cost_ms_;
   std::vector<Entry> entries_;
-  std::optional<InvalidationLog> validity_;
+  InvalidationHook invalidation_hook_;
   ILockTable locks_;
   // Statistics counters are atomics so concurrent sessions (which hold the
   // db latch in shared mode during accesses) can bump them racelessly.

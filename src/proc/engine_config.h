@@ -12,8 +12,8 @@ namespace procsim::proc {
 /// embeds, so the differential oracle runs under the same settings).  The
 /// engine reads it when it builds its strategy set, its write-ahead log and
 /// its transaction manager; no strategy sees it.  Every partitioned
-/// structure (i-lock stripes, cache-budget shards, the engine's slot
-/// stripes) uses the constant util::kDefaultShardCount.
+/// structure (cache-budget shards, the engine's slot stripes) uses the
+/// constant util::kDefaultShardCount.
 struct EngineConfig {
   /// Global cache budget in bytes, split evenly across the budget's shards;
   /// cached procedure results beyond the budget are evicted LRU-first and

@@ -1,7 +1,6 @@
 #include "proc/ilock.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "obs/metrics.h"
 
@@ -12,55 +11,35 @@ obs::Counter* const g_locks_set =
     obs::GlobalMetrics().RegisterCounter("proc.ilock.locks_set");
 obs::Counter* const g_broken_found =
     obs::GlobalMetrics().RegisterCounter("proc.ilock.broken_found");
-obs::Counter* const g_shard_lookups =
-    obs::GlobalMetrics().RegisterCounter("shard.ilock.lookups");
 
 }  // namespace
 
 using Guard = util::RankedLockGuard;
 
-std::vector<std::unique_ptr<ILockTable::Shard>> ILockTable::MakeShards(
-    std::size_t count) {
-  std::vector<std::unique_ptr<Shard>> shards;
-  shards.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    shards.push_back(std::make_unique<Shard>());
-  }
-  return shards;
-}
-
-ILockTable::ILockTable() : shards_(MakeShards(map_.size())) {}
-
 void ILockTable::AddIntervalLock(ProcId owner, const std::string& relation,
                                  std::size_t column, int64_t lo, int64_t hi) {
-  g_shard_lookups->Add();
-  Shard& shard = ShardFor(relation);
-  Guard guard(shard.latch);
-  shard.locks_by_relation[relation].push_back(Lock{owner, column, lo, hi});
+  Guard guard(latch_);
+  locks_by_relation_[relation].push_back(Lock{owner, column, lo, hi});
   g_locks_set->Add();
 }
 
 void ILockTable::ClearLocks(ProcId owner) {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    Guard guard(shard->latch);
-    for (auto& [relation, locks] : shard->locks_by_relation) {
-      locks.erase(std::remove_if(locks.begin(), locks.end(),
-                                 [owner](const Lock& lock) {
-                                   return lock.owner == owner;
-                                 }),
-                  locks.end());
-    }
+  Guard guard(latch_);
+  for (auto& [relation, locks] : locks_by_relation_) {
+    locks.erase(std::remove_if(locks.begin(), locks.end(),
+                               [owner](const Lock& lock) {
+                                 return lock.owner == owner;
+                               }),
+                locks.end());
   }
 }
 
 std::vector<ProcId> ILockTable::FindBroken(const std::string& relation,
                                            const rel::Tuple& tuple) const {
   std::vector<ProcId> broken;
-  g_shard_lookups->Add();
-  Shard& shard = ShardFor(relation);
-  Guard guard(shard.latch);
-  auto it = shard.locks_by_relation.find(relation);
-  if (it == shard.locks_by_relation.end()) return broken;
+  Guard guard(latch_);
+  auto it = locks_by_relation_.find(relation);
+  if (it == locks_by_relation_.end()) return broken;
   for (const Lock& lock : it->second) {
     if (lock.column >= tuple.arity()) continue;
     const rel::Value& value = tuple.value(lock.column);
@@ -76,21 +55,9 @@ std::vector<ProcId> ILockTable::FindBroken(const std::string& relation,
 }
 
 std::size_t ILockTable::lock_count() const {
+  Guard guard(latch_);
   std::size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    Guard guard(shard->latch);
-    for (const auto& [relation, locks] : shard->locks_by_relation) {
-      total += locks.size();
-    }
-  }
-  return total;
-}
-
-std::size_t ILockTable::shard_lock_count(std::size_t index) const {
-  Shard& shard = *shards_[map_.At(index)];
-  Guard guard(shard.latch);
-  std::size_t total = 0;
-  for (const auto& [relation, locks] : shard.locks_by_relation) {
+  for (const auto& [relation, locks] : locks_by_relation_) {
     total += locks.size();
   }
   return total;
@@ -99,12 +66,10 @@ std::size_t ILockTable::shard_lock_count(std::size_t index) const {
 void ILockTable::ForEachLock(
     const std::function<void(const std::string&, ProcId, std::size_t, int64_t,
                              int64_t)>& fn) const {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    Guard guard(shard->latch);
-    for (const auto& [relation, locks] : shard->locks_by_relation) {
-      for (const Lock& lock : locks) {
-        fn(relation, lock.owner, lock.column, lock.lo, lock.hi);
-      }
+  Guard guard(latch_);
+  for (const auto& [relation, locks] : locks_by_relation_) {
+    for (const Lock& lock : locks) {
+      fn(relation, lock.owner, lock.column, lock.lo, lock.hi);
     }
   }
 }

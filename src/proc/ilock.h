@@ -3,15 +3,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/latch.h"
 #include "proc/procedure.h"
 #include "relational/tuple.h"
-#include "util/shard.h"
 #include "util/thread_annotations.h"
 
 namespace procsim::proc {
@@ -27,15 +25,12 @@ namespace procsim::proc {
 /// index structures); the paper charges no I/O for it — only the downstream
 /// screening/invalidations are charged by the callers.
 ///
-/// Thread safety: the table is sharded by relation name into
-/// util::kDefaultShardCount shards (util::ShardMap), each behind its own
-/// kILock stripe latch.  Per-operation calls (AddIntervalLock, FindBroken)
-/// touch exactly one shard; whole-table sweeps (ClearLocks, lock_count,
-/// ForEachLock) latch shards one at a time and never hold two, so stripe
-/// latches cannot deadlock against each other.
+/// Thread safety: one kILock latch guards the table.  Each relation's locks
+/// are kept in the order they were set, which is the order FindBroken
+/// reports their owners in.
 class ILockTable {
  public:
-  ILockTable();
+  ILockTable() = default;
   ILockTable(const ILockTable&) = delete;
   ILockTable& operator=(const ILockTable&) = delete;
 
@@ -52,24 +47,16 @@ class ILockTable {
   /// Drops every lock owned by `owner` (before re-acquiring on recompute).
   void ClearLocks(ProcId owner);
 
-  /// Procedures whose lock on `relation` is broken by writing `tuple`
-  /// (deduplicated, unordered).
+  /// Procedures whose lock on `relation` is broken by writing `tuple`,
+  /// deduplicated, in the order their first broken lock was set.
   std::vector<ProcId> FindBroken(const std::string& relation,
                                  const rel::Tuple& tuple) const;
 
   std::size_t lock_count() const;
 
-  /// How many shards the table is partitioned into.
-  std::size_t shard_count() const { return map_.size(); }
-
-  /// Locks currently held in shard `index` (bounds-checked; aborts on an
-  /// out-of-range index).
-  std::size_t shard_lock_count(std::size_t index) const;
-
-  /// Calls `fn(relation, owner, column, lo, hi)` for every lock; iteration
-  /// order is unspecified.  Used by audit::ValidateILockTable.  The
-  /// callback runs with one stripe latch held — it must not call back into
-  /// this table.
+  /// Calls `fn(relation, owner, column, lo, hi)` for every lock.  Used by
+  /// audit::ValidateILockTable.  The callback runs with the table's latch
+  /// held — it must not call back into this table.
   void ForEachLock(
       const std::function<void(const std::string&, ProcId, std::size_t,
                                int64_t, int64_t)>& fn) const;
@@ -82,21 +69,9 @@ class ILockTable {
     int64_t hi;
   };
 
-  struct Shard {
-    util::RankedMutex latch{util::LatchRank::kILock,
-                                  "ILockTable::shard"};
-    std::unordered_map<std::string, std::vector<Lock>> locks_by_relation
-        GUARDED_BY(latch);
-  };
-
-  static std::vector<std::unique_ptr<Shard>> MakeShards(std::size_t count);
-
-  Shard& ShardFor(const std::string& relation) const {
-    return *shards_[map_.ForName(relation)];
-  }
-
-  const util::ShardMap map_;
-  const std::vector<std::unique_ptr<Shard>> shards_;
+  mutable util::RankedMutex latch_{util::LatchRank::kILock, "ILockTable"};
+  std::map<std::string, std::vector<Lock>> locks_by_relation_
+      GUARDED_BY(latch_);
 };
 
 }  // namespace procsim::proc

@@ -345,7 +345,9 @@ std::string ReteNetwork::ToDot() const {
   auto id_of = [&](const ReteNode* node) -> const std::string& {
     auto it = ids.find(node);
     if (it == ids.end()) {
-      it = ids.emplace(node, "n" + std::to_string(ids.size())).first;
+      std::string id = "n";
+      id += std::to_string(ids.size());
+      it = ids.emplace(node, std::move(id)).first;
     }
     return it->second;
   };
@@ -454,14 +456,18 @@ std::string CanonicalBytes(const ivm::TupleStore& store) {
 std::string FirstDifference(const std::vector<Tuple>& expected,
                             const std::vector<Tuple>& actual) {
   // image -> (expected count - actual count, a tuple with that image)
-  std::map<std::vector<uint8_t>, std::pair<int64_t, const Tuple*>> balance;
+  std::map<std::string, std::pair<int64_t, const Tuple*>> balance;
+  const auto image_of = [](const Tuple& tuple) {
+    const std::vector<uint8_t> bytes = tuple.Serialize();
+    return std::string(bytes.begin(), bytes.end());
+  };
   for (const Tuple& tuple : expected) {
-    auto& entry = balance[tuple.Serialize()];
+    auto& entry = balance[image_of(tuple)];
     ++entry.first;
     entry.second = &tuple;
   }
   for (const Tuple& tuple : actual) {
-    auto& entry = balance[tuple.Serialize()];
+    auto& entry = balance[image_of(tuple)];
     --entry.first;
     entry.second = &tuple;
   }

@@ -4,7 +4,6 @@
 
 #include "ivm/delta.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "proc/cache_invalidate.h"
 #include "proc/hybrid.h"
 #include "proc/update_cache_avm.h"
@@ -148,14 +147,12 @@ Result<SimulationResult> Simulator::RunWithFactory(
       continue;
     }
     if (op.kind == WorkloadOp::Kind::kUpdate) {
-      obs::TraceSpan span("sim.update", "sim");
       const double before_ms = db->meter.total_ms();
       PROCSIM_RETURN_IF_ERROR(
           ApplyTransaction(db.get(), {op}, mix, &rng, {&target, 1}));
       ++result.update_transactions;
       g_update_cost->Observe(db->meter.total_ms() - before_ms);
     } else {
-      obs::TraceSpan span("sim.access", "sim");
       const double before_ms = db->meter.total_ms();
       const std::size_t proc_id = locality.NextReference(&rng);
       Result<std::vector<rel::Tuple>> value = strategy->Access(proc_id);

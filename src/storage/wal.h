@@ -15,8 +15,8 @@ namespace procsim::storage {
 /// below sim/proc in the module DAG, so records carry only untyped payloads;
 /// the txn layer owns the encoding (a mutation record's payload is the
 /// sim::WorkloadOp kind + its self-contained RNG seed, an invalidation
-/// record's payload is the id of the procedure whose proc::InvalidationLog
-/// bit went from valid to invalid).  As in §3 of the paper, only
+/// record's payload is the id of the procedure whose Cache and Invalidate
+/// entry went from valid to invalid).  As in §3 of the paper, only
 /// invalidations are logged: a re-validation follows a recompute, and
 /// cached bytes are not durable, so recovery never restores one.  This log
 /// is the only record of invalidations: the bitmap keeps none of its own.
@@ -61,8 +61,8 @@ const char* WalRecordKindName(WalRecord::Kind kind);
 ///
 /// Thread safety: one kWal-rank latch serializes appends, forces and
 /// truncation — LSNs form a single total order.  The latch ranks *above*
-/// kInvalidationLog because an invalidation is appended here while the
-/// bitmap's latch is held.  Snapshot() copies the records under the latch,
+/// kDatabase because an invalidation is appended here while its apply
+/// holds the database latch.  Snapshot() copies the records under the latch,
 /// so the crash harness can slice prefixes without racing live appends.
 class WriteAheadLog {
  public:

@@ -123,8 +123,11 @@ Status TxnEngine::ApplyCommitted(TxnId txn,
                                /*inline_rng=*/nullptr, notified);
 }
 
-Status TxnEngine::TakeCheckpoint() NO_THREAD_SAFETY_ANALYSIS {
+Status TxnEngine::TakeCheckpoint() {
   PROCSIM_RETURN_IF_ERROR(txns_->Flush());
+  // Exclusive: an access's recompute sets its entry's flag under the
+  // shared latch.
+  util::RankedLockGuard db_guard(db_latch_);
   wal_->AppendCheckpoint(strategies_.cache_invalidate->ValidityBitmap());
   return Status::OK();
 }

@@ -116,7 +116,7 @@ class TxnEngine {
   /// surviving checkpoint plus the committed invalidations after it.
   /// (The WAL itself is never truncated by the engine: the durable base
   /// image is the seed, so every committed mutation record is needed for
-  /// redo.)  Quiescent-only.
+  /// redo.)  The bitmap is read under the exclusive db latch.
   Status TakeCheckpoint();
 
   /// One step Run reports to its observer: an access served, or a
@@ -190,8 +190,8 @@ class TxnEngine {
   Result<std::string> Access(proc::ProcId id, const std::string* expected,
                              const char* against) REQUIRES_SHARED(db_latch_);
 
-  /// Installs the InvalidationLog→WAL mirror (disabled during replay so
-  /// recovery does not re-log what it is reconstructing).
+  /// Points CacheInvalidate's invalidation hook at the WAL (not installed
+  /// during replay, so recovery does not re-log what it is reconstructing).
   void InstallMirror();
 
   /// Group-flush apply hook: applies `ops` and notifies strategies, under

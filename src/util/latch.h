@@ -39,15 +39,13 @@ namespace procsim::util {
 ///                     taken for the duration of one submitted token)
 ///   kReteMemory       per α/β memory latch (store refresh while a token is
 ///                     being applied to that memory)
-///   kILock            ILockTable stripe latches
+///   kILock            the i-lock table's latch (one per ILockTable)
 ///   kCacheBudget      cache-budget accounting shards (byte totals + LRU
 ///                     clock; eviction only flips per-entry atomic flags,
 ///                     so no lower-ranked latch is ever taken under it)
-///   kInvalidationLog  validity bitmap latch (held across a bit change and,
-///                     for an invalidation, its mirrored WAL append)
-///   kWal              write-ahead-log append/truncate latch (sits above
-///                     kInvalidationLog: invalidations are appended to the
-///                     WAL while the bitmap latch is held)
+///   kWal              write-ahead-log append/truncate latch (an
+///                     invalidation is appended under the exclusive
+///                     kDatabase latch its apply holds)
 ///   kPageTable        SimulatedDisk page-directory latch (page allocation
 ///                     vs concurrent page lookups)
 ///   kBufferCache      buffer-cache frame/LRU latch
@@ -75,7 +73,6 @@ enum class LatchRank : int {
   kReteMemory = 35,
   kILock = 40,
   kCacheBudget = 45,
-  kInvalidationLog = 50,
   kWal = 52,
   kPageTable = 55,
   kBufferCache = 60,

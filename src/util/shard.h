@@ -2,24 +2,21 @@
 #define PROCSIM_UTIL_SHARD_H_
 
 #include <cstddef>
-#include <functional>
-#include <string>
 
 #include "util/logging.h"
 
 namespace procsim::util {
 
-/// Shard count of every partitioned engine structure: the i-lock table's
-/// stripes, the cache budget's shards and the engine's slot stripes.
+/// Shard count of every partitioned engine structure: the cache budget's
+/// shards and the engine's slot stripes.
 inline constexpr std::size_t kDefaultShardCount = 8;
 
 /// \brief A fixed partitioning of a key space into N shards.
 ///
 /// One ShardMap value describes how an engine dimension (procedure slots,
-/// cached results, i-lock stripes) is split: dense ids partition by
-/// `id % size()` (so slot `id / size()` within a shard is dense too), and
-/// names partition by hash.  The map is immutable: the shard count is fixed
-/// at construction, never changed live.
+/// cached results) is split: dense ids partition by `id % size()` (so slot
+/// `id / size()` within a shard is dense too).  The map is immutable: the
+/// shard count is fixed at construction, never changed live.
 class ShardMap {
  public:
   explicit ShardMap(std::size_t shards = kDefaultShardCount)
@@ -35,11 +32,6 @@ class ShardMap {
 
   /// Dense slot of `id` within its shard (ForId/SlotFor invert id).
   std::size_t SlotFor(std::size_t id) const { return id / shards_; }
-
-  /// Shard of a string key (relation names, labels).
-  std::size_t ForName(const std::string& name) const {
-    return std::hash<std::string>{}(name) % shards_;
-  }
 
   /// Bounds-checked shard index for direct addressing (validators, tests);
   /// aborts on an out-of-range index rather than wrapping silently.

@@ -44,7 +44,8 @@ class AdaptiveTest : public ::testing::Test {
   DatabaseProcedure Proc(ProcId id, int64_t lo, int64_t hi) {
     DatabaseProcedure procedure;
     procedure.id = id;
-    procedure.name = "P" + std::to_string(id);
+    procedure.name = "P";
+    procedure.name += std::to_string(id);
     procedure.query.base = rel::BaseSelection{"R1", lo, hi, Conjunction{}};
     return procedure;
   }

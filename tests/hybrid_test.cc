@@ -184,7 +184,8 @@ TEST(HybridTest, AssignmentsCoverAllProcedures) {
   for (ProcId id = 0; id < 6; ++id) {
     DatabaseProcedure procedure;
     procedure.id = id;
-    procedure.name = "P" + std::to_string(id);
+    procedure.name = "P";
+    procedure.name += std::to_string(id);
     procedure.query.base = rel::BaseSelection{
         "R1", static_cast<int64_t>(id) * 5,
         static_cast<int64_t>(id) * 5 + 4, rel::Conjunction{}};

@@ -34,6 +34,9 @@ TEST(ILockTableTest, RelationsAreIndependent) {
   ILockTable locks;
   locks.AddIntervalLock(1, "R1", 0, 0, 100);
   EXPECT_TRUE(locks.FindBroken("R2", Row(50)).empty());
+  locks.AddIntervalLock(2, "R2", 0, 40, 60);
+  EXPECT_EQ(locks.FindBroken("R2", Row(50)), std::vector<ProcId>{2});
+  EXPECT_EQ(locks.lock_count(), 2u);
 }
 
 TEST(ILockTableTest, MultipleOwnersDeduplicated) {
@@ -54,29 +57,6 @@ TEST(ILockTableTest, ClearLocksDropsOnlyOwner) {
   locks.ClearLocks(1);
   EXPECT_EQ(locks.lock_count(), 1u);
   EXPECT_EQ(locks.FindBroken("R1", Row(10)), std::vector<ProcId>{2});
-}
-
-TEST(ILockTableTest, ShardLockCountsSumToTotal) {
-  ILockTable locks;
-  const char* relations[] = {"R1", "R2", "R3", "R4", "R5"};
-  std::size_t added = 0;
-  for (const char* relation : relations) {
-    for (int64_t lo = 0; lo < 3; ++lo) {
-      locks.AddIntervalLock(1, relation, 0, lo, lo + 10);
-      ++added;
-    }
-  }
-  std::size_t total = 0;
-  for (std::size_t shard = 0; shard < locks.shard_count(); ++shard) {
-    total += locks.shard_lock_count(shard);
-  }
-  EXPECT_EQ(total, added);
-  EXPECT_EQ(locks.lock_count(), added);
-}
-
-TEST(ILockTableDeathTest, ShardLockCountBoundsChecked) {
-  ILockTable locks;
-  EXPECT_DEATH(locks.shard_lock_count(locks.shard_count()), "");
 }
 
 TEST(ILockTableTest, NonIntegerColumnsIgnored) {

@@ -78,8 +78,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(IpCase{0.1, 0.2}, IpCase{0.3, 0.2}, IpCase{0.6, 0.2},
                       IpCase{0.3, 0.05}, IpCase{0.3, 0.45}),
     [](const ::testing::TestParamInfo<IpCase>& info) {
-      return "p" + std::to_string(static_cast<int>(info.param.p * 100)) +
-             "_z" + std::to_string(static_cast<int>(info.param.z * 100));
+      std::string name = "p";
+      name += std::to_string(static_cast<int>(info.param.p * 100));
+      name += "_z";
+      name += std::to_string(static_cast<int>(info.param.z * 100));
+      return name;
     });
 
 }  // namespace

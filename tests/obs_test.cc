@@ -1,5 +1,5 @@
 // Observability-layer tests: counter semantics, histogram bucketing,
-// registry snapshot/reset round-trips, trace-span recording, and —
+// registry snapshot/reset round-trips, and —
 // decisive under the tsan preset (matched by the ci.sh 'Obs' regex) —
 // many-thread hammering of the lock-free read paths.
 #include "obs/metrics.h"
@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/trace.h"
 #include "sim/simulator.h"
 
 namespace procsim::obs {
@@ -174,56 +173,6 @@ TEST(ObsConcurrencyTest, ConcurrentRegistrationReturnsOnePointer) {
   for (std::thread& thread : threads) thread.join();
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(pointers[t], pointers[0]);
   EXPECT_EQ(pointers[0]->value(), static_cast<uint64_t>(kThreads));
-}
-
-TEST(ObsTraceTest, DisabledRecorderCostsNothingAndRecordsNothing) {
-  TraceRecorder& recorder = TraceRecorder::Global();
-  recorder.Disable();
-  recorder.Clear();
-  {
-    TraceSpan span("test.span", "test");
-  }
-  EXPECT_EQ(recorder.event_count(), 0u);
-}
-
-TEST(ObsTraceTest, EnabledRecorderCapturesSpansAsChromeTraceJson) {
-  TraceRecorder& recorder = TraceRecorder::Global();
-  recorder.Enable();
-  {
-    TraceSpan outer("test.outer", "test", "detail");
-    TraceSpan inner("test.inner", "test");
-  }
-  recorder.Disable();
-  EXPECT_EQ(recorder.event_count(), 2u);
-  std::ostringstream out;
-  recorder.WriteJson(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"test.outer\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos) << json;
-  EXPECT_NE(json.find("detail"), std::string::npos);
-  recorder.Clear();
-  EXPECT_EQ(recorder.event_count(), 0u);
-}
-
-TEST(ObsTraceTest, ConcurrentSpansAllLand) {
-  TraceRecorder& recorder = TraceRecorder::Global();
-  recorder.Enable();
-  constexpr int kThreads = 6;
-  constexpr int kSpansPerThread = 500;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([]() {
-      for (int i = 0; i < kSpansPerThread; ++i) {
-        TraceSpan span("test.mt", "test");
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  recorder.Disable();
-  EXPECT_EQ(recorder.event_count(),
-            static_cast<std::size_t>(kThreads) * kSpansPerThread);
-  recorder.Clear();
 }
 
 // End-to-end wiring: driving the actual simulator must move the counters

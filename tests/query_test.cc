@@ -60,7 +60,7 @@ TEST_F(QueryTest, OutputSchemaFailsForUnknownRelation) {
   query.base = BaseSelection{"MISSING", 0, 1, Conjunction{}};
   EXPECT_EQ(query.OutputSchema(catalog_).status().code(),
             StatusCode::kNotFound);
-  query.base.relation = "A";
+  query.base = BaseSelection{"A", 0, 1, Conjunction{}};
   JoinStage stage;
   stage.relation = "NOPE";
   query.joins.push_back(stage);

@@ -29,6 +29,9 @@
 #      golden (tools/procsim_lint/goldens/clean.json)
 #  10. Static-analysis gate (tools/check.sh)
 #  11. Format gate (tools/format.sh --check; no-op without clang-format)
+#  12. Release build (build-only): the whole tree at -O3 under
+#      PROCSIM_WERROR, whose inlining raises warnings the other presets
+#      never see
 set -eu -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -84,5 +87,9 @@ bash tools/check.sh build-asan
 
 echo "=== ci.sh: format check ==="
 bash tools/format.sh --check
+
+echo "=== ci.sh: release build (build-only) ==="
+cmake -S . -B build-release -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-release -j "${JOBS}"
 
 echo "ci.sh: ALL GATES PASSED"
