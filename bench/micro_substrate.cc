@@ -1,9 +1,12 @@
 // Google-benchmark microbenchmarks for the substrate data structures:
-// B-tree insert/search/bulk load, heap scan, hash-index probe, Rete token
-// propagation, and Yao estimation.  These measure real wall-clock time of
+// B-tree insert/search/bulk load, heap scan, hash-index probe, TupleStore
+// insert and probe, Rete token propagation, and Yao estimation.  These measure real wall-clock time of
 // the implementation (not the simulated 1987 device costs) — useful for
 // keeping the simulator itself fast.
 #include <benchmark/benchmark.h>
+
+#include <optional>
+#include <vector>
 
 #include "cost/model.h"
 #include "ivm/tuple_store.h"
@@ -116,6 +119,72 @@ void BM_HashIndexProbe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HashIndexProbe)->Arg(10000);
+
+// Paper-width rows (S = 100) of three int64 columns; column 1 repeats
+// every `distinct` rows.
+std::vector<rel::Tuple> StoreRows(int64_t n, int64_t distinct) {
+  std::vector<rel::Tuple> rows;
+  rows.reserve(static_cast<std::size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    rows.push_back(rel::Tuple(
+        {rel::Value(i), rel::Value(i % distinct), rel::Value(i * 31)}));
+  }
+  return rows;
+}
+
+void BM_TupleStoreInsertMany(benchmark::State& state) {
+  // Populating a Rete memory indexed on two columns, un-metered as at
+  // build time: range(1) = 1 inserts the rows as one batch, 0 one Insert
+  // per row (the row path).
+  const std::vector<rel::Tuple> rows = StoreRows(state.range(0), 100);
+  const bool batched = state.range(1) != 0;
+  storage::SimulatedDisk disk(4000, /*meter=*/nullptr);
+  std::optional<ivm::TupleStore> store;
+  for (auto _ : state) {
+    state.PauseTiming();
+    store.reset();
+    store.emplace(&disk, 100);
+    store->EnsureProbeIndex(1);
+    state.ResumeTiming();
+    if (batched) {
+      benchmark::DoNotOptimize(store->InsertMany(rows));
+    } else {
+      for (const rel::Tuple& row : rows) {
+        benchmark::DoNotOptimize(store->Insert(row));
+      }
+    }
+  }
+  store.reset();
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TupleStoreInsertMany)->Args({10000, 0})->Args({10000, 1});
+
+void BM_TupleStoreProbeEqual(benchmark::State& state) {
+  // A metered and-node probe of 10000 stored rows on column 1, where each
+  // key matches range(0) rows.
+  const int64_t n = 10000;
+  CostMeter meter;
+  storage::SimulatedDisk disk(4000, &meter);
+  ivm::TupleStore store(&disk, 100);
+  store.EnsureProbeIndex(1);
+  {
+    storage::MeteringGuard unmetered(&disk);
+    (void)store.InsertMany(StoreRows(n, n / state.range(0)));
+  }
+  int64_t key = 0;
+  int64_t matches = 0;
+  for (auto _ : state) {
+    Status probed = store.ProbeEqual(1, key, [&](rel::Tuple&& tuple) {
+      benchmark::DoNotOptimize(tuple);
+      ++matches;
+      return Status::OK();
+    });
+    benchmark::DoNotOptimize(probed);
+    key = (key + 7) % (n / state.range(0));
+  }
+  state.SetItemsProcessed(matches);
+}
+BENCHMARK(BM_TupleStoreProbeEqual)->Arg(1)->Arg(10);
 
 void BM_YaoEstimate(benchmark::State& state) {
   double n = 100000, m = 2500, k = 1;

@@ -34,18 +34,31 @@ void PostingTable::Place(const Slot& posting) {
   slots_[i] = posting;
 }
 
+void PostingTable::Rehash(std::size_t capacity) {
+  std::vector<Slot> old(capacity);
+  old.swap(slots_);
+  for (const Slot& slot : old) {
+    if (slot.rid.valid()) Place(slot);
+  }
+}
+
 void PostingTable::Insert(uint32_t tag, RecordId rid) {
   PROCSIM_CHECK(rid.valid());
   // Keep the load at most 3/4.
   if (4 * (size_ + 1) > 3 * capacity()) {
-    std::vector<Slot> old(std::max(kMinCapacity, 2 * capacity()));
-    old.swap(slots_);
-    for (const Slot& slot : old) {
-      if (slot.rid.valid()) Place(slot);
-    }
+    Rehash(std::max(kMinCapacity, 2 * capacity()));
   }
   Place(Slot{tag, rid});
   ++size_;
+}
+
+void PostingTable::Reserve(std::size_t postings) {
+  // The doubling sequence Insert follows, run to its end.
+  std::size_t target = capacity();
+  while (4 * postings > 3 * target) {
+    target = std::max(kMinCapacity, 2 * target);
+  }
+  if (target > capacity()) Rehash(target);
 }
 
 bool PostingTable::Erase(uint32_t tag, RecordId rid) {
@@ -124,19 +137,29 @@ TupleStore::~TupleStore() {
 
 std::size_t TupleStore::page_count() const { return heap_.pages().size(); }
 
-Status TupleStore::InsertInternal(const Tuple& tuple) {
-  Result<RecordId> rid = heap_.Insert(tuple.Serialize(), pad_to_bytes_);
-  if (!rid.ok()) return rid.status();
-  for (auto& [column, index] : indexes_) {
-    index.Insert(PostingTable::TagOf(tuple.value(column).Hash()),
-                 rid.ValueOrDie());
+Status TupleStore::Append(std::span<const Tuple> tuples) {
+  for (auto& [column, index] : indexes_) index.Reserve(count_ + tuples.size());
+  // One serialization buffer per thread, reused by every insert.
+  thread_local std::vector<uint8_t> image;
+  for (const Tuple& tuple : tuples) {
+    tuple.SerializeInto(&image);
+    Result<RecordId> rid = heap_.Insert(image, pad_to_bytes_);
+    if (!rid.ok()) return rid.status();
+    for (auto& [column, index] : indexes_) {
+      index.Insert(PostingTable::TagOf(tuple.value(column).Hash()),
+                   rid.ValueOrDie());
+    }
+    ++count_;
   }
-  ++count_;
   return Status::OK();
 }
 
 Status TupleStore::Insert(const Tuple& tuple) {
-  PROCSIM_RETURN_IF_ERROR(InsertInternal(tuple));
+  return InsertMany(std::span<const Tuple>(&tuple, 1));
+}
+
+Status TupleStore::InsertMany(std::span<const Tuple> tuples) {
+  PROCSIM_RETURN_IF_ERROR(Append(tuples));
   PROCSIM_AUDIT_OK(CheckConsistency());
   return Status::OK();
 }
@@ -201,6 +224,7 @@ void TupleStore::EnsureProbeIndex(std::size_t column) {
   auto [it, created] = indexes_.try_emplace(column);
   if (!created) return;
   PostingTable& index = it->second;
+  index.Reserve(count_);
   storage::MeteringGuard guard(disk_);
   const Status scanned =
       heap_.Scan([&](RecordId rid, storage::ByteView bytes) {
@@ -256,9 +280,7 @@ Status TupleStore::Rebuild(const std::vector<Tuple>& tuples) {
     disk_->meter()->ChargeDiskRead(old_pages);
   }
   storage::AccessScope scope(disk_);
-  for (const Tuple& tuple : tuples) {
-    PROCSIM_RETURN_IF_ERROR(InsertInternal(tuple));
-  }
+  PROCSIM_RETURN_IF_ERROR(Append(tuples));
   PROCSIM_AUDIT_OK(CheckConsistency());
   return Status::OK();
 }

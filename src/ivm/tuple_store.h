@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "relational/tuple.h"
@@ -35,6 +36,10 @@ class PostingTable {
 
   /// Adds the posting (tag, rid); `rid` must be valid.
   void Insert(uint32_t tag, storage::RecordId rid);
+
+  /// Grows the slot array, once, to the capacity Insert would have reached
+  /// by the time the table holds `postings`; never shrinks it.
+  void Reserve(std::size_t postings);
 
   /// Removes the posting (tag, rid); false if the table has none.
   bool Erase(uint32_t tag, storage::RecordId rid);
@@ -83,6 +88,8 @@ class PostingTable {
   std::size_t mask() const { return slots_.size() - 1; }
   /// Places a posting in the first empty slot of its probe sequence.
   void Place(const Slot& posting);
+  /// Moves every posting into a fresh array of `capacity` slots.
+  void Rehash(std::size_t capacity);
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
@@ -119,8 +126,13 @@ class TupleStore {
   TupleStore& operator=(const TupleStore&) = delete;
 
   /// Adds one tuple (charges the page write, and a read if appending to a
-  /// partially filled page).
+  /// partially filled page).  A batch of one.
   Status Insert(const rel::Tuple& tuple);
+
+  /// Adds `tuples` in order, charging each exactly as Insert would; the
+  /// indexes grow once, to their final size.  On an error the tuples before
+  /// the failing one stay inserted.
+  Status InsertMany(std::span<const rel::Tuple> tuples);
 
   /// Removes the lowest-RecordId instance of `tuple`; NotFound if absent.
   Status Remove(const rel::Tuple& tuple);
@@ -173,7 +185,8 @@ class TupleStore {
   std::size_t page_count() const;
 
  private:
-  Status InsertInternal(const rel::Tuple& tuple);
+  /// InsertMany without the audit.
+  Status Append(std::span<const rel::Tuple> tuples);
   /// The tuple stored at `rid`; the caller un-meters the read.
   Result<rel::Tuple> Decode(storage::RecordId rid) const;
   /// The lowest record equal to `tuple`, if any.

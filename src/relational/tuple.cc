@@ -62,15 +62,21 @@ Tuple Tuple::Concat(const Tuple& left, const Tuple& right) {
 }
 
 std::vector<uint8_t> Tuple::Serialize() const {
+  std::vector<uint8_t> out;
+  SerializeInto(&out);
+  return out;
+}
+
+void Tuple::SerializeInto(std::vector<uint8_t>* out) const {
   const auto arity = static_cast<uint32_t>(values_.size());
   std::size_t length = sizeof(arity);
   for (const Value& value : values_) length += value.SerializedSize();
-  // One allocation of the exact length; the values are written in place.
-  std::vector<uint8_t> out(length);
-  std::memcpy(out.data(), &arity, sizeof(arity));
-  uint8_t* cursor = out.data() + sizeof(arity);
+  // At most one allocation, of the exact length; the values are written in
+  // place.
+  out->resize(length);
+  std::memcpy(out->data(), &arity, sizeof(arity));
+  uint8_t* cursor = out->data() + sizeof(arity);
   for (const Value& value : values_) cursor = value.SerializeInto(cursor);
-  return out;
 }
 
 namespace {

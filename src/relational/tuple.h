@@ -64,6 +64,8 @@ class Tuple {
   /// tuple at the paper's fixed width S without keeping the padding (see
   /// storage::Page).
   std::vector<uint8_t> Serialize() const;
+  /// Serialize into `out`, replacing its contents and reusing its capacity.
+  void SerializeInto(std::vector<uint8_t>* out) const;
   /// Decodes a serialized tuple; bytes past its last value are ignored, so
   /// a zero-padded image (as Page::Deserialize stores) decodes too.
   static Result<Tuple> Deserialize(std::span<const uint8_t> bytes);

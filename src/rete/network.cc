@@ -59,18 +59,21 @@ Result<MemoryNode*> ReteNetwork::WireJoin(MemoryNode* left, MemoryNode* right,
   right->mutable_store()->EnsureProbeIndex(right_column);
 
   // Populate from the current memory contents, left side in record order,
-  // before registering anything.
+  // before registering anything: collect the joined rows, then insert them
+  // as one batch.
+  std::vector<Tuple> rows;
   Status populated = Status::OK();
   left->store().ForEach([&](const Tuple& left_tuple) {
     populated = right->store().ProbeEqual(
         right_column, left_tuple.value(left_column).AsInt64(),
         [&](Tuple&& right_tuple) {
-          return beta->mutable_store()->Insert(
-              Tuple::Concat(left_tuple, right_tuple));
+          rows.push_back(Tuple::Concat(left_tuple, right_tuple));
+          return Status::OK();
         });
     return populated.ok();
   });
   PROCSIM_RETURN_IF_ERROR(populated);
+  PROCSIM_RETURN_IF_ERROR(beta->mutable_store()->InsertMany(rows));
 
   auto* and_node =
       MakeNode<AndNode>(left, right, left_column, right_column, meter_);
@@ -111,21 +114,18 @@ Result<ReteNetwork::SelectionEntry*> ReteNetwork::GetOrCreateSelection(
 
   // Populate the α-memory from the relation's current contents (build-time;
   // callers disable metering for this static compilation phase) before
-  // registering anything: an interval selection in key order through the
-  // B-tree, an unconditional one in heap-scan order from this build's
-  // snapshot of the relation.
+  // registering anything, inserting the selected rows as one batch: an
+  // interval selection in key order through the B-tree, an unconditional
+  // one in heap-scan order from this build's snapshot of the relation.
   auto memory = std::make_unique<MemoryNode>(catalog_->disk(), pad_to_bytes_,
                                              /*is_beta=*/false);
-  ivm::TupleStore* store = memory->mutable_store();
+  std::vector<Tuple> rows;
   if (has_interval) {
-    Status inserted = Status::OK();
-    const Status scanned =
+    PROCSIM_RETURN_IF_ERROR(
         base->BTreeRange(lo, hi, [&](storage::RecordId, const Tuple& tuple) {
-          if (residual.Matches(tuple)) inserted = store->Insert(tuple);
-          return inserted.ok();
-        });
-    PROCSIM_RETURN_IF_ERROR(scanned);
-    PROCSIM_RETURN_IF_ERROR(inserted);
+          if (residual.Matches(tuple)) rows.push_back(tuple);
+          return true;
+        }));
   } else {
     auto [snapshot, first_use] = snapshots->try_emplace(relation);
     if (first_use) {
@@ -138,10 +138,10 @@ Result<ReteNetwork::SelectionEntry*> ReteNetwork::GetOrCreateSelection(
       ++stats_.relation_scans;
     }
     for (const Tuple& tuple : snapshot->second) {
-      if (!residual.Matches(tuple)) continue;
-      PROCSIM_RETURN_IF_ERROR(store->Insert(tuple));
+      if (residual.Matches(tuple)) rows.push_back(tuple);
     }
   }
+  PROCSIM_RETURN_IF_ERROR(memory->mutable_store()->InsertMany(rows));
 
   auto* tconst = MakeNode<TConstNode>(key_column, lo, hi, residual, meter_);
   MemoryNode* alpha = Adopt(std::move(memory));

@@ -1,5 +1,6 @@
 #include "storage/disk.h"
 
+#include <memory>
 #include <mutex>
 #include <string>
 
@@ -36,17 +37,31 @@ struct ThreadDiskState {
 };
 
 thread_local std::vector<ThreadDiskState> t_disk_states;
+// The state StateFor found last, so every page access after the first
+// skips the scan.  Plain pointers: unlike the vector, reading them needs
+// no thread_local initialization check.
+thread_local const SimulatedDisk* t_last_disk = nullptr;
+thread_local ThreadDiskState* t_last_state = nullptr;
 
 ThreadDiskState& StateFor(const SimulatedDisk* disk) {
+  if (t_last_disk == disk) return *t_last_state;
+  ThreadDiskState* found = nullptr;
   for (ThreadDiskState& state : t_disk_states) {
-    if (state.disk == disk) return state;
+    if (state.disk == disk) found = &state;
   }
-  t_disk_states.push_back(ThreadDiskState{});
-  t_disk_states.back().disk = disk;
-  return t_disk_states.back();
+  if (found == nullptr) {
+    t_disk_states.push_back(ThreadDiskState{});  // may move the others
+    found = &t_disk_states.back();
+    found->disk = disk;
+  }
+  t_last_disk = disk;
+  t_last_state = found;
+  return *found;
 }
 
 void DropStateFor(const SimulatedDisk* disk) {
+  t_last_disk = nullptr;
+  t_last_state = nullptr;
   for (std::size_t i = 0; i < t_disk_states.size(); ++i) {
     if (t_disk_states[i].disk == disk) {
       t_disk_states.erase(t_disk_states.begin() +
@@ -67,30 +82,45 @@ SimulatedDisk::~SimulatedDisk() {
   // Drop this thread's slot so a later disk at the same address starts
   // clean.  Other threads' slots are reset lazily by their own scopes.
   DropStateFor(this);
+  const std::size_t count = page_count_.load(std::memory_order_relaxed);
+  for (std::size_t id = 0; id < count; ++id) {
+    delete Lookup(static_cast<PageId>(id));
+  }
+  for (std::atomic<PageSlot*>& chunk : chunks_) {
+    // The slots' atomics are trivially destructible.
+    ::operator delete(chunk.load(std::memory_order_relaxed));
+  }
 }
 
 std::size_t SimulatedDisk::page_count() const {
-  util::RankedLockGuard guard(page_table_latch_);
-  return pages_.size();
+  return page_count_.load(std::memory_order_acquire);
 }
 
 std::size_t SimulatedDisk::live_page_count() const {
-  util::RankedLockGuard guard(page_table_latch_);
-  return live_pages_;
+  return live_pages_.load(std::memory_order_acquire);
 }
 
 std::size_t SimulatedDisk::resident_bytes() const {
-  util::RankedLockGuard guard(page_table_latch_);
   std::size_t bytes = 0;
-  for (const std::unique_ptr<Page>& page : pages_) {
-    if (page != nullptr) bytes += page->resident_bytes();
+  const std::size_t count = page_count();
+  for (std::size_t id = 0; id < count; ++id) {
+    if (const Page* page = Lookup(static_cast<PageId>(id))) {
+      bytes += page->resident_bytes();
+    }
   }
   return bytes;
 }
 
+Page* SimulatedDisk::Lookup(PageId page_id) const {
+  // Slots at and past page_count_ may not be constructed yet.
+  if (page_id >= page_count_.load(std::memory_order_acquire)) return nullptr;
+  const PageSlot* chunk =
+      chunks_[page_id / kChunkPages].load(std::memory_order_acquire);
+  return chunk[page_id % kChunkPages].load(std::memory_order_acquire);
+}
+
 bool SimulatedDisk::IsLive(PageId page_id) const {
-  util::RankedLockGuard guard(page_table_latch_);
-  return page_id < pages_.size() && pages_[page_id] != nullptr;
+  return Lookup(page_id) != nullptr;
 }
 
 bool SimulatedDisk::metering_enabled() const {
@@ -101,9 +131,19 @@ PageId SimulatedDisk::AllocatePage() {
   PageId page_id;
   {
     util::RankedLockGuard guard(page_table_latch_);
-    pages_.push_back(std::make_unique<Page>(page_size_));
-    page_id = static_cast<PageId>(pages_.size() - 1);
-    ++live_pages_;
+    const std::size_t id = page_count_.load(std::memory_order_relaxed);
+    PROCSIM_CHECK_LT(id, kMaxPages) << "the page table is full";
+    std::atomic<PageSlot*>& chunk_slot = chunks_[id / kChunkPages];
+    PageSlot* chunk = chunk_slot.load(std::memory_order_relaxed);
+    if (chunk == nullptr) {
+      chunk = static_cast<PageSlot*>(
+          ::operator new(kChunkPages * sizeof(PageSlot)));
+      chunk_slot.store(chunk, std::memory_order_release);
+    }
+    std::construct_at(&chunk[id % kChunkPages], new Page(page_size_));
+    page_count_.store(id + 1, std::memory_order_release);
+    live_pages_.fetch_add(1, std::memory_order_release);
+    page_id = static_cast<PageId>(id);
   }
   g_pages_allocated->Add();
   ChargeWrite(page_id);
@@ -111,18 +151,14 @@ PageId SimulatedDisk::AllocatePage() {
 }
 
 Result<Page*> SimulatedDisk::ReadPage(PageId page_id) {
-  Page* page = nullptr;
-  {
-    util::RankedLockGuard guard(page_table_latch_);
-    if (page_id < pages_.size()) page = pages_[page_id].get();
-  }
+  Page* page = Lookup(page_id);
   if (page == nullptr) return NoSuchPage(page_id);
   ChargeRead(page_id);
   return page;
 }
 
 Status SimulatedDisk::MarkDirty(PageId page_id) {
-  if (!IsLive(page_id)) return NoSuchPage(page_id);
+  if (Lookup(page_id) == nullptr) return NoSuchPage(page_id);
   ChargeWrite(page_id);
   return Status::OK();
 }
@@ -131,11 +167,11 @@ Status SimulatedDisk::FreePage(PageId page_id) {
   std::unique_ptr<Page> freed;  // destroyed after the latch is dropped
   {
     util::RankedLockGuard guard(page_table_latch_);
-    if (page_id >= pages_.size() || pages_[page_id] == nullptr) {
-      return NoSuchPage(page_id);
-    }
-    freed = std::move(pages_[page_id]);
-    --live_pages_;
+    if (Lookup(page_id) == nullptr) return NoSuchPage(page_id);
+    freed.reset(chunks_[page_id / kChunkPages]
+                    .load(std::memory_order_relaxed)[page_id % kChunkPages]
+                    .exchange(nullptr, std::memory_order_acq_rel));
+    live_pages_.fetch_sub(1, std::memory_order_release);
   }
   g_pages_freed->Add();
   return Status::OK();
@@ -172,8 +208,9 @@ void SimulatedDisk::PopThreadMeteringDisable() {
 }
 
 void SimulatedDisk::ChargeRead(PageId page_id) {
-  if (meter_ == nullptr || !metering_enabled()) return;
+  if (meter_ == nullptr) return;
   ThreadDiskState& state = StateFor(this);
+  if (state.metering_disable_depth > 0) return;
   if (state.in_scope) {
     if (!state.scope_reads.insert(page_id).second) return;  // already charged
   }
@@ -183,8 +220,9 @@ void SimulatedDisk::ChargeRead(PageId page_id) {
 }
 
 void SimulatedDisk::ChargeWrite(PageId page_id) {
-  if (meter_ == nullptr || !metering_enabled()) return;
+  if (meter_ == nullptr) return;
   ThreadDiskState& state = StateFor(this);
+  if (state.metering_disable_depth > 0) return;
   if (state.in_scope) {
     if (!state.scope_writes.insert(page_id).second) return;
   }

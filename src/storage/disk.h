@@ -1,10 +1,10 @@
 #ifndef PROCSIM_STORAGE_DISK_H_
 #define PROCSIM_STORAGE_DISK_H_
 
-#include <memory>
+#include <atomic>
+#include <cstddef>
 #include <optional>
 #include <set>
-#include <vector>
 
 #include "util/latch.h"
 #include "storage/buffer_cache.h"
@@ -27,11 +27,13 @@ namespace procsim::storage {
 /// are charged once.
 ///
 /// Concurrency: access scopes and metering disablement are *per thread*
-/// (each concurrent session dedups and un-meters only its own operation),
-/// the page directory is guarded by a kPageTable latch so sessions can
-/// allocate and free pages while others look pages up, and page *contents*
-/// are protected by the engine's coarse database latch (writers run
-/// exclusive).
+/// (each concurrent session dedups and un-meters only its own operation).
+/// The page directory is a two-level table of fixed-size chunks of atomic
+/// page pointers; a chunk never moves once allocated, so ReadPage, MarkDirty
+/// and IsLive look a page up with acquire loads and take no latch, while
+/// AllocatePage and FreePage serialize on a kPageTable latch and publish
+/// with release stores.  Page *contents* are protected by the engine's
+/// coarse database latch (writers run exclusive).
 class SimulatedDisk {
  public:
   /// \param page_size  bytes per page (the paper's B)
@@ -49,8 +51,8 @@ class SimulatedDisk {
   /// Pages allocated and not yet freed.
   std::size_t live_page_count() const;
   /// Bytes of memory the live pages hold for record payloads (the sum of
-  /// Page::resident_bytes).  Reads page contents, which the page-table latch
-  /// does not guard: call only while the disk is quiescent.
+  /// Page::resident_bytes).  Reads page contents, which no latch guards:
+  /// call only while the disk is quiescent.
   std::size_t resident_bytes() const;
   /// True if `page_id` was allocated and has not been freed.
   bool IsLive(PageId page_id) const;
@@ -63,6 +65,7 @@ class SimulatedDisk {
   CostMeter* meter() const { return meter_; }
 
   /// Allocates a fresh empty page (charged as one write when metering).
+  /// Aborts once kMaxPages ids have been handed out.
   PageId AllocatePage();
 
   /// Returns a mutable reference to a page, charging one read.  The caller
@@ -77,8 +80,8 @@ class SimulatedDisk {
   /// nothing.  A freed id stays in an open access scope's dedup sets and in
   /// the buffer cache's LRU; since no fresh page can take the id, neither
   /// ever skips a charge a fresh page owes.  The caller must hold the owning
-  /// structure exclusively: ReadPage hands out a Page* that outlives the
-  /// page-table latch.  NotFound if the page is not live.
+  /// structure exclusively: ReadPage hands out a Page* that nothing pins.
+  /// NotFound if the page is not live.
   Status FreePage(PageId page_id);
 
   // --- deduplicated accounting scopes -------------------------------------
@@ -105,19 +108,36 @@ class SimulatedDisk {
     return cache_.has_value() ? &*cache_ : nullptr;
   }
 
+  /// Page ids a disk can hand out: kMaxChunks chunks of kChunkPages.
+  static constexpr std::size_t kChunkPages = 16384;
+  static constexpr std::size_t kMaxChunks = 1024;
+  static constexpr std::size_t kMaxPages = kChunkPages * kMaxChunks;
+
  private:
+  using PageSlot = std::atomic<Page*>;
+
+  /// The live page `page_id` names, or null; one acquire load per level.
+  Page* Lookup(PageId page_id) const;
   void ChargeRead(PageId page_id);
   void ChargeWrite(PageId page_id);
 
   const uint32_t page_size_;
   CostMeter* const meter_;
+  // Serializes AllocatePage and FreePage; lookups take no latch.
   mutable util::RankedMutex page_table_latch_{
       util::LatchRank::kPageTable, "SimulatedDisk::page_table"};
-  // The directory (which pages exist) is latched; page *contents* are
-  // ordered by the engine's database latch (see class comment).  Indexed by
-  // page id; a freed page leaves a null slot behind.
-  std::vector<std::unique_ptr<Page>> pages_ GUARDED_BY(page_table_latch_);
-  std::size_t live_pages_ GUARDED_BY(page_table_latch_) = 0;
+  // The directory: chunks_[id / kChunkPages][id % kChunkPages] is page id's
+  // Page, null once freed.  A chunk (kChunkPages slots) is allocated as raw
+  // memory on the first id it covers and freed only by the destructor; a
+  // slot is constructed when AllocatePage hands its id out, so a chunk
+  // touches only the memory of ids in use.  AllocatePage publishes a slot by
+  // the release store of page_count_, and lookups read only slots below it.
+  // FreePage clears a slot with an atomic exchange.  Both write under the
+  // latch.  Page *contents* are ordered by the engine's database latch (see
+  // class comment).
+  std::atomic<PageSlot*> chunks_[kMaxChunks] = {};
+  std::atomic<std::size_t> page_count_{0};
+  std::atomic<std::size_t> live_pages_{0};
   // procsim-lint: allow(unguarded(cache_)) because the optional is engaged only while quiescent; the BufferCache inside has its own latch
   std::optional<BufferCache> cache_;
 };

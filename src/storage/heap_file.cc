@@ -42,7 +42,7 @@ struct RecordSizes {
   uint32_t size;
 };
 
-RecordSizes SizesOf(const std::vector<uint8_t>& record,
+RecordSizes SizesOf(std::span<const uint8_t> record,
                     std::size_t logical_size) {
   return {static_cast<uint32_t>(record.size()),
           static_cast<uint32_t>(std::max(record.size(), logical_size))};
@@ -50,7 +50,7 @@ RecordSizes SizesOf(const std::vector<uint8_t>& record,
 
 }  // namespace
 
-Result<RecordId> HeapFile::Insert(const std::vector<uint8_t>& record,
+Result<RecordId> HeapFile::Insert(std::span<const uint8_t> record,
                                   std::size_t logical_size) {
   PROCSIM_CHECK(!record.empty());
   const auto [stored, size] = SizesOf(record, logical_size);
@@ -87,7 +87,7 @@ Result<ByteView> HeapFile::Read(RecordId rid) const {
   return page.ValueOrDie()->View(rid.slot);
 }
 
-Status HeapFile::Update(RecordId rid, const std::vector<uint8_t>& record,
+Status HeapFile::Update(RecordId rid, std::span<const uint8_t> record,
                         std::size_t logical_size) {
   const auto [stored, size] = SizesOf(record, logical_size);
   Result<Page*> page = disk_->ReadPage(rid.page_id);

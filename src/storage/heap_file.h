@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "storage/disk.h"
@@ -26,7 +27,7 @@ class HeapFile {
   /// logical size, which its page accounts for, is the larger of
   /// `record.size()` and `logical_size` (the paper's S for fixed-width
   /// tuples); the page stores only `record` (see Page::Insert).
-  Result<RecordId> Insert(const std::vector<uint8_t>& record,
+  Result<RecordId> Insert(std::span<const uint8_t> record,
                           std::size_t logical_size = 0);
 
   /// The bytes of the record at `rid`, read in place: valid until its page
@@ -36,7 +37,7 @@ class HeapFile {
   /// Overwrites the record at `rid` in place, with its logical size taken as
   /// in Insert.  Fails if the new record no longer fits on its page
   /// (fixed-width records never hit this).
-  Status Update(RecordId rid, const std::vector<uint8_t>& record,
+  Status Update(RecordId rid, std::span<const uint8_t> record,
                 std::size_t logical_size = 0);
 
   /// Deletes the record at `rid`.

@@ -17,18 +17,6 @@ Page::Page(uint32_t page_size) : page_size_(page_size) {
   PROCSIM_CHECK_GT(page_size, 0u);
 }
 
-uint32_t Page::BytesUsed() const {
-  uint32_t used = 0;
-  for (const Slot& slot : slots_) {
-    if (slot.live) used += slot.size;
-  }
-  return used;
-}
-
-uint32_t Page::FreeSpace() const { return page_size_ - BytesUsed(); }
-
-bool Page::Fits(uint32_t size) const { return size <= FreeSpace(); }
-
 uint32_t Page::Append(const uint8_t* data, uint32_t stored, uint32_t size) {
   if (arena_.capacity() == 0 && stored < size) {
     // Padded records: size the arena for a page full of records shaped
@@ -79,6 +67,12 @@ void Page::Compact() {
   garbage_ = 0;
 }
 
+void Page::ShrinkToFit() {
+  if (garbage_ > 0) Compact();
+  arena_.shrink_to_fit();
+  PROCSIM_AUDIT_OK(CheckConsistency());
+}
+
 Result<uint16_t> Page::Insert(const uint8_t* data, uint32_t stored,
                               uint32_t size) {
   PROCSIM_CHECK_GT(stored, 0u);
@@ -86,12 +80,14 @@ Result<uint16_t> Page::Insert(const uint8_t* data, uint32_t stored,
   if (!Fits(size)) {
     return Status::OutOfRange("record does not fit in page");
   }
-  // Reuse a tombstoned slot if available; otherwise append.
+  // Reuse the first tombstoned slot if there is one; otherwise append.
   uint16_t slot_index = slot_count();
-  for (uint16_t i = 0; i < slot_count(); ++i) {
-    if (!slots_[i].live) {
-      slot_index = i;
-      break;
+  if (live_count_ < slot_count()) {
+    for (uint16_t i = 0; i < slot_count(); ++i) {
+      if (!slots_[i].live) {
+        slot_index = i;
+        break;
+      }
     }
   }
   const Slot slot{Append(data, stored, size), stored, size, /*live=*/true};
@@ -101,6 +97,7 @@ Result<uint16_t> Page::Insert(const uint8_t* data, uint32_t stored,
     slots_[slot_index] = slot;
   }
   ++live_count_;
+  used_ += size;
   PROCSIM_AUDIT_OK(CheckConsistency());
   return slot_index;
 }
@@ -140,6 +137,7 @@ Status Page::Update(uint16_t slot, const uint8_t* data, uint32_t stored,
     s.live = true;
   }
   s.stored = stored;
+  used_ = used_ - s.size + size;
   s.size = size;
   MaybeCompact();
   PROCSIM_AUDIT_OK(CheckConsistency());
@@ -151,6 +149,7 @@ Status Page::Delete(uint16_t slot) {
     return Status::NotFound("no live record in slot " + std::to_string(slot));
   }
   garbage_ += slots_[slot].stored;
+  used_ -= slots_[slot].size;
   slots_[slot] = Slot{};
   --live_count_;
   MaybeCompact();
@@ -188,6 +187,10 @@ Status Page::CheckConsistency() const {
     return Status::Internal("live slot directory count " +
                             std::to_string(live) + " != cached live_count " +
                             std::to_string(live_count_));
+  }
+  if (used != used_) {
+    return Status::Internal("live payload bytes " + std::to_string(used) +
+                            " != running count " + std::to_string(used_));
   }
   if (used > page_size_) {
     return Status::Internal("live payload bytes " + std::to_string(used) +
@@ -284,6 +287,7 @@ Result<Page> Page::Deserialize(const std::vector<uint8_t>& bytes) {
     return Status::InvalidArgument("truncated payload");
   }
   page.arena_.reserve(used);
+  page.used_ = static_cast<uint32_t>(used);
   for (const auto& entry : entries) {
     if (!entry.live) {
       page.slots_.push_back(Slot{});

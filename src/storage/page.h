@@ -68,10 +68,10 @@ class Page {
   uint16_t slot_count() const { return static_cast<uint16_t>(slots_.size()); }
 
   /// Logical bytes available for a new record (slot entries are free).
-  uint32_t FreeSpace() const;
+  uint32_t FreeSpace() const { return page_size_ - used_; }
 
   /// True if a record of logical size `size` fits.
-  bool Fits(uint32_t size) const;
+  bool Fits(uint32_t size) const { return size <= FreeSpace(); }
 
   /// Inserts a record of logical size `size` whose first `stored` bytes are
   /// `data` and whose remaining `size - stored` bytes are zero; keeps only
@@ -119,11 +119,17 @@ class Page {
   /// capacity); the slot directory is not counted.
   std::size_t resident_bytes() const { return arena_.capacity(); }
 
+  /// Drops the arena's garbage and releases its capacity beyond the live
+  /// stored bytes.  For a page that just shrank for good, such as the left
+  /// half of a B-tree split; the page image does not change.
+  void ShrinkToFit();
+
   /// Verifies the slot directory and the accounting: each live record
   /// stores no more than its logical size, live extents lie inside the
   /// arena and do not overlap, the garbage count covers the rest of the
-  /// arena, the live count matches the directory, and logical bytes never
-  /// exceed the page size.
+  /// arena, the live count matches the directory, the running count of
+  /// logical bytes equals their sum, and that sum never exceeds the page
+  /// size.
   Status CheckConsistency() const;
 
  private:
@@ -142,13 +148,12 @@ class Page {
   /// Moves live stored bytes to the front of the arena, dropping garbage.
   void Compact();
 
-  uint32_t BytesUsed() const;
-
   uint32_t page_size_;
   uint16_t live_count_ = 0;
   std::vector<Slot> slots_;
   std::vector<uint8_t> arena_;  ///< stored bytes of live records + garbage
   uint32_t garbage_ = 0;        ///< bytes of arena_ no live slot owns
+  uint32_t used_ = 0;           ///< logical bytes of the live records
 };
 
 }  // namespace procsim::storage

@@ -46,8 +46,9 @@ namespace procsim::util {
 ///   kWal              write-ahead-log append/truncate latch (an
 ///                     invalidation is appended under the exclusive
 ///                     kDatabase latch its apply holds)
-///   kPageTable        SimulatedDisk page-directory latch (page allocation
-///                     vs concurrent page lookups)
+///   kPageTable        SimulatedDisk page-directory latch (serializes
+///                     AllocatePage and FreePage; page lookups take no
+///                     latch, only acquire loads of the chunked table)
 ///   kBufferCache      buffer-cache frame/LRU latch
 ///
 /// Gaps between values leave room for future subsystems.

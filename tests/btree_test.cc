@@ -65,6 +65,26 @@ TEST_F(BTreeTest, GrowsInHeightAndStaysValid) {
   }
 }
 
+// A key-ordered load splits every leaf but the last, and internal nodes
+// too; each split's left half releases the arena its fuller node held, so
+// only the rightmost node of each level can hold more than its bytes.
+TEST(BTreeArenaTest, SplitsLeaveNoDeadArena) {
+  SimulatedDisk disk(4000, /*meter=*/nullptr);
+  BTree tree(&disk, 400);  // fanout 10: a few levels from a small load
+  for (uint32_t key = 0; key < 2000; ++key) {
+    ASSERT_TRUE(tree.Insert(key, Rid(key)).ok());
+  }
+  ASSERT_GE(tree.Height(), 3);
+  std::size_t roomy = 0;
+  for (PageId id = 0; id < disk.page_count(); ++id) {
+    const Page& page = *disk.ReadPage(id).ValueOrDie();
+    if (page.resident_bytes() > page.View(0).ValueOrDie().size()) ++roomy;
+  }
+  EXPECT_GT(disk.page_count(), 300u);
+  EXPECT_LE(roomy, static_cast<std::size_t>(tree.Height()));
+  EXPECT_TRUE(tree.CheckInvariants().ok());
+}
+
 TEST_F(BTreeTest, RangeScanInKeyOrder) {
   for (int64_t i = 0; i < 500; ++i) {
     ASSERT_TRUE(

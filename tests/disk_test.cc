@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 namespace procsim::storage {
 namespace {
 
@@ -157,6 +161,87 @@ TEST(SimulatedDiskTest, FreshPageAfterFreeIsChargedInOpenScope) {
   ASSERT_TRUE(disk.MarkDirty(fresh).ok());
   EXPECT_EQ(meter.disk_reads(), 2u);
   EXPECT_EQ(meter.disk_writes(), 2u);
+}
+
+TEST(SimulatedDiskTest, IdsCrossChunkBoundaries) {
+  SimulatedDisk disk(100, /*meter=*/nullptr);
+  const std::size_t count = SimulatedDisk::kChunkPages + 2;
+  for (std::size_t i = 0; i < count; ++i) {
+    ASSERT_EQ(disk.AllocatePage(), static_cast<PageId>(i));
+  }
+  EXPECT_EQ(disk.page_count(), count);
+  const auto boundary = static_cast<PageId>(SimulatedDisk::kChunkPages);
+  for (PageId id : {PageId{0}, boundary - 1, boundary, boundary + 1}) {
+    Result<Page*> page = disk.ReadPage(id);
+    ASSERT_TRUE(page.ok()) << id;
+    EXPECT_EQ(page.ValueOrDie()->page_size(), 100u);
+    EXPECT_TRUE(disk.MarkDirty(id).ok());
+  }
+  ASSERT_TRUE(disk.FreePage(boundary).ok());
+  EXPECT_FALSE(disk.IsLive(boundary));
+  EXPECT_TRUE(disk.IsLive(boundary - 1));
+  EXPECT_TRUE(disk.IsLive(boundary + 1));
+  EXPECT_EQ(disk.live_page_count(), count - 1);
+  // Past the ids handed out, in a chunk not yet allocated, and past the
+  // last chunk the table can hold.
+  for (PageId id : {static_cast<PageId>(count),
+                    static_cast<PageId>(3 * SimulatedDisk::kChunkPages),
+                    static_cast<PageId>(SimulatedDisk::kMaxPages),
+                    kInvalidPageId}) {
+    EXPECT_FALSE(disk.IsLive(id)) << id;
+    EXPECT_EQ(disk.ReadPage(id).status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(disk.MarkDirty(id).code(), StatusCode::kNotFound);
+    EXPECT_EQ(disk.FreePage(id).code(), StatusCode::kNotFound);
+  }
+}
+
+// Lookups take no latch, so they race AllocatePage publishing pages (and
+// whole chunks) and FreePage retiring them.  Readers dereference only pages
+// no thread frees, as the FreePage contract requires; run under the tsan
+// preset, any unpublished or torn read is a reported race.
+TEST(ConcurrentDiskTest, LookupsRaceAllocationAndFree) {
+  SimulatedDisk disk(64, /*meter=*/nullptr);
+  const std::size_t total = SimulatedDisk::kChunkPages + 1000;
+  std::atomic<int> readers_started{0};
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> pages_seen{0};
+  auto reader = [&] {
+    std::size_t seen = 0;
+    ++readers_started;
+    do {
+      const std::size_t count = disk.page_count();
+      for (std::size_t i = count > 64 ? count - 64 : 0; i < count; ++i) {
+        const auto id = static_cast<PageId>(i);
+        Result<Page*> page = disk.ReadPage(id);
+        if (i % 2 == 0) {
+          // Even ids are never freed: visible once counted, and whole.
+          ASSERT_TRUE(page.ok()) << id;
+          ASSERT_EQ(page.ValueOrDie()->page_size(), 64u);
+          ASSERT_TRUE(disk.MarkDirty(id).ok());
+          ASSERT_TRUE(disk.IsLive(id));
+          ++seen;
+        } else {
+          (void)disk.IsLive(id);
+          (void)disk.MarkDirty(id);
+        }
+      }
+    } while (!done.load(std::memory_order_acquire));
+    pages_seen += seen;
+  };
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 2; ++i) readers.emplace_back(reader);
+  while (readers_started.load() < 2) std::this_thread::yield();
+  for (std::size_t i = 0; i < total; ++i) {
+    const PageId id = disk.AllocatePage();
+    if (id % 2 == 1 && id > 1) {
+      ASSERT_TRUE(disk.FreePage(id - 2).ok());
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& thread : readers) thread.join();
+  EXPECT_GT(pages_seen.load(), 0u);
+  EXPECT_EQ(disk.page_count(), total);
+  EXPECT_EQ(disk.live_page_count(), total / 2 + 1);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // enforce the justified-suppression contract.
 #include "latch_lint/lint.h"
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -12,8 +14,8 @@
 namespace procsim::lint {
 namespace {
 
-/// A minimal stand-in for src/concurrent/latch.h: the rank table plus the
-/// declarations the scanner keys on.
+/// A minimal rank table for the analyzer fixtures below, a subset of the
+/// real one in src/util/latch.h (which ParsesTheRealRankTableShape reads).
 constexpr char kLatchHeader[] = R"cc(
 namespace procsim::concurrent {
 enum class LatchRank : int {
@@ -23,7 +25,7 @@ enum class LatchRank : int {
   kRete = 30,
   kReteMemory = 35,
   kILock = 40,
-  kInvalidationLog = 50,
+  kWal = 52,
   kPageTable = 55,
   kBufferCache = 60,
 };
@@ -46,13 +48,24 @@ TEST(LatchLintTest, ParsesTheRankTable) {
 }
 
 TEST(LatchLintTest, ParsesTheRealRankTableShape) {
-  // Ranks must strictly increase in declaration order for the hierarchy to
-  // be a total order over the declared levels.
-  const RankTable ranks = Ranks();
-  int previous = -1;
-  for (const auto& [value, name] : ranks.name_by_value) {
-    EXPECT_GT(value, previous) << name;
-    previous = value;
+  // The real table's ranks must strictly increase in declaration order: the
+  // enum lists the latches in the order they nest, so a value out of order
+  // (or repeated) makes the documented hierarchy disagree with the one the
+  // runtime checker and the lint enforce.
+  const std::string path =
+      std::string(PROCSIM_SOURCE_DIR) + "/src/util/latch.h";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "cannot read " << path;
+  std::stringstream source;
+  source << in.rdbuf();
+  const RankTable ranks = ParseRankTable(source.str());
+  ASSERT_GE(ranks.declared.size(), 2u) << "no LatchRank enum in " << path;
+  EXPECT_EQ(ranks.declared.size(), ranks.value_by_name.size())
+      << "a rank name is declared twice";
+  for (std::size_t i = 1; i < ranks.declared.size(); ++i) {
+    EXPECT_GT(ranks.declared[i].second, ranks.declared[i - 1].second)
+        << ranks.declared[i].first << " is declared after "
+        << ranks.declared[i - 1].first << " but does not rank above it";
   }
 }
 
@@ -87,12 +100,12 @@ class Inverted {
  public:
   void Op();
  private:
-  concurrent::RankedMutex log_{concurrent::LatchRank::kInvalidationLog, "l"};
+  concurrent::RankedMutex log_{concurrent::LatchRank::kWal, "l"};
   concurrent::RankedMutex cache_{concurrent::LatchRank::kBufferCache, "c"};
 };
 void Inverted::Op() {
   concurrent::RankedLockGuard cache_guard(cache_);
-  concurrent::RankedLockGuard log_guard(log_);  // kInvalidationLog under kBufferCache
+  concurrent::RankedLockGuard log_guard(log_);  // kWal under kBufferCache
 }
 }  // namespace procsim::fake
 )cc"};
@@ -100,7 +113,7 @@ void Inverted::Op() {
   ASSERT_EQ(result.violations.size(), 1u) << RenderReport(result);
   const Violation& violation = result.violations[0];
   EXPECT_EQ(violation.from_rank, 60);
-  EXPECT_EQ(violation.to_rank, 50);
+  EXPECT_EQ(violation.to_rank, 52);
   EXPECT_EQ(violation.to_file, "src/fake/inverted.cc");
   EXPECT_NE(violation.message.find("rank inversion"), std::string::npos);
   EXPECT_NE(violation.message.find("log_"), std::string::npos);
@@ -214,12 +227,12 @@ class Suppressed {
  public:
   void Op();
  private:
-  concurrent::RankedMutex log_{concurrent::LatchRank::kInvalidationLog, "l"};
+  concurrent::RankedMutex log_{concurrent::LatchRank::kWal, "l"};
   concurrent::RankedMutex cache_{concurrent::LatchRank::kBufferCache, "c"};
 };
 void Suppressed::Op() {
   concurrent::RankedLockGuard cache_guard(cache_);
-  // latch-lint: allow(kBufferCache->kInvalidationLog) because this fixture
+  // latch-lint: allow(kBufferCache->kWal) because this fixture
   // documents the suppression syntax; real code must state a real reason.
   concurrent::RankedLockGuard log_guard(log_);
 }
@@ -237,12 +250,12 @@ class Unjustified {
  public:
   void Op();
  private:
-  concurrent::RankedMutex log_{concurrent::LatchRank::kInvalidationLog, "l"};
+  concurrent::RankedMutex log_{concurrent::LatchRank::kWal, "l"};
   concurrent::RankedMutex cache_{concurrent::LatchRank::kBufferCache, "c"};
 };
 void Unjustified::Op() {
   concurrent::RankedLockGuard cache_guard(cache_);
-  // latch-lint: allow(kBufferCache->kInvalidationLog)
+  // latch-lint: allow(kBufferCache->kWal)
   concurrent::RankedLockGuard log_guard(log_);
 }
 }  // namespace procsim::fake
@@ -263,7 +276,7 @@ class Mismatched {
  public:
   void Op();
  private:
-  concurrent::RankedMutex log_{concurrent::LatchRank::kInvalidationLog, "l"};
+  concurrent::RankedMutex log_{concurrent::LatchRank::kWal, "l"};
   concurrent::RankedMutex cache_{concurrent::LatchRank::kBufferCache, "c"};
 };
 void Mismatched::Op() {
@@ -279,7 +292,7 @@ void Mismatched::Op() {
 }
 
 TEST(LatchLintTest, SuppressionKeyToleratesInteriorWhitespace) {
-  // `allow( kBufferCache -> kInvalidationLog )` must match the same edge as
+  // `allow( kBufferCache -> kWal )` must match the same edge as
   // the canonical spelling: keys are compared whitespace-normalized.
   const SourceFile file{"src/fake/spacing.cc", R"cc(
 namespace procsim::fake {
@@ -287,12 +300,12 @@ class Spacing {
  public:
   void Op();
  private:
-  concurrent::RankedMutex log_{concurrent::LatchRank::kInvalidationLog, "l"};
+  concurrent::RankedMutex log_{concurrent::LatchRank::kWal, "l"};
   concurrent::RankedMutex cache_{concurrent::LatchRank::kBufferCache, "c"};
 };
 void Spacing::Op() {
   concurrent::RankedLockGuard cache_guard(cache_);
-  // latch-lint: allow( kBufferCache -> kInvalidationLog ) because fixture
+  // latch-lint: allow( kBufferCache -> kWal ) because fixture
   concurrent::RankedLockGuard log_guard(log_);
 }
 }  // namespace procsim::fake
@@ -309,12 +322,12 @@ class Casing {
  public:
   void Op();
  private:
-  concurrent::RankedMutex log_{concurrent::LatchRank::kInvalidationLog, "l"};
+  concurrent::RankedMutex log_{concurrent::LatchRank::kWal, "l"};
   concurrent::RankedMutex cache_{concurrent::LatchRank::kBufferCache, "c"};
 };
 void Casing::Op() {
   concurrent::RankedLockGuard cache_guard(cache_);
-  // Latch-Lint: Allow(kBufferCache->kInvalidationLog) Because fixture
+  // Latch-Lint: Allow(kBufferCache->kWal) Because fixture
   concurrent::RankedLockGuard log_guard(log_);
 }
 }  // namespace procsim::fake

@@ -128,6 +128,38 @@ TEST(PageTest, ArenaHoldsAboutWhatThePageStores) {
   EXPECT_EQ(heap.resident_bytes(), kPageSize * 30 / 100);  // no regrowth
 }
 
+// The running count of logical bytes sits in padding the layout already
+// had: a page is two vectors and four 32-bit words (page size, live count
+// and its padding, garbage, used bytes).
+TEST(PageTest, RunningCountFitsInPadding) {
+  EXPECT_EQ(sizeof(Page),
+            2 * sizeof(std::vector<uint8_t>) + 4 * sizeof(uint32_t));
+}
+
+// The left half of a B-tree split keeps the arena of the node it was: the
+// shrink releases it without changing what the page holds.
+TEST(PageTest, ShrinkToFitReleasesTheArena) {
+  constexpr uint32_t kPageSize = 4000;
+  Page node(kPageSize);
+  std::vector<uint8_t> image(2800, 0xab);
+  const uint16_t slot = node.Insert(image.data(), 2800).ValueOrDie();
+  image.assign(1400, 0xcd);
+  ASSERT_TRUE(node.Update(slot, image.data(), 1400).ok());
+  EXPECT_GE(node.resident_bytes(), 2800u);
+  const std::vector<uint8_t> before = node.Serialize();
+  node.ShrinkToFit();
+  EXPECT_EQ(node.resident_bytes(), 1400u);
+  EXPECT_EQ(node.Serialize(), before);
+  EXPECT_EQ(Copied(node, slot), image);
+  EXPECT_EQ(node.FreeSpace(), kPageSize - 1400);
+  EXPECT_TRUE(node.CheckConsistency().ok());
+  // It grows again as needed.
+  image.assign(2000, 0xef);
+  ASSERT_TRUE(node.Update(slot, image.data(), 2000).ok());
+  EXPECT_EQ(Copied(node, slot), image);
+  EXPECT_TRUE(node.CheckConsistency().ok());
+}
+
 TEST(PageTest, UpdateThatCannotFitFails) {
   Page page(32);
   const auto a = Bytes("aaaa");
@@ -246,12 +278,20 @@ class PaddedPageModel {
   uint32_t size(uint16_t slot) const {
     return static_cast<uint32_t>(slots_[slot].bytes.size());
   }
+  // Recounted from every slot on each call.
   uint32_t FreeSpace() const {
     uint32_t used = 0;
     for (const Record& r : slots_) {
       if (r.live) used += static_cast<uint32_t>(r.bytes.size());
     }
     return page_size_ - used;
+  }
+  std::size_t StoredBytes() const {
+    std::size_t stored = 0;
+    for (const Record& r : slots_) {
+      if (r.live) stored += r.stored.size();
+    }
+    return stored;
   }
   bool Fits(uint32_t size) const { return size <= FreeSpace(); }
 
@@ -339,6 +379,9 @@ uint32_t StoredFor(Rng* rng, uint32_t size) {
 }
 
 void ExpectSamePage(const Page& page, const PaddedPageModel& model) {
+  // CheckConsistency recounts the page's own slots against its running
+  // count of used bytes; FreeSpace, which reads that count, must also
+  // agree with the model's recount.
   ASSERT_TRUE(page.CheckConsistency().ok())
       << page.CheckConsistency().ToString();
   ASSERT_EQ(page.FreeSpace(), model.FreeSpace());
@@ -432,6 +475,11 @@ TEST(PageDifferentialTest, MatchesPaddedStorageModel) {
         const uint16_t slot = live[rng.Uniform(live.size())];
         model.Delete(slot);
         ASSERT_TRUE(page.Delete(slot).ok());
+      }
+      if (step % 37 == 0) {
+        // Shrinking drops garbage and spare capacity and nothing else.
+        page.ShrinkToFit();
+        ASSERT_EQ(page.resident_bytes(), model.StoredBytes());
       }
       ExpectSamePage(page, model);
       // Garbage is compacted away: the arena never runs past twice the

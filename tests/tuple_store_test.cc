@@ -551,5 +551,171 @@ TEST(TupleStorePostingTableTest, ChurnMatchesAModel) {
   }
 }
 
+TEST(TupleStorePostingTableTest, ReserveMatchesIncrementalGrowth) {
+  PostingTable grown;
+  for (uint32_t n = 0; n <= 400; ++n) {
+    if (n > 0) grown.Insert(n % 5, Rid(n));
+    PostingTable reserved;
+    reserved.Reserve(n);
+    ASSERT_EQ(reserved.capacity(), grown.capacity()) << n << " postings";
+    ASSERT_EQ(reserved.size(), 0u);
+    for (uint32_t i = 1; i <= n; ++i) reserved.Insert(i % 5, Rid(i));
+    ASSERT_EQ(reserved.capacity(), grown.capacity()) << n << " postings";
+    ASSERT_TRUE(reserved.CheckStructure().ok()) << n << " postings";
+    for (uint32_t tag = 0; tag < 5; ++tag) {
+      ASSERT_EQ(WithTag(reserved, tag), WithTag(grown, tag));
+    }
+  }
+  // Reserving on a loaded table keeps its postings and never shrinks it.
+  const std::size_t capacity = grown.capacity();
+  grown.Reserve(10);
+  EXPECT_EQ(grown.capacity(), capacity);
+  grown.Reserve(2000);
+  EXPECT_EQ(grown.capacity(), 4096u);
+  EXPECT_EQ(grown.size(), 400u);
+  EXPECT_TRUE(grown.CheckStructure().ok());
+  EXPECT_EQ(WithTag(grown, 0).size(), 80u);
+}
+
+// Charge pins.  A padded store on 4000-byte pages holds 40 tuples a page.
+// Each insert reads the last page and marks it dirty; one that finds the
+// page full also allocates (a write) and reads a fresh page.  So the first
+// tuple costs 1 read + 2 writes, one opening a later page 2 reads + 2
+// writes, and any other 1 read + 1 write.  A batch that charged once per
+// page instead would break these counts.
+struct Charges {
+  uint64_t reads;
+  uint64_t writes;
+  bool operator==(const Charges&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const Charges& charges) {
+  return out << charges.reads << " reads, " << charges.writes << " writes";
+}
+
+class TupleStoreChargeTest : public TupleStoreTest {
+ protected:
+  template <typename Fn>
+  Charges Measure(Fn&& fn) {
+    meter_.Reset();
+    fn();
+    return Charges{meter_.disk_reads(), meter_.disk_writes()};
+  }
+
+  static std::vector<Tuple> Rows(int64_t n) {
+    std::vector<Tuple> rows;
+    for (int64_t i = 0; i < n; ++i) rows.push_back(Row(i % 7, i));
+    return rows;
+  }
+};
+
+TEST_F(TupleStoreChargeTest, InsertAndInsertManyChargePerRecord) {
+  const std::vector<Tuple> rows = Rows(100);  // pages of 40, 40 and 20
+  TupleStore one_by_one(&disk_, 100);
+  const Charges singly = Measure([&] {
+    for (const Tuple& row : rows) ASSERT_TRUE(one_by_one.Insert(row).ok());
+  });
+  EXPECT_EQ(singly, (Charges{1 + 39 + 2 + 39 + 2 + 19,  // 102
+                             2 + 39 + 2 + 39 + 2 + 19}));  // 103
+
+  TupleStore batched(&disk_, 100);
+  batched.EnsureProbeIndex(1);
+  EXPECT_EQ(Measure([&] { ASSERT_TRUE(batched.InsertMany(rows).ok()); }),
+            singly);
+  EXPECT_EQ(batched.SnapshotForTesting(), rows);
+  EXPECT_TRUE(batched.CheckConsistency().ok());
+
+  // A batch appended to a partly filled page: 20 more fill page 3, then
+  // 5 open page 4.
+  EXPECT_EQ(Measure([&] {
+              ASSERT_TRUE(batched.InsertMany(Rows(25)).ok());
+            }),
+            (Charges{20 + 2 + 4, 20 + 2 + 4}));
+
+  // Inside an access scope each page is charged once: one write to
+  // allocate, one read, and the dirtying write the allocation already
+  // paid for.
+  TupleStore scoped(&disk_, 100);
+  EXPECT_EQ(Measure([&] {
+              storage::AccessScope scope(&disk_);
+              ASSERT_TRUE(scoped.InsertMany(rows).ok());
+            }),
+            (Charges{3, 3}));
+  EXPECT_EQ(Measure([&] { ASSERT_TRUE(scoped.InsertMany({}).ok()); }),
+            (Charges{0, 0}));
+}
+
+TEST_F(TupleStoreChargeTest, ProbeEqualChargesOneReadPerMatch) {
+  TupleStore store(&disk_, 100);
+  store.EnsureProbeIndex(1);
+  ASSERT_TRUE(store.InsertMany(Rows(100)).ok());
+  ASSERT_TRUE(store.Insert(Row(kTagTwinA, 3)).ok());
+  ASSERT_TRUE(store.Insert(Row(kTagTwinB, 4)).ok());
+
+  // Key 3 on column 0 matches rows 3, 10, ..., 94: 14 of them, on all
+  // three pages.
+  std::size_t visited = 0;
+  const auto count = [&](Tuple&&) {
+    ++visited;
+    return Status::OK();
+  };
+  EXPECT_EQ(Measure([&] { ASSERT_TRUE(store.ProbeEqual(0, 3, count).ok()); }),
+            (Charges{14, 0}));
+  EXPECT_EQ(visited, 14u);
+  EXPECT_EQ(Measure([&] {
+              storage::AccessScope scope(&disk_);
+              ASSERT_TRUE(store.ProbeEqual(0, 3, count).ok());
+            }),
+            (Charges{3, 0}));
+  // A single match: one read.  Its tag twin is decoded un-metered and
+  // neither charged nor visited.
+  visited = 0;
+  EXPECT_EQ(Measure([&] {
+              ASSERT_TRUE(store.ProbeEqual(0, kTagTwinA, count).ok());
+            }),
+            (Charges{1, 0}));
+  EXPECT_EQ(visited, 1u);
+  EXPECT_EQ(Measure([&] {
+              ASSERT_TRUE(store.ProbeEqual(0, 12345, count).ok());
+            }),
+            (Charges{0, 0}));
+  // Column 1 (an on-demand index): every value is unique.
+  EXPECT_EQ(Measure([&] { ASSERT_TRUE(store.ProbeEqual(1, 50, count).ok()); }),
+            (Charges{1, 0}));
+}
+
+TEST_F(TupleStoreChargeTest, ForEachChargesOnlyWhatItsCallbackDoes) {
+  TupleStore store(&disk_, 100);
+  ASSERT_TRUE(store.InsertMany(Rows(100)).ok());
+  const storage::PageId probe_page = disk_.AllocatePage();
+  std::size_t visited = 0;
+  EXPECT_EQ(Measure([&] {
+              store.ForEach([&](const Tuple&) {
+                ++visited;
+                return true;
+              });
+            }),
+            (Charges{0, 0}));
+  EXPECT_EQ(visited, 100u);
+  // The callback runs under the caller's metering, one call per tuple,
+  // and stops the walk when it returns false.
+  visited = 0;
+  EXPECT_EQ(Measure([&] {
+              store.ForEach([&](const Tuple&) {
+                EXPECT_TRUE(disk_.ReadPage(probe_page).ok());
+                return ++visited < 45;
+              });
+            }),
+            (Charges{45, 0}));
+  EXPECT_EQ(Measure([&] {
+              storage::AccessScope scope(&disk_);
+              store.ForEach([&](const Tuple&) {
+                EXPECT_TRUE(disk_.ReadPage(probe_page).ok());
+                return true;
+              });
+            }),
+            (Charges{1, 0}));
+}
+
 }  // namespace
 }  // namespace procsim::ivm

@@ -681,6 +681,7 @@ RankTable ParseRankTable(const std::string& latch_header_source) {
     const int value = std::stoi((*it)[2].str());
     table.value_by_name[name] = value;
     table.name_by_value[value] = name;
+    table.declared.emplace_back(name, value);
   }
   return table;
 }

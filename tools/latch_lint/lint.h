@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint_core/core.h"
@@ -24,6 +25,8 @@ namespace procsim::lint {
 struct RankTable {
   std::map<std::string, int> value_by_name;  ///< "kDatabase" -> 10
   std::map<int, std::string> name_by_value;
+  /// Every (name, value) entry in declaration order, repeats included.
+  std::vector<std::pair<std::string, int>> declared;
 
   bool empty() const { return value_by_name.empty(); }
 };
