@@ -238,13 +238,21 @@ Result<BTree::NodeView> BTree::ViewNode(PageId page_id) const {
   return NodeView::Parse(bytes.ValueOrDie());
 }
 
-Status BTree::StoreNode(PageId page_id, const std::vector<uint8_t>& image,
-                        bool shrunk) {
+Status BTree::StoreNode(PageId page_id, const std::vector<uint8_t>& image) {
   Result<Page*> page = disk_->ReadPage(page_id);
   if (!page.ok()) return page.status();
   PROCSIM_RETURN_IF_ERROR(page.ValueOrDie()->Update(
       0, image.data(), static_cast<uint32_t>(image.size())));
-  if (shrunk) page.ValueOrDie()->ShrinkToFit();
+  return disk_->MarkDirty(page_id);
+}
+
+Status BTree::StoreSplitLeft(PageId page_id,
+                             const std::vector<uint8_t>& image) {
+  Result<Page*> page = disk_->ReadPage(page_id);
+  if (!page.ok()) return page.status();
+  PROCSIM_RETURN_IF_ERROR(page.ValueOrDie()->Update(
+      0, image.data(), static_cast<uint32_t>(image.size())));
+  page.ValueOrDie()->ShrinkToFit();
   return disk_->MarkDirty(page_id);
 }
 
@@ -288,7 +296,7 @@ Result<std::optional<BTree::SplitResult>> BTree::InsertIntoLeaf(
   node.values.resize(mid);
   const PageId right_page = AllocateNode(right.Encode());
   node.next_leaf = right_page;
-  PROCSIM_RETURN_IF_ERROR(StoreNode(page_id, node.Encode(), /*shrunk=*/true));
+  PROCSIM_RETURN_IF_ERROR(StoreSplitLeft(page_id, node.Encode()));
   ++entry_count_;
   return std::optional<SplitResult>(SplitResult{right.keys.front(),
                                                 right_page});
@@ -332,7 +340,7 @@ Result<std::optional<BTree::SplitResult>> BTree::InsertRecursive(
   node.keys.resize(mid);
   node.children.resize(mid + 1);
   const PageId right_page = AllocateNode(right.Encode());
-  PROCSIM_RETURN_IF_ERROR(StoreNode(page_id, node.Encode(), /*shrunk=*/true));
+  PROCSIM_RETURN_IF_ERROR(StoreSplitLeft(page_id, node.Encode()));
   return std::optional<SplitResult>(SplitResult{separator, right_page});
 }
 

@@ -91,10 +91,10 @@ class BTree {
   /// Reads the node in `page_id` (one ReadPage charge) without copying it.
   Result<NodeView> ViewNode(PageId page_id) const;
   /// Overwrites the node in `page_id` with `image` (ReadPage + MarkDirty).
-  /// `shrunk` marks the left half of a split, whose page then releases the
+  Status StoreNode(PageId page_id, const std::vector<uint8_t>& image);
+  /// StoreNode for the left half of a split: its page then releases the
   /// arena bytes the old, fuller node held (Page::ShrinkToFit).
-  Status StoreNode(PageId page_id, const std::vector<uint8_t>& image,
-                   bool shrunk = false);
+  Status StoreSplitLeft(PageId page_id, const std::vector<uint8_t>& image);
   PageId AllocateNode(const std::vector<uint8_t>& image);
 
   /// Recursive insert; on child split returns the (separator key, new page)

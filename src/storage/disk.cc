@@ -1,5 +1,6 @@
 #include "storage/disk.h"
 
+#include <bit>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -111,12 +112,29 @@ std::size_t SimulatedDisk::resident_bytes() const {
   return bytes;
 }
 
+static_assert(std::has_single_bit(SimulatedDisk::kFirstChunkPages));
+// The last id AllocatePage hands out, kInvalidPageId - 1, has a chunk.
+static_assert(std::bit_width(uint64_t{kInvalidPageId} - 1 +
+                             SimulatedDisk::kFirstChunkPages) -
+                  std::bit_width(SimulatedDisk::kFirstChunkPages) <
+              static_cast<int>(SimulatedDisk::kChunks));
+
+SimulatedDisk::SlotIndex SimulatedDisk::Locate(PageId page_id) {
+  // Chunk k covers ids [F (2^k - 1), F (2^(k+1) - 1)) for F =
+  // kFirstChunkPages, so id + F has k more significant bits than F.
+  const uint64_t shifted = uint64_t{page_id} + kFirstChunkPages;
+  const auto chunk = static_cast<std::size_t>(
+      std::bit_width(shifted) - std::bit_width(kFirstChunkPages));
+  return SlotIndex{chunk, static_cast<std::size_t>(
+                              shifted - (uint64_t{kFirstChunkPages} << chunk))};
+}
+
 Page* SimulatedDisk::Lookup(PageId page_id) const {
   // Slots at and past page_count_ may not be constructed yet.
   if (page_id >= page_count_.load(std::memory_order_acquire)) return nullptr;
-  const PageSlot* chunk =
-      chunks_[page_id / kChunkPages].load(std::memory_order_acquire);
-  return chunk[page_id % kChunkPages].load(std::memory_order_acquire);
+  const SlotIndex at = Locate(page_id);
+  const PageSlot* chunk = chunks_[at.chunk].load(std::memory_order_acquire);
+  return chunk[at.offset].load(std::memory_order_acquire);
 }
 
 bool SimulatedDisk::IsLive(PageId page_id) const {
@@ -132,15 +150,16 @@ PageId SimulatedDisk::AllocatePage() {
   {
     util::RankedLockGuard guard(page_table_latch_);
     const std::size_t id = page_count_.load(std::memory_order_relaxed);
-    PROCSIM_CHECK_LT(id, kMaxPages) << "the page table is full";
-    std::atomic<PageSlot*>& chunk_slot = chunks_[id / kChunkPages];
+    PROCSIM_CHECK_LT(id, std::size_t{kInvalidPageId}) << "out of page ids";
+    const SlotIndex at = Locate(static_cast<PageId>(id));
+    std::atomic<PageSlot*>& chunk_slot = chunks_[at.chunk];
     PageSlot* chunk = chunk_slot.load(std::memory_order_relaxed);
     if (chunk == nullptr) {
-      chunk = static_cast<PageSlot*>(
-          ::operator new(kChunkPages * sizeof(PageSlot)));
+      chunk = static_cast<PageSlot*>(::operator new(
+          (kFirstChunkPages << at.chunk) * sizeof(PageSlot)));
       chunk_slot.store(chunk, std::memory_order_release);
     }
-    std::construct_at(&chunk[id % kChunkPages], new Page(page_size_));
+    std::construct_at(&chunk[at.offset], new Page(page_size_));
     page_count_.store(id + 1, std::memory_order_release);
     live_pages_.fetch_add(1, std::memory_order_release);
     page_id = static_cast<PageId>(id);
@@ -168,8 +187,9 @@ Status SimulatedDisk::FreePage(PageId page_id) {
   {
     util::RankedLockGuard guard(page_table_latch_);
     if (Lookup(page_id) == nullptr) return NoSuchPage(page_id);
-    freed.reset(chunks_[page_id / kChunkPages]
-                    .load(std::memory_order_relaxed)[page_id % kChunkPages]
+    const SlotIndex at = Locate(page_id);
+    freed.reset(chunks_[at.chunk]
+                    .load(std::memory_order_relaxed)[at.offset]
                     .exchange(nullptr, std::memory_order_acq_rel));
     live_pages_.fetch_sub(1, std::memory_order_release);
   }

@@ -28,7 +28,7 @@ namespace procsim::storage {
 ///
 /// Concurrency: access scopes and metering disablement are *per thread*
 /// (each concurrent session dedups and un-meters only its own operation).
-/// The page directory is a two-level table of fixed-size chunks of atomic
+/// The page directory is a two-level table of doubling chunks of atomic
 /// page pointers; a chunk never moves once allocated, so ReadPage, MarkDirty
 /// and IsLive look a page up with acquire loads and take no latch, while
 /// AllocatePage and FreePage serialize on a kPageTable latch and publish
@@ -65,7 +65,7 @@ class SimulatedDisk {
   CostMeter* meter() const { return meter_; }
 
   /// Allocates a fresh empty page (charged as one write when metering).
-  /// Aborts once kMaxPages ids have been handed out.
+  /// Aborts if every PageId below kInvalidPageId has been handed out.
   PageId AllocatePage();
 
   /// Returns a mutable reference to a page, charging one read.  The caller
@@ -108,13 +108,19 @@ class SimulatedDisk {
     return cache_.has_value() ? &*cache_ : nullptr;
   }
 
-  /// Page ids a disk can hand out: kMaxChunks chunks of kChunkPages.
-  static constexpr std::size_t kChunkPages = 16384;
-  static constexpr std::size_t kMaxChunks = 1024;
-  static constexpr std::size_t kMaxPages = kChunkPages * kMaxChunks;
+  /// The page table's chunks double in size: chunk k holds
+  /// kFirstChunkPages << k ids, so kChunks of them cover every PageId.
+  static constexpr std::size_t kFirstChunkPages = 16384;
+  static constexpr std::size_t kChunks = 19;
 
  private:
   using PageSlot = std::atomic<Page*>;
+  /// Where a page id's slot lives: chunk and index within it.
+  struct SlotIndex {
+    std::size_t chunk;
+    std::size_t offset;
+  };
+  static SlotIndex Locate(PageId page_id);
 
   /// The live page `page_id` names, or null; one acquire load per level.
   Page* Lookup(PageId page_id) const;
@@ -126,16 +132,16 @@ class SimulatedDisk {
   // Serializes AllocatePage and FreePage; lookups take no latch.
   mutable util::RankedMutex page_table_latch_{
       util::LatchRank::kPageTable, "SimulatedDisk::page_table"};
-  // The directory: chunks_[id / kChunkPages][id % kChunkPages] is page id's
-  // Page, null once freed.  A chunk (kChunkPages slots) is allocated as raw
-  // memory on the first id it covers and freed only by the destructor; a
-  // slot is constructed when AllocatePage hands its id out, so a chunk
-  // touches only the memory of ids in use.  AllocatePage publishes a slot by
+  // The directory: slot Locate(id) of chunks_ is page id's Page, null once
+  // freed.  A chunk is allocated as raw memory on the first id it covers
+  // and freed only by the destructor; a slot is constructed when
+  // AllocatePage hands its id out, so a chunk touches only the memory of
+  // ids in use.  AllocatePage publishes a slot by
   // the release store of page_count_, and lookups read only slots below it.
   // FreePage clears a slot with an atomic exchange.  Both write under the
   // latch.  Page *contents* are ordered by the engine's database latch (see
   // class comment).
-  std::atomic<PageSlot*> chunks_[kMaxChunks] = {};
+  std::atomic<PageSlot*> chunks_[kChunks] = {};
   std::atomic<std::size_t> page_count_{0};
   std::atomic<std::size_t> live_pages_{0};
   // procsim-lint: allow(unguarded(cache_)) because the optional is engaged only while quiescent; the BufferCache inside has its own latch

@@ -165,29 +165,33 @@ TEST(SimulatedDiskTest, FreshPageAfterFreeIsChargedInOpenScope) {
 
 TEST(SimulatedDiskTest, IdsCrossChunkBoundaries) {
   SimulatedDisk disk(100, /*meter=*/nullptr);
-  const std::size_t count = SimulatedDisk::kChunkPages + 2;
+  // Chunk 0 holds ids [0, F), chunk 1 [F, 3F), chunk 2 [3F, 7F).
+  const auto first = static_cast<PageId>(SimulatedDisk::kFirstChunkPages);
+  const std::size_t count = 3 * std::size_t{first} + 2;
   for (std::size_t i = 0; i < count; ++i) {
     ASSERT_EQ(disk.AllocatePage(), static_cast<PageId>(i));
   }
   EXPECT_EQ(disk.page_count(), count);
-  const auto boundary = static_cast<PageId>(SimulatedDisk::kChunkPages);
-  for (PageId id : {PageId{0}, boundary - 1, boundary, boundary + 1}) {
+  for (PageId id : {PageId{0}, first - 1, first, first + 1, 3 * first - 1,
+                    3 * first, 3 * first + 1}) {
     Result<Page*> page = disk.ReadPage(id);
     ASSERT_TRUE(page.ok()) << id;
     EXPECT_EQ(page.ValueOrDie()->page_size(), 100u);
     EXPECT_TRUE(disk.MarkDirty(id).ok());
   }
-  ASSERT_TRUE(disk.FreePage(boundary).ok());
-  EXPECT_FALSE(disk.IsLive(boundary));
-  EXPECT_TRUE(disk.IsLive(boundary - 1));
-  EXPECT_TRUE(disk.IsLive(boundary + 1));
-  EXPECT_EQ(disk.live_page_count(), count - 1);
-  // Past the ids handed out, in a chunk not yet allocated, and past the
-  // last chunk the table can hold.
-  for (PageId id : {static_cast<PageId>(count),
-                    static_cast<PageId>(3 * SimulatedDisk::kChunkPages),
-                    static_cast<PageId>(SimulatedDisk::kMaxPages),
-                    kInvalidPageId}) {
+  // Each id has its own slot: freeing one leaves its neighbours on either
+  // side of each boundary live.
+  for (PageId id : {first, 3 * first}) {
+    ASSERT_TRUE(disk.FreePage(id).ok());
+    EXPECT_FALSE(disk.IsLive(id));
+    EXPECT_TRUE(disk.IsLive(id - 1));
+    EXPECT_TRUE(disk.IsLive(id + 1));
+  }
+  EXPECT_EQ(disk.live_page_count(), count - 2);
+  // Past the ids handed out, in a chunk not yet allocated, the last id the
+  // table covers, and the invalid id.
+  for (PageId id : {static_cast<PageId>(count), 7 * first,
+                    kInvalidPageId - 1, kInvalidPageId}) {
     EXPECT_FALSE(disk.IsLive(id)) << id;
     EXPECT_EQ(disk.ReadPage(id).status().code(), StatusCode::kNotFound);
     EXPECT_EQ(disk.MarkDirty(id).code(), StatusCode::kNotFound);
@@ -201,14 +205,18 @@ TEST(SimulatedDiskTest, IdsCrossChunkBoundaries) {
 // preset, any unpublished or torn read is a reported race.
 TEST(ConcurrentDiskTest, LookupsRaceAllocationAndFree) {
   SimulatedDisk disk(64, /*meter=*/nullptr);
-  const std::size_t total = SimulatedDisk::kChunkPages + 1000;
+  const std::size_t total = SimulatedDisk::kFirstChunkPages + 1000;
   std::atomic<int> readers_started{0};
   std::atomic<bool> done{false};
   std::atomic<std::size_t> pages_seen{0};
   auto reader = [&] {
     std::size_t seen = 0;
     ++readers_started;
-    do {
+    // One more pass after the writer is done, so a reader the scheduler
+    // kept off the CPU until then still reads published pages.
+    bool last = false;
+    while (!last) {
+      last = done.load(std::memory_order_acquire);
       const std::size_t count = disk.page_count();
       for (std::size_t i = count > 64 ? count - 64 : 0; i < count; ++i) {
         const auto id = static_cast<PageId>(i);
@@ -225,7 +233,7 @@ TEST(ConcurrentDiskTest, LookupsRaceAllocationAndFree) {
           (void)disk.MarkDirty(id);
         }
       }
-    } while (!done.load(std::memory_order_acquire));
+    }
     pages_seen += seen;
   };
   std::vector<std::thread> readers;
