@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -168,19 +169,30 @@ TEST(SimulatedDiskTest, IdsCrossChunkBoundaries) {
   // Chunk 0 holds ids [0, F), chunk 1 [F, 3F), chunk 2 [3F, 7F).
   const auto first = static_cast<PageId>(SimulatedDisk::kFirstChunkPages);
   const std::size_t count = 3 * std::size_t{first} + 2;
+  // Each page stores its own id, so two ids sharing a slot would show.
   for (std::size_t i = 0; i < count; ++i) {
-    ASSERT_EQ(disk.AllocatePage(), static_cast<PageId>(i));
-  }
-  EXPECT_EQ(disk.page_count(), count);
-  for (PageId id : {PageId{0}, first - 1, first, first + 1, 3 * first - 1,
-                    3 * first, 3 * first + 1}) {
+    const PageId id = disk.AllocatePage();
+    ASSERT_EQ(id, static_cast<PageId>(i));
     Result<Page*> page = disk.ReadPage(id);
     ASSERT_TRUE(page.ok()) << id;
-    EXPECT_EQ(page.ValueOrDie()->page_size(), 100u);
-    EXPECT_TRUE(disk.MarkDirty(id).ok());
+    ASSERT_TRUE(page.ValueOrDie()
+                    ->Insert(reinterpret_cast<const uint8_t*>(&id), sizeof(id))
+                    .ok());
+    ASSERT_TRUE(disk.MarkDirty(id).ok());
   }
-  // Each id has its own slot: freeing one leaves its neighbours on either
-  // side of each boundary live.
+  EXPECT_EQ(disk.page_count(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto id = static_cast<PageId>(i);
+    Result<Page*> page = disk.ReadPage(id);
+    ASSERT_TRUE(page.ok()) << id;
+    const ByteView bytes = page.ValueOrDie()->View(0).ValueOrDie();
+    PageId stored = kInvalidPageId;
+    ASSERT_EQ(bytes.size(), sizeof(stored));
+    std::memcpy(&stored, bytes.data(), sizeof(stored));
+    ASSERT_EQ(stored, id);
+  }
+  // Freeing an id leaves its neighbours on either side of each boundary
+  // live.
   for (PageId id : {first, 3 * first}) {
     ASSERT_TRUE(disk.FreePage(id).ok());
     EXPECT_FALSE(disk.IsLive(id));
